@@ -322,15 +322,15 @@ def main(argv=None) -> int:
     except WindowError as exc:
         print(f"error (window): {exc}", file=sys.stderr)
         return EXIT_WINDOW
-    except (ParityError, ValidationError, ValueError) as exc:
-        print(f"error (validation): {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
     except ConstructionError as exc:
         print(f"error (unsupported configuration): {exc}", file=sys.stderr)
         return EXIT_UNSUPPORTED
     except SpecializationError as exc:
         print(f"error (specialization): {exc}", file=sys.stderr)
         return EXIT_SPECIALIZATION
+    except (ParityError, ValidationError, ValueError) as exc:
+        print(f"error (validation): {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
 
 
 if __name__ == "__main__":

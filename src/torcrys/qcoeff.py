@@ -4,14 +4,20 @@ formal series in z, and cyclotomic quotients for root-of-unity work.
 Every value is immutable; every operation is a pure function.  These
 scalars are the coefficients of all module actions downstream, so
 equality and zero-tests must be exact (no floats on the main path).
+
+An element of the cyclotomic field Q[q]/(Phi_N) (`CycloElem`) is a
+tuple of integer numerators over one positive common denominator, in
+lowest terms.  Phi_N is monic with integer coefficients, so reduction
+modulo Phi_N stays in Z, and integral elements (every power of q) keep
+denominator 1 and skip the gcd.  The cyclotomic polynomials are
+computed on first use and kept in memory for the process.
 """
 from __future__ import annotations
 
-import json
-import os
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, lcm
+from operator import add, neg, sub
 
 
 class ExpansionError(ValueError):
@@ -573,124 +579,147 @@ def series_exp(s: QSeries, order: int | None = None) -> QSeries:
 # cyclotomic arithmetic
 # ---------------------------------------------------------------------------
 
-def _cyclo_cache_path(n: int):
-    root = os.environ.get("TORCRYS_CACHE_DIR")
-    if not root:
-        return None
-    return os.path.join(root, f"cyclotomic_{n}.json")
-
-
 @lru_cache(maxsize=None)
 def cyclotomic(n: int) -> LaurentPoly:
     """The n-th cyclotomic polynomial, by exact recursive division of
     q^n - 1 by the cyclotomic polynomials of the proper divisors."""
     if n < 1:
         raise ValueError("cyclotomic index must be positive")
-    path = _cyclo_cache_path(n)
-    if path and os.path.exists(path):
-        with open(path) as fh:
-            return LaurentPoly({int(k): v for k, v in json.load(fh).items()})
     p = LaurentPoly({n: 1, 0: -1})
     for d in range(1, n):
         if n % d == 0:
             p = p.divexact(cyclotomic(d))
-    if path:
-        os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-        with open(path, "w") as fh:
-            json.dump({str(k): v for k, v in p.terms.items()}, fh)
     return p
+
+
+@lru_cache(maxsize=None)
+def _phi_tail(N: int):
+    """(deg, lower terms) of Phi_N.  Phi_N is monic with integer
+    coefficients, so q^deg = -(lower terms) reduces integer vectors
+    without leaving Z."""
+    phi = cyclotomic(N)
+    deg = phi.degree()
+    return deg, tuple((k, c) for k, c in phi.terms.items() if k != deg)
+
+
+def _reduce(cs: list, N: int) -> tuple:
+    """Integer coefficients of q^0, q^1, ... reduced mod Phi_N, as a
+    tuple of length deg Phi_N.  Consumes cs."""
+    deg, tail = _phi_tail(N)
+    if len(cs) < deg:
+        cs += [0] * (deg - len(cs))
+    for e in range(len(cs) - 1, deg - 1, -1):
+        c = cs[e]
+        if c:
+            base = e - deg
+            for k, p in tail:
+                cs[base + k] -= c * p
+    return tuple(cs[:deg])
+
+
+def _cyclo(N: int, nums: tuple, den: int = 1) -> "CycloElem":
+    """CycloElem from integer numerators already reduced mod Phi_N over
+    a positive denominator; brings them to lowest terms."""
+    if den != 1:
+        g = gcd(den, *nums)
+        if g != 1:
+            nums = tuple(x // g for x in nums)
+            den //= g
+    r = object.__new__(CycloElem)
+    r.N = N
+    r.nums = nums
+    r.den = den
+    return r
 
 
 class CycloElem:
     """Element of Q[q]/(Phi_N), i.e. the cyclotomic field Q(zeta_N).
 
-    Coefficients are Fractions indexed by powers q^0..q^{deg-1}.
+    Stored as integer numerators `nums` of the powers q^0..q^{deg-1}
+    over one positive common denominator `den`, in lowest terms
+    (gcd(den, *nums) = 1, so zero is 0/1).  Equal elements therefore
+    have equal fields, and `==` and `hash` are structural.  Integral
+    elements, among them every power of q, have den = 1 and never
+    touch a gcd.
     """
 
-    __slots__ = ("N", "coeffs")
+    __slots__ = ("N", "nums", "den")
 
     def __init__(self, N: int, coeffs):
-        phi = cyclotomic(N)
-        deg = phi.degree()
-        cs = list(coeffs) + [Fraction(0)] * deg
+        """`coeffs`: rational coefficients (ints or Fractions) of q^0,
+        q^1, ...; a longer list is reduced mod Phi_N."""
+        fs = [Fraction(c) for c in coeffs]
+        den = lcm(*(f.denominator for f in fs))
+        nums = _reduce([f.numerator * (den // f.denominator) for f in fs], N)
+        g = gcd(den, *nums)
         self.N = N
-        self.coeffs = tuple(Fraction(c) for c in cs[:deg])
+        self.nums = tuple(x // g for x in nums)
+        self.den = den // g
 
     # -- constructors -------------------------------------------------------
 
     @staticmethod
     def zero(N: int) -> "CycloElem":
-        return CycloElem(N, [])
+        return _cyclo(N, _reduce([], N))
 
     @staticmethod
     def one(N: int) -> "CycloElem":
-        return CycloElem(N, [Fraction(1)])
+        return _cyclo(N, _reduce([1], N))
 
     @staticmethod
     def q_power(N: int, k: int) -> "CycloElem":
-        return CycloElem.from_laurent(N, LaurentPoly.q_power(k % N))
+        return CycloElem.from_laurent(N, LaurentPoly.q_power(k))
 
     @staticmethod
     def from_laurent(N: int, p: LaurentPoly) -> "CycloElem":
         # q^N = 1 in the quotient, so exponents reduce mod N first
-        dense = {}
+        cs = [0] * N
         for k, c in p.terms.items():
-            e = k % N
-            dense[e] = dense.get(e, 0) + c
-        phi = cyclotomic(N)
-        deg = phi.degree()
-        cs = [Fraction(0)] * max(deg, N)
-        for e, c in dense.items():
-            cs[e] += c
-        # reduce mod Phi_N
-        lead = phi.terms[deg]
-        for e in range(len(cs) - 1, deg - 1, -1):
-            if cs[e]:
-                f = cs[e] / lead
-                for k, c in phi.terms.items():
-                    cs[e - deg + k] -= f * c
-        return CycloElem(N, cs[:deg])
+            cs[k % N] += c
+        return _cyclo(N, _reduce(cs, N))
 
     @staticmethod
     def from_fraction(N: int, f: Fraction) -> "CycloElem":
-        return CycloElem(N, [Fraction(f)])
+        return CycloElem(N, [f])
 
     # -- predicates ----------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.nums)
 
     # -- arithmetic ----------------------------------------------------------
 
     def __add__(self, other: "CycloElem") -> "CycloElem":
-        return CycloElem(self.N, [a + b for a, b in zip(self.coeffs, other.coeffs)])
+        a, b = self.den, other.den
+        if a == b:
+            return _cyclo(self.N, tuple(map(add, self.nums, other.nums)), a)
+        return _cyclo(self.N, tuple(x * b + y * a for x, y
+                                    in zip(self.nums, other.nums)), a * b)
 
     def __neg__(self) -> "CycloElem":
-        return CycloElem(self.N, [-a for a in self.coeffs])
+        return _cyclo(self.N, tuple(map(neg, self.nums)), self.den)
 
     def __sub__(self, other: "CycloElem") -> "CycloElem":
-        return CycloElem(self.N, [a - b for a, b in zip(self.coeffs, other.coeffs)])
+        a, b = self.den, other.den
+        if a == b:
+            return _cyclo(self.N, tuple(map(sub, self.nums, other.nums)), a)
+        return _cyclo(self.N, tuple(x * b - y * a for x, y
+                                    in zip(self.nums, other.nums)), a * b)
 
     def __mul__(self, other: "CycloElem") -> "CycloElem":
-        deg = len(self.coeffs)
-        conv = [Fraction(0)] * (2 * deg - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    if b:
-                        conv[i + j] += a * b
-        phi = cyclotomic(self.N)
-        lead = phi.terms[deg]
-        for e in range(len(conv) - 1, deg - 1, -1):
-            if conv[e]:
-                f = conv[e] / lead
-                for k, c in phi.terms.items():
-                    conv[e - deg + k] -= f * c
-        return CycloElem(self.N, conv[:deg])
+        bs = other.nums
+        conv = [0] * (2 * len(bs) - 1)
+        for i, x in enumerate(self.nums):
+            if x:
+                for j, y in enumerate(bs, i):
+                    if y:
+                        conv[j] += x * y
+        return _cyclo(self.N, _reduce(conv, self.N), self.den * other.den)
 
     def scale(self, f: Fraction) -> "CycloElem":
         f = Fraction(f)
-        return CycloElem(self.N, [f * a for a in self.coeffs])
+        return _cyclo(self.N, tuple(f.numerator * x for x in self.nums),
+                      self.den * f.denominator)
 
     def inv(self) -> "CycloElem":
         """Inverse in the field Q(zeta_N); Phi_N is irreducible over Q."""
@@ -698,7 +727,7 @@ class CycloElem:
             raise SpecializationError("inverse of zero in cyclotomic field")
         phi = cyclotomic(self.N)
         b = {k: Fraction(c) for k, c in phi.terms.items()}
-        a = {i: c for i, c in enumerate(self.coeffs) if c}
+        a = {i: Fraction(c) for i, c in enumerate(self.nums) if c}
         # extended Euclid on (a, b)
         r0, r1 = b, a
         s0, s1 = {}, {0: Fraction(1)}
@@ -709,11 +738,11 @@ class CycloElem:
         # r0 = gcd = nonzero constant (irreducibility)
         if max(r0) != 0:
             raise SpecializationError("non-invertible cyclotomic element")
-        c = r0[0]
-        inv = {k: v / c for k, v in s0.items()}
-        cs = [Fraction(0)] * len(self.coeffs)
-        for k, v in inv.items():
-            cs[k] = v
+        # (nums / den)^-1 = den * s0 / r0
+        c = r0[0] / self.den
+        cs = [0] * len(self.nums)
+        for k, v in s0.items():
+            cs[k] = v / c
         return CycloElem(self.N, cs)
 
     def __truediv__(self, other: "CycloElem") -> "CycloElem":
@@ -723,20 +752,22 @@ class CycloElem:
 
     def __eq__(self, other):
         return (isinstance(other, CycloElem) and self.N == other.N
-                and self.coeffs == other.coeffs)
+                and self.den == other.den and self.nums == other.nums)
 
     def __hash__(self):
-        return hash((self.N, self.coeffs))
+        return hash((self.N, self.nums, self.den))
 
     def to_complex(self) -> complex:
         import cmath
         z = cmath.exp(2j * cmath.pi / self.N)
-        return sum(complex(c) * z ** k for k, c in enumerate(self.coeffs))
+        return sum(complex(c / self.den) * z ** k
+                   for k, c in enumerate(self.nums))
 
     def __str__(self):
         parts = []
-        for k, c in enumerate(self.coeffs):
+        for k, c in enumerate(self.nums):
             if c:
+                c = Fraction(c, self.den)
                 v = "1" if k == 0 else ("q" if k == 1 else f"q^{k}")
                 parts.append(f"{c}*{v}" if k else f"{c}")
         return " + ".join(parts) if parts else "0"

@@ -10,11 +10,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 from .crystal import WindowError, row_stats
 from .lattice import RootSystem
 from .monomial import ResidueMonomial, gamma
-from .qcoeff import (CycloElem, LaurentPoly, SpecializationError,
+from .qcoeff import (Q_MINUS_QINV, CycloElem, SpecializationError,
                      eval_cyclotomic, qint)
 from .torep import LoopModule, build_doubled, build_thin
 
@@ -33,14 +34,20 @@ class SpecializedModule:
     rows: list = field(default_factory=list)          # representative rows per node
     _h_cache: dict = field(default_factory=dict)
     _phi_cache: dict = field(default_factory=dict)
+    one: CycloElem = field(init=False, repr=False)
+    _eps: tuple = field(init=False, repr=False)       # eps^0 .. eps^{N-1}
 
     # entries: tuple of (dst, step mod N, CycloElem coefficient)
+
+    def __post_init__(self):
+        self.one = CycloElem.one(self.N)
+        self._eps = tuple(CycloElem.q_power(self.N, k) for k in range(self.N))
 
     def __len__(self):
         return len(self.basis)
 
     def eps_pow(self, k: int) -> CycloElem:
-        return CycloElem.q_power(self.N, k % self.N)
+        return self._eps[k % self.N]
 
     def act_x(self, sign: int, i: int, r: int, vec: dict) -> dict:
         table = self.plus_edges if sign > 0 else self.minus_edges
@@ -87,12 +94,15 @@ class SpecializedModule:
             self._phi_cache[key] = coeffs
         return coeffs[need]
 
+    @cached_property
+    def _qmq_inv(self) -> CycloElem:
+        return CycloElem.from_laurent(self.N, Q_MINUS_QINV).inv()
+
     def pairing_value(self, idx: int, i: int, t: int) -> CycloElem:
-        qmq = CycloElem.from_laurent(self.N, LaurentPoly({1: 1, -1: -1}))
         if t > 0:
-            return self.phi_component(idx, i, t) * qmq.inv()
+            return self.phi_component(idx, i, t) * self._qmq_inv
         if t < 0:
-            return -self.phi_component(idx, i, t) * qmq.inv()
+            return -self.phi_component(idx, i, t) * self._qmq_inv
         st = row_stats(self.rows[idx][i])
         return CycloElem.from_laurent(self.N, qint(st.phi - st.eps))
 
@@ -304,7 +314,7 @@ def _validate_kernel(mod: LoopModule, N: int, keep) -> None:
 # ---------------------------------------------------------------------------
 
 def _unit(mod: SpecializedModule, idx: int) -> dict:
-    return {idx: CycloElem.one(mod.N)}
+    return {idx: mod.one}
 
 
 def _sub(a: dict, b: dict) -> dict:
@@ -363,6 +373,13 @@ def relation_check_eps(mod: SpecializedModule, rmax: int | None = None,
     rser = range(0, min(serre_rmax, rmax) + 1)
     rep = EpsReport()
     eps = mod.eps_pow
+    minus_one = -mod.one
+    two = CycloElem.from_laurent(N, qint(2))
+    h_modes = (1, -1, 2, -2)
+    # (m, C_ij) -> [m C_ij]_eps / m
+    hx_coeff = {(m, c): CycloElem.from_laurent(N, qint(m * c)).scale(Fraction(1, m))
+                for m in h_modes
+                for c in {rs.cartan(i, j) for i in rs.nodes for j in rs.nodes}}
 
     def record(res, label):
         rep.checked += 1
@@ -371,6 +388,7 @@ def relation_check_eps(mod: SpecializedModule, rmax: int | None = None,
 
     for idx in range(len(mod)):
         for i in rs.nodes:
+            k_inv = mod.k_eigenvalue(idx, i).inv()
             for j in rs.nodes:
                 cij = rs.cartan(i, j)
                 # k-conjugation (diagonal, uses the k eigenvalues)
@@ -379,11 +397,11 @@ def relation_check_eps(mod: SpecializedModule, rmax: int | None = None,
                         v = mod.act_x(sign, j, r, _unit(mod, idx))
                         lhs = {}
                         for t, c in v.items():
-                            lhs[t] = c * mod.k_eigenvalue(t, i) * mod.k_eigenvalue(idx, i).inv()
+                            lhs[t] = c * mod.k_eigenvalue(t, i) * k_inv
                         rhs = _scale(v, eps(sign * cij))
                         record(_sub(lhs, rhs), ("k-conj", i, j, sign, r, idx))
                 # [h_{i,m}, x_{j,r}] = +- [m C_ij]/m x_{j,m+r}
-                for m in (1, -1, 2, -2):
+                for m in h_modes:
                     for sign in (1, -1):
                         for r in (0, 1):
                             xv = mod.act_x(sign, j, r, _unit(mod, idx))
@@ -392,8 +410,7 @@ def relation_check_eps(mod: SpecializedModule, rmax: int | None = None,
                                 lhs[t] = c * (mod.h_eigenvalue(t, i, m)
                                               - mod.h_eigenvalue(idx, i, m))
                             lhs = {t: c for t, c in lhs.items() if not c.is_zero()}
-                            coeff = CycloElem.from_laurent(N, qint(m * cij)).scale(
-                                Fraction(1, m))
+                            coeff = hx_coeff[m, cij]
                             if sign < 0:
                                 coeff = -coeff
                             rhs = _scale(mod.act_x(sign, j, m + r, _unit(mod, idx)), coeff)
@@ -427,7 +444,6 @@ def relation_check_eps(mod: SpecializedModule, rmax: int | None = None,
                                        ("commute", sign, i, j, r1, r2, idx))
             # Serre, j = i +- 1
             for j in (rs.mod(i - 1), rs.mod(i + 1)):
-                two = CycloElem.from_laurent(N, LaurentPoly({1: 1, -1: 1}))
                 for sign in (1, -1):
                     for r1 in rser:
                         for r2 in rser:
@@ -436,9 +452,9 @@ def relation_check_eps(mod: SpecializedModule, rmax: int | None = None,
                             for rp in rser:
                                 acc = {}
                                 for a, b in ((r1, r2), (r2, r1)):
-                                    acc = _sub(acc, _scale(_chain(mod, [(sign, i, a), (sign, i, b), (sign, j, rp)], idx), -CycloElem.one(N)))
+                                    acc = _sub(acc, _scale(_chain(mod, [(sign, i, a), (sign, i, b), (sign, j, rp)], idx), minus_one))
                                     acc = _sub(acc, _scale(_chain(mod, [(sign, i, a), (sign, j, rp), (sign, i, b)], idx), two))
-                                    acc = _sub(acc, _scale(_chain(mod, [(sign, j, rp), (sign, i, a), (sign, i, b)], idx), -CycloElem.one(N)))
+                                    acc = _sub(acc, _scale(_chain(mod, [(sign, j, rp), (sign, i, a), (sign, i, b)], idx), minus_one))
                                 record(acc, ("serre", sign, i, j, r1, r2, rp, idx))
     return rep
 

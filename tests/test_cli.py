@@ -1,6 +1,10 @@
 import json
 
-from torcrys.cli import EXIT_NOT_CLOSED, EXIT_OK, EXIT_USAGE, main
+from torcrys import cli
+from torcrys.cli import (EXIT_NOT_CLOSED, EXIT_OK, EXIT_SPECIALIZATION,
+                         EXIT_UNSUPPORTED, EXIT_USAGE, main)
+from torcrys.qcoeff import SpecializationError
+from torcrys.torep import ConstructionError
 
 
 def run(capsys, *argv):
@@ -98,6 +102,27 @@ def test_unity_thin_prints_dimension(capsys):
     assert data["dimension"] == 4
     assert data["cyclic_generation"] is True
     assert abs(data["eps_float"][1] - 1.0) < 1e-9  # eps = i
+
+
+def test_construction_error_exit(monkeypatch, capsys):
+    # ConstructionError subclasses ValueError; it must not exit as validation
+    def refuse(*args, **kwargs):
+        raise ConstructionError("row matches no action template")
+    monkeypatch.setattr(cli, "build_thin", refuse)
+    code, _, err = run(capsys, "rep", "build", "--n", "3", "--ell", "1")
+    assert code == EXIT_UNSUPPORTED == 6
+    assert "unsupported configuration" in err
+
+
+def test_specialization_error_exit(monkeypatch, capsys):
+    # SpecializationError subclasses ValueError; it must not exit as validation
+    def vanish(*args, **kwargs):
+        raise SpecializationError("denominator vanishes at eps")
+    monkeypatch.setattr(cli, "specialize_thin", vanish)
+    code, _, err = run(capsys, "unity", "thin", "--n", "3", "--ell", "1",
+                       "--L", "1")
+    assert code == EXIT_SPECIALIZATION == 7
+    assert "specialization" in err
 
 
 def test_config_file_merging(tmp_path, capsys):

@@ -1,4 +1,6 @@
+import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -166,6 +168,130 @@ def test_cyclo_field_ops():
     assert a * a.inv() == CycloElem.one(8)
     z = CycloElem.q_power(8, 1)
     assert z.to_complex().real == pytest.approx(2 ** -0.5)
+
+
+# Fraction-coefficient reference for Q[q]/(Phi_N): dense lists of
+# Fractions indexed by the powers q^0..q^{deg-1}
+CYCLO_ORDERS = (1, 2, 3, 4, 5, 6, 8, 12)
+
+
+def ref_reduce(cs, N):
+    phi = cyclotomic(N).terms
+    deg = max(phi)
+    cs = [Fraction(c) for c in cs] + [Fraction(0)] * deg
+    for e in range(len(cs) - 1, deg - 1, -1):
+        f = cs[e] / phi[deg]
+        for k, c in phi.items():
+            cs[e - deg + k] -= f * c
+    return cs[:deg]
+
+
+def ref_mul(a, b, N):
+    conv = [Fraction(0)] * (len(a) + len(b))
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            conv[i + j] += x * y
+    return ref_reduce(conv, N)
+
+
+def ref_inv(a, N):
+    """Solve a * y = 1 by Gauss-Jordan elimination on the matrix of
+    multiplication by a."""
+    deg = len(a)
+    cols = [ref_mul(a, [Fraction(int(k == j)) for k in range(deg)], N)
+            for j in range(deg)]
+    rows = [[cols[j][i] for j in range(deg)] + [Fraction(int(i == 0))]
+            for i in range(deg)]
+    for c in range(deg):
+        p = next(r for r in range(c, deg) if rows[r][c])
+        rows[c], rows[p] = rows[p], rows[c]
+        rows[c] = [v / rows[c][c] for v in rows[c]]
+        for r in range(deg):
+            if r != c and rows[r][c]:
+                f = rows[r][c]
+                rows[r] = [v - f * w for v, w in zip(rows[r], rows[c])]
+    return [row[deg] for row in rows]
+
+
+def ref_of(x):
+    return [Fraction(c, x.den) for c in x.nums]
+
+
+def assert_lowest_terms(x):
+    assert x.den > 0 and gcd(x.den, *x.nums) == 1
+
+
+@pytest.mark.parametrize("N", CYCLO_ORDERS)
+def test_cyclo_elem_agrees_with_fraction_reference(N):
+    rng = random.Random(1000 + N)
+    deg = cyclotomic(N).degree()
+
+    def draw():
+        return [Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+                if rng.random() < 0.8 else Fraction(0)
+                for _ in range(rng.randint(0, N + 2))]
+
+    for _ in range(40):
+        ca, cb = draw(), draw()
+        a, b = CycloElem(N, ca), CycloElem(N, cb)
+        ra, rb = ref_reduce(ca, N), ref_reduce(cb, N)
+        f = Fraction(rng.randint(-5, 5), rng.randint(1, 6))
+        results = [
+            (a, ra), (b, rb),
+            (a + b, [x + y for x, y in zip(ra, rb)]),
+            (a - b, [x - y for x, y in zip(ra, rb)]),
+            (-a, [-x for x in ra]),
+            (a * b, ref_mul(ra, rb, N)),
+            (a.scale(f), [f * x for x in ra]),
+        ]
+        if any(rb):
+            rb_inv = ref_inv(rb, N)
+            results.append((b.inv(), rb_inv))
+            results.append((a / b, ref_mul(ra, rb_inv, N)))
+        else:
+            with pytest.raises(SpecializationError):
+                b.inv()
+        for got, want in results:
+            assert len(got.nums) == deg
+            assert ref_of(got) == want
+            assert_lowest_terms(got)
+            assert got.is_zero() == (not any(want))
+
+
+@pytest.mark.parametrize("N", CYCLO_ORDERS)
+def test_cyclo_elem_equal_values_are_structurally_equal(N):
+    half = CycloElem.from_fraction(N, Fraction(1, 2))
+    routes = [CycloElem.one(N), half * CycloElem.from_fraction(N, 2),
+              half.scale(2), half + half, CycloElem(N, [Fraction(4, 4)]),
+              CycloElem.q_power(N, N), CycloElem.q_power(N, -N)]
+    for k in range(-N, 2 * N):
+        routes += [CycloElem.q_power(N, k) * CycloElem.q_power(N, -k),
+                   CycloElem.from_laurent(N, LaurentPoly({k: 2})) * half
+                   * CycloElem.q_power(N, -k)]
+        powers = [CycloElem.from_laurent(N, Q(k)), CycloElem.q_power(N, k),
+                  CycloElem.q_power(N, k + N), CycloElem.q_power(N, k - N),
+                  CycloElem(N, [0] * (k % N) + [1]),
+                  CycloElem(N, [0] * (k % N + N) + [Fraction(3, 3)])]
+        thirds = [CycloElem.q_power(N, k).scale(Fraction(1, 3)),
+                  CycloElem.from_fraction(N, Fraction(1, 3))
+                  * CycloElem.q_power(N, k + N),
+                  CycloElem(N, [0] * (k % N) + [Fraction(2, 6)])]
+        for same, den in ((powers, 1), (thirds, 3)):
+            assert len(set(same)) == 1
+            assert len({hash(x) for x in same}) == 1
+            for x in same:
+                assert x.den == den and x.nums == same[0].nums
+    expected = CycloElem.from_laurent(N, Q(0))
+    for x in routes + [expected]:
+        assert_lowest_terms(x)
+        assert x == expected and hash(x) == hash(expected)
+        assert x.nums == expected.nums and x.den == 1
+    # for N > 1 the N-th roots of unity sum to zero
+    third = CycloElem(N, [Fraction(1, 3)] * N)
+    zeros = [CycloElem.zero(N), half - half, half.scale(0),
+             third - third if N == 1 else third]
+    assert len(set(zeros)) == 1
+    assert all(z.is_zero() and z.den == 1 for z in zeros)
 
 
 def test_rationalq_canonical_string():

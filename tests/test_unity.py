@@ -1,8 +1,10 @@
 import pytest
 
+from torcrys.crystal import generate
 from torcrys.monomial import gamma
 from torcrys.qcoeff import CycloElem, eval_cyclotomic, qint, RationalQ
-from torcrys.torep import ClosednessRefusal, _tensor_coeffs, build_thin
+from torcrys.torep import (ClosednessRefusal, _tensor_coeffs, build_doubled,
+                           build_thin, doubled_anchor)
 from torcrys.unity import (SpecializedModule, cyclic_generation_check,
                            generated_submodule, joint_spectrum_simple,
                            relation_check_eps, specialize_doubled,
@@ -102,6 +104,63 @@ def test_specialized_action_table_consistency():
             else:
                 rows.add(tuple(entries))
         assert len(rows) <= 1
+
+
+def _entries_by_representative(mod, N, spec, keep):
+    """Specialized action entries (target residue index, step mod N,
+    coefficient at eps) of every interior representative kept by `keep`,
+    as a set per residue index; entries into dropped nodes and entries
+    vanishing at eps are left out, as the specialization does."""
+    rs, nodes = mod.rs, mod.graph.nodes
+    at_eps = {}
+    out = {}
+    for idx, m in enumerate(nodes):
+        if not keep(m):
+            continue
+        tables = [t[idx] for i in rs.nodes
+                  for t in (mod.minus_edges[i], mod.plus_edges[i])]
+        if any(dst is None for entries in tables for dst, _, _ in entries):
+            continue
+        row = []
+        for entries in tables:
+            spec_entries = []
+            for dst, l, c0 in entries:
+                if not keep(nodes[dst]):
+                    continue
+                key = (c0.num.key(), c0.den.key())
+                if key not in at_eps:
+                    at_eps[key] = eval_cyclotomic(c0, N)
+                if not at_eps[key].is_zero():
+                    spec_entries.append((spec.index[gamma(rs, nodes[dst], N)],
+                                         l % N, at_eps[key]))
+            row.append(tuple(spec_entries))
+        out.setdefault(spec.index[gamma(rs, m, N)], set()).add(tuple(row))
+    return out
+
+
+def _specialization_cases():
+    """The criterion-11a thin cases and the doubled L = 1 quotient, each
+    with the generic module and node filter the specialization uses."""
+    for n, ell, L in ((3, 1, 1), (3, 1, 2), (3, 2, 2), (5, 3, 2)):
+        spec = specialize_thin(n, ell, L)
+        half = max(2 * spec.N + 2 * (n + 1), 4 * (n + 1))
+        yield spec, build_thin(n, ell, (-half, half)), lambda m: True
+    window = (-16, 16)
+    mod = build_doubled(1, window)
+    block = {node: s for s in (0, 1)
+             for node in generate(mod.rs, [doubled_anchor(mod.rs, s)],
+                                  window).nodes}
+    yield specialize_doubled(1), mod, lambda m: block[m] < 1
+
+
+def test_specialization_independent_of_representative():
+    for spec, mod, keep in _specialization_cases():
+        rows = _entries_by_representative(mod, spec.N, spec, keep)
+        assert sorted(rows) == list(range(len(spec)))
+        for k, found in rows.items():
+            expected = tuple(t[k] for i in spec.rs.nodes
+                             for t in (spec.minus_edges[i], spec.plus_edges[i]))
+            assert found == {expected}, spec.basis[k]
 
 
 def test_dimension_doubled():
