@@ -36,7 +36,8 @@ from .tableaux import (all_tableaux, box_exponents, enumerate_monomials,
 from .torep import (ClosednessRefusal, ConstructionError, LoopModule,
                     RelationSpec, build_doubled, build_thin,
                     fr_consistency_report, relation_residual,
-                    run_relation_suite, verify_extremal_vector)
+                    relation_terms, run_relation_suite,
+                    verify_extremal_vector)
 from .unity import (SpecializedModule, cyclic_generation_check,
                     generated_submodule, relation_check_eps,
                     specialize_doubled, specialize_thin)

@@ -821,9 +821,11 @@ def _frac_poly_sub(a: dict, b: dict) -> dict:
 def eval_cyclotomic(p: RationalQ, N: int) -> CycloElem:
     """Image of p in Q(zeta_N); raises SpecializationError when the
     denominator vanishes at the primitive N-th root."""
+    num = CycloElem.from_laurent(N, p.num)
+    if p.den.is_one():
+        return num
     den = CycloElem.from_laurent(N, p.den)
     if den.is_zero():
         raise SpecializationError(
             f"denominator {p.den} vanishes at a primitive {N}-th root of unity")
-    num = CycloElem.from_laurent(N, p.num)
     return num * den.inv()

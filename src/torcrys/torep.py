@@ -5,11 +5,20 @@ and exact verification of the quantum toroidal defining relations on
 windows.
 
 Scalars are RationalQ throughout; every residual test is exact.
+
+Each defining relation is written once, as a term table: a tuple of
+(scalar, word) terms whose sum must act by zero (`relation_terms`).
+`relation_residual` and `run_relation_suite` evaluate the same tables.
+The suite groups consecutive specs that share (relation, sign, i, j)
+into runs and evaluates a whole run on one basis vector through a word
+memo, so each word is applied once per node; the memo lives for one run
+on one node.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import groupby
 
 from .closedness import fundamental_anchor
 from .crystal import CrystalGraph, WindowError, generate, row_stats
@@ -195,6 +204,14 @@ class LoopModule:
                 out[idx] = c * val
         return out
 
+    def act_pair(self, i: int, t: int, vec: dict) -> dict:
+        out = {}
+        for idx, c in vec.items():
+            val = self.pairing_value(idx, i, t)
+            if not val.is_zero():
+                out[idx] = c * val
+        return out
+
     def act_phi(self, i: int, t: int, vec: dict) -> dict:
         out = {}
         for idx, c in vec.items():
@@ -280,8 +297,7 @@ def build_thin(n: int, ell: int, window=None) -> LoopModule:
         ellp = ell if ell <= rs.r + 1 else n + 1 - ell
         wit = tab_monomial(RootSystem.for_fundamental(n, ellp), ellp,
                            tuple(range(1, ellp + 1)), 1)
-        from .monomial import a_monomial as _am
-        wit = wit * _am(RootSystem.for_fundamental(n, ellp), 1, ellp)
+        wit = wit * a_monomial(RootSystem.for_fundamental(n, ellp), 1, ellp)
         raise ClosednessRefusal(
             f"the fundamental crystal for n={n}, ell={ell} is not closed; "
             f"a required monomial such as {wit} is missing", witness=wit)
@@ -437,99 +453,119 @@ def _unit(idx):
     return {idx: RQ_ONE}
 
 
-def _sub(a: dict, b: dict) -> dict:
-    out = dict(a)
-    for k, v in b.items():
-        s = out.get(k)
-        s = -v if s is None else s - v
-        if s.is_zero():
-            out.pop(k, None)
+def relation_terms(rs: RootSystem, spec: RelationSpec) -> tuple:
+    """One defining relation as a tuple of (scalar, word) terms; the
+    relation holds on a vector when the sum of scalar * word vanishes.
+
+    A word is a tuple of operators applied rightmost first:
+    ("x", sign, i, r) for x^{sign}_{i,r}, ("h", i, m) for h_{i,m},
+    ("k", hvec) for k_h with h = sum hvec[i] h_i, and ("pair", i, t)
+    for the diagonal (phi^+_{i,t} - phi^-_{i,t})/(q - q^-1)."""
+    p = dict(spec.params)
+    rid = spec.rid
+    one, mone = RQ_ONE, -RQ_ONE
+    if rid == "k-conjugation":
+        i, j, r, sign = p["i"], p["j"], p["r"], p["sign"]
+        hvec = tuple(int(k == i) for k in range(rs.n + 1))
+        x = ("x", sign, j, r)
+        return ((one, (("k", hvec), x, ("k", tuple(-c for c in hvec)))),
+                (-RationalQ.q_power(sign * rs.cartan(i, j)), (x,)))
+    if rid == "h-h":
+        a, b = ("h", p["i"], p["m1"]), ("h", p["j"], p["m2"])
+        return ((one, (a, b)), (mone, (b, a)))
+    if rid == "h-x":
+        i, j, m, r, sign = p["i"], p["j"], p["m"], p["r"], p["sign"]
+        h, x = ("h", i, m), ("x", sign, j, r)
+        coeff = RationalQ(qint(m * rs.cartan(i, j)), LaurentPoly.from_int(m))
+        return ((one, (h, x)), (mone, (x, h)),
+                (coeff if sign < 0 else -coeff, (("x", sign, j, m + r),)))
+    if rid == "x-plus-minus":
+        i, j, r, rp = p["i"], p["j"], p["r"], p["rp"]
+        xp, xm = ("x", 1, i, r), ("x", -1, j, rp)
+        terms = ((one, (xp, xm)), (mone, (xm, xp)))
+        if i == j:
+            terms += ((mone, (("pair", i, r + rp),)),)
+        return terms
+    if rid == "x-quadratic":
+        i, j, r, rp, sign = p["i"], p["j"], p["r"], p["rp"], p["sign"]
+        qc = RationalQ.q_power(sign * rs.cartan(i, j))
+        a, b = ("x", sign, i, r + 1), ("x", sign, j, rp)
+        c, d = ("x", sign, i, r), ("x", sign, j, rp + 1)
+        return ((one, (a, b)), (-qc, (b, a)), (-qc, (c, d)), (one, (d, c)))
+    if rid == "serre-cubic":
+        i, j, r1, r2, rp, sign = (p["i"], p["j"], p["r1"], p["r2"], p["rp"],
+                                  p["sign"])
+        if not rs.adjacent(i, j):
+            raise ValueError("serre-cubic needs adjacent nodes")
+        mtwo = -RationalQ(LaurentPoly({1: 1, -1: 1}))
+        y = ("x", sign, j, rp)
+        terms = ()
+        for a, b in ((r1, r2), (r2, r1)):
+            xa, xb = ("x", sign, i, a), ("x", sign, i, b)
+            terms += ((one, (xa, xb, y)), (mtwo, (xa, y, xb)),
+                      (one, (y, xa, xb)))
+        return terms
+    if rid == "x-commute-distant":
+        i, j, r1, r2, sign = p["i"], p["j"], p["r1"], p["r2"], p["sign"]
+        if rs.cartan(i, j) != 0:
+            raise ValueError("x-commute-distant needs distant nodes")
+        a, b = ("x", sign, i, r1), ("x", sign, j, r2)
+        return ((one, (a, b)), (mone, (b, a)))
+    raise ValueError(f"unknown relation id {rid}")
+
+
+_ACT = {"x": LoopModule.act_x, "h": LoopModule.act_h, "k": LoopModule.act_k,
+        "pair": LoopModule.act_pair}
+
+
+def _word_value(mod: LoopModule, idx: int, word: tuple, memo: dict):
+    """The word applied to basis vector idx, or the WindowError it raised.
+
+    memo maps words to these values for this one vector; a word's value
+    is built from the value of word[1:], and an empty intermediate
+    vector ends the word."""
+    val = memo.get(word)
+    if val is None:
+        if not word:
+            val = _unit(idx)
         else:
-            out[k] = s
+            val = _word_value(mod, idx, word[1:], memo)
+            if val and not isinstance(val, WindowError):
+                op = word[0]
+                try:
+                    val = _ACT[op[0]](mod, *op[1:], val)
+                except WindowError as err:
+                    val = err
+        memo[word] = val
+    return val
+
+
+def _residual(mod: LoopModule, terms: tuple, idx: int, memo: dict) -> dict:
+    """Sum of scalar * word over the terms on basis vector idx; raises
+    WindowError when some word leaves the window.  Every word is
+    evaluated, whatever its scalar."""
+    out = {}
+    for scalar, word in terms:
+        val = _word_value(mod, idx, word, memo)
+        if isinstance(val, WindowError):
+            raise WindowError(*val.args)
+        if scalar.is_zero():
+            continue
+        for k, v in val.items():
+            s = out.get(k)
+            s = scalar * v if s is None else s + scalar * v
+            if s.is_zero():
+                out.pop(k, None)
+            else:
+                out[k] = s
     return out
-
-
-def _scale(vec: dict, c: RationalQ) -> dict:
-    if c.is_zero():
-        return {}
-    return {k: v * c for k, v in vec.items()}
-
-
-def _chain(mod: LoopModule, ops, idx: int) -> dict:
-    """Apply x-generators (rightmost first) to a basis vector."""
-    vec = _unit(idx)
-    for sign, i, r in reversed(ops):
-        vec = mod.act_x(sign, i, r, vec)
-        if not vec:
-            return {}
-    return vec
 
 
 def relation_residual(mod: LoopModule, spec: RelationSpec, idx: int) -> dict:
     """Left side minus right side of one defining relation applied to a
     basis vector; the contract is the empty (zero) vector.  Raises
     WindowError when an intermediate leaves the window."""
-    p = dict(spec.params)
-    rid = spec.rid
-    if rid == "k-conjugation":
-        i, j, r, sign = p["i"], p["j"], p["r"], p["sign"]
-        hvec = [0] * (mod.rs.n + 1)
-        hvec[i] = 1
-        lhs = mod.act_k(hvec, mod.act_x(sign, j, r, mod.act_k([-c for c in hvec], _unit(idx))))
-        rhs = _scale(mod.act_x(sign, j, r, _unit(idx)),
-                     RationalQ.q_power(sign * mod.rs.cartan(i, j)))
-        return _sub(lhs, rhs)
-    if rid == "h-h":
-        i, j, m1, m2 = p["i"], p["j"], p["m1"], p["m2"]
-        lhs = mod.act_h(i, m1, mod.act_h(j, m2, _unit(idx)))
-        rhs = mod.act_h(j, m2, mod.act_h(i, m1, _unit(idx)))
-        return _sub(lhs, rhs)
-    if rid == "h-x":
-        i, j, m, r, sign = p["i"], p["j"], p["m"], p["r"], p["sign"]
-        xv = mod.act_x(sign, j, r, _unit(idx))
-        lhs = _sub(mod.act_h(i, m, xv),
-                   mod.act_x(sign, j, r, mod.act_h(i, m, _unit(idx))))
-        coeff = RationalQ(qint(m * mod.rs.cartan(i, j)),
-                          LaurentPoly.from_int(m))
-        if sign < 0:
-            coeff = -coeff
-        rhs = _scale(mod.act_x(sign, j, m + r, _unit(idx)), coeff)
-        return _sub(lhs, rhs)
-    if rid == "x-plus-minus":
-        i, j, r, rp = p["i"], p["j"], p["r"], p["rp"]
-        lhs = _sub(_chain(mod, [(1, i, r), (-1, j, rp)], idx),
-                   _chain(mod, [(-1, j, rp), (1, i, r)], idx))
-        if i != j:
-            return lhs
-        val = mod.pairing_value(idx, i, r + rp)
-        return _sub(lhs, _scale(_unit(idx), val))
-    if rid == "x-quadratic":
-        i, j, r, rp, sign = p["i"], p["j"], p["r"], p["rp"], p["sign"]
-        qc = RationalQ.q_power(sign * mod.rs.cartan(i, j))
-        lhs = _sub(_chain(mod, [(sign, i, r + 1), (sign, j, rp)], idx),
-                   _scale(_chain(mod, [(sign, j, rp), (sign, i, r + 1)], idx), qc))
-        rhs = _sub(_scale(_chain(mod, [(sign, i, r), (sign, j, rp + 1)], idx), qc),
-                   _chain(mod, [(sign, j, rp + 1), (sign, i, r)], idx))
-        return _sub(lhs, rhs)
-    if rid == "serre-cubic":
-        i, j, r1, r2, rp, sign = (p["i"], p["j"], p["r1"], p["r2"], p["rp"],
-                                  p["sign"])
-        if not mod.rs.adjacent(i, j):
-            raise ValueError("serre-cubic needs adjacent nodes")
-        two = RationalQ(LaurentPoly({1: 1, -1: 1}))
-        acc = {}
-        for a, b in ((r1, r2), (r2, r1)):
-            acc = _sub(acc, _scale(_chain(mod, [(sign, i, a), (sign, i, b), (sign, j, rp)], idx), -RQ_ONE))
-            acc = _sub(acc, _scale(_chain(mod, [(sign, i, a), (sign, j, rp), (sign, i, b)], idx), two))
-            acc = _sub(acc, _scale(_chain(mod, [(sign, j, rp), (sign, i, a), (sign, i, b)], idx), -RQ_ONE))
-        return acc
-    if rid == "x-commute-distant":
-        i, j, r1, r2, sign = p["i"], p["j"], p["r1"], p["r2"], p["sign"]
-        if mod.rs.cartan(i, j) != 0:
-            raise ValueError("x-commute-distant needs distant nodes")
-        return _sub(_chain(mod, [(sign, i, r1), (sign, j, r2)], idx),
-                    _chain(mod, [(sign, j, r2), (sign, i, r1)], idx))
-    raise ValueError(f"unknown relation id {rid}")
+    return _residual(mod, relation_terms(mod.rs, spec), idx, {})
 
 
 RELATION_IDS = ("k-conjugation", "h-h", "h-x", "x-plus-minus", "x-quadratic",
@@ -632,26 +668,43 @@ class SuiteReport:
         }
 
 
+def _run_key(spec: RelationSpec):
+    p = dict(spec.params)
+    return spec.rid, p.get("sign"), p["i"], p["j"]
+
+
 def run_relation_suite(mod: LoopModule, rmax: int = 3, hmax: int = 2,
                        nodes=None, include=None) -> SuiteReport:
     """Evaluate every relation instance on every (interior) basis
     vector; any nonzero residual is recorded as a failure, instances
-    leaving the window count as inconclusive."""
+    leaving the window count as inconclusive.
+
+    Consecutive specs sharing (relation, sign, i, j) form a run that is
+    evaluated node by node through one word memo, so a word shared by
+    several specs of the run is applied once per node.  Failures are
+    listed spec by spec, nodes in the given order."""
     report = SuiteReport()
     idxs = list(nodes) if nodes is not None else list(range(len(mod)))
-    specs = list(relation_instances(mod.rs, rmax=rmax, hmax=hmax, include=include))
-    for spec in specs:
-        rid = spec.rid
-        for idx in idxs:
-            try:
-                res = relation_residual(mod, spec, idx)
-            except WindowError:
-                report.inconclusive += 1
-                continue
-            report.checked += 1
-            report.by_relation[rid] = report.by_relation.get(rid, 0) + 1
-            if res:
-                report.failures.append((spec, mod.node(idx)))
+    specs = enumerate(relation_instances(mod.rs, rmax=rmax, hmax=hmax,
+                                         include=include))
+    failures = []
+    for _, run in groupby(specs, key=lambda ps: _run_key(ps[1])):
+        run = [(pos, spec, relation_terms(mod.rs, spec)) for pos, spec in run]
+        for npos, idx in enumerate(idxs):
+            memo = {}
+            for pos, spec, terms in run:
+                try:
+                    res = _residual(mod, terms, idx, memo)
+                except WindowError:
+                    report.inconclusive += 1
+                    continue
+                report.checked += 1
+                rid = spec.rid
+                report.by_relation[rid] = report.by_relation.get(rid, 0) + 1
+                if res:
+                    failures.append((pos, npos, spec, idx))
+    failures.sort(key=lambda f: f[:2])
+    report.failures = [(spec, mod.node(idx)) for _, _, spec, idx in failures]
     return report
 
 

@@ -144,18 +144,39 @@ def criterion6_modules():
     return mods
 
 
+# (checked, inconclusive, by_relation) of the criterion-6 sweep
+_THIN_6 = (306576, 980, {
+    "h-h": 460, "h-x": 41216, "k-conjugation": 4416, "serre-cubic": 143472,
+    "x-commute-distant": 9016, "x-plus-minus": 36064, "x-quadratic": 71932})
+CRITERION_6_COUNTS = {
+    (3, 1): _THIN_6,
+    (3, 2): (932120, 3920, {
+        "h-h": 1400, "h-x": 125440, "k-conjugation": 13440,
+        "serre-cubic": 435904, "x-commute-distant": 27440,
+        "x-plus-minus": 109760, "x-quadratic": 218736}),
+    (3, 3): _THIN_6,
+    "s5": (1450073, 74335, {
+        "h-h": 2280, "h-x": 200480, "k-conjugation": 21480,
+        "serre-cubic": 669536, "x-commute-distant": 43022,
+        "x-plus-minus": 172137, "x-quadratic": 341138}),
+}
+
+
 def test_criterion_6_relation_suite(criterion6_modules):
     ok = True
     failed = []
+    counts = {}
     for key, mod in criterion6_modules.items():
         r = run_relation_suite(mod, rmax=3, hmax=2,
                                nodes=mod.graph.interior_indices())
         ok = ok and r.ok
         if r.failures:
             failed.append((key, len(r.failures)))
+        counts[key] = (r.checked, r.inconclusive, r.by_relation)
     assert report(6, ok, "all defining relations with |r| <= 3, m in "
                          "{+-1,+-2}: zero residuals on every interior "
                          f"vector (failures: {failed})")
+    assert counts == CRITERION_6_COUNTS
 
 
 def test_criterion_7_fr_agreement(criterion6_modules):

@@ -2,14 +2,16 @@ from math import comb
 
 import pytest
 
+from torcrys import torep
 from torcrys.closedness import fundamental_anchor
 from torcrys.crystal import WindowError, sub_crystal
 from torcrys.qcoeff import (RQ_ONE, LaurentPoly, RationalQ, qint,
                             series_of_rational)
-from torcrys.torep import (ClosednessRefusal, RelationSpec, build_thin,
-                           fr_consistency_report, fr_phi_series,
-                           relation_residual, run_relation_suite,
-                           verify_extremal_vector)
+from torcrys.torep import (ClosednessRefusal, LoopModule, RelationSpec,
+                           SuiteReport, build_thin, fr_consistency_report,
+                           fr_phi_series, relation_instances,
+                           relation_residual, relation_terms,
+                           run_relation_suite, verify_extremal_vector)
 
 
 def unit(mod, name):
@@ -108,9 +110,7 @@ def test_relation_residual_examples(thin_3_1):
 
 def test_window_error_on_boundary(thin_3_1):
     mod = thin_3_1
-    # leftmost node cannot evaluate a full relation neighborhood
-    edge_idx = 0
-    assert not mod.graph.interior[edge_idx] or True
+    # a boundary node cannot evaluate a full relation neighborhood
     boundary = [k for k, f in enumerate(mod.graph.interior) if not f][0]
     with pytest.raises(WindowError):
         for i in mod.rs.nodes:
@@ -195,3 +195,124 @@ def test_suite_report_json(thin_3_1):
     assert set(data["by_relation"]) <= {
         "k-conjugation", "h-h", "h-x", "x-plus-minus", "x-quadratic",
         "serre-cubic", "x-commute-distant"}
+
+
+# ---------------------------------------------------------------------------
+# run_relation_suite against a memo-free reference
+# ---------------------------------------------------------------------------
+
+def _apply(mod, op, vec):
+    kind, *args = op
+    if kind == "x":
+        return mod.act_x(*args, vec)
+    if kind == "h":
+        return mod.act_h(*args, vec)
+    if kind == "k":
+        return mod.act_k(*args, vec)
+    if kind == "pair":
+        i, t = args
+        out = {}
+        for idx, c in vec.items():
+            val = mod.pairing_value(idx, i, t)
+            if not val.is_zero():
+                out[idx] = c * val
+        return out
+    raise ValueError(f"unknown operator {op}")
+
+
+def reference_suite(mod, rmax, hmax):
+    """Every spec on every node, spec-major: each term's word applied
+    operator by operator to the unit vector, with no memo."""
+    report = SuiteReport()
+    for spec in relation_instances(mod.rs, rmax=rmax, hmax=hmax):
+        terms = relation_terms(mod.rs, spec)
+        for idx in range(len(mod)):
+            res = {}
+            try:
+                for scalar, word in terms:
+                    vec = {idx: RQ_ONE}
+                    for op in reversed(word):
+                        if not vec:
+                            break
+                        vec = _apply(mod, op, vec)
+                    for k, v in vec.items():
+                        res[k] = res[k] + scalar * v if k in res else scalar * v
+            except WindowError:
+                report.inconclusive += 1
+                continue
+            report.checked += 1
+            report.by_relation[spec.rid] = report.by_relation.get(spec.rid, 0) + 1
+            if any(not v.is_zero() for v in res.values()):
+                report.failures.append((spec, mod.node(idx)))
+    return report
+
+
+def _summary(r):
+    return r.checked, r.inconclusive, r.by_relation, r.failures
+
+
+def _step_shifted(mod):
+    """Copy with one interior edge's step position shifted by 2."""
+    i = 1
+    src = next(idx for idx in mod.graph.interior_indices()
+               if mod.minus_edges[i][idx])
+    table = list(mod.minus_edges[i])
+    (dst, l, c0), *rest = table[src]
+    table[src] = ((dst, l + 2, c0), *rest)
+    return LoopModule(mod.rs, mod.graph, mod.flavor,
+                      {**mod.minus_edges, i: table}, dict(mod.plus_edges),
+                      mod.twist)
+
+
+def _branch_perturbed(mod):
+    """Copy with one branch coefficient of a two-entry action multiplied
+    by q."""
+    i = 1
+    src = next(idx for idx in mod.graph.interior_indices()
+               if len(mod.minus_edges[i][idx]) == 2)
+    table = list(mod.minus_edges[i])
+    (dst, l, c0), *rest = table[src]
+    table[src] = ((dst, l, c0.mul_qpow(1)), *rest)
+    return LoopModule(mod.rs, mod.graph, mod.flavor,
+                      {**mod.minus_edges, i: table}, dict(mod.plus_edges),
+                      mod.twist)
+
+
+@pytest.fixture(scope="module")
+def broken_modules(thin_3_1, s5_small):
+    """(module, rmax, hmax, reference report): every node, boundary
+    nodes included."""
+    out = {}
+    for name, mod, rmax, hmax in (
+            ("thin_3_1_step_shift", _step_shifted(thin_3_1), 2, 2),
+            ("doubled_1_branch", _branch_perturbed(s5_small), 1, 1)):
+        out[name] = (mod, rmax, hmax, reference_suite(mod, rmax, hmax))
+    return out
+
+
+def test_suite_matches_memo_free_reference(broken_modules):
+    for name, (mod, rmax, hmax, ref) in broken_modules.items():
+        got = run_relation_suite(mod, rmax=rmax, hmax=hmax)
+        assert ref.failures and ref.inconclusive, name
+        assert _summary(got) == _summary(ref), name
+
+
+def test_reference_comparison_catches_perturbed_scalar(broken_modules,
+                                                       monkeypatch):
+    mod, rmax, hmax, ref = broken_modules["thin_3_1_step_shift"]
+    target = RelationSpec("k-conjugation",
+                          (("i", 1), ("j", 1), ("r", 0), ("sign", -1)))
+
+    def perturbed_terms(rs, spec):
+        terms = relation_terms(rs, spec)
+        if spec != target:
+            return terms
+        (scalar, word), *rest = terms
+        return ((scalar.mul_qpow(1), word), *rest)
+
+    monkeypatch.setattr(torep, "relation_terms", perturbed_terms)
+    got = run_relation_suite(mod, rmax=rmax, hmax=hmax)
+    assert (got.checked, got.inconclusive, got.by_relation) == \
+        (ref.checked, ref.inconclusive, ref.by_relation)
+    assert got.failures != ref.failures
+    assert any(spec == target for spec, _ in got.failures)
