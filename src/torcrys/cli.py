@@ -150,12 +150,6 @@ def cmd_closed(args):
 
 
 def cmd_rep(args):
-    if args.rep_action == "s5":
-        if args.s5_action not in ("build", "check"):
-            raise ValueError("rep s5 needs an action: build or check")
-        return cmd_s5(args)
-    if args.s5_action is not None:
-        raise ValueError(f"unexpected extra action {args.s5_action!r}")
     _require_odd(args.n)
     if args.ell is None:
         raise ValueError("--ell is required")
@@ -250,8 +244,8 @@ def build_parser():
         sp.add_argument("--lmax", type=int)
         sp.add_argument("--out")
 
-    crystal = sub.add_parser("crystal", help="generate/export a fundamental crystal")
-    crystal.add_argument("crystal_action", choices=["gen", "export"])
+    crystal = sub.add_parser("crystal", help="generate a fundamental crystal")
+    crystal.add_argument("crystal_action", choices=["gen"])
     common(crystal)
     crystal.add_argument("--format", choices=["text", "json", "dot"], default="text")
     crystal.set_defaults(func=cmd_crystal)
@@ -268,8 +262,7 @@ def build_parser():
     closed.set_defaults(func=cmd_closed)
 
     rep = sub.add_parser("rep", help="loop weight modules")
-    rep.add_argument("rep_action", choices=["build", "check", "qchar", "s5"])
-    rep.add_argument("s5_action", nargs="?", choices=["build", "check"])
+    rep.add_argument("rep_action", choices=["build", "check", "qchar"])
     rep.add_argument("--n", type=int)
     rep.add_argument("--ell", type=int)
     rep.add_argument("--lmin", type=int)
@@ -279,7 +272,6 @@ def build_parser():
                      help="'all' or one relation id")
     rep.add_argument("--rmax", type=int)
     rep.add_argument("--periods", type=int)
-    rep.add_argument("--smax", type=int)
     rep.set_defaults(func=cmd_rep)
 
     s5 = sub.add_parser("s5", help="the pasted module for twice the first "

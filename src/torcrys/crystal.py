@@ -159,31 +159,18 @@ def _in_window(m: Monomial, window) -> bool:
     return all(lmin <= l <= lmax for l in m.support_levels())
 
 
-def generate(rs: RootSystem, anchors, window) -> CrystalGraph:
-    """BFS closure of the anchors under the Kashiwara operators,
-    restricted to the spectral window.  Anchors carry full weights;
-    weights of discovered nodes are propagated along edges and checked
-    for consistency on rediscovery."""
-    lmin, lmax = window
-    if lmin > lmax:
-        raise WindowError("empty window")
-    anchors = sorted(anchors, key=Monomial.sort_key)
-    if not anchors:
-        raise ValueError("at least one anchor is required")
-    for a in anchors:
-        if not _in_window(a, window):
-            raise WindowError(f"anchor {a} does not fit in window {window}")
-    seen = {}
-    frontier = deque()
-    for a in anchors:
-        if a not in seen:
-            seen[a] = True
-            frontier.append(a)
+def _closure(rs: RootSystem, starts, labels, window):
+    """BFS closure of the start monomials under the Kashiwara operators
+    with labels in `labels`, restricted to the spectral window.  Returns
+    (nodes, index, f_edges, e_edges, interior) with nodes sorted; a node
+    is interior when no operator leads it out of the window."""
+    seen = dict.fromkeys(starts, True)
+    frontier = deque(seen)
     f_raw, e_raw = {}, {}
     clipped = set()
     while frontier:
         m = frontier.popleft()
-        for i in rs.nodes:
+        for i in labels:
             fm = f_tilde(rs, m, i)
             if fm is not None:
                 if _in_window(fm, window):
@@ -204,6 +191,27 @@ def generate(rs: RootSystem, anchors, window) -> CrystalGraph:
                     clipped.add(m)
     nodes = sorted(seen, key=Monomial.sort_key)
     index = {m: k for k, m in enumerate(nodes)}
+    f_edges = {(index[m], i): index[t] for (m, i), t in f_raw.items()}
+    e_edges = {(index[m], i): index[t] for (m, i), t in e_raw.items()}
+    return nodes, index, f_edges, e_edges, [m not in clipped for m in nodes]
+
+
+def generate(rs: RootSystem, anchors, window) -> CrystalGraph:
+    """BFS closure of the anchors under the Kashiwara operators,
+    restricted to the spectral window.  Anchors carry full weights;
+    weights of discovered nodes are propagated along edges and checked
+    for consistency on rediscovery."""
+    lmin, lmax = window
+    if lmin > lmax:
+        raise WindowError("empty window")
+    anchors = sorted(anchors, key=Monomial.sort_key)
+    if not anchors:
+        raise ValueError("at least one anchor is required")
+    for a in anchors:
+        if not _in_window(a, window):
+            raise WindowError(f"anchor {a} does not fit in window {window}")
+    nodes, index, f_edges, e_edges, interior = _closure(rs, anchors, rs.nodes,
+                                                        window)
     # weight consistency: column sums must match the propagated h-part
     for m in nodes:
         sums = [0] * (rs.n + 1)
@@ -211,9 +219,6 @@ def generate(rs: RootSystem, anchors, window) -> CrystalGraph:
             sums[i] += u
         if tuple(sums) != m.weight.h:
             raise ValidationErrorForGraph(m)
-    f_edges = {(index[m], i): index[t] for (m, i), t in f_raw.items()}
-    e_edges = {(index[m], i): index[t] for (m, i), t in e_raw.items()}
-    interior = [m not in clipped for m in nodes]
     return CrystalGraph(rs, (lmin, lmax), nodes, index, f_edges, e_edges,
                         interior, anchors=list(anchors))
 
@@ -228,39 +233,9 @@ def sub_crystal(g: CrystalGraph, m: Monomial, J) -> CrystalGraph:
     within the same window."""
     if m not in g:
         raise ValueError(f"{m} is not a node of the graph")
-    rs = g.rs
-    J = sorted(set(rs.mod(j) for j in J))
-    seen = {m: True}
-    frontier = deque([m])
-    f_raw, e_raw = {}, {}
-    clipped = set()
-    while frontier:
-        x = frontier.popleft()
-        for i in J:
-            fx = f_tilde(rs, x, i)
-            if fx is not None:
-                if _in_window(fx, g.window):
-                    f_raw[(x, i)] = fx
-                    if fx not in seen:
-                        seen[fx] = True
-                        frontier.append(fx)
-                else:
-                    clipped.add(x)
-            ex = e_tilde(rs, x, i)
-            if ex is not None:
-                if _in_window(ex, g.window):
-                    e_raw[(x, i)] = ex
-                    if ex not in seen:
-                        seen[ex] = True
-                        frontier.append(ex)
-                else:
-                    clipped.add(x)
-    nodes = sorted(seen, key=Monomial.sort_key)
-    index = {x: k for k, x in enumerate(nodes)}
-    return CrystalGraph(g.rs, g.window, nodes, index,
-                        {(index[a], i): index[b] for (a, i), b in f_raw.items()},
-                        {(index[a], i): index[b] for (a, i), b in e_raw.items()},
-                        [x not in clipped for x in nodes], anchors=[m])
+    J = sorted(set(g.rs.mod(j) for j in J))
+    return CrystalGraph(g.rs, g.window, *_closure(g.rs, [m], J, g.window),
+                        anchors=[m])
 
 
 # ---------------------------------------------------------------------------

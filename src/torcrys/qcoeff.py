@@ -820,10 +820,13 @@ def _frac_poly_sub(a: dict, b: dict) -> dict:
 
 def eval_cyclotomic(p: RationalQ, N: int) -> CycloElem:
     """Image of p in Q(zeta_N); raises SpecializationError when the
-    denominator vanishes at the primitive N-th root."""
+    denominator vanishes at the primitive N-th root.  A monomial
+    denominator c*q^k is divided out without a field inverse."""
+    if p.den.is_monomial():
+        (k, c), = p.den.terms.items()
+        num = CycloElem.from_laurent(N, p.num.shifted(-k))
+        return num if c == 1 else num.scale(Fraction(1, c))
     num = CycloElem.from_laurent(N, p.num)
-    if p.den.is_one():
-        return num
     den = CycloElem.from_laurent(N, p.den)
     if den.is_zero():
         raise SpecializationError(

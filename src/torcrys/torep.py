@@ -8,11 +8,15 @@ Scalars are RationalQ throughout; every residual test is exact.
 
 Each defining relation is written once, as a term table: a tuple of
 (scalar, word) terms whose sum must act by zero (`relation_terms`).
-`relation_residual` and `run_relation_suite` evaluate the same tables.
-The suite groups consecutive specs that share (relation, sign, i, j)
-into runs and evaluates a whole run on one basis vector through a word
-memo, so each word is applied once per node; the memo lives for one run
-on one node.
+`relation_residual`, `run_relation_suite` and the root-of-unity check
+`unity.relation_check_eps` evaluate the same tables; the last maps
+their scalars into the cyclotomic field first.  One runner serves the
+suite and the root-of-unity check: it groups consecutive specs that
+share (relation, sign, i, j) into runs and evaluates a whole run on one
+basis vector through a word memo, so each word is applied once per
+node; the memo lives for one run on one node.  A module offers the
+operators of a word as methods act_x, act_h, act_k and act_pair, and
+its ring's unit as `one`.
 """
 from __future__ import annotations
 
@@ -55,6 +59,7 @@ class LoopModule:
     _phi_cache: dict = field(default_factory=dict)
     _h_cache: dict = field(default_factory=dict)
     _x_cache: dict = field(default_factory=dict)
+    one = RQ_ONE                # unit of the coefficient ring
 
     # edge entry: (dst_index_or_None, step_position, base_coefficient)
 
@@ -197,28 +202,13 @@ class LoopModule:
         return out
 
     def act_h(self, i: int, m: int, vec: dict) -> dict:
-        out = {}
-        for idx, c in vec.items():
-            val = self.h_eigenvalue(idx, i, m)
-            if not val.is_zero():
-                out[idx] = c * val
-        return out
+        return _diagonal(vec, lambda idx: self.h_eigenvalue(idx, i, m))
 
     def act_pair(self, i: int, t: int, vec: dict) -> dict:
-        out = {}
-        for idx, c in vec.items():
-            val = self.pairing_value(idx, i, t)
-            if not val.is_zero():
-                out[idx] = c * val
-        return out
+        return _diagonal(vec, lambda idx: self.pairing_value(idx, i, t))
 
     def act_phi(self, i: int, t: int, vec: dict) -> dict:
-        out = {}
-        for idx, c in vec.items():
-            val = self.phi_component(idx, i, t)
-            if not val.is_zero():
-                out[idx] = c * val
-        return out
+        return _diagonal(vec, lambda idx: self.phi_component(idx, i, t))
 
     # -- q-character --------------------------------------------------------------
 
@@ -230,6 +220,16 @@ class LoopModule:
                 raise AssertionError("duplicate l-weight in module basis")
             out[m] = 1
         return out
+
+
+def _diagonal(vec: dict, value) -> dict:
+    """An operator acting on basis vector idx by the scalar value(idx)."""
+    out = {}
+    for idx, c in vec.items():
+        val = value(idx)
+        if not val.is_zero():
+            out[idx] = c * val
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -514,39 +514,39 @@ def relation_terms(rs: RootSystem, spec: RelationSpec) -> tuple:
     raise ValueError(f"unknown relation id {rid}")
 
 
-_ACT = {"x": LoopModule.act_x, "h": LoopModule.act_h, "k": LoopModule.act_k,
-        "pair": LoopModule.act_pair}
+def _actions(mod) -> dict:
+    """The word operators of a module by kind: "x" is mod.act_x, and so
+    on for "h", "k" and "pair"."""
+    return {kind: getattr(mod, "act_" + kind)
+            for kind in ("x", "h", "k", "pair")}
 
 
-def _word_value(mod: LoopModule, idx: int, word: tuple, memo: dict):
-    """The word applied to basis vector idx, or the WindowError it raised.
+def _word_value(acts: dict, word: tuple, memo: dict):
+    """The word applied to one basis vector, or the WindowError it raised.
 
-    memo maps words to these values for this one vector; a word's value
-    is built from the value of word[1:], and an empty intermediate
-    vector ends the word."""
+    memo maps words to these values for this one vector and starts as
+    {(): unit vector}; a word's value is built from the value of
+    word[1:], and an empty intermediate vector ends the word."""
     val = memo.get(word)
     if val is None:
-        if not word:
-            val = _unit(idx)
-        else:
-            val = _word_value(mod, idx, word[1:], memo)
-            if val and not isinstance(val, WindowError):
-                op = word[0]
-                try:
-                    val = _ACT[op[0]](mod, *op[1:], val)
-                except WindowError as err:
-                    val = err
+        val = _word_value(acts, word[1:], memo)
+        if val and not isinstance(val, WindowError):
+            op = word[0]
+            try:
+                val = acts[op[0]](*op[1:], val)
+            except WindowError as err:
+                val = err
         memo[word] = val
     return val
 
 
-def _residual(mod: LoopModule, terms: tuple, idx: int, memo: dict) -> dict:
-    """Sum of scalar * word over the terms on basis vector idx; raises
-    WindowError when some word leaves the window.  Every word is
+def _residual(acts: dict, terms: tuple, memo: dict) -> dict:
+    """Sum of scalar * word over the terms on the memo's basis vector;
+    raises WindowError when some word leaves the window.  Every word is
     evaluated, whatever its scalar."""
     out = {}
     for scalar, word in terms:
-        val = _word_value(mod, idx, word, memo)
+        val = _word_value(acts, word, memo)
         if isinstance(val, WindowError):
             raise WindowError(*val.args)
         if scalar.is_zero():
@@ -565,7 +565,8 @@ def relation_residual(mod: LoopModule, spec: RelationSpec, idx: int) -> dict:
     """Left side minus right side of one defining relation applied to a
     basis vector; the contract is the empty (zero) vector.  Raises
     WindowError when an intermediate leaves the window."""
-    return _residual(mod, relation_terms(mod.rs, spec), idx, {})
+    return _residual(_actions(mod), relation_terms(mod.rs, spec),
+                     {(): {idx: mod.one}})
 
 
 RELATION_IDS = ("k-conjugation", "h-h", "h-x", "x-plus-minus", "x-quadratic",
@@ -673,28 +674,28 @@ def _run_key(spec: RelationSpec):
     return spec.rid, p.get("sign"), p["i"], p["j"]
 
 
-def run_relation_suite(mod: LoopModule, rmax: int = 3, hmax: int = 2,
-                       nodes=None, include=None) -> SuiteReport:
-    """Evaluate every relation instance on every (interior) basis
-    vector; any nonzero residual is recorded as a failure, instances
-    leaving the window count as inconclusive.
+def _run_suite(mod, specs, idxs, scalar) -> SuiteReport:
+    """Evaluate every spec on every basis vector in idxs; any nonzero
+    residual is recorded as a failure, instances leaving the window
+    count as inconclusive.  `scalar` maps the tables' RationalQ scalars
+    into the module's coefficient ring.
 
     Consecutive specs sharing (relation, sign, i, j) form a run that is
     evaluated node by node through one word memo, so a word shared by
     several specs of the run is applied once per node.  Failures are
     listed spec by spec, nodes in the given order."""
     report = SuiteReport()
-    idxs = list(nodes) if nodes is not None else list(range(len(mod)))
-    specs = enumerate(relation_instances(mod.rs, rmax=rmax, hmax=hmax,
-                                         include=include))
+    acts = _actions(mod)
     failures = []
-    for _, run in groupby(specs, key=lambda ps: _run_key(ps[1])):
-        run = [(pos, spec, relation_terms(mod.rs, spec)) for pos, spec in run]
+    for _, run in groupby(enumerate(specs), key=lambda ps: _run_key(ps[1])):
+        run = [(pos, spec, tuple((scalar(s), word) for s, word
+                                 in relation_terms(mod.rs, spec)))
+               for pos, spec in run]
         for npos, idx in enumerate(idxs):
-            memo = {}
+            memo = {(): {idx: mod.one}}
             for pos, spec, terms in run:
                 try:
-                    res = _residual(mod, terms, idx, memo)
+                    res = _residual(acts, terms, memo)
                 except WindowError:
                     report.inconclusive += 1
                     continue
@@ -706,6 +707,17 @@ def run_relation_suite(mod: LoopModule, rmax: int = 3, hmax: int = 2,
     failures.sort(key=lambda f: f[:2])
     report.failures = [(spec, mod.node(idx)) for _, _, spec, idx in failures]
     return report
+
+
+def run_relation_suite(mod: LoopModule, rmax: int = 3, hmax: int = 2,
+                       nodes=None, include=None) -> SuiteReport:
+    """Evaluate every relation instance on every (interior) basis
+    vector; any nonzero residual is recorded as a failure, instances
+    leaving the window count as inconclusive, and failures are listed
+    spec by spec, nodes in the given order."""
+    idxs = list(nodes) if nodes is not None else range(len(mod))
+    specs = relation_instances(mod.rs, rmax=rmax, hmax=hmax, include=include)
+    return _run_suite(mod, specs, idxs, lambda s: s)
 
 
 # ---------------------------------------------------------------------------

@@ -4,20 +4,26 @@ relation checks, the submodule generated by one basis vector, and a
 simplicity certificate (every basis vector generates the module).
 
 The quantum parameter is kept symbolic in Q[q]/(Phi_N); no floats on
-the verification path.
+the verification path.  The relation checks at eps evaluate the same
+term tables (`torep.relation_terms`) through the same runner as the
+generic suite, with each RationalQ scalar mapped to Q(zeta_N) by
+`eval_cyclotomic`; the l-weight series is the generic
+`torep.fr_phi_series` under the same map.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from itertools import product
 
 from .crystal import WindowError, row_stats
 from .lattice import RootSystem
 from .monomial import ResidueMonomial, gamma
 from .qcoeff import (Q_MINUS_QINV, CycloElem, SpecializationError,
                      eval_cyclotomic, qint)
-from .torep import LoopModule, build_doubled, build_thin
+from .torep import (LoopModule, RelationSpec, SuiteReport, _diagonal,
+                    _run_suite, build_doubled, build_thin, fr_phi_series)
 
 
 @dataclass
@@ -65,9 +71,15 @@ class SpecializedModule:
                     out[dst] = s
         return out
 
-    def k_eigenvalue(self, idx: int, i: int) -> CycloElem:
+    def node(self, idx: int) -> ResidueMonomial:
+        return self.basis[idx]
+
+    def _k_exponent(self, idx: int, i: int) -> int:
         st = row_stats(self.rows[idx][i])
-        return self.eps_pow(st.phi - st.eps)
+        return st.phi - st.eps
+
+    def k_eigenvalue(self, idx: int, i: int) -> CycloElem:
+        return self.eps_pow(self._k_exponent(idx, i))
 
     def h_eigenvalue(self, idx: int, i: int, m: int) -> CycloElem:
         """h_{i,m} acts by sum_l u_{i,l} eps^{lm} [m]_eps / m."""
@@ -82,15 +94,15 @@ class SpecializedModule:
         return out
 
     def phi_component(self, idx: int, i: int, t: int) -> CycloElem:
-        """Eigenvalue of phi^{+-}_{i,t} from the rational form of the
-        representative row, expanded over the cyclotomic field."""
-        key = (idx, i, 1 if t >= 0 else -1)
+        """Eigenvalue of phi^{+-}_{i,t}: the rational form of the
+        representative row (`fr_phi_series`), mapped to Q(zeta_N)."""
+        sign = 1 if t >= 0 else -1
+        key = (idx, i, sign)
         coeffs = self._phi_cache.get(key)
         need = abs(t)
         if coeffs is None or len(coeffs) <= need:
-            row = self.rows[idx][i]
-            coeffs = _fr_series_eps(self.N, row, 1 if t >= 0 else -1,
-                                    max(need, 4))
+            series = fr_phi_series(self.rows[idx][i], sign, max(need, 4))
+            coeffs = [eval_cyclotomic(c, self.N) for c in series.coeffs]
             self._phi_cache[key] = coeffs
         return coeffs[need]
 
@@ -103,55 +115,21 @@ class SpecializedModule:
             return self.phi_component(idx, i, t) * self._qmq_inv
         if t < 0:
             return -self.phi_component(idx, i, t) * self._qmq_inv
-        st = row_stats(self.rows[idx][i])
-        return CycloElem.from_laurent(self.N, qint(st.phi - st.eps))
+        return CycloElem.from_laurent(self.N, qint(self._k_exponent(idx, i)))
 
+    # -- diagonal operators of the relation words --------------------------
 
-def _fr_series_eps(N: int, row: dict, sign: int, order: int):
-    """Coefficients of the rational l-weight form at eps, to `order`."""
-    one = CycloElem.one(N)
-    w = sum(row.values())
-    num = {0: CycloElem.q_power(N, w)}
-    den = {0: one}
-    for l, u in sorted(row.items()):
-        for _ in range(abs(u)):
-            s1 = CycloElem.q_power(N, (l - 1) % N)
-            s2 = CycloElem.q_power(N, (l + 1) % N)
-            if u > 0:
-                num = _zmul_eps(num, {0: one, 1: -s1})
-                den = _zmul_eps(den, {0: one, 1: -s2})
-            else:
-                num = _zmul_eps(num, {0: one, 1: -s2})
-                den = _zmul_eps(den, {0: one, 1: -s1})
-    if sign == -1:
-        dn, dd = max(num), max(den)
-        if dn != dd:
-            raise SpecializationError("unbalanced rational form")
-        num = {dn - k: c for k, c in num.items()}
-        den = {dd - k: c for k, c in den.items()}
-    c0 = den.get(0)
-    if c0 is None or c0.is_zero():
-        raise SpecializationError("rational form not expandable at eps")
-    inv0 = c0.inv()
-    out = []
-    for s in range(order + 1):
-        acc = num.get(s, CycloElem.zero(N))
-        for j in range(1, s + 1):
-            dj = den.get(j)
-            if dj is not None:
-                acc = acc - dj * out[s - j]
-        out.append(acc * inv0)
-    return out
+    def act_k(self, hvec, vec: dict) -> dict:
+        """k_h for h = sum hvec[i] h_i."""
+        return {idx: c * self.eps_pow(sum(h * self._k_exponent(idx, i)
+                                          for i, h in enumerate(hvec) if h))
+                for idx, c in vec.items()}
 
+    def act_h(self, i: int, m: int, vec: dict) -> dict:
+        return _diagonal(vec, lambda idx: self.h_eigenvalue(idx, i, m))
 
-def _zmul_eps(a: dict, b: dict) -> dict:
-    out = {}
-    for i, c in a.items():
-        for j, d in b.items():
-            cur = out.get(i + j)
-            cur = c * d if cur is None else cur + c * d
-            out[i + j] = cur
-    return {k: v for k, v in out.items() if not v.is_zero()}
+    def act_pair(self, i: int, t: int, vec: dict) -> dict:
+        return _diagonal(vec, lambda idx: self.pairing_value(idx, i, t))
 
 
 # ---------------------------------------------------------------------------
@@ -313,150 +291,70 @@ def _validate_kernel(mod: LoopModule, N: int, keep) -> None:
 # relation checks at eps
 # ---------------------------------------------------------------------------
 
-def _unit(mod: SpecializedModule, idx: int) -> dict:
-    return {idx: mod.one}
+def _spec(rid: str, **params) -> RelationSpec:
+    return RelationSpec(rid, tuple(params.items()))
 
 
-def _sub(a: dict, b: dict) -> dict:
-    out = dict(a)
-    for k, v in b.items():
-        s = out.get(k)
-        s = -v if s is None else s - v
-        if s.is_zero():
-            out.pop(k, None)
-        else:
-            out[k] = s
-    return out
-
-
-def _scale(vec: dict, c: CycloElem) -> dict:
-    if c.is_zero():
-        return {}
-    return {k: v * c for k, v in vec.items()}
-
-
-def _chain(mod: SpecializedModule, ops, idx: int) -> dict:
-    vec = _unit(mod, idx)
-    for sign, i, r in reversed(ops):
-        vec = mod.act_x(sign, i, r, vec)
-        if not vec:
-            return {}
-    return vec
-
-
-@dataclass
-class EpsReport:
-    checked: int = 0
-    failures: list = field(default_factory=list)
-
-    @property
-    def ok(self):
-        return not self.failures and self.checked > 0
-
-    def to_json(self):
-        return {"checked": self.checked,
-                "failures": [str(f) for f in self.failures],
-                "all_residuals_zero": not self.failures}
+def _eps_specs(rs: RootSystem, rmax: int, serre_rmax: int):
+    """The relation instances checked at eps, parameters as in
+    `torep.relation_instances`."""
+    I, signs = rs.nodes, (1, -1)
+    rr = range(rmax + 1)
+    rser = range(min(serre_rmax, rmax) + 1)
+    for i, j, sign, r in product(I, I, signs, (0, 1)):
+        yield _spec("k-conjugation", i=i, j=j, r=r, sign=sign)
+    for i, j, sign, m, r in product(I, I, signs, (1, -1, 2, -2), (0, 1)):
+        yield _spec("h-x", i=i, j=j, m=m, r=r, sign=sign)
+    for i, j, r, rp in product(I, I, rr, rr):
+        yield _spec("x-plus-minus", i=i, j=j, r=r, rp=rp)
+    for sign, i, j, r, rp in product(signs, I, I, rr, rr):
+        yield _spec("x-quadratic", i=i, j=j, r=r, rp=rp, sign=sign)
+    for sign, i in product(signs, I):
+        for j, r1, r2, rp in product((rs.mod(i - 1), rs.mod(i + 1)),
+                                     rser, rser, rser):
+            if r1 <= r2:
+                yield _spec("serre-cubic", i=i, j=j, r1=r1, r2=r2, rp=rp,
+                            sign=sign)
+    for sign, i, j, r1, r2 in product(signs, I, I, rr, rr):
+        if i != j and rs.cartan(i, j) == 0:
+            yield _spec("x-commute-distant", i=i, j=j, r1=r1, r2=r2,
+                        sign=sign)
 
 
 def relation_check_eps(mod: SpecializedModule, rmax: int | None = None,
-                       serre_rmax: int = 2) -> EpsReport:
+                       serre_rmax: int = 2) -> SuiteReport:
     """All defining relations with eps in place of q, on the whole
-    finite basis.  Exponents r only matter mod N, so r ranges over a
-    window of that size by default (Serre uses a reduced range to keep
-    the cubic enumeration tractable)."""
-    rs = mod.rs
-    N = mod.N
+    finite basis: the generic term tables of `torep.relation_terms`
+    with their scalars mapped by `eval_cyclotomic`, evaluated through
+    the runner of `torep.run_relation_suite`.  Failures name the
+    RelationSpec and the residue monomial.
+
+    Exponents r only matter mod N, so rmax defaults to N - 1.  Current
+    coverage, for all i, j in the nodes:
+      k-conjugation: sign +-1, r in {0, 1};
+      h-x: m in {+-1, +-2}, sign +-1, r in {0, 1};
+      x-plus-minus: r, rp in 0..rmax;
+      x-quadratic: sign +-1, r, rp in 0..rmax;
+      serre-cubic: j = i +- 1, sign +-1, r1 <= r2 and rp in
+        0..min(serre_rmax, rmax);
+      x-commute-distant: both orders of each distant pair (i, j),
+        sign +-1, r1, r2 in 0..rmax.
+    Not covered: residues r > 3 when rmax is capped at 3 (as for
+    N = 8), the h-h relation, and h-x for r outside {0, 1}."""
     if rmax is None:
-        rmax = N - 1
-    rr = range(0, rmax + 1)
-    rser = range(0, min(serre_rmax, rmax) + 1)
-    rep = EpsReport()
-    eps = mod.eps_pow
-    minus_one = -mod.one
-    two = CycloElem.from_laurent(N, qint(2))
-    h_modes = (1, -1, 2, -2)
-    # (m, C_ij) -> [m C_ij]_eps / m
-    hx_coeff = {(m, c): CycloElem.from_laurent(N, qint(m * c)).scale(Fraction(1, m))
-                for m in h_modes
-                for c in {rs.cartan(i, j) for i in rs.nodes for j in rs.nodes}}
+        rmax = mod.N - 1
+    images = {}
 
-    def record(res, label):
-        rep.checked += 1
-        if res:
-            rep.failures.append(label)
+    def to_eps(s):
+        # keyed structurally: RationalQ's own hash reduces by a gcd
+        key = (s.num, s.den)
+        val = images.get(key)
+        if val is None:
+            val = images[key] = eval_cyclotomic(s, mod.N)
+        return val
 
-    for idx in range(len(mod)):
-        for i in rs.nodes:
-            k_inv = mod.k_eigenvalue(idx, i).inv()
-            for j in rs.nodes:
-                cij = rs.cartan(i, j)
-                # k-conjugation (diagonal, uses the k eigenvalues)
-                for sign in (1, -1):
-                    for r in (0, 1):
-                        v = mod.act_x(sign, j, r, _unit(mod, idx))
-                        lhs = {}
-                        for t, c in v.items():
-                            lhs[t] = c * mod.k_eigenvalue(t, i) * k_inv
-                        rhs = _scale(v, eps(sign * cij))
-                        record(_sub(lhs, rhs), ("k-conj", i, j, sign, r, idx))
-                # [h_{i,m}, x_{j,r}] = +- [m C_ij]/m x_{j,m+r}
-                for m in h_modes:
-                    for sign in (1, -1):
-                        for r in (0, 1):
-                            xv = mod.act_x(sign, j, r, _unit(mod, idx))
-                            lhs = {}
-                            for t, c in xv.items():
-                                lhs[t] = c * (mod.h_eigenvalue(t, i, m)
-                                              - mod.h_eigenvalue(idx, i, m))
-                            lhs = {t: c for t, c in lhs.items() if not c.is_zero()}
-                            coeff = hx_coeff[m, cij]
-                            if sign < 0:
-                                coeff = -coeff
-                            rhs = _scale(mod.act_x(sign, j, m + r, _unit(mod, idx)), coeff)
-                            record(_sub(lhs, rhs), ("h-x", i, j, m, sign, r, idx))
-                # [x+_{i,r}, x-_{j,rp}]
-                for r in rr:
-                    for rp in rr:
-                        lhs = _sub(_chain(mod, [(1, i, r), (-1, j, rp)], idx),
-                                   _chain(mod, [(-1, j, rp), (1, i, r)], idx))
-                        if i == j:
-                            lhs = _sub(lhs, _scale(_unit(mod, idx),
-                                                   mod.pairing_value(idx, i, r + rp)))
-                        record(lhs, ("x+-", i, j, r, rp, idx))
-                # quadratic
-                for sign in (1, -1):
-                    for r in rr:
-                        for rp in rr:
-                            qc = eps(sign * cij)
-                            lhs = _sub(_chain(mod, [(sign, i, r + 1), (sign, j, rp)], idx),
-                                       _scale(_chain(mod, [(sign, j, rp), (sign, i, r + 1)], idx), qc))
-                            rhs = _sub(_scale(_chain(mod, [(sign, i, r), (sign, j, rp + 1)], idx), qc),
-                                       _chain(mod, [(sign, j, rp + 1), (sign, i, r)], idx))
-                            record(_sub(lhs, rhs), ("quad", sign, i, j, r, rp, idx))
-                # distant commutation
-                if cij == 0 and i != j:
-                    for sign in (1, -1):
-                        for r1 in rr:
-                            for r2 in rr:
-                                record(_sub(_chain(mod, [(sign, i, r1), (sign, j, r2)], idx),
-                                            _chain(mod, [(sign, j, r2), (sign, i, r1)], idx)),
-                                       ("commute", sign, i, j, r1, r2, idx))
-            # Serre, j = i +- 1
-            for j in (rs.mod(i - 1), rs.mod(i + 1)):
-                for sign in (1, -1):
-                    for r1 in rser:
-                        for r2 in rser:
-                            if r2 < r1:
-                                continue
-                            for rp in rser:
-                                acc = {}
-                                for a, b in ((r1, r2), (r2, r1)):
-                                    acc = _sub(acc, _scale(_chain(mod, [(sign, i, a), (sign, i, b), (sign, j, rp)], idx), minus_one))
-                                    acc = _sub(acc, _scale(_chain(mod, [(sign, i, a), (sign, j, rp), (sign, i, b)], idx), two))
-                                    acc = _sub(acc, _scale(_chain(mod, [(sign, j, rp), (sign, i, a), (sign, i, b)], idx), minus_one))
-                                record(acc, ("serre", sign, i, j, r1, r2, rp, idx))
-    return rep
+    return _run_suite(mod, _eps_specs(mod.rs, rmax, serre_rmax),
+                      range(len(mod)), to_eps)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 import pytest
 
 from torcrys.torep import build_doubled, build_thin
+from torcrys.unity import SpecializedModule
 
 
 @pytest.fixture(scope="session")
@@ -16,3 +17,20 @@ def thin_3_2():
 @pytest.fixture(scope="session")
 def s5_small():
     return build_doubled(1, (-12, 12))
+
+
+@pytest.fixture(scope="session")
+def coefficient_doubled():
+    """Maps a specialized module to a copy whose first nonzero
+    direction-1 lowering coefficient is doubled."""
+    def double(spec):
+        i = 1
+        src = next(idx for idx, entries in enumerate(spec.minus_edges[i])
+                   if entries)
+        table = list(spec.minus_edges[i])
+        (dst, l, c), *rest = table[src]
+        table[src] = ((dst, l, c + c), *rest)
+        return SpecializedModule(spec.rs, spec.N, spec.basis, spec.index,
+                                 {**spec.minus_edges, i: table},
+                                 dict(spec.plus_edges), spec.rows)
+    return double

@@ -140,7 +140,7 @@ def test_config_file_merging(tmp_path, capsys):
 
 def test_output_file(tmp_path, capsys):
     target = tmp_path / "graph.dot"
-    code, _, _ = run(capsys, "crystal", "export", "--n", "3", "--ell", "1",
+    code, _, _ = run(capsys, "crystal", "gen", "--n", "3", "--ell", "1",
                      "--lmin", "-4", "--lmax", "8", "--format", "dot",
                      "--out", str(target))
     assert code == EXIT_OK

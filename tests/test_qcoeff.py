@@ -294,6 +294,24 @@ def test_cyclo_elem_equal_values_are_structurally_equal(N):
     assert all(z.is_zero() and z.den == 1 for z in zeros)
 
 
+@pytest.mark.parametrize("N", CYCLO_ORDERS)
+def test_eval_cyclotomic_monomial_denominator(N):
+    """A denominator c*q^k is divided out without a field inverse; the
+    image must equal num * den^-1 computed through CycloElem.inv."""
+    nums = [LaurentPoly({0: 1}), LaurentPoly({3: 2, -1: -5, 0: 1}),
+            LaurentPoly({-4: 7, 2 * N + 1: 3}), LaurentPoly({1: 1, -1: -1})]
+    for num in nums:
+        for k in (-N - 1, -2, -1, 0, 1, 3, N, 2 * N + 1):
+            for c in (1, 2, 3, 6):
+                for sign in (1, -1):
+                    den = LaurentPoly({k: sign * c})
+                    want = (CycloElem.from_laurent(N, num)
+                            * CycloElem.from_laurent(N, den).inv())
+                    got = eval_cyclotomic(RationalQ(num, den), N)
+                    assert got == want
+                    assert_lowest_terms(got)
+
+
 def test_rationalq_canonical_string():
     r = RationalQ(LaurentPoly({2: 1, 0: 1}), Q(1))
     assert str(r) == "(q^2+1)/(q)"

@@ -1,3 +1,4 @@
+from functools import partial
 from math import comb
 
 import pytest
@@ -5,13 +6,15 @@ import pytest
 from torcrys import torep
 from torcrys.closedness import fundamental_anchor
 from torcrys.crystal import WindowError, sub_crystal
-from torcrys.qcoeff import (RQ_ONE, LaurentPoly, RationalQ, qint,
-                            series_of_rational)
+from torcrys.qcoeff import (RQ_ONE, LaurentPoly, RationalQ, eval_cyclotomic,
+                            qint, series_of_rational)
 from torcrys.torep import (ClosednessRefusal, LoopModule, RelationSpec,
                            SuiteReport, build_thin, fr_consistency_report,
                            fr_phi_series, relation_instances,
                            relation_residual, relation_terms,
                            run_relation_suite, verify_extremal_vector)
+from torcrys.unity import (_eps_specs, relation_check_eps, specialize_doubled,
+                           specialize_thin)
 
 
 def unit(mod, name):
@@ -220,23 +223,25 @@ def _apply(mod, op, vec):
     raise ValueError(f"unknown operator {op}")
 
 
-def reference_suite(mod, rmax, hmax):
+def reference_suite(mod, specs, scalar=lambda s: s):
     """Every spec on every node, spec-major: each term's word applied
-    operator by operator to the unit vector, with no memo."""
+    operator by operator to the unit vector, with no memo; `scalar`
+    maps the tables' RationalQ scalars into the module's ring."""
     report = SuiteReport()
-    for spec in relation_instances(mod.rs, rmax=rmax, hmax=hmax):
+    for spec in specs:
         terms = relation_terms(mod.rs, spec)
         for idx in range(len(mod)):
             res = {}
             try:
-                for scalar, word in terms:
-                    vec = {idx: RQ_ONE}
+                for s, word in terms:
+                    vec = {idx: scalar(RQ_ONE)}
                     for op in reversed(word):
                         if not vec:
                             break
                         vec = _apply(mod, op, vec)
                     for k, v in vec.items():
-                        res[k] = res[k] + scalar * v if k in res else scalar * v
+                        v = scalar(s) * v
+                        res[k] = res[k] + v if k in res else v
             except WindowError:
                 report.inconclusive += 1
                 continue
@@ -279,27 +284,41 @@ def _branch_perturbed(mod):
 
 
 @pytest.fixture(scope="module")
-def broken_modules(thin_3_1, s5_small):
-    """(module, rmax, hmax, reference report): every node, boundary
-    nodes included."""
+def broken_modules(thin_3_1, s5_small, coefficient_doubled):
+    """name -> (module, the suite under test, reference report): every
+    node, boundary nodes included; the specialized modules run the
+    root-of-unity check against a reference mapped by eval_cyclotomic."""
     out = {}
     for name, mod, rmax, hmax in (
             ("thin_3_1_step_shift", _step_shifted(thin_3_1), 2, 2),
             ("doubled_1_branch", _branch_perturbed(s5_small), 1, 1)):
-        out[name] = (mod, rmax, hmax, reference_suite(mod, rmax, hmax))
+        out[name] = (mod, partial(run_relation_suite, mod, rmax=rmax,
+                                  hmax=hmax),
+                     reference_suite(mod, relation_instances(
+                         mod.rs, rmax=rmax, hmax=hmax)))
+    for name, spec, serre_rmax in (
+            ("eps_thin_3_1_1_doubled_coefficient", specialize_thin(3, 1, 1), 2),
+            ("eps_doubled_1_doubled_coefficient", specialize_doubled(1), 2)):
+        mod = coefficient_doubled(spec)
+        rmax = min(mod.N - 1, 3)
+        out[name] = (mod, partial(relation_check_eps, mod, rmax, serre_rmax),
+                     reference_suite(mod, _eps_specs(mod.rs, rmax, serre_rmax),
+                                     partial(eval_cyclotomic, N=mod.N)))
     return out
 
 
 def test_suite_matches_memo_free_reference(broken_modules):
-    for name, (mod, rmax, hmax, ref) in broken_modules.items():
-        got = run_relation_suite(mod, rmax=rmax, hmax=hmax)
-        assert ref.failures and ref.inconclusive, name
+    for name, (mod, suite, ref) in broken_modules.items():
+        got = suite()
+        # only the generic modules have a window to leave
+        assert ref.failures, name
+        assert ref.inconclusive or not isinstance(mod, LoopModule), name
         assert _summary(got) == _summary(ref), name
 
 
 def test_reference_comparison_catches_perturbed_scalar(broken_modules,
                                                        monkeypatch):
-    mod, rmax, hmax, ref = broken_modules["thin_3_1_step_shift"]
+    _, suite, ref = broken_modules["thin_3_1_step_shift"]
     target = RelationSpec("k-conjugation",
                           (("i", 1), ("j", 1), ("r", 0), ("sign", -1)))
 
@@ -311,7 +330,7 @@ def test_reference_comparison_catches_perturbed_scalar(broken_modules,
         return ((scalar.mul_qpow(1), word), *rest)
 
     monkeypatch.setattr(torep, "relation_terms", perturbed_terms)
-    got = run_relation_suite(mod, rmax=rmax, hmax=hmax)
+    got = suite()
     assert (got.checked, got.inconclusive, got.by_relation) == \
         (ref.checked, ref.inconclusive, ref.by_relation)
     assert got.failures != ref.failures

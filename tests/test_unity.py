@@ -1,10 +1,11 @@
 import pytest
 
 from torcrys.crystal import generate
-from torcrys.monomial import gamma
+from torcrys.monomial import ResidueMonomial, gamma
 from torcrys.qcoeff import CycloElem, eval_cyclotomic, qint, RationalQ
-from torcrys.torep import (ClosednessRefusal, _tensor_coeffs, build_doubled,
-                           build_thin, doubled_anchor)
+from torcrys.torep import (RELATION_IDS, ClosednessRefusal, RelationSpec,
+                           _tensor_coeffs, build_doubled, build_thin,
+                           doubled_anchor)
 from torcrys.unity import (SpecializedModule, cyclic_generation_check,
                            generated_submodule, joint_spectrum_simple,
                            relation_check_eps, specialize_doubled,
@@ -30,6 +31,17 @@ def test_relations_thin_small():
     assert rep.ok and not rep.failures
     # k-conjugation is diagonal scaling by eps powers
     assert m.k_eigenvalue(0, 0) is not None
+
+
+def test_relations_fail_on_doubled_coefficient(coefficient_doubled):
+    m = specialize_thin(3, 1, 2)
+    intact = relation_check_eps(m, rmax=3, serre_rmax=2)
+    rep = relation_check_eps(coefficient_doubled(m), rmax=3, serre_rmax=2)
+    assert intact.ok and rep.checked == intact.checked
+    assert rep.failures and not rep.ok
+    for spec, node in rep.failures:
+        assert isinstance(spec, RelationSpec) and spec.rid in RELATION_IDS
+        assert isinstance(node, ResidueMonomial) and node in m.index
 
 
 def test_cyclic_generation_thin():
