@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .crystal import e_tilde, f_tilde, generate
+from .crystal import generate, kashiwara_images
 from .lattice import RootSystem
 from .monomial import Monomial, a_monomial, from_variables
 
@@ -116,10 +116,16 @@ def _class_key(rs: RootSystem, m: Monomial, i: int):
     from i-1, i, i+1 verbatim, the triple of nearby rows normalized by
     clearing row i-1, and the correspondingly adjusted weight."""
     im, ip = rs.mod(i - 1), rs.mod(i + 1)
-    other = tuple(sorted(((j, l), u) for (j, l), u in m.exps
-                         if j not in (im, i, ip)))
-    c = m.row(im)
-    row_i = dict(m.row(i))
+    other, c, row_i, row_p = [], {}, {}, {}
+    for (j, l), u in m.exps:
+        if j == im:
+            c[l] = u
+        elif j == i:
+            row_i[l] = u
+        elif j == ip:
+            row_p[l] = u
+        else:
+            other.append(((j, l), u))
     for l, v in c.items():
         for e in (l - 1, l + 1):
             s = row_i.get(e, 0) + v
@@ -127,7 +133,6 @@ def _class_key(rs: RootSystem, m: Monomial, i: int):
                 row_i[e] = s
             else:
                 row_i.pop(e, None)
-    row_p = dict(m.row(ip))
     for l, v in c.items():
         s = row_p.get(l, 0) - v
         if s:
@@ -136,8 +141,8 @@ def _class_key(rs: RootSystem, m: Monomial, i: int):
             row_p.pop(l, None)
     total = sum(c.values())
     w = m.weight + rs.alpha(i).scaled(total)
-    return (other, tuple(sorted(row_i.items())), tuple(sorted(row_p.items())),
-            w.h, w.delta)
+    return (tuple(other), tuple(sorted(row_i.items())),
+            tuple(sorted(row_p.items())), w.h, w.delta)
 
 
 def _solve_a_exponents(rs: RootSystem, i: int, diff: dict):
@@ -213,10 +218,6 @@ class DirectionReport:
     @property
     def n_inconclusive(self):
         return sum(1 for c in self.classes if c.verdict == "inconclusive")
-
-
-def _row_weight(m: Monomial, i: int) -> int:
-    return sum(m.row(i).values())
 
 
 def _is_dominant_row(row: dict) -> bool:
@@ -453,13 +454,16 @@ def sl2_row_e(row: dict) -> dict | None:
 
 def kashiwara_closed(rs: RootSystem, monomials, J, interior=None):
     """True iff the operators with labels in J map every (interior)
-    element back into the set; otherwise (False, witness)."""
+    element back into the set; otherwise (False, witness).  Every image
+    is recomputed here, independent of any recorded crystal edges."""
     pool = set(monomials)
     items = list(monomials) if interior is None else \
         [m for m, flag in zip(monomials, interior) if flag]
     for m in items:
+        rows = m.rows()
         for i in J:
-            for img in (e_tilde(rs, m, i), f_tilde(rs, m, i)):
+            fm, em = kashiwara_images(rs, m, i, rows.get(i, {}))
+            for img in (em, fm):
                 if img is not None and img not in pool:
                     return False, img
     return True, None

@@ -37,25 +37,21 @@ def row_stats(row: dict) -> KashiwaraStats:
     if not row:
         return KashiwaraStats(0, 0, None, None)
     ls = sorted(row)
-    prefix = {}
-    acc = 0
+    # phi: largest prefix sum; qq: the smallest position attaining it
+    acc = phi = 0
+    qq = None
     for l in ls:
         acc += row[l]
-        prefix[l] = acc
+        if acc > phi:
+            phi, qq = acc, l
     total = acc
-    suffix = {}
-    acc = 0
-    for l in reversed(ls):
-        acc += row[l]
-        suffix[l] = acc
-    phi = max(0, max(prefix.values()))
-    eps = max(0, max(-s for s in suffix.values()))
+    # eps: largest negated suffix sum; p: the largest position attaining it
+    acc = eps = 0
     p = None
-    if eps > 0:
-        p = max(l for l in ls if -suffix[l] == eps)
-    qq = None
-    if phi > 0:
-        qq = min(l for l in ls if prefix[l] == phi)
+    for l in reversed(ls):
+        acc -= row[l]
+        if acc > eps:
+            eps, p = acc, l
     assert phi - eps == total
     return KashiwaraStats(eps, phi, p, qq)
 
@@ -81,6 +77,8 @@ def f_tilde_exp(rs: RootSystem, exps: dict, i: int) -> dict | None:
 
 
 # weighted operators ----------------------------------------------------------
+# f_tilde/e_tilde apply one operator on their own; the BFS and the
+# closedness check take both images of a label from kashiwara_images.
 
 def e_tilde(rs: RootSystem, m: Monomial, i: int) -> Monomial | None:
     out = e_tilde_exp(rs, m.exp_dict(), i)
@@ -94,6 +92,21 @@ def f_tilde(rs: RootSystem, m: Monomial, i: int) -> Monomial | None:
     if out is None:
         return None
     return Monomial(exp_key(out), m.weight - rs.alpha(i))
+
+
+def kashiwara_images(rs: RootSystem, m: Monomial, i: int, row: dict):
+    """(f~_i m, e~_i m), either None when it vanishes, from one
+    `row_stats` pass over row i of m (`row` is m.row(i))."""
+    st = row_stats(row)
+    fm = em = None
+    if st.phi:
+        fm = Monomial(exp_key(exp_mul(m.exps, a_exponents(rs, i, st.qq + 1),
+                                      sign=-1)),
+                      m.weight - rs.alpha(i))
+    if st.eps:
+        em = Monomial(exp_key(exp_mul(m.exps, a_exponents(rs, i, st.p - 1))),
+                      m.weight + rs.alpha(i))
+    return fm, em
 
 
 # ---------------------------------------------------------------------------
@@ -156,22 +169,24 @@ class CrystalGraph:
 
 def _in_window(m: Monomial, window) -> bool:
     lmin, lmax = window
-    return all(lmin <= l <= lmax for l in m.support_levels())
+    return all(lmin <= l <= lmax for (_, l), _ in m.exps)
 
 
 def _closure(rs: RootSystem, starts, labels, window):
     """BFS closure of the start monomials under the Kashiwara operators
     with labels in `labels`, restricted to the spectral window.  Returns
     (nodes, index, f_edges, e_edges, interior) with nodes sorted; a node
-    is interior when no operator leads it out of the window."""
+    is interior when no operator leads it out of the window.  Each
+    (node, label) takes one `kashiwara_images` call for both images."""
     seen = dict.fromkeys(starts, True)
     frontier = deque(seen)
     f_raw, e_raw = {}, {}
     clipped = set()
     while frontier:
         m = frontier.popleft()
+        rows = m.rows()
         for i in labels:
-            fm = f_tilde(rs, m, i)
+            fm, em = kashiwara_images(rs, m, i, rows.get(i, {}))
             if fm is not None:
                 if _in_window(fm, window):
                     f_raw[(m, i)] = fm
@@ -180,7 +195,6 @@ def _closure(rs: RootSystem, starts, labels, window):
                         frontier.append(fm)
                 else:
                     clipped.add(m)
-            em = e_tilde(rs, m, i)
             if em is not None:
                 if _in_window(em, window):
                     e_raw[(m, i)] = em

@@ -4,25 +4,52 @@ simple reflections.
 
 Weights are stored in (values on h_0..h_n, coefficient of delta)
 coordinates, i.e. lambda = sum_i lambda(h_i) Lambda_i + delta_coeff * delta.
+The delta-coefficient is an int when it is integral and a Fraction
+otherwise; the two compare, hash and print alike, so the choice never
+shows in an output.  A RootSystem builds its Cartan matrix and simple
+roots once, and the weight arithmetic builds its results directly from
+operands that are already in this normal form.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add, sub
 
 
 class EvenRankError(ValueError):
     """The monomial-crystal constructions require n odd."""
 
 
+def _delta(d):
+    """Normal form of a delta-coefficient: int when integral, else Fraction."""
+    if type(d) is not int:
+        d = Fraction(d)
+        if d.denominator == 1:
+            d = d.numerator
+    return d
+
+
+_setattr = object.__setattr__
+
+
 @dataclass(frozen=True)
 class Weight:
     h: tuple
-    delta: Fraction
+    delta: int | Fraction
 
     def __post_init__(self):
-        object.__setattr__(self, "h", tuple(int(x) for x in self.h))
-        object.__setattr__(self, "delta", Fraction(self.delta))
+        _setattr(self, "h", tuple(int(x) for x in self.h))
+        _setattr(self, "delta", _delta(self.delta))
+
+    @classmethod
+    def _raw(cls, h: tuple, delta) -> "Weight":
+        """A weight from an int tuple and a delta-coefficient that are
+        already in normal form, without re-coercing them."""
+        w = object.__new__(cls)
+        _setattr(w, "h", h)
+        _setattr(w, "delta", delta)
+        return w
 
     def pair(self, i: int) -> int:
         """Value lambda(h_i)."""
@@ -33,18 +60,18 @@ class Weight:
         return sum(self.h)
 
     def __add__(self, other: "Weight") -> "Weight":
-        return Weight(tuple(a + b for a, b in zip(self.h, other.h)),
-                      self.delta + other.delta)
+        return Weight._raw(tuple(map(add, self.h, other.h)),
+                           _delta(self.delta + other.delta))
 
     def __sub__(self, other: "Weight") -> "Weight":
-        return Weight(tuple(a - b for a, b in zip(self.h, other.h)),
-                      self.delta - other.delta)
+        return Weight._raw(tuple(map(sub, self.h, other.h)),
+                           _delta(self.delta - other.delta))
 
     def __neg__(self) -> "Weight":
-        return Weight(tuple(-a for a in self.h), -self.delta)
+        return Weight._raw(tuple(-a for a in self.h), -self.delta)
 
     def scaled(self, c: int) -> "Weight":
-        return Weight(tuple(c * a for a in self.h), c * self.delta)
+        return Weight._raw(tuple(c * a for a in self.h), _delta(c * self.delta))
 
     def is_zero(self) -> bool:
         return all(a == 0 for a in self.h) and self.delta == 0
@@ -71,6 +98,16 @@ class RootSystem:
         self.r = (n - 1) // 2
         self.parity = parity % 2
         self.nodes = tuple(range(n + 1))
+        # C_{ij} = 2 on the diagonal, -1 on the edges of the (n+1)-cycle
+        self._cartan = tuple(
+            tuple(2 if i == j else -1 if (i - j) % (n + 1) in (1, n) else 0
+                  for j in self.nodes)
+            for i in self.nodes)
+        # alpha_i(h_j) = C_{j,i}, alpha_i(d) = delta_{0,i}
+        self._alpha = tuple(
+            Weight(tuple(self._cartan[j][i] for j in self.nodes),
+                   1 if i == 0 else 0)
+            for i in self.nodes)
 
     @classmethod
     def for_fundamental(cls, n: int, ell: int) -> "RootSystem":
@@ -88,12 +125,7 @@ class RootSystem:
         return (i + self.parity) % 2
 
     def cartan(self, i: int, j: int) -> int:
-        i, j = self.mod(i), self.mod(j)
-        if i == j:
-            return 2
-        if self.mod(i - j) == 1 or self.mod(j - i) == 1:
-            return -1
-        return 0
+        return self._cartan[i % (self.n + 1)][j % (self.n + 1)]
 
     def adjacent(self, i: int, j: int) -> bool:
         return self.cartan(i, j) == -1
@@ -107,20 +139,18 @@ class RootSystem:
     # -- distinguished weights -------------------------------------------------
 
     def zero_weight(self) -> Weight:
-        return Weight((0,) * (self.n + 1), Fraction(0))
+        return Weight((0,) * (self.n + 1), 0)
 
     def alpha(self, i: int) -> Weight:
         """Simple root alpha_i: alpha_i(h_j) = C_{j,i}, alpha_i(d) = delta_{0,i}."""
-        i = self.mod(i)
-        return Weight(tuple(self.cartan(j, i) for j in self.nodes),
-                      Fraction(1 if i == 0 else 0))
+        return self._alpha[i % (self.n + 1)]
 
     def delta_weight(self) -> Weight:
-        return Weight((0,) * (self.n + 1), Fraction(1))
+        return Weight((0,) * (self.n + 1), 1)
 
     def fundamental(self, i: int) -> Weight:
         i = self.mod(i)
-        return Weight(tuple(1 if j == i else 0 for j in self.nodes), Fraction(0))
+        return Weight(tuple(1 if j == i else 0 for j in self.nodes), 0)
 
     def varpi(self, ell: int) -> Weight:
         """Level-zero fundamental weight Lambda_ell - Lambda_0."""

@@ -27,7 +27,8 @@ class ValidationError(ValueError):
 # exponent-dict helpers (no weights)
 # ---------------------------------------------------------------------------
 
-def exp_mul(a: dict, b: dict, sign: int = 1) -> dict:
+def exp_mul(a, b: dict, sign: int = 1) -> dict:
+    """a * b^sign; a is an exponent dict or a Monomial's exps tuple."""
     out = dict(a)
     for k, u in b.items():
         s = out.get(k, 0) + sign * u
@@ -61,10 +62,6 @@ def phi_exponents(rs: RootSystem, exps: dict) -> dict:
 def psi_exponents(rs: RootSystem, exps: dict) -> dict:
     """Diagram flip at the exponent level: Y_{i,l} -> Y_{-i,l}."""
     return {(rs.mod(-i), l): u for (i, l), u in exps.items()}
-
-
-def exp_support_levels(exps: dict):
-    return [l for (_, l) in exps]
 
 
 def exp_key(exps: dict):
@@ -114,6 +111,13 @@ class Monomial:
 
     def row(self, i: int) -> dict:
         return {l: u for (j, l), u in self.exps if j == i}
+
+    def rows(self) -> dict:
+        """{i: self.row(i)} for every row in the support, in one pass."""
+        out = {}
+        for (i, l), u in self.exps:
+            out.setdefault(i, {})[l] = u
+        return out
 
     def support_levels(self):
         return [l for ((_, l), _) in self.exps]

@@ -95,13 +95,17 @@ class SpecializedModule:
 
     def phi_component(self, idx: int, i: int, t: int) -> CycloElem:
         """Eigenvalue of phi^{+-}_{i,t}: the rational form of the
-        representative row (`fr_phi_series`), mapped to Q(zeta_N)."""
+        representative row (`fr_phi_series`), mapped to Q(zeta_N).  The
+        first miss expands the series to order N + 2, the depth
+        `joint_spectrum_simple` reads, so its increasing orders hit the
+        cache."""
         sign = 1 if t >= 0 else -1
         key = (idx, i, sign)
         coeffs = self._phi_cache.get(key)
         need = abs(t)
         if coeffs is None or len(coeffs) <= need:
-            series = fr_phi_series(self.rows[idx][i], sign, max(need, 4))
+            series = fr_phi_series(self.rows[idx][i], sign,
+                                   max(need, self.N + 2))
             coeffs = [eval_cyclotomic(c, self.N) for c in series.coeffs]
             self._phi_cache[key] = coeffs
         return coeffs[need]
@@ -339,8 +343,10 @@ def relation_check_eps(mod: SpecializedModule, rmax: int | None = None,
         0..min(serre_rmax, rmax);
       x-commute-distant: both orders of each distant pair (i, j),
         sign +-1, r1, r2 in 0..rmax.
-    Not covered: residues r > 3 when rmax is capped at 3 (as for
-    N = 8), the h-h relation, and h-x for r outside {0, 1}."""
+    The h-h relation holds by construction: `act_h` is diagonal on
+    both module types, so any two h_{i,m} commute.  Not covered:
+    residues r > 3 when rmax is capped at 3 (as for N = 8) and h-x for
+    r outside {0, 1}."""
     if rmax is None:
         rmax = mod.N - 1
     images = {}

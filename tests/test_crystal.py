@@ -186,3 +186,70 @@ def test_graph_exports():
     # bit-exact round trip of the node list
     again = [monomial_from_json(d) for d in json.loads(json.dumps(data))["nodes"]]
     assert again == g.nodes
+
+
+def reference_bfs(rs, anchors, window):
+    """Memo-free closure straight from the public f~/e~: the node set,
+    the f~ and e~ edges keyed by (monomial, label), and the nodes that
+    some operator leads out of the window."""
+    lmin, lmax = window
+
+    def inside(m):
+        return all(lmin <= l <= lmax for (_, l), _ in m.exps)
+
+    seen, todo = set(anchors), list(anchors)
+    edges = {"f": {}, "e": {}}
+    clipped = set()
+    while todo:
+        m = todo.pop()
+        for i in rs.nodes:
+            for kind, op in (("f", f_tilde), ("e", e_tilde)):
+                img = op(rs, m, i)
+                if img is None:
+                    continue
+                if not inside(img):
+                    clipped.add(m)
+                    continue
+                edges[kind][(m, i)] = img
+                if img not in seen:
+                    seen.add(img)
+                    todo.append(img)
+    return seen, edges["f"], edges["e"], clipped
+
+
+def _bfs_cases():
+    from torcrys.closedness import fundamental_anchor
+    from torcrys.torep import doubled_anchor
+    for n in (3, 5, 7):
+        for ell in range(1, n + 1):
+            rs = RootSystem.for_fundamental(n, ell)
+            yield pytest.param(rs, [fundamental_anchor(rs, ell)],
+                               (-2 * (n + 1), 2 * (n + 1)), id=f"n{n}_ell{ell}")
+    rs = RootSystem(3, parity=0)
+    yield pytest.param(rs, [doubled_anchor(rs, s) for s in (0, 1)], (-14, 14),
+                       id="doubled_s01")
+
+
+@pytest.mark.parametrize("rs,anchors,window", list(_bfs_cases()))
+def test_generate_matches_reference_bfs(rs, anchors, window):
+    g = generate(rs, anchors, window)
+    nodes, f_ref, e_ref, clipped = reference_bfs(rs, anchors, window)
+    assert set(g.nodes) == nodes and len(g.nodes) == len(nodes)
+    assert {(g.nodes[s], i): g.nodes[d] for (s, i), d in g.f_edges.items()} == f_ref
+    assert {(g.nodes[s], i): g.nodes[d] for (s, i), d in g.e_edges.items()} == e_ref
+    assert {m for k, m in enumerate(g.nodes) if not g.interior[k]} == clipped
+    assert any(g.interior) and f_ref and e_ref
+
+
+def test_kashiwara_closed_misses_dropped_f_image():
+    from torcrys.closedness import fundamental_anchor, kashiwara_closed
+    rs = RootSystem.for_fundamental(5, 3)
+    g = generate(rs, [fundamental_anchor(rs, 3)], (-12, 12))
+    assert kashiwara_closed(rs, g.nodes, rs.nodes, interior=g.interior) == (True, None)
+    k, i, img = next((k, i, f_tilde(rs, m, i))
+                     for k, m in enumerate(g.nodes) if g.interior[k]
+                     for i in rs.nodes if f_tilde(rs, m, i) is not None)
+    pool = [m for m in g.nodes if m != img]
+    # only the chosen node is checked, so only its f~_i-image can be missed
+    only = [m == g.nodes[k] for m in pool]
+    assert kashiwara_closed(rs, pool, rs.nodes, interior=only) == (False, img)

@@ -73,3 +73,68 @@ def test_distance_function():
     assert [rs.d(ell) for ell in range(1, 8)] == [1, 2, 3, 4, 3, 2, 1]
     rs3 = RootSystem(3)
     assert [rs3.d(ell) for ell in range(1, 4)] == [1, 2, 1]
+
+
+def _closed_form_cartan(n, i, j):
+    d = (i - j) % (n + 1)
+    return 2 if d == 0 else -1 if d in (1, n) else 0
+
+
+@pytest.mark.parametrize("n", [3, 5, 7])
+def test_cartan_and_alpha_tables_match_closed_form(n):
+    rs = RootSystem(n)
+    span = range(-(n + 1), 2 * (n + 1) + 1)
+    for i in span:
+        for j in span:
+            assert rs.cartan(i, j) == _closed_form_cartan(n, i, j), (i, j)
+        a = rs.alpha(i)
+        assert a.h == tuple(_closed_form_cartan(n, j, i) for j in range(n + 1))
+        assert a.delta == (1 if i % (n + 1) == 0 else 0)
+        assert type(a.delta) is int
+
+
+def _sample_weights(n, seed):
+    import random
+    rng = random.Random(seed)
+    deltas = [0, 1, -3, Fraction(1, 2), Fraction(-5, 3), Fraction(7, 2)]
+    return [Weight(tuple(rng.randint(-4, 4) for _ in range(n + 1)),
+                   rng.choice(deltas)) for _ in range(12)]
+
+
+@pytest.mark.parametrize("n", [3, 5])
+def test_weight_arithmetic_matches_constructor(n):
+    ws = _sample_weights(n, n)
+    for a in ws:
+        for b in ws:
+            for got, h, d in (
+                    (a + b, [x + y for x, y in zip(a.h, b.h)], a.delta + b.delta),
+                    (a - b, [x - y for x, y in zip(a.h, b.h)], a.delta - b.delta)):
+                want = Weight(tuple(h), d)
+                assert got == want and hash(got) == hash(want)
+                assert type(got.delta) is type(want.delta)
+                assert str(got) == str(want)
+        for c in (-2, 0, 3):
+            want = Weight(tuple(c * x for x in a.h), c * a.delta)
+            got = a.scaled(c)
+            assert got == want and hash(got) == hash(want)
+            assert type(got.delta) is type(want.delta)
+        neg = -a
+        want = Weight(tuple(-x for x in a.h), -a.delta)
+        assert neg == want and hash(neg) == hash(want)
+        assert type(neg.delta) is type(want.delta)
+
+
+def test_delta_normal_form():
+    h = (1, 0, -1, 0)
+    two = Weight(h, Fraction(2))
+    assert two == Weight(h, 2) and hash(two) == hash(Weight(h, 2))
+    assert str(two) == str(Weight(h, 2)) == "(1,0,-1,0;2d)"
+    assert type(two.delta) is int
+    half = Weight(h, Fraction(1, 2))
+    assert type(half.delta) is Fraction and half.delta == Fraction(1, 2)
+    assert str(half) == "(1,0,-1,0;1/2d)"
+    # a sum of non-integral deltas that is integral comes back as an int
+    whole = half + half
+    assert type(whole.delta) is int and whole == Weight((2, 0, -2, 0), 1)
+    assert type(half.scaled(2).delta) is int
+    assert type((half - Weight(h, Fraction(3, 2))).delta) is int

@@ -215,3 +215,22 @@ def test_doubled_generation_obstruction():
             for r in range(4):
                 assert m.act_x(sign, i, r, {top: CycloElem.one(4)}) == {}
     assert cyclic_generation_check(m) is False
+
+
+def test_phi_component_expands_each_series_once(monkeypatch):
+    """joint_spectrum_simple reads phi coefficients in increasing order
+    up to N + 2: each (vector, node, sign) series is expanded once."""
+    from torcrys import unity
+    m = specialize_thin(3, 1, 2)
+    calls = []
+    real = unity.fr_phi_series
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(unity, "fr_phi_series", counting)
+    assert joint_spectrum_simple(m)
+    keys = len(m) * len(m.rs.nodes) * 2
+    assert keys == 64
+    assert len(calls) <= keys
