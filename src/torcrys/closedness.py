@@ -14,10 +14,11 @@ verdict.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 from .crystal import generate, kashiwara_images
 from .lattice import RootSystem
-from .monomial import Monomial, a_monomial, from_variables
+from .monomial import Monomial, a_monomial, exp_key, from_variables
 
 
 class UnsupportedConfigError(ValueError):
@@ -175,7 +176,10 @@ def _solve_a_exponents(rs: RootSystem, i: int, diff: dict):
 
 def _partner(rs: RootSystem, m: Monomial, i: int, target_row: dict) -> Monomial:
     """The unique element of m * prod A_{i,l}^Z whose row-i image is
-    target_row (Xi_i is injective on the class)."""
+    target_row (Xi_i is injective on the class).
+
+    With the exponents c of the A_{i,l}, row i becomes target_row, rows
+    i-1 and i+1 lose c, and the weight gains alpha_i * sum(c)."""
     diff = dict(target_row)
     for l, u in m.row(i).items():
         s = diff.get(l, 0) - u
@@ -186,14 +190,20 @@ def _partner(rs: RootSystem, m: Monomial, i: int, target_row: dict) -> Monomial:
     c = _solve_a_exponents(rs, i, diff)
     if c is None:
         raise ValueError("target row is not reachable by A_{i,*} products")
-    out = m
-    for l, v in sorted(c.items()):
-        a = a_monomial(rs, i, l)
-        if v < 0:
-            a, v = a.inverse(), -v
-        for _ in range(v):
-            out = out * a
-    return out
+    if not c:
+        return m
+    exps = {k: u for k, u in m.exps if k[0] != i}
+    exps.update(((i, l), u) for l, u in target_row.items() if u)
+    for j in (rs.mod(i - 1), rs.mod(i + 1)):
+        for l, v in c.items():
+            s = exps.get((j, l), 0) - v
+            if s:
+                exps[(j, l)] = s
+            else:
+                exps.pop((j, l), None)
+    total = sum(c.values())
+    weight = m.weight + rs.alpha(i).scaled(total) if total else m.weight
+    return Monomial(exp_key(exps), weight)
 
 
 # ---------------------------------------------------------------------------
@@ -232,11 +242,20 @@ def _check_class_general(members, row_of, raise_partner, char_partner) -> ClassR
     spectral position l; char_partner(base, row) the unique class
     element with the given projection."""
     counter = {m: 1 for m in members}
+    # each member's rank, once: the maximum of the remaining members is
+    # the first of them in rank order (distinct members have distinct
+    # sort keys, so ranks never tie)
+    ranked = []
+    for m in counter:
+        row = row_of(m)
+        ranked.append(((sum(row.values()), _is_dominant_row(row),
+                        _sort_key_of(m)), m, row))
+    ranked.sort(key=itemgetter(0), reverse=True)
+    pos = 0
     while counter:
-        best = max(counter, key=lambda m: (_row_weight_of(row_of(m)),
-                                           _is_dominant_row(row_of(m)),
-                                           _sort_key_of(m)))
-        row = row_of(best)
+        while ranked[pos][1] not in counter:
+            pos += 1
+        _, best, row = ranked[pos]
         if not _is_dominant_row(row):
             # a maximal element of a q-character must be dominant; the
             # required raising partner at the first negative position is
@@ -260,10 +279,6 @@ def _check_class_general(members, row_of, raise_partner, char_partner) -> ClassR
             else:
                 counter[partner] = have - mult
     return ClassResult(list(members), "closed")
-
-
-def _row_weight_of(row: dict) -> int:
-    return sum(row.values())
 
 
 def _sort_key_of(m):

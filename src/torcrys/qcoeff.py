@@ -716,6 +716,23 @@ class CycloElem:
                         conv[j] += x * y
         return _cyclo(self.N, _reduce(conv, self.N), self.den * other.den)
 
+    def mul_qpow(self, k: int) -> "CycloElem":
+        """Multiply by q^k: the numerators rotate mod N (q^N = 1) and
+        reduce mod Phi_N.  q^k is a unit of Z[q]/(Phi_N), so the
+        numerators stay coprime to den and need no gcd."""
+        N = self.N
+        k %= N
+        if not k:
+            return self
+        cs = [0] * N
+        for j, x in enumerate(self.nums, k):
+            cs[j % N] = x
+        r = object.__new__(CycloElem)
+        r.N = N
+        r.nums = _reduce(cs, N)
+        r.den = self.den
+        return r
+
     def scale(self, f: Fraction) -> "CycloElem":
         f = Fraction(f)
         return _cyclo(self.N, tuple(f.numerator * x for x in self.nums),

@@ -9,20 +9,37 @@ Scalars are RationalQ throughout; every residual test is exact.
 Each defining relation is written once, as a term table: a tuple of
 (scalar, word) terms whose sum must act by zero (`relation_terms`).
 `relation_residual`, `run_relation_suite` and the root-of-unity check
-`unity.relation_check_eps` evaluate the same tables; the last maps
-their scalars into the cyclotomic field first.  One runner serves the
-suite and the root-of-unity check: it groups consecutive specs that
-share (relation, sign, i, j) into runs and evaluates a whole run on one
-basis vector through a word memo, so each word is applied once per
-node; the memo lives for one run on one node.  A module offers the
-operators of a word as methods act_x, act_h, act_k and act_pair, and
-its ring's unit as `one`.
+`unity.relation_check_eps` evaluate the same tables through one
+mode-factored evaluator; the last maps their scalars into the
+cyclotomic field first.
+
+On both module types x^{+-}_{i,r} acts on an edge by c0 q^{r step}
+(eps^{r step} at a root of unity), so the paths a word takes through
+the basis do not depend on the mode indices r.  The runner groups
+consecutive specs that share (relation, sign, i, j) into runs and a
+run's specs by template: the terms' scalars and word shapes, a shape
+being the word with each x operator's mode index removed
+(`_template`).  On each basis vector every shape is expanded once into
+paths (target, coefficient, steps), suffixes shared (`_paths`); a spec
+then sums scalar * coefficient * q^{sum r_k step_k} per target.
+
+Window rule: where a path reaches a node whose edge for the next x
+operator leaves the window, the paths into that node form a hazard,
+and the spec is inconclusive iff some hazard's sum at the spec's modes
+is nonzero.  This is exactly when applying the word operator by
+operator (`act_x`, which drops cancelled entries before reading their
+edges) raises WindowError.
+
+A module offers x_entries (see `XAction`, which builds act_x from
+them) and the diagonal operators act_h, act_k and act_pair, and its
+ring's unit as `one`; ring elements offer mul_qpow.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import groupby
+from operator import mul
 
 from .closedness import fundamental_anchor
 from .crystal import CrystalGraph, WindowError, generate, row_stats
@@ -48,8 +65,31 @@ class ConstructionError(ValueError):
 # modules
 # ---------------------------------------------------------------------------
 
+class XAction:
+    """act_x from the module's x_entries(sign, i, idx): the entries
+    (dst, step, c0) on which x^{sign}_{i,r} acts by c0 q^{r step}, dst
+    None where the edge leaves the window."""
+
+    def act_x(self, sign: int, i: int, r: int, vec: dict) -> dict:
+        out = {}
+        for idx, c in vec.items():
+            entries = self.x_entries(sign, i, idx)
+            if any(dst is None for dst, _, _ in entries):
+                raise WindowError(
+                    f"x action leaves the window at node {self.node(idx)}")
+            for dst, step, c0 in entries:
+                v = c * (c0.mul_qpow(r * step) if r else c0)
+                s = out.get(dst)
+                s = v if s is None else s + v
+                if s.is_zero():
+                    out.pop(dst, None)
+                else:
+                    out[dst] = s
+        return out
+
+
 @dataclass
-class LoopModule:
+class LoopModule(XAction):
     rs: RootSystem
     graph: CrystalGraph
     flavor: str                 # "thin" | "doubled"
@@ -58,7 +98,6 @@ class LoopModule:
     twist: int = 0              # spectral twist t_b with b = q^twist
     _phi_cache: dict = field(default_factory=dict)
     _h_cache: dict = field(default_factory=dict)
-    _x_cache: dict = field(default_factory=dict)
     one = RQ_ONE                # unit of the coefficient ring
 
     # edge entry: (dst_index_or_None, step_position, base_coefficient)
@@ -76,33 +115,14 @@ class LoopModule:
 
     # -- generator actions -----------------------------------------------------
 
-    def x_on_basis(self, sign: int, i: int, r: int, idx: int):
-        key = (sign, i, r, idx)
-        out = self._x_cache.get(key)
-        if out is None:
-            table = self.plus_edges if sign > 0 else self.minus_edges
-            entries = []
-            for dst, l, c0 in table[i][idx]:
-                if dst is None:
-                    raise WindowError(
-                        f"x action leaves the window at node {self.node(idx)}")
-                entries.append((dst, c0.mul_qpow(r * (l + self.twist))
-                                if r else c0))
-            out = tuple(entries)
-            self._x_cache[key] = out
-        return out
-
-    def act_x(self, sign: int, i: int, r: int, vec: dict) -> dict:
-        out = {}
-        for idx, c in vec.items():
-            for dst, c0 in self.x_on_basis(sign, i, r, idx):
-                s = out.get(dst)
-                s = c * c0 if s is None else s + c * c0
-                if s.is_zero():
-                    out.pop(dst, None)
-                else:
-                    out[dst] = s
-        return out
+    def x_entries(self, sign: int, i: int, idx: int) -> tuple:
+        """Edge entries (dst, step, c0) of x^{sign}_{i,r} at a basis
+        vector: step is l + twist for the step position l, and dst is
+        None where the edge leaves the window."""
+        entries = (self.plus_edges if sign > 0 else self.minus_edges)[i][idx]
+        if self.twist:
+            return tuple((dst, l + self.twist, c0) for dst, l, c0 in entries)
+        return entries
 
     def divided_power_x(self, sign: int, i: int, k: int, vec: dict) -> dict:
         for _ in range(k):
@@ -453,6 +473,10 @@ def _unit(idx):
     return {idx: RQ_ONE}
 
 
+_RQ_MONE = -RQ_ONE
+_RQ_MINUS_QINT2 = -RationalQ(qint(2))
+
+
 def relation_terms(rs: RootSystem, spec: RelationSpec) -> tuple:
     """One defining relation as a tuple of (scalar, word) terms; the
     relation holds on a vector when the sum of scalar * word vanishes.
@@ -463,7 +487,7 @@ def relation_terms(rs: RootSystem, spec: RelationSpec) -> tuple:
     for the diagonal (phi^+_{i,t} - phi^-_{i,t})/(q - q^-1)."""
     p = dict(spec.params)
     rid = spec.rid
-    one, mone = RQ_ONE, -RQ_ONE
+    one, mone = RQ_ONE, _RQ_MONE
     if rid == "k-conjugation":
         i, j, r, sign = p["i"], p["j"], p["r"], p["sign"]
         hvec = tuple(int(k == i) for k in range(rs.n + 1))
@@ -497,7 +521,7 @@ def relation_terms(rs: RootSystem, spec: RelationSpec) -> tuple:
                                   p["sign"])
         if not rs.adjacent(i, j):
             raise ValueError("serre-cubic needs adjacent nodes")
-        mtwo = -RationalQ(LaurentPoly({1: 1, -1: 1}))
+        mtwo = _RQ_MINUS_QINT2
         y = ("x", sign, j, rp)
         terms = ()
         for a, b in ((r1, r2), (r2, r1)):
@@ -514,59 +538,131 @@ def relation_terms(rs: RootSystem, spec: RelationSpec) -> tuple:
     raise ValueError(f"unknown relation id {rid}")
 
 
-def _actions(mod) -> dict:
-    """The word operators of a module by kind: "x" is mod.act_x, and so
-    on for "h", "k" and "pair"."""
-    return {kind: getattr(mod, "act_" + kind)
-            for kind in ("x", "h", "k", "pair")}
+def _template(rs: RootSystem, spec: RelationSpec):
+    """A relation's term table split into its template and its modes.
 
-
-def _word_value(acts: dict, word: tuple, memo: dict):
-    """The word applied to one basis vector, or the WindowError it raised.
-
-    memo maps words to these values for this one vector and starts as
-    {(): unit vector}; a word's value is built from the value of
-    word[1:], and an empty intermediate vector ends the word."""
-    val = memo.get(word)
-    if val is None:
-        val = _word_value(acts, word[1:], memo)
-        if val and not isinstance(val, WindowError):
-            op = word[0]
-            try:
-                val = acts[op[0]](*op[1:], val)
-            except WindowError as err:
-                val = err
-        memo[word] = val
-    return val
-
-
-def _residual(acts: dict, terms: tuple, memo: dict) -> dict:
-    """Sum of scalar * word over the terms on the memo's basis vector;
-    raises WindowError when some word leaves the window.  Every word is
-    evaluated, whatever its scalar."""
-    out = {}
-    for scalar, word in terms:
-        val = _word_value(acts, word, memo)
-        if isinstance(val, WindowError):
-            raise WindowError(*val.args)
-        if scalar.is_zero():
-            continue
-        for k, v in val.items():
-            s = out.get(k)
-            s = scalar * v if s is None else s + scalar * v
-            if s.is_zero():
-                out.pop(k, None)
+    The template is the tuple of (scalar, shape) terms, where a shape is
+    the word with each x operator's mode index removed: ("x", sign, i).
+    The modes are, per term, the removed mode indices in application
+    order (rightmost operator first).  Specs with one template differ
+    only in their modes, so their words take the same paths."""
+    template, modes = [], []
+    for scalar, word in relation_terms(rs, spec):
+        shape, ms = [], []
+        for op in word:
+            if op[0] == "x":
+                shape.append(op[:3])
+                ms.append(op[3])
             else:
-                out[k] = s
-    return out
+                shape.append(op)
+        ms.reverse()
+        template.append((scalar, tuple(shape)))
+        modes.append(tuple(ms))
+    return tuple(template), tuple(modes)
+
+
+def _paths(mod, shape: tuple, memo: dict):
+    """(paths, hazards) of a word shape on one basis vector.
+
+    paths maps (target, steps) to the summed coefficient of the paths
+    ending at target through the edge steps `steps` (application
+    order); such paths share the factor q^{sum r_k step_k} at every mode
+    tuple, so a zero sum is dropped.  A diagonal operator multiplies a
+    path by its value at the target and drops it where that is zero.
+    hazards holds (node, ((steps, coeff), ...)): the paths that reached
+    a node whose edge for the next x operator leaves the window; they go
+    no further (where their sum vanishes, so would their continuations).
+
+    memo maps shapes to these values for this one vector and starts as
+    {(): ({(idx, ()): unit}, ())}; a shape is expanded from shape[1:]."""
+    got = memo.get(shape)
+    if got is not None:
+        return got
+    paths, hazards = _paths(mod, shape[1:], memo)
+    op = shape[0]
+    new = {}
+    if op[0] == "x":
+        _, sign, i = op
+        leaving = {}
+        for (node, steps), c in paths.items():
+            entries = mod.x_entries(sign, i, node)
+            if any(dst is None for dst, _, _ in entries):
+                leaving.setdefault(node, []).append((steps, c))
+                continue
+            for dst, step, c0 in entries:
+                key = (dst, steps + (step,))
+                s = new.get(key)
+                new[key] = c * c0 if s is None else s + c * c0
+        hazards += tuple((node, tuple(group))
+                         for node, group in leaving.items())
+    else:
+        act = getattr(mod, "act_" + op[0])
+        values = {}
+        for (node, steps), c in paths.items():
+            if node not in values:
+                values[node] = act(*op[1:], {node: mod.one}).get(node)
+            val = values[node]
+            if val is not None:
+                new[(node, steps)] = c * val
+    got = memo[shape] = ({k: c for k, c in new.items() if not c.is_zero()},
+                         hazards)
+    return got
+
+
+def _node_terms(mod, template: tuple, memo: dict):
+    """One template on the memo's basis vector: the residual terms
+    (target, scalar * coefficient, term, steps) and the hazards
+    (term, node, group).  A term with scalar zero keeps its hazards."""
+    terms, hazards = [], []
+    for t, (scalar, shape) in enumerate(template):
+        paths, hz = _paths(mod, shape, memo)
+        hazards.extend((t, node, group) for node, group in hz)
+        if not scalar.is_zero():
+            terms.extend((target, scalar * c, t, steps)
+                         for (target, steps), c in paths.items())
+    return terms, hazards
+
+
+def _window_exit(hazards: list, modes: tuple):
+    """The first hazard node whose paths have a nonzero sum under the
+    modes, or None: the spec leaves the window there."""
+    for t, node, group in hazards:
+        if len(group) == 1:
+            return node
+        ms = modes[t]
+        total = None
+        for steps, c in group:
+            v = c.mul_qpow(sum(map(mul, ms, steps)))
+            total = v if total is None else total + v
+        if not total.is_zero():
+            return node
+    return None
+
+
+def _residual(terms: list, modes: tuple) -> dict:
+    """The residual of one spec from its template's node terms: each
+    term's modes turn its steps into a q-exponent."""
+    out = {}
+    for target, c, t, steps in terms:
+        e = sum(map(mul, modes[t], steps))
+        v = c.mul_qpow(e) if e else c
+        s = out.get(target)
+        out[target] = v if s is None else s + v
+    return {k: v for k, v in out.items() if not v.is_zero()}
 
 
 def relation_residual(mod: LoopModule, spec: RelationSpec, idx: int) -> dict:
     """Left side minus right side of one defining relation applied to a
     basis vector; the contract is the empty (zero) vector.  Raises
     WindowError when an intermediate leaves the window."""
-    return _residual(_actions(mod), relation_terms(mod.rs, spec),
-                     {(): {idx: mod.one}})
+    template, modes = _template(mod.rs, spec)
+    memo = {(): ({(idx, ()): mod.one}, ())}
+    terms, hazards = _node_terms(mod, template, memo)
+    node = _window_exit(hazards, modes)
+    if node is not None:
+        raise WindowError(
+            f"x action leaves the window at node {mod.node(node)}")
+    return _residual(terms, modes)
 
 
 RELATION_IDS = ("k-conjugation", "h-h", "h-x", "x-plus-minus", "x-quadratic",
@@ -680,30 +776,39 @@ def _run_suite(mod, specs, idxs, scalar) -> SuiteReport:
     count as inconclusive.  `scalar` maps the tables' RationalQ scalars
     into the module's coefficient ring.
 
-    Consecutive specs sharing (relation, sign, i, j) form a run that is
-    evaluated node by node through one word memo, so a word shared by
-    several specs of the run is applied once per node.  Failures are
-    listed spec by spec, nodes in the given order."""
+    Consecutive specs sharing (relation, sign, i, j) form a run, and a
+    run's specs are grouped by template (`_template`).  On each node
+    every shape of the run is expanded into paths once (`_paths`), each
+    template's scalars multiply its paths once, and each spec then only
+    turns its modes into q-exponents.  Failures are listed spec by spec,
+    nodes in the given order."""
     report = SuiteReport()
-    acts = _actions(mod)
     failures = []
     for _, run in groupby(enumerate(specs), key=lambda ps: _run_key(ps[1])):
-        run = [(pos, spec, tuple((scalar(s), word) for s, word
-                                 in relation_terms(mod.rs, spec)))
-               for pos, spec in run]
+        groups = {}
+        for pos, spec in run:
+            template, modes = _template(mod.rs, spec)
+            # keyed structurally: RationalQ's own hash reduces by a gcd
+            key = tuple([(s.num.key(), s.den.key(), shape)
+                         for s, shape in template])
+            group = groups.get(key)
+            if group is None:
+                group = groups[key] = (
+                    tuple((scalar(s), shape) for s, shape in template), [])
+            group[1].append((pos, spec, modes))
         for npos, idx in enumerate(idxs):
-            memo = {(): {idx: mod.one}}
-            for pos, spec, terms in run:
-                try:
-                    res = _residual(acts, terms, memo)
-                except WindowError:
-                    report.inconclusive += 1
-                    continue
-                report.checked += 1
-                rid = spec.rid
-                report.by_relation[rid] = report.by_relation.get(rid, 0) + 1
-                if res:
-                    failures.append((pos, npos, spec, idx))
+            memo = {(): ({(idx, ()): mod.one}, ())}
+            for template, members in groups.values():
+                terms, hazards = _node_terms(mod, template, memo)
+                for pos, spec, modes in members:
+                    if hazards and _window_exit(hazards, modes) is not None:
+                        report.inconclusive += 1
+                        continue
+                    report.checked += 1
+                    rid = spec.rid
+                    report.by_relation[rid] = report.by_relation.get(rid, 0) + 1
+                    if _residual(terms, modes):
+                        failures.append((pos, npos, spec, idx))
     failures.sort(key=lambda f: f[:2])
     report.failures = [(spec, mod.node(idx)) for _, _, spec, idx in failures]
     return report

@@ -22,12 +22,13 @@ from .lattice import RootSystem
 from .monomial import ResidueMonomial, gamma
 from .qcoeff import (Q_MINUS_QINV, CycloElem, SpecializationError,
                      eval_cyclotomic, qint)
-from .torep import (LoopModule, RelationSpec, SuiteReport, _diagonal,
-                    _run_suite, build_doubled, build_thin, fr_phi_series)
+from .torep import (LoopModule, RelationSpec, SuiteReport, XAction,
+                    _diagonal, _run_suite, build_doubled, build_thin,
+                    fr_phi_series)
 
 
 @dataclass
-class SpecializedModule:
+class SpecializedModule(XAction):
     """Finite module over Q(zeta_N) with basis indexed by residue
     monomials; action tables are dense per generator family."""
 
@@ -55,21 +56,10 @@ class SpecializedModule:
     def eps_pow(self, k: int) -> CycloElem:
         return self._eps[k % self.N]
 
-    def act_x(self, sign: int, i: int, r: int, vec: dict) -> dict:
-        table = self.plus_edges if sign > 0 else self.minus_edges
-        out = {}
-        for idx, c in vec.items():
-            for dst, l, c0 in table[i][idx]:
-                coeff = c * c0
-                if r:
-                    coeff = coeff * self.eps_pow(r * l)
-                s = out.get(dst)
-                s = coeff if s is None else s + coeff
-                if s.is_zero():
-                    out.pop(dst, None)
-                else:
-                    out[dst] = s
-        return out
+    def x_entries(self, sign: int, i: int, idx: int) -> tuple:
+        """Edge entries (dst, step, c0) of x^{sign}_{i,r} at a basis
+        vector; it acts by c0 eps^{r step}."""
+        return (self.plus_edges if sign > 0 else self.minus_edges)[i][idx]
 
     def node(self, idx: int) -> ResidueMonomial:
         return self.basis[idx]
@@ -330,8 +320,12 @@ def relation_check_eps(mod: SpecializedModule, rmax: int | None = None,
     """All defining relations with eps in place of q, on the whole
     finite basis: the generic term tables of `torep.relation_terms`
     with their scalars mapped by `eval_cyclotomic`, evaluated through
-    the runner of `torep.run_relation_suite`.  Failures name the
-    RelationSpec and the residue monomial.
+    the runner of `torep.run_relation_suite`.  Each word shape is
+    expanded into paths once per basis vector, and each spec's modes
+    turn a path's steps into a power of eps (`CycloElem.mul_qpow`).
+    The specialized module has no window edges, so no instance is
+    inconclusive.  Failures name the RelationSpec and the residue
+    monomial.
 
     Exponents r only matter mod N, so rmax defaults to N - 1.  Current
     coverage, for all i, j in the nodes:

@@ -184,3 +184,55 @@ def test_witnesses_absent_from_the_set():
                     g = generate(rs, [fundamental_anchor(rs, 2)], rep.window)
                     nodes = set(g.nodes)
                 assert cls.witness not in nodes
+
+
+def _partner_by_repeated_products(rs, m, i, target_row):
+    """The class element with row i equal to target_row, reached by
+    multiplying m by one A_{i,l}^{+-1} at a time."""
+    from torcrys.closedness import _solve_a_exponents
+    diff = dict(target_row)
+    for l, u in m.row(i).items():
+        diff[l] = diff.get(l, 0) - u
+    c = _solve_a_exponents(rs, i, diff)
+    out = m
+    for l, v in sorted(c.items()):
+        a = a_monomial(rs, i, l)
+        if v < 0:
+            a, v = a.inverse(), -v
+        for _ in range(v):
+            out = out * a
+    return out
+
+
+@pytest.mark.parametrize("n", [3, 5, 7])
+def test_partner_matches_repeated_products(n):
+    # every class of every direction of the closedness-sweep crystals:
+    # the partners of its first member at the rows of all its members,
+    # and at the rows of the first member's sl2 character when dominant
+    from torcrys.closedness import UnsupportedConfigError, _class_key, _partner
+    window = (-3 * (n + 1), 3 * (n + 1))
+    compared = 0
+    for ell in range(1, n + 1):
+        rs = RootSystem.for_fundamental(n, ell)
+        nodes = generate(rs, [fundamental_anchor(rs, ell)], window).nodes
+        for i in rs.nodes:
+            classes = {}
+            for m in nodes:
+                classes.setdefault(_class_key(rs, m, i), []).append(m)
+            for members in classes.values():
+                base = members[0]
+                targets = [m.row(i) for m in members]
+                try:
+                    targets += [row for row, _ in
+                                sl2_simple_qchar(base.row(i))]
+                except (UnsupportedConfigError, ValueError):
+                    pass
+                for row in targets:
+                    got = _partner(rs, base, i, row)
+                    assert got == _partner_by_repeated_products(
+                        rs, base, i, row)
+                    assert got.row(i) == row
+                    compared += 1
+                for m in members:
+                    assert _partner(rs, base, i, m.row(i)) == m
+    assert compared > len(nodes)

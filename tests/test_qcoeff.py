@@ -236,6 +236,8 @@ def test_cyclo_elem_agrees_with_fraction_reference(N):
         a, b = CycloElem(N, ca), CycloElem(N, cb)
         ra, rb = ref_reduce(ca, N), ref_reduce(cb, N)
         f = Fraction(rng.randint(-5, 5), rng.randint(1, 6))
+        k = rng.randint(-2 * N, 2 * N)
+        rq = ref_reduce([Fraction(0)] * (k % N) + [Fraction(1)], N)
         results = [
             (a, ra), (b, rb),
             (a + b, [x + y for x, y in zip(ra, rb)]),
@@ -243,6 +245,7 @@ def test_cyclo_elem_agrees_with_fraction_reference(N):
             (-a, [-x for x in ra]),
             (a * b, ref_mul(ra, rb, N)),
             (a.scale(f), [f * x for x in ra]),
+            (a.mul_qpow(k), ref_mul(ra, rq, N)),
         ]
         if any(rb):
             rb_inv = ref_inv(rb, N)
