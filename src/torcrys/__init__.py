@@ -34,7 +34,7 @@ from .closedness import (ClosednessReport, closed_report, fundamental_anchor,
 from .tableaux import (all_tableaux, box_exponents, enumerate_monomials,
                        tab_kashiwara, tab_monomial, tab_promotion)
 from .torep import (ClosednessRefusal, ConstructionError, LoopModule,
-                    RelationSpec, build_doubled, build_thin,
+                    RelationSpec, build_doubled, build_module, build_thin,
                     fr_consistency_report, relation_residual,
                     relation_terms, run_relation_suite,
                     verify_extremal_vector)

@@ -6,6 +6,11 @@ windows.
 
 Scalars are RationalQ throughout; every residual test is exact.
 
+One builder makes both module types (`build_module`): on a windowed
+crystal, x^{+-}_i acts along the poles of row i of each basis vector's
+rational l-weight, with one coefficient factor per other same-sign
+variable of the row (`row_edges`).
+
 Each defining relation is written once, as a term table: a tuple of
 (scalar, word) terms whose sum must act by zero (`relation_terms`).
 `relation_residual`, `run_relation_suite` and the root-of-unity check
@@ -44,9 +49,11 @@ from operator import mul
 from .closedness import fundamental_anchor
 from .crystal import CrystalGraph, WindowError, generate, row_stats
 from .lattice import RootSystem, Weight
-from .monomial import Monomial, a_exponents, exp_key, exp_mul, from_variables
+from .monomial import (Monomial, a_exponents, a_monomial, exp_key, exp_mul,
+                       from_variables)
 from .qcoeff import (Q_MINUS_QINV, RQ_ONE, RQ_ZERO, LaurentPoly, QSeries,
                      RationalQ, qfact, qint, series_log, series_of_rational)
+from .tableaux import tab_monomial
 
 
 class ClosednessRefusal(ValueError):
@@ -58,7 +65,8 @@ class ClosednessRefusal(ValueError):
 
 
 class ConstructionError(ValueError):
-    """A node configuration matches no action template."""
+    """A row of a node's l-weight has a pole of order above one, so the
+    pole rule (`row_edges`) gives no action; or an l-weight repeats."""
 
 
 # ---------------------------------------------------------------------------
@@ -288,7 +296,13 @@ def _zpoly_mul(a: dict, b: dict) -> dict:
 
 def fr_consistency_report(mod: LoopModule, order: int = 6, nodes=None):
     """Compare the module's own phi-series against the rational form on
-    every (node, direction, sign); returns the list of discrepancies."""
+    every (node, direction, sign); returns the list of discrepancies.
+
+    Only the thin flavor has an independent phi-series (the crystal
+    statistics of `_phi_actmod`).  On the other flavors `phi_series` is
+    the rational form itself, so this compares that form with itself;
+    there only the x-plus-minus relation ties the action to the
+    l-weights."""
     bad = []
     idxs = nodes if nodes is not None else range(len(mod))
     for idx in idxs:
@@ -304,16 +318,100 @@ def fr_consistency_report(mod: LoopModule, order: int = 6, nodes=None):
 
 
 # ---------------------------------------------------------------------------
-# thin modules
+# the module builder: action coefficients from the poles of the l-weights
 # ---------------------------------------------------------------------------
+
+def row_edges(row: dict):
+    """The edges that row i of an l-weight gives x^-_i and x^+_i: two
+    tuples of (step, coefficient), lowering by ascending and raising by
+    descending step.
+
+    In the rational form (`fr_phi_series`) Y_{i,l} has a pole at
+    w = q^{l+1}, a lowering edge at step p = l+1 (to m A_{i,p}^-1), and
+    Y_{i,l}^-1 one at w = q^{l-1}, a raising edge at p = l-1 (to
+    m A_{i,p}).  A same-sign variable at l+2 (l-2 for Y_{i,l}^-1) puts a
+    zero on the pole: no edge.  An opposite-sign one there (a double
+    pole) or an exponent beyond +-1 raises ConstructionError.  The
+    coefficient is the product over the row's other same-sign variables
+    at k of (q^{k-1} - q^p)/(q^k - q^{p-1}) on a lowering and
+    (q^{k-1} - q^{p-2})/(q^{k-2} - q^{p-1}) on a raising edge, each
+    written with the higher power first in its denominator."""
+    lower, upper = [], []
+    for l, u in row.items():
+        if abs(u) != 1:
+            raise ConstructionError(f"row {row}: a pole of order {abs(u)}")
+        near = row.get(l + 2 * u)
+        if near == u:
+            continue
+        if near == -u:
+            raise ConstructionError(f"row {row}: a double pole at q^{l + u}")
+        p = l + u
+        num = den = None
+        for k, v in row.items():
+            if v != u or k == l:
+                continue
+            a, b, c, d = ((k - 1, p, k, p - 1) if u > 0
+                          else (k - 1, p - 2, k - 2, p - 1))
+            if c < d:
+                a, b, c, d = b, a, d, c
+            fn, fd = LaurentPoly({a: 1, b: -1}), LaurentPoly({c: 1, d: -1})
+            num, den = (fn, fd) if num is None else (num * fn, den * fd)
+        (lower if u > 0 else upper).append(
+            (p, RQ_ONE if num is None else RationalQ(num, den)))
+    lower.sort(key=lambda e: e[0])
+    upper.sort(key=lambda e: -e[0])
+    return tuple(lower), tuple(upper)
+
+
+def build_module(rs: RootSystem, anchors, window, flavor: str) -> LoopModule:
+    """The loop weight module on the crystal of the anchors in the
+    window, x^{+-}_i acting along the edges of each row i (`row_edges`);
+    the l-weights must be pairwise distinct.  A Kashiwara operator's
+    target is read from the graph, every other one looked up by its
+    l-weight; dst is None where the target is not in the graph."""
+    g = generate(rs, anchors, window)
+    if len({m.exps for m in g.nodes}) != len(g.nodes):
+        raise ConstructionError("an l-weight occurs twice in the crystal")
+    mod = LoopModule(rs, g, flavor, {i: [] for i in rs.nodes},
+                     {i: [] for i in rs.nodes})
+    memo = {}               # row items -> (lower, upper, f~ step, e~ step)
+    for idx, m in enumerate(g.nodes):
+        rows = m.rows()
+        for i in rs.nodes:
+            row = rows.get(i, {})
+            key = tuple(row.items())
+            got = memo.get(key)
+            if got is None:
+                try:
+                    lower, upper = row_edges(row)
+                except ConstructionError as exc:
+                    raise ConstructionError(f"node {m}, row {i}: {exc}") from None
+                st = row_stats(row)
+                got = memo[key] = (lower, upper, st.qq + 1 if st.phi else None,
+                                   st.p - 1 if st.eps else None)
+            lower, upper, fstep, estep = got
+            mod.minus_edges[i].append(tuple(
+                (g.f_edges.get((idx, i)) if p == fstep
+                 else _target(rs, g, m, i, p, -1), p, c) for p, c in lower))
+            mod.plus_edges[i].append(tuple(
+                (g.e_edges.get((idx, i)) if p == estep
+                 else _target(rs, g, m, i, p, 1), p, c) for p, c in upper))
+    return mod
+
+
+def _target(rs: RootSystem, g: CrystalGraph, m: Monomial, i: int, p: int,
+            sign: int):
+    """Index of m A_{i,p}^{sign} in the graph, None when it is absent."""
+    exps = exp_mul(m.exps, a_exponents(rs, i, p), sign=sign)
+    return g.index.get(Monomial(exp_key(exps),
+                                m.weight + rs.alpha(i).scaled(sign)))
+
 
 def build_thin(n: int, ell: int, window=None) -> LoopModule:
     """The extremal fundamental loop weight module for ell in
     {1, r+1, n}; other ell are refused with a closedness witness."""
     rs = RootSystem.for_fundamental(n, ell)
     if ell not in (1, rs.r + 1, n):
-        from .monomial import a_monomial
-        from .tableaux import tab_monomial
         ellp = ell if ell <= rs.r + 1 else n + 1 - ell
         wit = tab_monomial(RootSystem.for_fundamental(n, ellp), ellp,
                            tuple(range(1, ellp + 1)), 1)
@@ -323,137 +421,38 @@ def build_thin(n: int, ell: int, window=None) -> LoopModule:
             f"a required monomial such as {wit} is missing", witness=wit)
     if window is None:
         window = (-4 * (n + 1), 4 * (n + 1))
-    g = generate(rs, [fundamental_anchor(rs, ell)], window)
-    mod = LoopModule(rs, g, "thin")
-    for i in rs.nodes:
-        minus, plus = [], []
-        for idx, m in enumerate(g.nodes):
-            st = row_stats(m.row(i))
-            ment, pent = [], []
-            if st.phi:
-                dst = g.f_edges.get((idx, i))
-                ment.append((dst, st.qq + 1, RQ_ONE))
-            if st.eps:
-                dst = g.e_edges.get((idx, i))
-                pent.append((dst, st.p - 1, RQ_ONE))
-            minus.append(tuple(ment))
-            plus.append(tuple(pent))
-        mod.minus_edges[i] = minus
-        mod.plus_edges[i] = plus
-    return mod
+    return build_module(rs, [fundamental_anchor(rs, ell)], window, "thin")
 
 
 # ---------------------------------------------------------------------------
-# the pasted module for 2*varpi_1 at n = 3
+# the pasted module for 2*varpi_1
 # ---------------------------------------------------------------------------
 
 def doubled_anchor(rs: RootSystem, s: int) -> Monomial:
+    """e^{2 varpi_1 + s delta} Y_{1,1} Y_{1,-1-Ps} Y_{0,2}^-1 Y_{0,-Ps}^-1
+    with period P = n + 1."""
+    period = rs.n + 1
     return from_variables(
-        rs, [(1, 1, 1), (1, -1 - 4 * s, 1), (0, 2, -1), (0, -4 * s, -1)],
-        Weight((-2, 2, 0, 0), Fraction(s)))
-
-
-def _pair_letters(row: dict):
-    """Classify a two-variable row inside the four-element orbit of a
-    tensor block with letters (a, b): returns (a, b, position)."""
-    items = sorted(row.items())
-    (l1, u1), (l2, u2) = items
-    if u1 == 1 and u2 == 1:
-        return l1, l2, "top"
-    if u1 == -1 and u2 == -1:
-        return l1 - 2, l2 - 2, "bottom"
-    pos = l1 if u1 == 1 else l2
-    neg = l1 if u1 == -1 else l2
-    a, b = sorted((pos, neg - 2))
-    if pos < neg - 2:
-        return a, b, "mid-b"      # Y_a present, Y_{b+2}^{-1} present
-    if pos > neg - 2:
-        return a, b, "mid-a"      # Y_{a+2}^{-1} present, Y_b present
-    raise ConstructionError(f"degenerate row {row} cancels")
-
-
-def _tensor_coeffs(a: int, b: int):
-    """Branching coefficients of the four-dimensional tensor block with
-    letters (a, b): c_a = (q^{b-1}-q^{a+1})/(q^b-q^a) and
-    c_b = (q^{b+1}-q^{a-1})/(q^b-q^a)."""
-    den = LaurentPoly({b: 1}) - LaurentPoly({a: 1})
-    ca = RationalQ(LaurentPoly({b - 1: 1}) - LaurentPoly({a + 1: 1}), den)
-    cb = RationalQ(LaurentPoly({b + 1: 1}) - LaurentPoly({a - 1: 1}), den)
-    return ca, cb
+        rs, [(1, 1, 1), (1, -1 - period * s, 1), (0, 2, -1),
+             (0, -period * s, -1)],
+        Weight((-2, 2) + (0,) * (rs.n - 1), Fraction(s)))
 
 
 def build_doubled(smax: int, window=None) -> LoopModule:
     """The module whose q-character is the union of the crystals of the
     anchors e^{2 varpi_1 + s delta} Y_{1,1} Y_{1,-1-4s} Y_{0,2}^-1 Y_{0,-4s}^-1
-    for 0 <= s <= smax (n = 3).
-
-    Directional actions come from local templates matched on the row of
-    each node: empty row (zero action), single variable (crystal rule),
-    or a two-variable tensor/string block with the branching
-    coefficients above.  Any other configuration is a hard error.
-    """
+    for 0 <= s <= smax (n = 3), built by the pole rule (`build_module`):
+    a row Y_{i,a} Y_{i,b} (a < b) gets lowering edges at steps a+1 and
+    b+1, the first with coefficient (q^{b-1} - q^{a+1})/(q^b - q^a),
+    zero for the string b = a+2, and the second with
+    (q^{b+1} - q^{a-1})/(q^b - q^a)."""
     rs = RootSystem(3, parity=0)
     if smax < 0:
         raise ValueError("smax must be >= 0")
     if window is None:
         window = (-4 * (smax + 2), 4 * (smax + 2))
     anchors = [doubled_anchor(rs, s) for s in range(smax + 1)]
-    g = generate(rs, anchors, window)
-    mod = LoopModule(rs, g, "doubled")
-    by_exps = {}
-    for idx, m in enumerate(g.nodes):
-        if m.exps in by_exps:
-            raise AssertionError("exponent collision across components")
-        by_exps[m.exps] = idx
-
-    def target(m, i, l, lower):
-        exps = exp_mul(m.exp_dict(), a_exponents(rs, i, l),
-                       sign=-1 if lower else 1)
-        alpha = rs.alpha(i)
-        t = Monomial(exp_key(exps), m.weight - alpha if lower else m.weight + alpha)
-        return g.index.get(t)
-
-    for i in rs.nodes:
-        minus, plus = [], []
-        for idx, m in enumerate(g.nodes):
-            row = m.row(i)
-            ment, pent = [], []
-            if not row:
-                pass
-            elif len(row) == 1:
-                ((c, u),) = row.items()
-                if u == 1:
-                    ment.append((target(m, i, c + 1, True), c + 1, RQ_ONE))
-                elif u == -1:
-                    pent.append((target(m, i, c - 1, False), c - 1, RQ_ONE))
-                else:
-                    raise ConstructionError(
-                        f"node {m}: row {i} has an exponent beyond +-1")
-            elif len(row) == 2 and all(abs(u) == 1 for u in row.values()):
-                a, b, pos = _pair_letters(row)
-                ca, cb = _tensor_coeffs(a, b)
-                if pos == "top":
-                    if not ca.is_zero():
-                        ment.append((target(m, i, a + 1, True), a + 1, ca))
-                    ment.append((target(m, i, b + 1, True), b + 1, cb))
-                elif pos == "mid-a":
-                    pent.append((target(m, i, a + 1, False), a + 1, RQ_ONE))
-                    ment.append((target(m, i, b + 1, True), b + 1, RQ_ONE))
-                elif pos == "mid-b":
-                    pent.append((target(m, i, b + 1, False), b + 1, RQ_ONE))
-                    ment.append((target(m, i, a + 1, True), a + 1, RQ_ONE))
-                else:
-                    if not ca.is_zero():
-                        pent.append((target(m, i, b + 1, False), b + 1, ca))
-                    pent.append((target(m, i, a + 1, False), a + 1, cb))
-            else:
-                raise ConstructionError(
-                    f"node {m}: row {i} = {row} matches no action template")
-            minus.append(tuple(ment))
-            plus.append(tuple(pent))
-        mod.minus_edges[i] = minus
-        mod.plus_edges[i] = plus
-    return mod
+    return build_module(rs, anchors, window, "doubled")
 
 
 # ---------------------------------------------------------------------------

@@ -16,15 +16,16 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import product
+from math import comb
 
-from .crystal import WindowError, row_stats
+from .crystal import WindowError, generate, row_stats
 from .lattice import RootSystem
 from .monomial import ResidueMonomial, gamma
 from .qcoeff import (Q_MINUS_QINV, CycloElem, SpecializationError,
                      eval_cyclotomic, qint)
-from .torep import (LoopModule, RelationSpec, SuiteReport, XAction,
-                    _diagonal, _run_suite, build_doubled, build_thin,
-                    fr_phi_series)
+from .torep import (ClosednessRefusal, LoopModule, RelationSpec, SuiteReport,
+                    XAction, _diagonal, _run_suite, build_doubled, build_thin,
+                    doubled_anchor, fr_phi_series)
 
 
 @dataclass
@@ -208,7 +209,6 @@ def specialize_thin(n: int, ell: int, L: int) -> SpecializedModule:
     elif ell == rs.r + 1:
         p = 2
     else:
-        from .torep import ClosednessRefusal
         raise ClosednessRefusal(f"no thin module for ell={ell} (crystal not closed)")
     if p == 2 and L == 1:
         raise ValueError("the case p = 2, L = 1 is excluded")
@@ -218,7 +218,6 @@ def specialize_thin(n: int, ell: int, L: int) -> SpecializedModule:
     half = max(2 * N + 2 * (n + 1), 4 * (n + 1))
     mod = build_thin(n, ell, (-half, half))
     spec = _specialize(mod, N)
-    from math import comb
     expected = L * comb(n + 1, ell)
     if len(spec) != expected:
         raise AssertionError(
@@ -237,17 +236,10 @@ def specialize_doubled(L: int) -> SpecializedModule:
     mod = build_doubled(L, window)
 
     def keep(m):
-        # the component of M_s consists of the nodes with
-        # delta - (number of 0-arrows applied) tracked by the anchor;
-        # membership in E_s is detected through the row pattern of the
-        # direction-1 letters: the s of the component satisfies
-        # b - a = 2 + 4s for the anchor; we instead tag components.
         return component_s[m] < L
 
     # tag nodes by the anchor they were generated from
     component_s = {}
-    from .torep import doubled_anchor
-    from .crystal import generate
     for s in range(L + 1):
         gs = generate(mod.rs, [doubled_anchor(mod.rs, s)], window)
         for node in gs.nodes:
@@ -414,7 +406,3 @@ def cyclic_generation_check(mod: SpecializedModule) -> bool:
         raise AssertionError("joint spectrum not simple; graph reduction invalid")
     n = len(mod)
     return all(len(generated_submodule(mod, k)) == n for k in range(n))
-
-
-def specialized_qcharacter(mod: SpecializedModule) -> dict:
-    return {rm: 1 for rm in mod.basis}

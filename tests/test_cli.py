@@ -107,7 +107,7 @@ def test_unity_thin_prints_dimension(capsys):
 def test_construction_error_exit(monkeypatch, capsys):
     # ConstructionError subclasses ValueError; it must not exit as validation
     def refuse(*args, **kwargs):
-        raise ConstructionError("row matches no action template")
+        raise ConstructionError("row {0: 1, 2: -1}: a double pole at q^1")
     monkeypatch.setattr(cli, "build_thin", refuse)
     code, _, err = run(capsys, "rep", "build", "--n", "3", "--ell", "1")
     assert code == EXIT_UNSUPPORTED == 6

@@ -5,10 +5,9 @@ import pytest
 from torcrys.crystal import generate
 from torcrys.lattice import RootSystem, Weight
 from torcrys.qcoeff import RQ_ONE, RQ_ZERO, LaurentPoly, RationalQ, qint
-from torcrys.torep import (ConstructionError, build_doubled,
+from torcrys.torep import (ConstructionError, LoopModule, build_module,
                            fr_consistency_report, run_relation_suite,
-                           doubled_anchor, verify_extremal_vector,
-                           _tensor_coeffs)
+                           doubled_anchor, row_edges, verify_extremal_vector)
 
 RS = RootSystem(3, parity=0)
 
@@ -38,9 +37,19 @@ def is_zero_matrix(A):
     return all(c.is_zero() for row in A for c in row)
 
 
+def tensor_coeffs(a, b):
+    """Branching coefficients of the four-dimensional tensor block with
+    letters (a, b): c_a = (q^{b-1}-q^{a+1})/(q^b-q^a) and
+    c_b = (q^{b+1}-q^{a-1})/(q^b-q^a)."""
+    den = LaurentPoly({b: 1}) - LaurentPoly({a: 1})
+    ca = RationalQ(LaurentPoly({b - 1: 1}) - LaurentPoly({a + 1: 1}), den)
+    cb = RationalQ(LaurentPoly({b + 1: 1}) - LaurentPoly({a - 1: 1}), den)
+    return ca, cb
+
+
 def tensor_block_matrices(a, b, r):
     """x^+_r and x^-_r on the ordered basis (top, mid_a, mid_b, bottom)."""
-    ca, cb = _tensor_coeffs(a, b)
+    ca, cb = tensor_coeffs(a, b)
     qa = RationalQ.q_power(r * (a + 1))
     qb = RationalQ.q_power(r * (b + 1))
     Z = RQ_ZERO
@@ -131,7 +140,7 @@ def test_branching_coefficients(s5_small):
     for c in out.values():
         total = total + c
     assert total == RationalQ(qint(2))
-    ca, cb = _tensor_coeffs(-5, 1)
+    ca, cb = tensor_coeffs(-5, 1)
     assert sorted(str(c.canonical()) for c in out.values()) == \
         sorted([str(ca.canonical()), str(cb.canonical())])
 
@@ -185,18 +194,19 @@ def test_fr_consistency(s5_small):
     assert fr_consistency_report(s5_small, order=6) == []
 
 
-def test_template_rejects_unknown_configuration():
-    # a fabricated three-variable row in one direction must be refused
-    from torcrys.torep import build_doubled
-    from torcrys import torep
-
-    class FakeRow(dict):
-        pass
-
-    # directly exercise the classifier via a monomial outside the templates
-    from torcrys.torep import _pair_letters
+def test_row_rule_poles():
+    # Y_0 Y_2^-1: both variables have their pole at q^1, a double pole
     with pytest.raises(ConstructionError):
-        _pair_letters({0: 1, 2: -1})  # cancelling/degenerate pattern
+        row_edges({0: 1, 2: -1})
+    # Y_0^2: a pole of order two
+    with pytest.raises(ConstructionError):
+        row_edges({0: 2})
+    # Y_-1 Y_1: the zero of Y_1 cancels the pole of Y_-1 at step 0, so one
+    # lowering edge remains, at step 2, with coefficient [2]_q
+    lower, upper = row_edges({-1: 1, 1: 1})
+    assert upper == ()
+    (step, c), = lower
+    assert step == 2 and c == RationalQ(qint(2))
 
 
 def test_anchor_restricted_subcrystal_is_ten_nodes(s5_small):
@@ -204,3 +214,44 @@ def test_anchor_restricted_subcrystal_is_ten_nodes(s5_small):
     from torcrys.torep import doubled_anchor
     sc = sub_crystal(s5_small.graph, doubled_anchor(s5_small.rs, 0), [1, 2, 3])
     assert len(sc) == 10
+
+
+# ---------------------------------------------------------------------------
+# 2 varpi_1 at n = 5: a module the pole rule builds beyond n = 3
+# ---------------------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def doubled_n5():
+    rs = RootSystem(5, parity=0)
+    return build_module(rs, [doubled_anchor(rs, s) for s in (0, 1)],
+                        (-16, 16), "doubled")
+
+
+def test_doubled_n5_relations(doubled_n5):
+    """A finding, not a claim of the paper: the union of the crystals of
+    the s = 0, 1 anchors is multiplicity-free, and the defining
+    relations hold on its interior."""
+    mod = doubled_n5
+    assert len(mod) == 294
+    assert len({m.exps for m in mod.graph.nodes}) == 294
+    rep = run_relation_suite(mod, rmax=1, hmax=1,
+                             nodes=mod.graph.interior_indices())
+    assert (rep.checked, rep.inconclusive, len(rep.failures)) == \
+        (597135, 15255, 0)
+
+
+def test_doubled_n5_detects_mutated_coefficient(doubled_n5):
+    # multiply by q the first coefficient of the first interior node with
+    # two lowering edges
+    mod = doubled_n5
+    interior = mod.graph.interior_indices()
+    i, idx = next((i, idx) for i in mod.rs.nodes for idx in interior
+                  if len(mod.minus_edges[i][idx]) == 2)
+    table = list(mod.minus_edges[i])
+    (dst, step, c), *rest = table[idx]
+    table[idx] = ((dst, step, c.mul_qpow(1)), *rest)
+    broken = LoopModule(mod.rs, mod.graph, mod.flavor,
+                        {**mod.minus_edges, i: table}, mod.plus_edges)
+    rep = run_relation_suite(broken, rmax=1, hmax=1, nodes=interior)
+    assert len(rep.failures) == 135
+    assert mod.node(idx) in {node for _, node in rep.failures}

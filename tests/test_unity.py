@@ -4,12 +4,11 @@ from torcrys.crystal import generate
 from torcrys.monomial import ResidueMonomial, gamma
 from torcrys.qcoeff import CycloElem, eval_cyclotomic, qint, RationalQ
 from torcrys.torep import (RELATION_IDS, ClosednessRefusal, RelationSpec,
-                           _tensor_coeffs, build_doubled, build_thin,
-                           doubled_anchor)
+                           build_doubled, build_thin, doubled_anchor)
 from torcrys.unity import (SpecializedModule, cyclic_generation_check,
                            generated_submodule, joint_spectrum_simple,
                            relation_check_eps, specialize_doubled,
-                           specialize_thin, specialized_qcharacter)
+                           specialize_thin)
 
 
 def test_dimensions_thin():
@@ -92,7 +91,7 @@ def test_gamma_compatibility_qcharacter():
     rs = mod.rs
     domain = [m for m in mod.graph.nodes if 0 >= m.weight.delta > -2]
     expected = {gamma(rs, m, 8) for m in domain}
-    assert set(specialized_qcharacter(spec)) == expected
+    assert set(spec.basis) == expected
 
 
 def test_specialized_action_table_consistency():
@@ -187,15 +186,21 @@ def test_relations_doubled():
 
 
 def test_kernel_branch_vanishes_at_eps():
-    # the branch from the s = L block back into the quotient support
-    # carries (1 - q^{-4L})-type numerators, zero at the 4L-th root
+    # the branch from the s = L anchor back into the quotient support
+    # (the blocks s < L) carries a (1 - q^{-4L})-type numerator, zero at
+    # the 4L-th root, while its denominator does not vanish there
     for L in (1, 2):
-        ca, _ = _tensor_coeffs(-1 - 4 * L, 1)
-        assert eval_cyclotomic(ca, 4 * L).is_zero()
-        # while the denominators never vanish
-        from torcrys.qcoeff import LaurentPoly
-        den = LaurentPoly({1: 1, -1 - 4 * L: -1})
-        assert not CycloElem.from_laurent(4 * L, den).is_zero()
+        window = (-4 * (L + 3), 4 * (L + 3))
+        mod = build_doubled(L, window)
+        lower = {node for s in range(L)
+                 for node in generate(mod.rs, [doubled_anchor(mod.rs, s)],
+                                      window).nodes}
+        top = mod.graph.index[doubled_anchor(mod.rs, L)]
+        (dst, c), = [(dst, c) for dst, step, c in mod.minus_edges[1][top]
+                     if step == -4 * L]
+        assert mod.node(dst) in lower
+        assert eval_cyclotomic(c, 4 * L).is_zero()
+        assert not CycloElem.from_laurent(4 * L, c.den).is_zero()
 
 
 def test_doubled_spectrum_simple():
