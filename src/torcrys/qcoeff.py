@@ -11,6 +11,18 @@ lowest terms.  Phi_N is monic with integer coefficients, so reduction
 modulo Phi_N stays in Z, and integral elements (every power of q) keep
 denominator 1 and skip the gcd.  The cyclotomic polynomials are
 computed on first use and kept in memory for the process.
+
+Both coefficient rings of the modules, RationalQ and CycloElem, offer
+one method pair for residuals summed in integers.
+`clear_denominators(values)` brings a list of values over one nonzero
+common denominator D and returns each value * D as integer terms
+((exponent, int), ...): for RationalQ, D is the product of the distinct
+denominators, with no division and no gcd; for CycloElem, D is the lcm
+of the integer denominators and the exponents are those of the basis
+q^0 .. q^{deg Phi_N - 1}.  `counts_vanish(counts)` decides whether
+integer counters {(target, exponent): int} are zero: in Z[q^+-1] when
+every counter is, at eps when per target the exponents folded mod N
+reduce to zero mod Phi_N.
 """
 from __future__ import annotations
 
@@ -396,6 +408,32 @@ class RationalQ:
     def mul_qpow(self, k: int) -> "RationalQ":
         return RationalQ(self.num.shifted(k), self.den)
 
+    @staticmethod
+    def clear_denominators(values) -> tuple:
+        """(D, numerators): D is the product of the values' distinct
+        denominators (told apart by `key()`), and numerators[k] the term
+        tuple ((exponent, int), ...) of values[k] * D, its numerator
+        times the other denominators.  No division and no gcd."""
+        # cofactor of each denominator: the product of all the others
+        den, cofactor = ONE, {}
+        for v in values:
+            key = v.den.key()
+            if key not in cofactor:
+                cofactor = {k: c * v.den for k, c in cofactor.items()}
+                cofactor[key] = den
+                den = den * v.den
+        out = []
+        for v in values:
+            c = cofactor[v.den.key()]
+            out.append(tuple((v.num if c.is_one() else v.num * c).terms.items()))
+        return den, out
+
+    @staticmethod
+    def counts_vanish(counts: dict) -> bool:
+        """Whether integer counters {(target, exponent): int}, the
+        cleared numerators of a vector, are the zero vector."""
+        return not any(counts.values())
+
     def __pow__(self, n: int) -> "RationalQ":
         if n < 0:
             return RQ_ONE / (self ** (-n))
@@ -732,6 +770,35 @@ class CycloElem:
         r.nums = _reduce(cs, N)
         r.den = self.den
         return r
+
+    @staticmethod
+    def clear_denominators(values) -> tuple:
+        """(D, numerators): D is the lcm of the values' denominators,
+        and numerators[k] the term tuple ((exponent, int), ...) of
+        values[k] * D in the basis q^0 .. q^{deg Phi_N - 1}."""
+        den = lcm(*(v.den for v in values))
+        return den, [tuple((k, x * (den // v.den))
+                           for k, x in enumerate(v.nums) if x)
+                     for v in values]
+
+    def counts_vanish(self, counts: dict) -> bool:
+        """Whether integer counters {(target, exponent): int}, the
+        cleared numerators of a vector, are zero at eps: per target the
+        exponents fold mod N (q^N = 1) and reduce mod Phi_N."""
+        if not any(counts.values()):
+            return True
+        N = self.N
+        folded = {}
+        for (target, e), c in counts.items():
+            if c:
+                cs = folded.get(target)
+                if cs is None:
+                    cs = folded[target] = [0] * N
+                cs[e % N] += c
+        for cs in folded.values():
+            if any(_reduce(cs, N)):
+                return False
+        return True
 
     def scale(self, f: Fraction) -> "CycloElem":
         f = Fraction(f)

@@ -25,8 +25,15 @@ consecutive specs that share (relation, sign, i, j) into runs and a
 run's specs by template: the terms' scalars and word shapes, a shape
 being the word with each x operator's mode index removed
 (`_template`).  On each basis vector every shape is expanded once into
-paths (target, coefficient, steps), suffixes shared (`_paths`); a spec
-then sums scalar * coefficient * q^{sum r_k step_k} per target.
+paths (target, coefficient, steps), suffixes shared (`_paths`).  Each
+template's terms scalar * coefficient are then brought over one nonzero
+common denominator D per basis vector (the ring's
+`clear_denominators`), so that each becomes an integer term tuple
+((exponent, int), ...).  A spec does no ring arithmetic: it adds those
+ints into counters {(target, exponent): int}, the exponent shifted by
+sum r_k step_k, and the ring decides whether the counters vanish
+(`counts_vanish`).  As D is nonzero, a residual is zero exactly when
+its cleared form is.
 
 Window rule: where a path reaches a node whose edge for the next x
 operator leaves the window, the paths into that node form a hazard,
@@ -37,7 +44,8 @@ edges) raises WindowError.
 
 A module offers x_entries (see `XAction`, which builds act_x from
 them) and the diagonal operators act_h, act_k and act_pair, and its
-ring's unit as `one`; ring elements offer mul_qpow.
+ring's unit as `one`; ring elements offer mul_qpow, clear_denominators
+and counts_vanish.
 """
 from __future__ import annotations
 
@@ -609,45 +617,56 @@ def _paths(mod, shape: tuple, memo: dict):
 
 
 def _node_terms(mod, template: tuple, memo: dict):
-    """One template on the memo's basis vector: the residual terms
-    (target, scalar * coefficient, term, steps) and the hazards
-    (term, node, group).  A term with scalar zero keeps its hazards."""
-    terms, hazards = [], []
+    """One template on the memo's basis vector, over one common
+    denominator D (the ring's `clear_denominators`): returns (D, terms,
+    hazards).  terms holds (target, numerator, term, steps), numerator
+    the integer term tuple ((exponent, int), ...) of scalar *
+    coefficient * D; hazards holds (node, entries), entries in the same
+    form, or None for a single path, which never cancels.  A term with
+    scalar zero keeps its hazards."""
+    slots, values, hazard_slots, hazard_values = [], [], [], []
     for t, (scalar, shape) in enumerate(template):
         paths, hz = _paths(mod, shape, memo)
-        hazards.extend((t, node, group) for node, group in hz)
+        for node, group in hz:
+            if len(group) == 1:
+                hazard_slots.append((node, t, None))
+            else:
+                hazard_slots.append((node, t, [steps for steps, _ in group]))
+                hazard_values.extend(c for _, c in group)
         if not scalar.is_zero():
-            terms.extend((target, scalar * c, t, steps)
-                         for (target, steps), c in paths.items())
-    return terms, hazards
-
-
-def _window_exit(hazards: list, modes: tuple):
-    """The first hazard node whose paths have a nonzero sum under the
-    modes, or None: the spec leaves the window there."""
-    for t, node, group in hazards:
-        if len(group) == 1:
-            return node
-        ms = modes[t]
-        total = None
-        for steps, c in group:
-            v = c.mul_qpow(sum(map(mul, ms, steps)))
-            total = v if total is None else total + v
-        if not total.is_zero():
-            return node
-    return None
+            for (target, steps), c in paths.items():
+                slots.append((target, t, steps))
+                values.append(scalar * c)
+    den, nums = mod.one.clear_denominators(values + hazard_values)
+    nums = iter(nums)
+    terms = [(target, next(nums), t, steps) for target, t, steps in slots]
+    hazards = [(node, None if group is None else
+                [(node, next(nums), t, steps) for steps in group])
+               for node, t, group in hazard_slots]
+    return den, terms, hazards
 
 
 def _residual(terms: list, modes: tuple) -> dict:
-    """The residual of one spec from its template's node terms: each
-    term's modes turn its steps into a q-exponent."""
-    out = {}
-    for target, c, t, steps in terms:
+    """The cleared residual of one spec as integer counters
+    {(target, exponent): int}: each term's modes turn its steps into a
+    q-exponent added to its numerator's exponents."""
+    counts = {}
+    get = counts.get
+    for target, num, t, steps in terms:
         e = sum(map(mul, modes[t], steps))
-        v = c.mul_qpow(e) if e else c
-        s = out.get(target)
-        out[target] = v if s is None else s + v
-    return {k: v for k, v in out.items() if not v.is_zero()}
+        for k, c in num:
+            key = (target, k + e)
+            counts[key] = get(key, 0) + c
+    return counts
+
+
+def _window_exit(hazards: list, modes: tuple, ring):
+    """The first hazard node whose paths have a nonzero sum under the
+    modes, or None: the spec leaves the window there."""
+    for node, entries in hazards:
+        if entries is None or not ring.counts_vanish(_residual(entries, modes)):
+            return node
+    return None
 
 
 def relation_residual(mod: LoopModule, spec: RelationSpec, idx: int) -> dict:
@@ -656,12 +675,17 @@ def relation_residual(mod: LoopModule, spec: RelationSpec, idx: int) -> dict:
     WindowError when an intermediate leaves the window."""
     template, modes = _template(mod.rs, spec)
     memo = {(): ({(idx, ()): mod.one}, ())}
-    terms, hazards = _node_terms(mod, template, memo)
-    node = _window_exit(hazards, modes)
+    den, terms, hazards = _node_terms(mod, template, memo)
+    node = _window_exit(hazards, modes, mod.one)
     if node is not None:
         raise WindowError(
             f"x action leaves the window at node {mod.node(node)}")
-    return _residual(terms, modes)
+    nums = {}
+    for (target, e), c in _residual(terms, modes).items():
+        if c:
+            nums.setdefault(target, {})[e] = c
+    return {target: RationalQ(LaurentPoly(cs), den)
+            for target, cs in nums.items()}
 
 
 RELATION_IDS = ("k-conjugation", "h-h", "h-x", "x-plus-minus", "x-quadratic",
@@ -778,11 +802,14 @@ def _run_suite(mod, specs, idxs, scalar) -> SuiteReport:
     Consecutive specs sharing (relation, sign, i, j) form a run, and a
     run's specs are grouped by template (`_template`).  On each node
     every shape of the run is expanded into paths once (`_paths`), each
-    template's scalars multiply its paths once, and each spec then only
-    turns its modes into q-exponents.  Failures are listed spec by spec,
-    nodes in the given order."""
+    template's scalars multiply its paths once and the products are
+    cleared of denominators (`_node_terms`), and each spec then only
+    adds integers into counters keyed by target and q-exponent
+    (`_residual`).  Failures are listed spec by spec, nodes in the given
+    order."""
     report = SuiteReport()
     failures = []
+    ring = mod.one
     for _, run in groupby(enumerate(specs), key=lambda ps: _run_key(ps[1])):
         groups = {}
         for pos, spec in run:
@@ -796,17 +823,17 @@ def _run_suite(mod, specs, idxs, scalar) -> SuiteReport:
                     tuple((scalar(s), shape) for s, shape in template), [])
             group[1].append((pos, spec, modes))
         for npos, idx in enumerate(idxs):
-            memo = {(): ({(idx, ()): mod.one}, ())}
+            memo = {(): ({(idx, ()): ring}, ())}
             for template, members in groups.values():
-                terms, hazards = _node_terms(mod, template, memo)
+                _, terms, hazards = _node_terms(mod, template, memo)
                 for pos, spec, modes in members:
-                    if hazards and _window_exit(hazards, modes) is not None:
+                    if hazards and _window_exit(hazards, modes, ring) is not None:
                         report.inconclusive += 1
                         continue
                     report.checked += 1
                     rid = spec.rid
                     report.by_relation[rid] = report.by_relation.get(rid, 0) + 1
-                    if _residual(terms, modes):
+                    if not ring.counts_vanish(_residual(terms, modes)):
                         failures.append((pos, npos, spec, idx))
     failures.sort(key=lambda f: f[:2])
     report.failures = [(spec, mod.node(idx)) for _, _, spec, idx in failures]

@@ -18,7 +18,7 @@ from functools import cached_property
 from itertools import product
 from math import comb
 
-from .crystal import WindowError, generate, row_stats
+from .crystal import WindowError, row_stats
 from .lattice import RootSystem
 from .monomial import ResidueMonomial, gamma
 from .qcoeff import (Q_MINUS_QINV, CycloElem, SpecializationError,
@@ -131,11 +131,29 @@ class SpecializedModule(XAction):
 # specialization of the thin modules
 # ---------------------------------------------------------------------------
 
+def _eps_images(N: int):
+    """`eval_cyclotomic` at N, memoised on each value's structural key
+    (RationalQ's own hash reduces by a gcd)."""
+    images = {}
+
+    def at_eps(c):
+        key = (c.num.key(), c.den.key())
+        val = images.get(key)
+        if val is None:
+            val = images[key] = eval_cyclotomic(c, N)
+        return val
+    return at_eps
+
+
 def _specialize(mod: LoopModule, N: int, keep=None) -> SpecializedModule:
     """Common machinery: push a windowed generic module through
     Gamma_N.  `keep` optionally filters which generic nodes survive
     (used by the quotient construction); edges into dropped residues
-    must carry coefficients that vanish at eps."""
+    must carry coefficients that vanish at eps (`_validate_kernel`).
+    Each distinct coefficient is evaluated at eps once."""
+    at_eps = _eps_images(N)
+    if keep is not None:
+        _validate_kernel(mod, at_eps, keep)
     rs = mod.rs
     g = mod.graph
     residues = {}
@@ -190,7 +208,7 @@ def _specialize(mod: LoopModule, N: int, keep=None) -> SpecializedModule:
                         # quotient projection: components in the killed
                         # submodule are set to zero
                         continue
-                    coeff = eval_cyclotomic(c0, N)
+                    coeff = at_eps(c0)
                     if coeff.is_zero():
                         continue
                     entries.append((tgt, l % N, coeff))
@@ -235,29 +253,43 @@ def specialize_doubled(L: int) -> SpecializedModule:
     window = (-4 * (L + 3), 4 * (L + 3))
     mod = build_doubled(L, window)
 
-    def keep(m):
-        return component_s[m] < L
-
-    # tag nodes by the anchor they were generated from
-    component_s = {}
-    for s in range(L + 1):
-        gs = generate(mod.rs, [doubled_anchor(mod.rs, s)], window)
-        for node in gs.nodes:
-            component_s[node] = s
-    missing = [m for m in mod.graph.nodes if m not in component_s]
-    if missing:
-        raise AssertionError("untagged nodes in the crystal union")
-    _validate_kernel(mod, N, keep)
-    spec = _specialize(mod, N, keep=keep)
+    block = _anchor_blocks(mod, L)
+    spec = _specialize(mod, N, keep=lambda m: block[m] < L)
     if len(spec) != 16 * L * L:
         raise AssertionError(f"specialized dimension {len(spec)} != {16 * L * L}")
     return spec
 
 
-def _validate_kernel(mod: LoopModule, N: int, keep) -> None:
+def _anchor_blocks(mod: LoopModule, smax: int) -> dict:
+    """Node -> the s of its block in a `build_doubled(smax, ...)` module:
+    the last s in 0..smax whose anchor reaches the node along the
+    graph's Kashiwara edges.  The graph holds every edge inside its
+    window, so that reach is the crystal `generate` gives the anchor
+    alone on the same window."""
+    g = mod.graph
+    adj = [[] for _ in g.nodes]
+    for edges in (g.f_edges, g.e_edges):
+        for (src, _), dst in edges.items():
+            adj[src].append(dst)
+    block = {}
+    for s in range(smax + 1):
+        start = g.index[doubled_anchor(mod.rs, s)]
+        seen, stack = {start}, [start]
+        while stack:
+            for dst in adj[stack.pop()]:
+                if dst not in seen:
+                    seen.add(dst)
+                    stack.append(dst)
+        block.update((g.nodes[k], s) for k in seen)
+    if len(block) != len(g.nodes):
+        raise AssertionError("untagged nodes in the crystal union")
+    return block
+
+
+def _validate_kernel(mod: LoopModule, at_eps, keep) -> None:
     """The span of the dropped nodes must be a submodule at eps: every
     action coefficient from a dropped node into a kept one has to
-    specialize to zero."""
+    specialize to zero under `at_eps` (`_eps_images`)."""
     g = mod.graph
     for i in mod.rs.nodes:
         for table in (mod.minus_edges[i], mod.plus_edges[i]):
@@ -267,7 +299,7 @@ def _validate_kernel(mod: LoopModule, N: int, keep) -> None:
                 for dst, _, c0 in entries:
                     if dst is None or not keep(g.nodes[dst]):
                         continue
-                    if not eval_cyclotomic(c0, N).is_zero():
+                    if not at_eps(c0).is_zero():
                         raise SpecializationError(
                             f"coefficient {c0} from the kernel into the "
                             f"quotient does not vanish at eps")
@@ -313,8 +345,10 @@ def relation_check_eps(mod: SpecializedModule, rmax: int | None = None,
     finite basis: the generic term tables of `torep.relation_terms`
     with their scalars mapped by `eval_cyclotomic`, evaluated through
     the runner of `torep.run_relation_suite`.  Each word shape is
-    expanded into paths once per basis vector, and each spec's modes
-    turn a path's steps into a power of eps (`CycloElem.mul_qpow`).
+    expanded into paths once per basis vector and its terms are cleared
+    of denominators; each spec's modes shift the exponents of the
+    integer numerators, which fold mod N and reduce mod Phi_N
+    (`CycloElem.counts_vanish`).
     The specialized module has no window edges, so no instance is
     inconclusive.  Failures name the RelationSpec and the residue
     monomial.
@@ -335,18 +369,8 @@ def relation_check_eps(mod: SpecializedModule, rmax: int | None = None,
     r outside {0, 1}."""
     if rmax is None:
         rmax = mod.N - 1
-    images = {}
-
-    def to_eps(s):
-        # keyed structurally: RationalQ's own hash reduces by a gcd
-        key = (s.num, s.den)
-        val = images.get(key)
-        if val is None:
-            val = images[key] = eval_cyclotomic(s, mod.N)
-        return val
-
     return _run_suite(mod, _eps_specs(mod.rs, rmax, serre_rmax),
-                      range(len(mod)), to_eps)
+                      range(len(mod)), _eps_images(mod.N))
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+from fractions import Fraction
 from functools import partial
 from math import comb
 
@@ -6,8 +7,8 @@ import pytest
 from torcrys import torep
 from torcrys.closedness import fundamental_anchor
 from torcrys.crystal import WindowError, sub_crystal
-from torcrys.qcoeff import (RQ_ONE, LaurentPoly, RationalQ, eval_cyclotomic,
-                            qint, series_of_rational)
+from torcrys.qcoeff import (RQ_ONE, CycloElem, LaurentPoly, RationalQ,
+                            eval_cyclotomic, qint, series_of_rational)
 from torcrys.torep import (ClosednessRefusal, LoopModule, RelationSpec,
                            SuiteReport, build_thin, fr_consistency_report,
                            fr_phi_series, relation_instances,
@@ -419,3 +420,85 @@ def test_reference_comparison_catches_perturbed_scalar(broken_modules,
         (ref.checked, ref.inconclusive, ref.by_relation)
     assert got.failures != ref.failures
     assert any(spec == target for spec, _ in got.failures)
+
+
+# ---------------------------------------------------------------------------
+# cleared denominators: integer counters per (target, exponent)
+# ---------------------------------------------------------------------------
+
+class _FanModule:
+    """x^-_1 maps basis vector 0 along the given entries (dst, step, c0)
+    and kills every other vector: the smallest module `_node_terms`
+    evaluates."""
+
+    def __init__(self, one, entries):
+        self.one = one
+        self.entries = tuple(entries)
+
+    def x_entries(self, sign, i, idx):
+        return self.entries if idx == 0 else ()
+
+
+def _fan_counts(mod, r):
+    """Cleared counters of x^-_{1,r} on vector 0, with the template's
+    common denominator."""
+    template = ((mod.one, (("x", -1, 1),)),)
+    den, terms, hazards = torep._node_terms(
+        mod, template, {(): ({(0, ()): mod.one}, ())})
+    assert not hazards
+    return den, torep._residual(terms, ((r,),))
+
+
+def _one_minus(k):
+    return LaurentPoly({0: 1, k: -1})
+
+
+def test_cleared_residual_cancels_over_common_denominator():
+    # 1/(1-q) - (1+q)/(1-q^2) + (1+q+q^2)/(1-q^3) - 1/(1-q) = 0, which
+    # only the common denominator (1-q)(1-q^2)(1-q^3) shows term by term
+    coeffs = (RationalQ(LaurentPoly.from_int(1), _one_minus(1)),
+              RationalQ(LaurentPoly({0: -1, 1: -1}), _one_minus(2)),
+              RationalQ(LaurentPoly({0: 1, 1: 1, 2: 1}), _one_minus(3)),
+              RationalQ(LaurentPoly.from_int(-1), _one_minus(1)))
+    mod = _FanModule(RQ_ONE, ((1, step, c) for step, c in enumerate(coeffs)))
+    den, counts = _fan_counts(mod, 0)
+    assert den == _one_minus(1) * _one_minus(2) * _one_minus(3)
+    assert all(isinstance(c, int) for c in counts.values())
+    assert RQ_ONE.counts_vanish(counts)
+    # modes move the paths apart: q^0, q^1, q^2, q^3 no longer cancel
+    assert not RQ_ONE.counts_vanish(_fan_counts(mod, 1)[1])
+    for k in range(len(coeffs)):
+        shifted = list(coeffs)
+        shifted[k] = shifted[k].mul_qpow(1)
+        mod = _FanModule(RQ_ONE, ((1, step, c)
+                                  for step, c in enumerate(shifted)))
+        assert not RQ_ONE.counts_vanish(_fan_counts(mod, 0)[1]), k
+
+
+def test_cleared_residual_vanishes_mod_phi_at_eps():
+    # 1 + q^r + q^2r + q^3r = 0 at a primitive 4th root unless 4 | r:
+    # the counters stay nonzero, the reduction mod Phi_4 kills them
+    N = 4
+    one = CycloElem.one(N)
+    mod = _FanModule(one, ((1, step, one) for step in range(4)))
+    for r in (1, 2, 3, 5, 6, 15, -1, -3, -6):
+        den, counts = _fan_counts(mod, r)
+        assert den == 1 and any(counts.values())
+        assert one.counts_vanish(counts), r
+    for r in (0, 4, -8):
+        assert not one.counts_vanish(_fan_counts(mod, r)[1]), r
+    # q^r - q vanishes exactly for r = 1 mod N, negative r included
+    mod = _FanModule(one, ((1, 1, one), (1, 0, -CycloElem.q_power(N, 1))))
+    for r in range(-7, 8):
+        assert one.counts_vanish(_fan_counts(mod, r)[1]) == (r % N == 1), r
+    # rational coefficients 1/2 + 1/3 - 5/6 over their lcm 6, at steps
+    # that are multiples of N
+    thirds = [CycloElem.from_fraction(N, Fraction(a, b))
+              for a, b in ((1, 2), (1, 3), (-5, 6))]
+    mod = _FanModule(one, ((1, N * k, c) for k, c in enumerate(thirds)))
+    for r in (0, 1, -3, 7):
+        den, counts = _fan_counts(mod, r)
+        assert den == 6
+        assert one.counts_vanish(counts), r
+    mod = _FanModule(one, ((1, N * k, c) for k, c in enumerate(thirds[:2])))
+    assert not one.counts_vanish(_fan_counts(mod, 1)[1])

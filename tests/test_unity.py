@@ -239,3 +239,39 @@ def test_phi_component_expands_each_series_once(monkeypatch):
     keys = len(m) * len(m.rs.nodes) * 2
     assert keys == 64
     assert len(calls) <= keys
+
+
+@pytest.mark.parametrize("L", [1, 2])
+def test_anchor_blocks_match_per_anchor_generate(L):
+    """specialize_doubled tags each node with its block by reach from
+    the anchors over the built graph; the oracle runs one BFS per
+    anchor on the same window, later anchors overwriting."""
+    from torcrys.unity import _anchor_blocks
+    window = (-4 * (L + 3), 4 * (L + 3))
+    mod = build_doubled(L, window)
+    oracle = {}
+    for s in range(L + 1):
+        oracle.update((node, s) for node in
+                      generate(mod.rs, [doubled_anchor(mod.rs, s)],
+                               window).nodes)
+    assert _anchor_blocks(mod, L) == oracle
+    assert set(oracle.values()) == set(range(L + 1))
+
+
+@pytest.mark.parametrize("L, distinct", [(1, 33), (2, 59)])
+def test_specialization_evaluates_each_coefficient_once(monkeypatch, L,
+                                                        distinct):
+    """The kernel check and the specialized tables share one memo, so
+    specialize_doubled evaluates each distinct coefficient once."""
+    from torcrys import unity
+    calls = []
+    real = unity.eval_cyclotomic
+
+    def counting(c, N):
+        calls.append((c.num.key(), c.den.key()))
+        return real(c, N)
+
+    monkeypatch.setattr(unity, "eval_cyclotomic", counting)
+    assert len(specialize_doubled(L)) == 16 * L * L
+    assert len(set(calls)) == distinct
+    assert len(calls) == distinct
