@@ -17,12 +17,13 @@ one method pair for residuals summed in integers.
 `clear_denominators(values)` brings a list of values over one nonzero
 common denominator D and returns each value * D as integer terms
 ((exponent, int), ...): for RationalQ, D is the product of the distinct
-denominators, with no division and no gcd; for CycloElem, D is the lcm
-of the integer denominators and the exponents are those of the basis
-q^0 .. q^{deg Phi_N - 1}.  `counts_vanish(counts)` decides whether
-integer counters {(target, exponent): int} are zero: in Z[q^+-1] when
-every counter is, at eps when per target the exponents folded mod N
-reduce to zero mod Phi_N.
+denominators up to units +-q^k, with no division and no gcd; for
+CycloElem, D is the lcm of the integer denominators and the exponents
+are those of the basis q^0 .. q^{deg Phi_N - 1}.
+`counts_vanish(counts)` decides whether integer counters
+{(target, exponent): int} are zero: in Z[q^+-1] when every counter is,
+at eps when per target the exponents folded mod N reduce to zero mod
+Phi_N.
 """
 from __future__ import annotations
 
@@ -411,21 +412,35 @@ class RationalQ:
     @staticmethod
     def clear_denominators(values) -> tuple:
         """(D, numerators): D is the product of the values' distinct
-        denominators (told apart by `key()`), and numerators[k] the term
-        tuple ((exponent, int), ...) of values[k] * D, its numerator
-        times the other denominators.  No division and no gcd."""
-        # cofactor of each denominator: the product of all the others
-        den, cofactor = ONE, {}
+        denominators up to units +-q^k, each taken as its primitive
+        associate (valuation 0, positive lowest coefficient), and
+        numerators[k] the term tuple ((exponent, int), ...) of
+        values[k] * D: its numerator times the unit and the other
+        associates.  No division and no gcd."""
+        # denominator key -> (associate key, exponent shift, sign)
+        den, cofactor, unit = ONE, {}, {}
         for v in values:
-            key = v.den.key()
-            if key not in cofactor:
-                cofactor = {k: c * v.den for k, c in cofactor.items()}
-                cofactor[key] = den
-                den = den * v.den
+            d = v.den
+            key = d.key()
+            if key in unit:
+                continue
+            low = d.valuation()
+            sign = 1 if d.terms[low] > 0 else -1
+            p = d.shifted(-low) if sign > 0 else -d.shifted(-low)
+            pkey = p.key()
+            unit[key] = (pkey, -low, sign)
+            if pkey not in cofactor:
+                cofactor = {k: c * p for k, c in cofactor.items()}
+                cofactor[pkey] = den
+                den = den * p
         out = []
         for v in values:
-            c = cofactor[v.den.key()]
-            out.append(tuple((v.num if c.is_one() else v.num * c).terms.items()))
+            pkey, shift, sign = unit[v.den.key()]
+            num = v.num.shifted(shift)
+            if sign < 0:
+                num = -num
+            c = cofactor[pkey]
+            out.append(tuple((num if c.is_one() else num * c).terms.items()))
         return den, out
 
     @staticmethod

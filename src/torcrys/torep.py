@@ -20,20 +20,26 @@ cyclotomic field first.
 
 On both module types x^{+-}_{i,r} acts on an edge by c0 q^{r step}
 (eps^{r step} at a root of unity), so the paths a word takes through
-the basis do not depend on the mode indices r.  The runner groups
-consecutive specs that share (relation, sign, i, j) into runs and a
-run's specs by template: the terms' scalars and word shapes, a shape
-being the word with each x operator's mode index removed
-(`_template`).  On each basis vector every shape is expanded once into
-paths (target, coefficient, steps), suffixes shared (`_paths`).  Each
-template's terms scalar * coefficient are then brought over one nonzero
-common denominator D per basis vector (the ring's
-`clear_denominators`), so that each becomes an integer term tuple
-((exponent, int), ...).  A spec does no ring arithmetic: it adds those
+the basis do not depend on the mode indices r.  The runner tables each
+relation once per set of non-mode parameters (`MODE_PARAMS` names the
+modes), passing its modes to `relation_terms` as affine symbols
+(`Mode`), so that each x operator's mode is a form const + c . v in
+the spec's mode values v.  A spec carries only v.  On each basis
+vector every word shape (the word with its x modes removed and its
+diagonal operators evaluated) is expanded once into paths (target,
+coefficient, steps), suffixes shared (`_paths`).  A path's exponent
+sum_k step_k mode_k is a constant, folded into its numerator, plus
+v . w for a weight vector w.  Each template's terms scalar *
+coefficient are brought over one nonzero common denominator D per
+basis vector (the ring's `clear_denominators`), so that each becomes
+an integer term tuple ((exponent, int), ...), and summed per (target,
+w) (`_node_terms`).  A spec does no ring arithmetic: it adds those
 ints into counters {(target, exponent): int}, the exponent shifted by
-sum r_k step_k, and the ring decides whether the counters vanish
+v . w, and the ring decides whether the counters vanish
 (`counts_vanish`).  As D is nonzero, a residual is zero exactly when
-its cleared form is.
+its cleared form is.  Where no (target, w) sum is left, the relation
+holds at every v, and the runner counts the template's specs without
+evaluating them one by one.
 
 Window rule: where a path reaches a node whose edge for the next x
 operator leaves the window, the paths into that node form a hazard,
@@ -52,7 +58,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import groupby
-from operator import mul
+from operator import add, itemgetter, mul
 
 from .closedness import fundamental_anchor
 from .crystal import CrystalGraph, WindowError, generate, row_stats
@@ -545,27 +551,112 @@ def relation_terms(rs: RootSystem, spec: RelationSpec) -> tuple:
     raise ValueError(f"unknown relation id {rid}")
 
 
-def _template(rs: RootSystem, spec: RelationSpec):
-    """A relation's term table split into its template and its modes.
+# The mode parameters of each relation: the indices r of its x
+# operators, which `_run_suite` passes to `relation_terms` as Modes.
+MODE_PARAMS = {
+    "k-conjugation": ("r",),
+    "h-h": (),
+    "h-x": ("r",),
+    "x-plus-minus": ("r", "rp"),
+    "x-quadratic": ("r", "rp"),
+    "serre-cubic": ("r1", "r2", "rp"),
+    "x-commute-distant": ("r1", "r2"),
+}
 
-    The template is the tuple of (scalar, shape) terms, where a shape is
-    the word with each x operator's mode index removed: ("x", sign, i).
-    The modes are, per term, the removed mode indices in application
-    order (rightmost operator first).  Specs with one template differ
-    only in their modes, so their words take the same paths."""
-    template, modes = [], []
-    for scalar, word in relation_terms(rs, spec):
-        shape, ms = [], []
+
+class Mode:
+    """An affine form const + sum_k coeffs[k] v_k in a spec's mode values
+    v: what `relation_terms` receives in place of each mode parameter
+    (`MODE_PARAMS`), so that one table serves every mode tuple.  Only
+    sums with ints and other forms are defined; any other use, such as
+    a mode in a scalar, a comparison or a truth test, raises TypeError."""
+
+    __slots__ = ("const", "coeffs")
+
+    def __init__(self, const: int, coeffs: tuple):
+        self.const = const
+        self.coeffs = coeffs
+
+    def __add__(self, other):
+        if isinstance(other, Mode):
+            return Mode(self.const + other.const,
+                        tuple(map(add, self.coeffs, other.coeffs)))
+        if isinstance(other, int):
+            return Mode(self.const + other, self.coeffs)
+        return NotImplemented
+
+    __radd__ = __add__
+
+    def __eq__(self, other):
+        raise TypeError("a mode index is symbolic in a relation table")
+
+    def __bool__(self):
+        raise TypeError("a mode index is symbolic in a relation table")
+
+    __hash__ = None
+
+    def at(self, v: tuple) -> int:
+        return self.const + sum(map(mul, self.coeffs, v))
+
+
+def _split(spec: RelationSpec):
+    """(key, v): key is the relation id followed by the spec's parameters,
+    each mode parameter by its bare name; v holds the mode values in
+    parameter order."""
+    modes = MODE_PARAMS.get(spec.rid, ())
+    key, v = [spec.rid], []
+    for name, val in spec.params:
+        if name in modes:
+            key.append(name)
+            v.append(val)
+        else:
+            key.append((name, val))
+    return tuple(key), tuple(v)
+
+
+def _at(op: tuple, v: tuple) -> tuple:
+    """The operator with each Mode argument evaluated at the modes v."""
+    return tuple(a.at(v) if isinstance(a, Mode) else a for a in op)
+
+
+def _table(rs: RootSystem, key: tuple, scalar):
+    """(terms, diagonal): `relation_terms` of the key's relation with the
+    k-th mode parameter passed as the symbol v_k, its scalars mapped by
+    `scalar`; diagonal lists the non-x operators that hold a mode."""
+    n = sum(isinstance(p, str) for p in key[1:])
+    symbols = iter(Mode(0, tuple(int(j == k) for j in range(n)))
+                   for k in range(n))
+    spec = RelationSpec(key[0], tuple((p, next(symbols)) if isinstance(p, str)
+                                      else p for p in key[1:]))
+    terms = tuple((scalar(s), word) for s, word in relation_terms(rs, spec))
+    diagonal = tuple(op for _, word in terms for op in word
+                     if op[0] != "x" and any(isinstance(a, Mode) for a in op))
+    return terms, diagonal
+
+
+def _shapes(terms: tuple, v: tuple) -> tuple:
+    """The runner's template of a table's terms, one for every spec whose
+    diagonal operators take the values they take at v: per term (scalar,
+    shape, consts, cols).  A shape is the word with each x operator's
+    mode removed, ("x", sign, i), and the diagonal operators evaluated
+    at v.  The removed modes, in application order (rightmost operator
+    first), are affine forms: consts[k] is the k-th one's constant, and
+    cols[j][k] its coefficient of v_j."""
+    n = len(v)
+    out = []
+    for scalar, word in terms:
+        shape, forms = [], []
         for op in word:
             if op[0] == "x":
                 shape.append(op[:3])
-                ms.append(op[3])
+                m = op[3]
+                forms.append(m if isinstance(m, Mode) else Mode(m, (0,) * n))
             else:
-                shape.append(op)
-        ms.reverse()
-        template.append((scalar, tuple(shape)))
-        modes.append(tuple(ms))
-    return tuple(template), tuple(modes)
+                shape.append(_at(op, v))
+        forms.reverse()
+        out.append((scalar, tuple(shape), tuple(f.const for f in forms),
+                    tuple(zip(*(f.coeffs for f in forms))) or ((),) * n))
+    return tuple(out)
 
 
 def _paths(mod, shape: tuple, memo: dict):
@@ -617,54 +708,91 @@ def _paths(mod, shape: tuple, memo: dict):
 
 
 def _node_terms(mod, template: tuple, memo: dict):
-    """One template on the memo's basis vector, over one common
-    denominator D (the ring's `clear_denominators`): returns (D, terms,
-    hazards).  terms holds (target, numerator, term, steps), numerator
-    the integer term tuple ((exponent, int), ...) of scalar *
-    coefficient * D; hazards holds (node, entries), entries in the same
-    form, or None for a single path, which never cancels.  A term with
-    scalar zero keeps its hazards."""
+    """One template (`_shapes`) on the memo's basis vector, over one
+    common denominator D (the ring's `clear_denominators`): returns (D,
+    terms, hazards).  A path through steps s_k contributes q^e with
+    e = sum s_k (consts[k] + cols[.][k] . v) at the modes v: the
+    constant part is folded into the integer numerator of scalar *
+    coefficient * D, and the rest is v . w with w_j = sum s_k cols[j][k].
+    terms holds (target, numerator, w), numerator a term tuple
+    ((exponent, int), ...), summed over the paths with equal (target, w)
+    and dropped where zero; hazards holds (node, entries), entries in
+    the same form with node as target, or None for a single path, which
+    never cancels, and leaves out the hazards whose paths cancel at all
+    modes.  A term with scalar zero keeps its hazards."""
     slots, values, hazard_slots, hazard_values = [], [], [], []
-    for t, (scalar, shape) in enumerate(template):
+    for scalar, shape, consts, cols in template:
         paths, hz = _paths(mod, shape, memo)
         for node, group in hz:
             if len(group) == 1:
-                hazard_slots.append((node, t, None))
+                hazard_slots.append((node, None))
             else:
-                hazard_slots.append((node, t, [steps for steps, _ in group]))
+                hazard_slots.append((node, [_affine(consts, cols, steps)
+                                            for steps, _ in group]))
                 hazard_values.extend(c for _, c in group)
         if not scalar.is_zero():
             for (target, steps), c in paths.items():
-                slots.append((target, t, steps))
+                slots.append((target, _affine(consts, cols, steps)))
                 values.append(scalar * c)
     den, nums = mod.one.clear_denominators(values + hazard_values)
     nums = iter(nums)
-    terms = [(target, next(nums), t, steps) for target, t, steps in slots]
-    hazards = [(node, None if group is None else
-                [(node, next(nums), t, steps) for steps in group])
-               for node, t, group in hazard_slots]
+    terms = _collect((target, next(nums), form) for target, form in slots)
+    hazards = []
+    for node, group in hazard_slots:
+        if group is not None:
+            group = _collect((node, next(nums), form) for form in group)
+            if not group:
+                continue
+        hazards.append((node, group))
     return den, terms, hazards
 
 
-def _residual(terms: list, modes: tuple) -> dict:
+def _affine(consts: tuple, cols: tuple, steps: tuple):
+    """(shift, w): the exponent sum_k steps[k] * mode_k of a path as its
+    constant and its coefficients of the modes."""
+    return (sum(map(mul, consts, steps)),
+            tuple(sum(map(mul, col, steps)) for col in cols))
+
+
+def _collect(items) -> list:
+    """(target, numerator, (shift, w)) items as (target, numerator, w):
+    numerators shifted by q^shift and summed per (target, w), zeros
+    dropped."""
+    acc = {}
+    for target, num, (shift, w) in items:
+        cs = acc.get((target, w))
+        if cs is None:
+            cs = acc[(target, w)] = {}
+        for k, c in num:
+            k += shift
+            cs[k] = cs.get(k, 0) + c
+    out = []
+    for (target, w), cs in acc.items():
+        num = tuple((k, c) for k, c in cs.items() if c)
+        if num:
+            out.append((target, num, w))
+    return out
+
+
+def _residual(terms: list, v: tuple) -> dict:
     """The cleared residual of one spec as integer counters
-    {(target, exponent): int}: each term's modes turn its steps into a
-    q-exponent added to its numerator's exponents."""
+    {(target, exponent): int}: each term's numerator exponents shifted
+    by v . w."""
     counts = {}
     get = counts.get
-    for target, num, t, steps in terms:
-        e = sum(map(mul, modes[t], steps))
+    for target, num, w in terms:
+        e = sum(map(mul, v, w))
         for k, c in num:
             key = (target, k + e)
             counts[key] = get(key, 0) + c
     return counts
 
 
-def _window_exit(hazards: list, modes: tuple, ring):
-    """The first hazard node whose paths have a nonzero sum under the
-    modes, or None: the spec leaves the window there."""
+def _window_exit(hazards: list, v: tuple, ring):
+    """The first hazard node whose paths have a nonzero sum at the modes
+    v, or None: the spec leaves the window there."""
     for node, entries in hazards:
-        if entries is None or not ring.counts_vanish(_residual(entries, modes)):
+        if entries is None or not ring.counts_vanish(_residual(entries, v)):
             return node
     return None
 
@@ -673,15 +801,16 @@ def relation_residual(mod: LoopModule, spec: RelationSpec, idx: int) -> dict:
     """Left side minus right side of one defining relation applied to a
     basis vector; the contract is the empty (zero) vector.  Raises
     WindowError when an intermediate leaves the window."""
-    template, modes = _template(mod.rs, spec)
+    key, v = _split(spec)
+    symbolic, _ = _table(mod.rs, key, lambda s: s)
     memo = {(): ({(idx, ()): mod.one}, ())}
-    den, terms, hazards = _node_terms(mod, template, memo)
-    node = _window_exit(hazards, modes, mod.one)
+    den, terms, hazards = _node_terms(mod, _shapes(symbolic, v), memo)
+    node = _window_exit(hazards, v, mod.one)
     if node is not None:
         raise WindowError(
             f"x action leaves the window at node {mod.node(node)}")
     nums = {}
-    for (target, e), c in _residual(terms, modes).items():
+    for (target, e), c in _residual(terms, v).items():
         if c:
             nums.setdefault(target, {})[e] = c
     return {target: RationalQ(LaurentPoly(cs), den)
@@ -788,53 +917,54 @@ class SuiteReport:
         }
 
 
-def _run_key(spec: RelationSpec):
-    p = dict(spec.params)
-    return spec.rid, p.get("sign"), p["i"], p["j"]
-
-
 def _run_suite(mod, specs, idxs, scalar) -> SuiteReport:
     """Evaluate every spec on every basis vector in idxs; any nonzero
     residual is recorded as a failure, instances leaving the window
     count as inconclusive.  `scalar` maps the tables' RationalQ scalars
     into the module's coefficient ring.
 
-    Consecutive specs sharing (relation, sign, i, j) form a run, and a
-    run's specs are grouped by template (`_template`).  On each node
-    every shape of the run is expanded into paths once (`_paths`), each
-    template's scalars multiply its paths once and the products are
-    cleared of denominators (`_node_terms`), and each spec then only
-    adds integers into counters keyed by target and q-exponent
-    (`_residual`).  Failures are listed spec by spec, nodes in the given
-    order."""
+    Consecutive specs that differ only in their modes form a run.  Its
+    relation is tabled once, modes as affine symbols (`_table`), and
+    its specs are grouped by the values of the diagonal operators that
+    hold a mode (`_shapes`).  On each node every shape of the run is
+    expanded into paths once (`_paths`), and each group's terms are
+    cleared of denominators and summed per target and mode weight w
+    (`_node_terms`).  A spec with modes v then only adds integers into
+    counters keyed by target and q-exponent, shifted by v . w
+    (`_residual`); where nothing is left to add, the whole group is
+    zero.  Failures are listed spec by spec, nodes in the given order."""
     report = SuiteReport()
     failures = []
     ring = mod.one
-    for _, run in groupby(enumerate(specs), key=lambda ps: _run_key(ps[1])):
+    split = ((pos, spec, *_split(spec)) for pos, spec in enumerate(specs))
+    for key, run in groupby(split, key=itemgetter(2)):
+        symbolic, diagonal = _table(mod.rs, key, scalar)
         groups = {}
-        for pos, spec in run:
-            template, modes = _template(mod.rs, spec)
-            # keyed structurally: RationalQ's own hash reduces by a gcd
-            key = tuple([(s.num.key(), s.den.key(), shape)
-                         for s, shape in template])
-            group = groups.get(key)
+        for pos, spec, _, v in run:
+            dkey = tuple(_at(op, v) for op in diagonal) if diagonal else ()
+            group = groups.get(dkey)
             if group is None:
-                group = groups[key] = (
-                    tuple((scalar(s), shape) for s, shape in template), [])
-            group[1].append((pos, spec, modes))
+                group = groups[dkey] = (_shapes(symbolic, v), [])
+            group[1].append((pos, spec, v))
+        checked = 0
         for npos, idx in enumerate(idxs):
             memo = {(): ({(idx, ()): ring}, ())}
             for template, members in groups.values():
                 _, terms, hazards = _node_terms(mod, template, memo)
-                for pos, spec, modes in members:
-                    if hazards and _window_exit(hazards, modes, ring) is not None:
+                if not terms and not hazards:
+                    checked += len(members)
+                    continue
+                for pos, spec, v in members:
+                    if hazards and _window_exit(hazards, v, ring) is not None:
                         report.inconclusive += 1
                         continue
-                    report.checked += 1
-                    rid = spec.rid
-                    report.by_relation[rid] = report.by_relation.get(rid, 0) + 1
-                    if not ring.counts_vanish(_residual(terms, modes)):
+                    checked += 1
+                    if not ring.counts_vanish(_residual(terms, v)):
                         failures.append((pos, npos, spec, idx))
+        if checked:
+            rid = key[0]
+            report.checked += checked
+            report.by_relation[rid] = report.by_relation.get(rid, 0) + checked
     failures.sort(key=lambda f: f[:2])
     report.failures = [(spec, mod.node(idx)) for _, _, spec, idx in failures]
     return report

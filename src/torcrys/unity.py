@@ -344,11 +344,12 @@ def relation_check_eps(mod: SpecializedModule, rmax: int | None = None,
     """All defining relations with eps in place of q, on the whole
     finite basis: the generic term tables of `torep.relation_terms`
     with their scalars mapped by `eval_cyclotomic`, evaluated through
-    the runner of `torep.run_relation_suite`.  Each word shape is
-    expanded into paths once per basis vector and its terms are cleared
-    of denominators; each spec's modes shift the exponents of the
-    integer numerators, which fold mod N and reduce mod Phi_N
-    (`CycloElem.counts_vanish`).
+    the runner of `torep.run_relation_suite`.  Each relation is tabled
+    once with its modes as affine symbols; each word shape is expanded
+    into paths once per basis vector and its terms are cleared of
+    denominators and summed per mode weight w.  A spec's modes v shift
+    the exponents of the integer numerators by v . w, which then fold
+    mod N and reduce mod Phi_N (`CycloElem.counts_vanish`).
     The specialized module has no window edges, so no instance is
     inconclusive.  Failures name the RelationSpec and the residue
     monomial.

@@ -336,3 +336,17 @@ def test_divexact_error():
     assert LaurentPoly({2: 1, 0: 1}).divexact(qint(2)) == Q(1)
     with pytest.raises(ValueError):
         LaurentPoly({2: 1, 0: 2}).divexact(qint(2))
+
+
+def test_clear_denominators_keys_associates_once():
+    # 1/(1-q) + 1/(q-1) + q/(q^2-q): the three denominators differ by the
+    # units -1 and -q, so they clear over the single factor 1 - q
+    one_minus_q = LaurentPoly({0: 1, 1: -1})
+    values = [RationalQ(LaurentPoly.from_int(1), one_minus_q),
+              RationalQ(LaurentPoly.from_int(1), -one_minus_q),
+              RationalQ(LaurentPoly.q_power(1), LaurentPoly({2: 1, 1: -1}))]
+    den, nums = RationalQ.clear_denominators(values)
+    assert den == one_minus_q
+    assert nums == [((0, 1),), ((0, -1),), ((0, -1),)]
+    for v, num in zip(values, nums):
+        assert RationalQ(LaurentPoly(dict(num)), den) == v

@@ -7,6 +7,7 @@ import pytest
 from torcrys import torep
 from torcrys.closedness import fundamental_anchor
 from torcrys.crystal import WindowError, sub_crystal
+from torcrys.lattice import RootSystem
 from torcrys.qcoeff import (RQ_ONE, CycloElem, LaurentPoly, RationalQ,
                             eval_cyclotomic, qint, series_of_rational)
 from torcrys.torep import (ClosednessRefusal, LoopModule, RelationSpec,
@@ -403,13 +404,17 @@ def test_relation_residual_matches_reference(broken_modules):
 
 def test_reference_comparison_catches_perturbed_scalar(broken_modules,
                                                        monkeypatch):
+    # the runner tables each relation once for all its modes, so the
+    # perturbation hits the target's whole (rid, i, j, sign) group
     _, suite, ref = broken_modules["thin_3_1_step_shift"]
     target = RelationSpec("k-conjugation",
                           (("i", 1), ("j", 1), ("r", 0), ("sign", -1)))
+    fixed = {"i": 1, "j": 1, "sign": -1}
 
     def perturbed_terms(rs, spec):
         terms = relation_terms(rs, spec)
-        if spec != target:
+        p = dict(spec.params)
+        if spec.rid != target.rid or any(p[k] != v for k, v in fixed.items()):
             return terms
         (scalar, word), *rest = terms
         return ((scalar.mul_qpow(1), word), *rest)
@@ -420,6 +425,57 @@ def test_reference_comparison_catches_perturbed_scalar(broken_modules,
         (ref.checked, ref.inconclusive, ref.by_relation)
     assert got.failures != ref.failures
     assert any(spec == target for spec, _ in got.failures)
+
+
+def _template_at(rs, spec):
+    """The runner's template for the spec (`_shapes` of its relation's
+    symbolic table), each x operator's affine mode evaluated at the
+    spec's mode values and put back into its word."""
+    key, v = torep._split(spec)
+    terms, _ = torep._table(rs, key, lambda s: s)
+    out = []
+    for scalar, shape, consts, cols in torep._shapes(terms, v):
+        modes = [c + sum(col[k] * x for col, x in zip(cols, v))
+                 for k, c in enumerate(consts)]
+        word = [op + (modes.pop(0),) if op[0] == "x" else op
+                for op in reversed(shape)]
+        out.append((scalar, tuple(reversed(word))))
+    return out
+
+
+@pytest.mark.parametrize("n", [3, 5])
+@pytest.mark.parametrize("parity", [0, 1])
+def test_symbolic_table_matches_relation_terms(n, parity):
+    rs = RootSystem(n, parity=parity)
+    specs = [*relation_instances(rs, 3, 2), *_eps_specs(rs, 7, 7)]
+    for spec in specs:
+        got, want = _template_at(rs, spec), relation_terms(rs, spec)
+        assert len(got) == len(want), spec
+        for (s, word), (t, w) in zip(got, want):
+            assert s == t and word == w, spec
+
+
+def test_mode_in_a_scalar_raises(thin_3_1, monkeypatch):
+    # a mode is an affine symbol: a scalar built from one cannot pass
+    # silently as the value of one spec
+    def q_power_r(rs, spec):
+        (scalar, word), *rest = relation_terms(rs, spec)
+        return ((scalar.mul_qpow(dict(spec.params)["r"]), word), *rest)
+
+    def branch_on_r(rs, spec):
+        (scalar, word), *rest = relation_terms(rs, spec)
+        r = dict(spec.params)["r"]
+        return ((scalar if r == 0 else -scalar, word), *rest)
+
+    spec = RelationSpec("k-conjugation",
+                        (("i", 1), ("j", 1), ("r", 0), ("sign", 1)))
+    for patched in (q_power_r, branch_on_r):
+        monkeypatch.setattr(torep, "relation_terms", patched)
+        with pytest.raises(TypeError):
+            run_relation_suite(thin_3_1, rmax=1, hmax=1, nodes=[0],
+                               include=["k-conjugation"])
+        with pytest.raises(TypeError):
+            relation_residual(thin_3_1, spec, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -442,11 +498,12 @@ class _FanModule:
 def _fan_counts(mod, r):
     """Cleared counters of x^-_{1,r} on vector 0, with the template's
     common denominator."""
-    template = ((mod.one, (("x", -1, 1),)),)
+    word = (("x", -1, 1, torep.Mode(0, (1,))),)
+    template = torep._shapes(((mod.one, word),), (r,))
     den, terms, hazards = torep._node_terms(
         mod, template, {(): ({(0, ()): mod.one}, ())})
     assert not hazards
-    return den, torep._residual(terms, ((r,),))
+    return den, torep._residual(terms, (r,))
 
 
 def _one_minus(k):
