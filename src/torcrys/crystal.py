@@ -133,12 +133,6 @@ class CrystalGraph:
     def __contains__(self, m: Monomial):
         return m in self.index
 
-    def f_image(self, idx: int, i: int):
-        return self.f_edges.get((idx, i))
-
-    def e_image(self, idx: int, i: int):
-        return self.e_edges.get((idx, i))
-
     def edges(self):
         """Sorted list of (src, label, dst) for the lowering operators."""
         return sorted((s, i, d) for (s, i), d in self.f_edges.items())

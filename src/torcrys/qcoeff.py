@@ -183,10 +183,6 @@ class LaurentPoly:
         r._key = None
         return r
 
-    def q_inverted(self) -> "LaurentPoly":
-        """Substitute q -> q^-1."""
-        return LaurentPoly({-k: c for k, c in self.terms.items()})
-
     def divexact(self, other: "LaurentPoly") -> "LaurentPoly":
         """Exact division; raises ValueError when the division has a
         remainder or a non-integer quotient."""

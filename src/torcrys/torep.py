@@ -19,37 +19,43 @@ mode-factored evaluator; the last maps their scalars into the
 cyclotomic field first.
 
 On both module types x^{+-}_{i,r} acts on an edge by c0 q^{r step}
-(eps^{r step} at a root of unity), so the paths a word takes through
-the basis do not depend on the mode indices r.  The runner tables each
-relation once per set of non-mode parameters (`MODE_PARAMS` names the
-modes), passing its modes to `relation_terms` as affine symbols
-(`Mode`), so that each x operator's mode is a form const + c . v in
-the spec's mode values v.  A spec carries only v.  On each basis
-vector every word shape (the word with its x modes removed and its
-diagonal operators evaluated) is expanded once into paths (target,
-coefficient, steps), suffixes shared (`_paths`).  A path's exponent
+(eps^{r step} at a root of unity).  So does the diagonal operator
+("pair", i, t) = (phi^+_{i,t} - phi^-_{i,t})/(q - q^-1) of the
+x-plus-minus relation: row i of an l-weight has simple poles, and the
+operator acts on a basis vector by sum_p B_p q^{t s_p}, one edge per
+pole back to the vector itself (`pole_residues`).  So the paths a word
+takes through the basis do not depend on the mode indices.  The
+relations come as runs (`relation_runs`): a key, the relation id with
+its non-mode parameters, and the mode tuples v of its instances; an
+instance becomes a RelationSpec only to name a failure.  The runner
+tables each run's relation once (`MODE_PARAMS` names the modes),
+passing its modes to `relation_terms` as affine symbols (`Mode`), so
+that each x or pair operator's mode is a form const + c . v in the
+mode values v.  On each basis vector every word shape (the word with
+its modes removed) is expanded once into paths (target, coefficient,
+steps), suffixes shared (`_paths`).  A path's exponent
 sum_k step_k mode_k is a constant, folded into its numerator, plus
 v . w for a weight vector w.  Each template's terms scalar *
 coefficient are brought over one nonzero common denominator D per
 basis vector (the ring's `clear_denominators`), so that each becomes
 an integer term tuple ((exponent, int), ...), and summed per (target,
-w) (`_node_terms`).  A spec does no ring arithmetic: it adds those
-ints into counters {(target, exponent): int}, the exponent shifted by
-v . w, and the ring decides whether the counters vanish
+w) (`_node_terms`).  An instance does no ring arithmetic: it adds
+those ints into counters {(target, exponent): int}, the exponent
+shifted by v . w, and the ring decides whether the counters vanish
 (`counts_vanish`).  As D is nonzero, a residual is zero exactly when
 its cleared form is.  Where no (target, w) sum is left, the relation
-holds at every v, and the runner counts the template's specs without
+holds at every v, and the runner counts the run's instances without
 evaluating them one by one.
 
 Window rule: where a path reaches a node whose edge for the next x
 operator leaves the window, the paths into that node form a hazard,
-and the spec is inconclusive iff some hazard's sum at the spec's modes
-is nonzero.  This is exactly when applying the word operator by
+and an instance is inconclusive iff some hazard's sum at its modes is
+nonzero.  This is exactly when applying the word operator by
 operator (`act_x`, which drops cancelled entries before reading their
 edges) raises WindowError.
 
 A module offers x_entries (see `XAction`, which builds act_x from
-them) and the diagonal operators act_h, act_k and act_pair, and its
+them), pair_entries, the diagonal operators act_h and act_k, and its
 ring's unit as `one`; ring elements offer mul_qpow, clear_denominators
 and counts_vanish.
 """
@@ -57,8 +63,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import groupby
-from operator import add, itemgetter, mul
+from itertools import product
+from operator import add, mul
 
 from .closedness import fundamental_anchor
 from .crystal import CrystalGraph, WindowError, generate, row_stats
@@ -120,6 +126,7 @@ class LoopModule(XAction):
     twist: int = 0              # spectral twist t_b with b = q^twist
     _phi_cache: dict = field(default_factory=dict)
     _h_cache: dict = field(default_factory=dict)
+    _pair_cache: dict = field(default_factory=dict)
     one = RQ_ONE                # unit of the coefficient ring
 
     # edge entry: (dst_index_or_None, step_position, base_coefficient)
@@ -246,11 +253,17 @@ class LoopModule(XAction):
     def act_h(self, i: int, m: int, vec: dict) -> dict:
         return _diagonal(vec, lambda idx: self.h_eigenvalue(idx, i, m))
 
-    def act_pair(self, i: int, t: int, vec: dict) -> dict:
-        return _diagonal(vec, lambda idx: self.pairing_value(idx, i, t))
-
-    def act_phi(self, i: int, t: int, vec: dict) -> dict:
-        return _diagonal(vec, lambda idx: self.phi_component(idx, i, t))
+    def pair_entries(self, i: int, idx: int) -> tuple:
+        """Entries (idx, s_p, B_p) on which ("pair", i, t) acts on the
+        basis vector by sum_p B_p q^{t s_p}: the `pole_residues` of row
+        i, steps twisted."""
+        key = (idx, i)
+        got = self._pair_cache.get(key)
+        if got is None:
+            got = self._pair_cache[key] = tuple(
+                (idx, s, b)
+                for s, b in pole_residues(self.node(idx).row(i), self.twist))
+        return got
 
     # -- q-character --------------------------------------------------------------
 
@@ -375,6 +388,39 @@ def row_edges(row: dict):
     lower.sort(key=lambda e: e[0])
     upper.sort(key=lambda e: -e[0])
     return tuple(lower), tuple(upper)
+
+
+def pole_residues(row: dict, twist: int = 0) -> tuple:
+    """The partial fractions of row i's l-weight, a row that `row_edges`
+    accepts: (s_p, B_p) for each simple pole, so that for every t in Z
+
+        (phi^+_{i,t} - phi^-_{i,t})/(q - q^-1) = sum_p B_p q^{t s_p}.
+
+    The rational form of `fr_phi_series` is q^w prod_a (1 - q^a z) /
+    prod_p (1 - q^{s_p} z), w the sum of the row's exponents: Y_{i,l}
+    gives the zero a = l-1 and the pole s = l+1, Y_{i,l}^-1 the zero
+    l+1 and the pole l-1, all shifted by the twist, and a zero cancels
+    an equal pole, the rule of `row_edges`.  Its expansions at z = 0
+    and at z = infinity differ by sum_p c_p q^{t s_p} in degree t, with
+    c_p = q^w prod_a (1 - q^{a - s_p}) / prod_{p' != p}
+    (1 - q^{s_p' - s_p}); B_p = c_p/(q - q^-1), in lowest terms, and
+    RQ_ONE where it is one."""
+    poles = [l + u for l, u in row.items() if row.get(l + 2 * u) != u]
+    zeros = [l - u for l, u in row.items() if row.get(l - 2 * u) != u]
+    out = []
+    for s in poles:
+        num = LaurentPoly.q_power(sum(row.values()))
+        for a in zeros:
+            num = num * LaurentPoly({0: 1, a - s: -1})
+        den = Q_MINUS_QINV
+        for p in poles:
+            if p != s:
+                den = den * LaurentPoly({0: 1, p - s: -1})
+        b = RationalQ(num, den).canonical()
+        if b.den.is_one():
+            b = RQ_ONE if b.num.is_one() else RationalQ(b.num)
+        out.append((s + twist, b))
+    return tuple(out)
 
 
 def build_module(rs: RootSystem, anchors, window, flavor: str) -> LoopModule:
@@ -595,9 +641,6 @@ class Mode:
 
     __hash__ = None
 
-    def at(self, v: tuple) -> int:
-        return self.const + sum(map(mul, self.coeffs, v))
-
 
 def _split(spec: RelationSpec):
     """(key, v): key is the relation id followed by the spec's parameters,
@@ -614,45 +657,41 @@ def _split(spec: RelationSpec):
     return tuple(key), tuple(v)
 
 
-def _at(op: tuple, v: tuple) -> tuple:
-    """The operator with each Mode argument evaluated at the modes v."""
-    return tuple(a.at(v) if isinstance(a, Mode) else a for a in op)
-
-
-def _table(rs: RootSystem, key: tuple, scalar):
-    """(terms, diagonal): `relation_terms` of the key's relation with the
-    k-th mode parameter passed as the symbol v_k, its scalars mapped by
-    `scalar`; diagonal lists the non-x operators that hold a mode."""
-    n = sum(isinstance(p, str) for p in key[1:])
-    symbols = iter(Mode(0, tuple(int(j == k) for j in range(n)))
-                   for k in range(n))
-    spec = RelationSpec(key[0], tuple((p, next(symbols)) if isinstance(p, str)
+def _join(key: tuple, v) -> RelationSpec:
+    """The RelationSpec of a key (`_split`) at the mode values v."""
+    vals = iter(v)
+    return RelationSpec(key[0], tuple((p, next(vals)) if isinstance(p, str)
                                       else p for p in key[1:]))
-    terms = tuple((scalar(s), word) for s, word in relation_terms(rs, spec))
-    diagonal = tuple(op for _, word in terms for op in word
-                     if op[0] != "x" and any(isinstance(a, Mode) for a in op))
-    return terms, diagonal
 
 
-def _shapes(terms: tuple, v: tuple) -> tuple:
-    """The runner's template of a table's terms, one for every spec whose
-    diagonal operators take the values they take at v: per term (scalar,
-    shape, consts, cols).  A shape is the word with each x operator's
-    mode removed, ("x", sign, i), and the diagonal operators evaluated
-    at v.  The removed modes, in application order (rightmost operator
-    first), are affine forms: consts[k] is the k-th one's constant, and
-    cols[j][k] its coefficient of v_j."""
-    n = len(v)
+def _table(rs: RootSystem, key: tuple, scalar) -> tuple:
+    """The runner's template (`_shapes`) of the key's relation:
+    `relation_terms` with the k-th mode parameter passed as the symbol
+    v_k and its scalars mapped by `scalar`."""
+    n = sum(isinstance(p, str) for p in key[1:])
+    symbols = [Mode(0, tuple(int(j == k) for j in range(n)))
+               for k in range(n)]
+    terms = relation_terms(rs, _join(key, symbols))
+    return _shapes(tuple((scalar(s), word) for s, word in terms), n)
+
+
+def _shapes(terms: tuple, n: int) -> tuple:
+    """The runner's template of a table's terms, whose modes are affine
+    forms in n mode values v: per term (scalar, shape, consts, cols).  A
+    shape is the word with each x and pair operator's mode removed,
+    ("x", sign, i) and ("pair", i).  The removed modes, in application
+    order (rightmost operator first), are affine forms: consts[k] is
+    the k-th one's constant, and cols[j][k] its coefficient of v_j."""
     out = []
     for scalar, word in terms:
         shape, forms = [], []
         for op in word:
-            if op[0] == "x":
-                shape.append(op[:3])
-                m = op[3]
+            if op[0] in ("x", "pair"):
+                shape.append(op[:-1])
+                m = op[-1]
                 forms.append(m if isinstance(m, Mode) else Mode(m, (0,) * n))
             else:
-                shape.append(_at(op, v))
+                shape.append(op)
         forms.reverse()
         out.append((scalar, tuple(shape), tuple(f.const for f in forms),
                     tuple(zip(*(f.coeffs for f in forms))) or ((),) * n))
@@ -665,11 +704,14 @@ def _paths(mod, shape: tuple, memo: dict):
     paths maps (target, steps) to the summed coefficient of the paths
     ending at target through the edge steps `steps` (application
     order); such paths share the factor q^{sum r_k step_k} at every mode
-    tuple, so a zero sum is dropped.  A diagonal operator multiplies a
-    path by its value at the target and drops it where that is zero.
-    hazards holds (node, ((steps, coeff), ...)): the paths that reached
-    a node whose edge for the next x operator leaves the window; they go
-    no further (where their sum vanishes, so would their continuations).
+    tuple, so a zero sum is dropped.  An x or pair operator moves a path
+    along its entries (`x_entries`, `pair_entries`; a pair entry returns
+    to its own node, so it never leaves the window).  An h or k operator
+    multiplies a path by its value at the target and drops it where
+    that is zero.  hazards holds (node, ((steps, coeff), ...)): the
+    paths that reached a node whose edge for the next x operator leaves
+    the window; they go no further (where their sum vanishes, so would
+    their continuations).
 
     memo maps shapes to these values for this one vector and starts as
     {(): ({(idx, ()): unit}, ())}; a shape is expanded from shape[1:]."""
@@ -679,18 +721,19 @@ def _paths(mod, shape: tuple, memo: dict):
     paths, hazards = _paths(mod, shape[1:], memo)
     op = shape[0]
     new = {}
-    if op[0] == "x":
-        _, sign, i = op
+    if op[0] in ("x", "pair"):
+        entries_of = getattr(mod, op[0] + "_entries")
         leaving = {}
         for (node, steps), c in paths.items():
-            entries = mod.x_entries(sign, i, node)
+            entries = entries_of(*op[1:], node)
             if any(dst is None for dst, _, _ in entries):
                 leaving.setdefault(node, []).append((steps, c))
                 continue
             for dst, step, c0 in entries:
                 key = (dst, steps + (step,))
+                cc = c if c0 is mod.one else c * c0
                 s = new.get(key)
-                new[key] = c * c0 if s is None else s + c * c0
+                new[key] = cc if s is None else s + cc
         hazards += tuple((node, tuple(group))
                          for node, group in leaving.items())
     else:
@@ -733,7 +776,7 @@ def _node_terms(mod, template: tuple, memo: dict):
         if not scalar.is_zero():
             for (target, steps), c in paths.items():
                 slots.append((target, _affine(consts, cols, steps)))
-                values.append(scalar * c)
+                values.append(c if scalar is mod.one else scalar * c)
     den, nums = mod.one.clear_denominators(values + hazard_values)
     nums = iter(nums)
     terms = _collect((target, next(nums), form) for target, form in slots)
@@ -802,9 +845,9 @@ def relation_residual(mod: LoopModule, spec: RelationSpec, idx: int) -> dict:
     basis vector; the contract is the empty (zero) vector.  Raises
     WindowError when an intermediate leaves the window."""
     key, v = _split(spec)
-    symbolic, _ = _table(mod.rs, key, lambda s: s)
     memo = {(): ({(idx, ()): mod.one}, ())}
-    den, terms, hazards = _node_terms(mod, _shapes(symbolic, v), memo)
+    den, terms, hazards = _node_terms(mod, _table(mod.rs, key, lambda s: s),
+                                      memo)
     node = _window_exit(hazards, v, mod.one)
     if node is not None:
         raise WindowError(
@@ -821,76 +864,62 @@ RELATION_IDS = ("k-conjugation", "h-h", "h-x", "x-plus-minus", "x-quadratic",
                 "serre-cubic", "x-commute-distant")
 
 
-def relation_instances(rs: RootSystem, rmax: int = 3, hmax: int = 2,
-                       include=None):
-    """All relation instances in the declared parameter ranges."""
+def relation_runs(rs: RootSystem, rmax: int = 3, hmax: int = 2,
+                  include=None):
+    """All relation instances in the declared parameter ranges, as runs
+    (key, modes): key is the relation id followed by its parameters,
+    each mode parameter by its bare name (as `_split` forms it), and
+    modes the tuple of the mode-value tuples of the run's instances."""
     ids = RELATION_IDS if include is None else tuple(include)
     rr = range(-rmax, rmax + 1)
     mm = [m for m in range(-hmax, hmax + 1) if m]
-    I = rs.nodes
+    I, signs = rs.nodes, (1, -1)
+    pairs = tuple(product(rr, rr))
     if "k-conjugation" in ids:
-        for i in I:
-            for j in I:
-                for sign in (1, -1):
-                    for r in (-1, 0, 1):
-                        yield RelationSpec("k-conjugation",
-                                           (("i", i), ("j", j), ("r", r), ("sign", sign)))
+        for i, j, sign in product(I, I, signs):
+            yield (("k-conjugation", ("i", i), ("j", j), "r", ("sign", sign)),
+                   ((-1,), (0,), (1,)))
     if "h-h" in ids:
-        for i in I:
-            for j in I:
-                if j < i:
-                    continue
-                yield RelationSpec("h-h", (("i", i), ("j", j), ("m1", 1), ("m2", -1)))
+        for i, j in product(I, I):
+            if j >= i:
+                yield ("h-h", ("i", i), ("j", j), ("m1", 1), ("m2", -1)), ((),)
     if "h-x" in ids:
-        for i in I:
-            for j in I:
-                for m in mm:
-                    for sign in (1, -1):
-                        for r in rr:
-                            yield RelationSpec(
-                                "h-x", (("i", i), ("j", j), ("m", m), ("r", r),
-                                        ("sign", sign)))
+        singles = tuple((r,) for r in rr)
+        for i, j, m, sign in product(I, I, mm, signs):
+            yield (("h-x", ("i", i), ("j", j), ("m", m), "r", ("sign", sign)),
+                   singles)
     if "x-plus-minus" in ids:
-        for i in I:
-            for j in I:
-                for r in rr:
-                    for rp in rr:
-                        yield RelationSpec(
-                            "x-plus-minus", (("i", i), ("j", j), ("r", r), ("rp", rp)))
+        for i, j in product(I, I):
+            yield ("x-plus-minus", ("i", i), ("j", j), "r", "rp"), pairs
     if "x-quadratic" in ids:
-        for sign in (1, -1):
-            for i in I:
-                for j in I:
-                    for r in rr:
-                        for rp in rr:
-                            yield RelationSpec(
-                                "x-quadratic",
-                                (("i", i), ("j", j), ("r", r), ("rp", rp), ("sign", sign)))
+        for sign, i, j in product(signs, I, I):
+            yield (("x-quadratic", ("i", i), ("j", j), "r", "rp",
+                    ("sign", sign)), pairs)
     if "serre-cubic" in ids:
-        for sign in (1, -1):
-            for i in I:
-                for j in (rs.mod(i - 1), rs.mod(i + 1)):
-                    for r1 in rr:
-                        for r2 in rr:
-                            if r2 < r1:
-                                continue
-                            for rp in rr:
-                                yield RelationSpec(
-                                    "serre-cubic",
-                                    (("i", i), ("j", j), ("r1", r1), ("r2", r2),
-                                     ("rp", rp), ("sign", sign)))
+        triples = tuple(v for v in product(rr, rr, rr) if v[0] <= v[1])
+        for sign, i in product(signs, I):
+            for j in (rs.mod(i - 1), rs.mod(i + 1)):
+                yield (("serre-cubic", ("i", i), ("j", j), "r1", "r2", "rp",
+                        ("sign", sign)), triples)
     if "x-commute-distant" in ids:
-        for sign in (1, -1):
-            for i in I:
-                for j in I:
-                    if j <= i or rs.cartan(i, j) != 0:
-                        continue
-                    for r1 in rr:
-                        for r2 in rr:
-                            yield RelationSpec(
-                                "x-commute-distant",
-                                (("i", i), ("j", j), ("r1", r1), ("r2", r2),
-                                 ("sign", sign)))
+        for sign, i, j in product(signs, I, I):
+            if j > i and rs.cartan(i, j) == 0:
+                yield (("x-commute-distant", ("i", i), ("j", j), "r1", "r2",
+                        ("sign", sign)), pairs)
+
+
+def relation_instances(rs: RootSystem, rmax: int = 3, hmax: int = 2,
+                       include=None):
+    """All relation instances in the declared parameter ranges, one
+    RelationSpec per instance of `relation_runs`."""
+    return _specs(relation_runs(rs, rmax, hmax, include))
+
+
+def _specs(runs):
+    """The RelationSpecs of runs (key, modes), in order."""
+    for key, modes in runs:
+        for v in modes:
+            yield _join(key, v)
 
 
 @dataclass
@@ -917,56 +946,49 @@ class SuiteReport:
         }
 
 
-def _run_suite(mod, specs, idxs, scalar) -> SuiteReport:
-    """Evaluate every spec on every basis vector in idxs; any nonzero
-    residual is recorded as a failure, instances leaving the window
-    count as inconclusive.  `scalar` maps the tables' RationalQ scalars
-    into the module's coefficient ring.
+def _run_suite(mod, runs, idxs, scalar) -> SuiteReport:
+    """Evaluate every instance of the runs (key, modes) on every basis
+    vector in idxs; any nonzero residual is recorded as a failure,
+    instances leaving the window count as inconclusive.  `scalar` maps
+    the tables' RationalQ scalars into the module's coefficient ring.
 
-    Consecutive specs that differ only in their modes form a run.  Its
-    relation is tabled once, modes as affine symbols (`_table`), and
-    its specs are grouped by the values of the diagonal operators that
-    hold a mode (`_shapes`).  On each node every shape of the run is
-    expanded into paths once (`_paths`), and each group's terms are
-    cleared of denominators and summed per target and mode weight w
-    (`_node_terms`).  A spec with modes v then only adds integers into
-    counters keyed by target and q-exponent, shifted by v . w
-    (`_residual`); where nothing is left to add, the whole group is
-    zero.  Failures are listed spec by spec, nodes in the given order."""
+    Each run's relation is tabled once, modes as affine symbols
+    (`_table`).  On each node every shape of the run is expanded into
+    paths once (`_paths`), x and pair operators moving along their
+    entries, and the terms are cleared of denominators and summed per
+    target and mode weight w (`_node_terms`).  An instance with modes v
+    then only adds integers into counters keyed by target and
+    q-exponent, shifted by v . w (`_residual`); where nothing is left
+    to add, the whole run is zero on that node.  No RelationSpec is
+    built per instance: `_join` makes one per run, with symbolic modes,
+    and one per failure, to name it.  Failures are listed instance by
+    instance, nodes in the given order."""
     report = SuiteReport()
     failures = []
     ring = mod.one
-    split = ((pos, spec, *_split(spec)) for pos, spec in enumerate(specs))
-    for key, run in groupby(split, key=itemgetter(2)):
-        symbolic, diagonal = _table(mod.rs, key, scalar)
-        groups = {}
-        for pos, spec, _, v in run:
-            dkey = tuple(_at(op, v) for op in diagonal) if diagonal else ()
-            group = groups.get(dkey)
-            if group is None:
-                group = groups[dkey] = (_shapes(symbolic, v), [])
-            group[1].append((pos, spec, v))
+    for rpos, (key, modes) in enumerate(runs):
+        template = _table(mod.rs, key, scalar)
         checked = 0
         for npos, idx in enumerate(idxs):
             memo = {(): ({(idx, ()): ring}, ())}
-            for template, members in groups.values():
-                _, terms, hazards = _node_terms(mod, template, memo)
-                if not terms and not hazards:
-                    checked += len(members)
+            _, terms, hazards = _node_terms(mod, template, memo)
+            if not terms and not hazards:
+                checked += len(modes)
+                continue
+            for k, v in enumerate(modes):
+                if hazards and _window_exit(hazards, v, ring) is not None:
+                    report.inconclusive += 1
                     continue
-                for pos, spec, v in members:
-                    if hazards and _window_exit(hazards, v, ring) is not None:
-                        report.inconclusive += 1
-                        continue
-                    checked += 1
-                    if not ring.counts_vanish(_residual(terms, v)):
-                        failures.append((pos, npos, spec, idx))
+                checked += 1
+                if not ring.counts_vanish(_residual(terms, v)):
+                    failures.append((rpos, k, npos, key, v, idx))
         if checked:
             rid = key[0]
             report.checked += checked
             report.by_relation[rid] = report.by_relation.get(rid, 0) + checked
-    failures.sort(key=lambda f: f[:2])
-    report.failures = [(spec, mod.node(idx)) for _, _, spec, idx in failures]
+    failures.sort(key=lambda f: f[:3])
+    report.failures = [(_join(key, v), mod.node(idx))
+                       for *_, key, v, idx in failures]
     return report
 
 
@@ -977,8 +999,8 @@ def run_relation_suite(mod: LoopModule, rmax: int = 3, hmax: int = 2,
     leaving the window count as inconclusive, and failures are listed
     spec by spec, nodes in the given order."""
     idxs = list(nodes) if nodes is not None else range(len(mod))
-    specs = relation_instances(mod.rs, rmax=rmax, hmax=hmax, include=include)
-    return _run_suite(mod, specs, idxs, lambda s: s)
+    runs = relation_runs(mod.rs, rmax=rmax, hmax=hmax, include=include)
+    return _run_suite(mod, runs, idxs, lambda s: s)
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,8 @@ the verification path.  The relation checks at eps evaluate the same
 term tables (`torep.relation_terms`) through the same runner as the
 generic suite, with each RationalQ scalar mapped to Q(zeta_N) by
 `eval_cyclotomic`; the l-weight series is the generic
-`torep.fr_phi_series` under the same map.
+`torep.fr_phi_series`, and the pair operator's entries the generic
+`torep.pole_residues`, under the same map.
 """
 from __future__ import annotations
 
@@ -23,9 +24,9 @@ from .lattice import RootSystem
 from .monomial import ResidueMonomial, gamma
 from .qcoeff import (Q_MINUS_QINV, CycloElem, SpecializationError,
                      eval_cyclotomic, qint)
-from .torep import (ClosednessRefusal, LoopModule, RelationSpec, SuiteReport,
-                    XAction, _diagonal, _run_suite, build_doubled, build_thin,
-                    doubled_anchor, fr_phi_series)
+from .torep import (ClosednessRefusal, LoopModule, SuiteReport, XAction,
+                    _diagonal, _run_suite, _specs, build_doubled, build_thin,
+                    doubled_anchor, fr_phi_series, pole_residues)
 
 
 @dataclass
@@ -42,6 +43,7 @@ class SpecializedModule(XAction):
     rows: list = field(default_factory=list)          # representative rows per node
     _h_cache: dict = field(default_factory=dict)
     _phi_cache: dict = field(default_factory=dict)
+    _pair_cache: dict = field(default_factory=dict)
     one: CycloElem = field(init=False, repr=False)
     _eps: tuple = field(init=False, repr=False)       # eps^0 .. eps^{N-1}
 
@@ -123,8 +125,18 @@ class SpecializedModule(XAction):
     def act_h(self, i: int, m: int, vec: dict) -> dict:
         return _diagonal(vec, lambda idx: self.h_eigenvalue(idx, i, m))
 
-    def act_pair(self, i: int, t: int, vec: dict) -> dict:
-        return _diagonal(vec, lambda idx: self.pairing_value(idx, i, t))
+    def pair_entries(self, i: int, idx: int) -> tuple:
+        """Entries (idx, s_p mod N, B_p at eps) on which ("pair", i, t)
+        acts by sum_p B_p eps^{t s_p}: the `pole_residues` of the
+        representative row.  A B_p with no value at eps raises
+        SpecializationError."""
+        key = (idx, i)
+        got = self._pair_cache.get(key)
+        if got is None:
+            got = self._pair_cache[key] = tuple(
+                (idx, s % self.N, eval_cyclotomic(b, self.N))
+                for s, b in pole_residues(self.rows[idx][i]))
+        return got
 
 
 # ---------------------------------------------------------------------------
@@ -309,34 +321,39 @@ def _validate_kernel(mod: LoopModule, at_eps, keep) -> None:
 # relation checks at eps
 # ---------------------------------------------------------------------------
 
-def _spec(rid: str, **params) -> RelationSpec:
-    return RelationSpec(rid, tuple(params.items()))
-
-
-def _eps_specs(rs: RootSystem, rmax: int, serre_rmax: int):
-    """The relation instances checked at eps, parameters as in
-    `torep.relation_instances`."""
+def _eps_runs(rs: RootSystem, rmax: int, serre_rmax: int):
+    """The relation instances checked at eps as runs (key, modes), keys
+    and parameters as in `torep.relation_runs`."""
     I, signs = rs.nodes, (1, -1)
     rr = range(rmax + 1)
     rser = range(min(serre_rmax, rmax) + 1)
-    for i, j, sign, r in product(I, I, signs, (0, 1)):
-        yield _spec("k-conjugation", i=i, j=j, r=r, sign=sign)
-    for i, j, sign, m, r in product(I, I, signs, (1, -1, 2, -2), (0, 1)):
-        yield _spec("h-x", i=i, j=j, m=m, r=r, sign=sign)
-    for i, j, r, rp in product(I, I, rr, rr):
-        yield _spec("x-plus-minus", i=i, j=j, r=r, rp=rp)
-    for sign, i, j, r, rp in product(signs, I, I, rr, rr):
-        yield _spec("x-quadratic", i=i, j=j, r=r, rp=rp, sign=sign)
+    pairs = tuple(product(rr, rr))
+    for i, j, sign in product(I, I, signs):
+        yield (("k-conjugation", ("i", i), ("j", j), "r", ("sign", sign)),
+               ((0,), (1,)))
+    for i, j, sign, m in product(I, I, signs, (1, -1, 2, -2)):
+        yield (("h-x", ("i", i), ("j", j), ("m", m), "r", ("sign", sign)),
+               ((0,), (1,)))
+    for i, j in product(I, I):
+        yield ("x-plus-minus", ("i", i), ("j", j), "r", "rp"), pairs
+    for sign, i, j in product(signs, I, I):
+        yield (("x-quadratic", ("i", i), ("j", j), "r", "rp", ("sign", sign)),
+               pairs)
+    triples = tuple(v for v in product(rser, rser, rser) if v[0] <= v[1])
     for sign, i in product(signs, I):
-        for j, r1, r2, rp in product((rs.mod(i - 1), rs.mod(i + 1)),
-                                     rser, rser, rser):
-            if r1 <= r2:
-                yield _spec("serre-cubic", i=i, j=j, r1=r1, r2=r2, rp=rp,
-                            sign=sign)
-    for sign, i, j, r1, r2 in product(signs, I, I, rr, rr):
+        for j in (rs.mod(i - 1), rs.mod(i + 1)):
+            yield (("serre-cubic", ("i", i), ("j", j), "r1", "r2", "rp",
+                    ("sign", sign)), triples)
+    for sign, i, j in product(signs, I, I):
         if i != j and rs.cartan(i, j) == 0:
-            yield _spec("x-commute-distant", i=i, j=j, r1=r1, r2=r2,
-                        sign=sign)
+            yield (("x-commute-distant", ("i", i), ("j", j), "r1", "r2",
+                    ("sign", sign)), pairs)
+
+
+def _eps_specs(rs: RootSystem, rmax: int, serre_rmax: int):
+    """The relation instances checked at eps, one RelationSpec per
+    instance of `_eps_runs`."""
+    return _specs(_eps_runs(rs, rmax, serre_rmax))
 
 
 def relation_check_eps(mod: SpecializedModule, rmax: int | None = None,
@@ -344,12 +361,14 @@ def relation_check_eps(mod: SpecializedModule, rmax: int | None = None,
     """All defining relations with eps in place of q, on the whole
     finite basis: the generic term tables of `torep.relation_terms`
     with their scalars mapped by `eval_cyclotomic`, evaluated through
-    the runner of `torep.run_relation_suite`.  Each relation is tabled
-    once with its modes as affine symbols; each word shape is expanded
-    into paths once per basis vector and its terms are cleared of
-    denominators and summed per mode weight w.  A spec's modes v shift
-    the exponents of the integer numerators by v . w, which then fold
-    mod N and reduce mod Phi_N (`CycloElem.counts_vanish`).
+    the runner of `torep.run_relation_suite`.  The instances come as
+    runs (`_eps_runs`), each relation tabled once per run with its modes
+    as affine symbols; each word shape is expanded into paths once per
+    basis vector, the pair operator along the pole-residue entries of
+    the representative row (`pair_entries`), and its terms are cleared
+    of denominators and summed per mode weight w.  An instance's modes v
+    shift the exponents of the integer numerators by v . w, which then
+    fold mod N and reduce mod Phi_N (`CycloElem.counts_vanish`).
     The specialized module has no window edges, so no instance is
     inconclusive.  Failures name the RelationSpec and the residue
     monomial.
@@ -370,7 +389,7 @@ def relation_check_eps(mod: SpecializedModule, rmax: int | None = None,
     r outside {0, 1}."""
     if rmax is None:
         rmax = mod.N - 1
-    return _run_suite(mod, _eps_specs(mod.rs, rmax, serre_rmax),
+    return _run_suite(mod, _eps_runs(mod.rs, rmax, serre_rmax),
                       range(len(mod)), _eps_images(mod.N))
 
 

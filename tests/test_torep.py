@@ -1,5 +1,6 @@
 from fractions import Fraction
 from functools import partial
+from itertools import product
 from math import comb
 
 import pytest
@@ -11,11 +12,13 @@ from torcrys.lattice import RootSystem
 from torcrys.qcoeff import (RQ_ONE, CycloElem, LaurentPoly, RationalQ,
                             eval_cyclotomic, qint, series_of_rational)
 from torcrys.torep import (ClosednessRefusal, LoopModule, RelationSpec,
-                           SuiteReport, build_thin, fr_consistency_report,
-                           fr_phi_series, relation_instances,
-                           relation_residual, relation_terms,
-                           run_relation_suite, verify_extremal_vector)
-from torcrys.unity import (_eps_specs, relation_check_eps, specialize_doubled,
+                           SuiteReport, build_doubled, build_thin,
+                           fr_consistency_report, fr_phi_series,
+                           relation_instances, relation_residual,
+                           relation_terms, run_relation_suite,
+                           verify_extremal_vector)
+from torcrys.unity import (SpecializedModule, _eps_runs, _eps_specs,
+                           relation_check_eps, specialize_doubled,
                            specialize_thin)
 
 
@@ -429,15 +432,14 @@ def test_reference_comparison_catches_perturbed_scalar(broken_modules,
 
 def _template_at(rs, spec):
     """The runner's template for the spec (`_shapes` of its relation's
-    symbolic table), each x operator's affine mode evaluated at the
-    spec's mode values and put back into its word."""
+    symbolic table), each x and pair operator's affine mode evaluated
+    at the spec's mode values and put back into its word."""
     key, v = torep._split(spec)
-    terms, _ = torep._table(rs, key, lambda s: s)
     out = []
-    for scalar, shape, consts, cols in torep._shapes(terms, v):
+    for scalar, shape, consts, cols in torep._table(rs, key, lambda s: s):
         modes = [c + sum(col[k] * x for col, x in zip(cols, v))
                  for k, c in enumerate(consts)]
-        word = [op + (modes.pop(0),) if op[0] == "x" else op
+        word = [op + (modes.pop(0),) if op[0] in ("x", "pair") else op
                 for op in reversed(shape)]
         out.append((scalar, tuple(reversed(word))))
     return out
@@ -499,7 +501,7 @@ def _fan_counts(mod, r):
     """Cleared counters of x^-_{1,r} on vector 0, with the template's
     common denominator."""
     word = (("x", -1, 1, torep.Mode(0, (1,))),)
-    template = torep._shapes(((mod.one, word),), (r,))
+    template = torep._shapes(((mod.one, word),), 1)
     den, terms, hazards = torep._node_terms(
         mod, template, {(): ({(0, ()): mod.one}, ())})
     assert not hazards
@@ -559,3 +561,176 @@ def test_cleared_residual_vanishes_mod_phi_at_eps():
         assert one.counts_vanish(counts), r
     mod = _FanModule(one, ((1, N * k, c) for k, c in enumerate(thirds[:2])))
     assert not one.counts_vanish(_fan_counts(mod, 1)[1])
+
+
+# ---------------------------------------------------------------------------
+# the pair operator as pole-residue edges
+# ---------------------------------------------------------------------------
+
+def _pair_closed_form_misses(mod, idxs, ts):
+    """(idx, i, t) where pairing_value differs from the sum of the
+    vector's pair entries B_p q^{t s_p}, t None where an entry leaves
+    the vector."""
+    bad = []
+    for idx in idxs:
+        for i in mod.rs.nodes:
+            entries = mod.pair_entries(i, idx)
+            if any(dst != idx for dst, _, _ in entries):
+                bad.append((idx, i, None))
+            for t in ts:
+                rest = mod.pairing_value(idx, i, t)
+                for _, s, b in entries:
+                    rest = rest - b.mul_qpow(t * s)
+                if not rest.is_zero():
+                    bad.append((idx, i, t))
+    return bad
+
+
+def test_pair_entries_closed_form(thin_3_1, thin_3_2):
+    # the series oracle: phi^{+-} expanded from the crystal statistics
+    # (thin) or the rational form (doubled, and every module at eps)
+    for mod in (thin_3_1, thin_3_2, build_thin(3, 3, (-12, 16)),
+                build_doubled(2, (-14, 14)), thin_3_1.twisted(1)):
+        interior = mod.graph.interior_indices()
+        assert _pair_closed_form_misses(mod, interior, range(-6, 7)) == []
+    for mod in (specialize_thin(3, 1, 2), specialize_thin(3, 2, 2),
+                specialize_doubled(1)):
+        assert _pair_closed_form_misses(mod, range(len(mod)),
+                                        range(-9, 10)) == []
+
+
+def test_pole_residues_of_a_two_pole_row():
+    # Y_{1,0} Y_{1,4}: poles at steps 1 and 5, zeros at -1 and 3, so
+    # B_1 = q^2 (1 - q^-2)(1 - q^2) / ((1 - q^4)(q - q^-1)) = q/(1 + q^2)
+    # and B_5 = (1 + q^2 + q^4)/(q + q^3), which sum to [2] = q + q^-1
+    (s1, b1), (s5, b5) = torep.pole_residues({0: 1, 4: 1}, twist=1)
+    assert (s1, s5) == (2, 6)
+    assert b1 == RationalQ(LaurentPoly({1: 1}), LaurentPoly({0: 1, 2: 1}))
+    assert b5 == RationalQ(LaurentPoly({0: 1, 2: 1, 4: 1}),
+                           LaurentPoly({1: 1, 3: 1}))
+    # a zero on a pole cancels it: Y_{1,0} Y_{1,2} has the one pole 3
+    assert [s for s, _ in torep.pole_residues({0: 1, 2: 1})] == [3]
+    # the unit is RQ_ONE itself, so the runner skips its products
+    assert torep.pole_residues({0: 1})[0][1] is RQ_ONE
+
+
+def _first_residue_times_q(mod, i, idx):
+    """Multiply the first B_p of mod's pair entries at (i, idx) by q."""
+    entries_of = mod.pair_entries
+
+    def pair_entries(j, k):
+        entries = entries_of(j, k)
+        if (j, k) != (i, idx):
+            return entries
+        (dst, s, b), *rest = entries
+        return ((dst, s, b.mul_qpow(1)), *rest)
+    mod.pair_entries = pair_entries
+
+
+@pytest.mark.parametrize("ring", ["generic", "eps"])
+def test_scaled_pair_residue_is_reported(thin_3_1, ring):
+    i = 1
+    if ring == "generic":
+        mod = thin_3_1.twisted(0)
+        idxs = thin_3_1.graph.interior_indices()[:12]
+        suite = partial(run_relation_suite, mod, rmax=1, hmax=1, nodes=idxs,
+                        include=["x-plus-minus"])
+    else:
+        spec = specialize_thin(3, 1, 1)
+        mod = SpecializedModule(spec.rs, spec.N, spec.basis, spec.index,
+                                spec.minus_edges, spec.plus_edges, spec.rows)
+        idxs = range(len(mod))
+        suite = partial(relation_check_eps, mod, 1)
+    assert suite().failures == []
+    idx = next(k for k in idxs if mod.pair_entries(i, k))
+    _first_residue_times_q(mod, i, idx)
+    failures = suite().failures
+    assert failures
+    for spec, node in failures:
+        p = dict(spec.params)
+        assert (spec.rid, p["i"], p["j"], node) == \
+            ("x-plus-minus", i, i, mod.node(idx))
+
+
+# ---------------------------------------------------------------------------
+# relation runs: the instance sequences as keys and mode tuples
+# ---------------------------------------------------------------------------
+
+def _spec(rid, **params):
+    return RelationSpec(rid, tuple(params.items()))
+
+
+def _reference_instances(rs, rmax, hmax, include):
+    """The generic relation instances, one loop nest per relation."""
+    rr = range(-rmax, rmax + 1)
+    mm = [m for m in range(-hmax, hmax + 1) if m]
+    I, signs, js = rs.nodes, (1, -1), lambda i: (rs.mod(i - 1), rs.mod(i + 1))
+    out = [_spec("k-conjugation", i=i, j=j, r=r, sign=sign)
+           for i, j, sign, r in product(I, I, signs, (-1, 0, 1))]
+    out += [_spec("h-h", i=i, j=j, m1=1, m2=-1)
+            for i, j in product(I, I) if j >= i]
+    out += [_spec("h-x", i=i, j=j, m=m, r=r, sign=sign)
+            for i, j, m, sign, r in product(I, I, mm, signs, rr)]
+    out += [_spec("x-plus-minus", i=i, j=j, r=r, rp=rp)
+            for i, j, r, rp in product(I, I, rr, rr)]
+    out += [_spec("x-quadratic", i=i, j=j, r=r, rp=rp, sign=sign)
+            for sign, i, j, r, rp in product(signs, I, I, rr, rr)]
+    out += [_spec("serre-cubic", i=i, j=j, r1=r1, r2=r2, rp=rp, sign=sign)
+            for sign, i in product(signs, I)
+            for j, r1, r2, rp in product(js(i), rr, rr, rr) if r1 <= r2]
+    out += [_spec("x-commute-distant", i=i, j=j, r1=r1, r2=r2, sign=sign)
+            for sign, i, j, r1, r2 in product(signs, I, I, rr, rr)
+            if j > i and rs.cartan(i, j) == 0]
+    return [s for s in out if include is None or s.rid in include]
+
+
+def _reference_eps_instances(rs, rmax, serre_rmax):
+    """The relation instances checked at eps, one loop nest per
+    relation."""
+    I, signs, js = rs.nodes, (1, -1), lambda i: (rs.mod(i - 1), rs.mod(i + 1))
+    rr = range(rmax + 1)
+    rser = range(min(serre_rmax, rmax) + 1)
+    out = [_spec("k-conjugation", i=i, j=j, r=r, sign=sign)
+           for i, j, sign, r in product(I, I, signs, (0, 1))]
+    out += [_spec("h-x", i=i, j=j, m=m, r=r, sign=sign)
+            for i, j, sign, m, r in product(I, I, signs, (1, -1, 2, -2),
+                                            (0, 1))]
+    out += [_spec("x-plus-minus", i=i, j=j, r=r, rp=rp)
+            for i, j, r, rp in product(I, I, rr, rr)]
+    out += [_spec("x-quadratic", i=i, j=j, r=r, rp=rp, sign=sign)
+            for sign, i, j, r, rp in product(signs, I, I, rr, rr)]
+    out += [_spec("serre-cubic", i=i, j=j, r1=r1, r2=r2, rp=rp, sign=sign)
+            for sign, i in product(signs, I)
+            for j, r1, r2, rp in product(js(i), rser, rser, rser) if r1 <= r2]
+    out += [_spec("x-commute-distant", i=i, j=j, r1=r1, r2=r2, sign=sign)
+            for sign, i, j, r1, r2 in product(signs, I, I, rr, rr)
+            if i != j and rs.cartan(i, j) == 0]
+    return out
+
+
+def _flatten_checked(runs):
+    """The instances of runs (key, modes), each checked to split back
+    into its run's key and modes."""
+    out = []
+    for key, modes in runs:
+        for v in modes:
+            spec = torep._join(key, v)
+            assert torep._split(spec) == (key, v), spec
+            out.append(spec)
+    return out
+
+
+@pytest.mark.parametrize("n", [3, 5])
+@pytest.mark.parametrize("parity", [0, 1])
+def test_relation_runs_flatten_to_the_instances(n, parity):
+    rs = RootSystem(n, parity=parity)
+    for rmax, hmax, include in ((0, 1, None), (1, 1, None), (3, 2, None),
+                                (2, 3, ("serre-cubic", "h-h"))):
+        want = _reference_instances(rs, rmax, hmax, include)
+        assert _flatten_checked(
+            torep.relation_runs(rs, rmax, hmax, include)) == want
+        assert list(relation_instances(rs, rmax, hmax, include)) == want
+    for rmax, serre_rmax in ((1, 1), (3, 2), (7, 7)):
+        want = _reference_eps_instances(rs, rmax, serre_rmax)
+        assert _flatten_checked(_eps_runs(rs, rmax, serre_rmax)) == want
+        assert list(_eps_specs(rs, rmax, serre_rmax)) == want
