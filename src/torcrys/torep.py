@@ -19,33 +19,35 @@ mode-factored evaluator; the last maps their scalars into the
 cyclotomic field first.
 
 On both module types x^{+-}_{i,r} acts on an edge by c0 q^{r step}
-(eps^{r step} at a root of unity).  So does the diagonal operator
+(eps^{r step} at a root of unity).  So do the diagonal operators, by
+edges back to the vector itself with constant steps:
 ("pair", i, t) = (phi^+_{i,t} - phi^-_{i,t})/(q - q^-1) of the
-x-plus-minus relation: row i of an l-weight has simple poles, and the
-operator acts on a basis vector by sum_p B_p q^{t s_p}, one edge per
-pole back to the vector itself (`pole_residues`).  So the paths a word
-takes through the basis do not depend on the mode indices.  The
-relations come as runs (`relation_runs`): a key, the relation id with
-its non-mode parameters, and the mode tuples v of its instances; an
-instance becomes a RelationSpec only to name a failure.  The runner
-tables each run's relation once (`MODE_PARAMS` names the modes),
-passing its modes to `relation_terms` as affine symbols (`Mode`), so
-that each x or pair operator's mode is a form const + c . v in the
-mode values v.  On each basis vector every word shape (the word with
-its modes removed) is expanded once into paths (target, coefficient,
-steps), suffixes shared (`_paths`).  A path's exponent
-sum_k step_k mode_k is a constant, folded into its numerator, plus
-v . w for a weight vector w.  Each template's terms scalar *
-coefficient are brought over one nonzero common denominator D per
-basis vector (the ring's `clear_denominators`), so that each becomes
-an integer term tuple ((exponent, int), ...), and summed per (target,
-w) (`_node_terms`).  An instance does no ring arithmetic: it adds
-those ints into counters {(target, exponent): int}, the exponent
-shifted by v . w, and the ring decides whether the counters vanish
-(`counts_vanish`).  As D is nonzero, a residual is zero exactly when
-its cleared form is.  Where no (target, w) sum is left, the relation
-holds at every v, and the runner counts the run's instances without
-evaluating them one by one.
+x-plus-minus relation acts by sum_p B_p q^{t s_p}, one edge per simple
+pole of row i of the l-weight (`pole_residues`); ("h", i, m) = m h_{i,m}
+by sum_l u_{i,l} (q^{m(l+1)} - q^{m(l-1)})/(q - q^-1), the closed form
+on a rational l-weight (`h_residues`); and the scalar ("q", a, m) =
+q^{am} by one edge of step a.  So the paths a word takes through the
+basis do not depend on the mode indices.  The relations come as runs
+(`relation_runs`): a key, the relation id with its non-mode
+parameters, and the mode tuples v of its instances; an instance
+becomes a RelationSpec only to name a failure.  The runner tables each
+run's relation once (`MODE_PARAMS` names the modes), passing its modes
+to `relation_terms` as affine symbols (`Mode`), so that each
+operator's mode is a form const + c . v in the mode values v.  On each
+basis vector every word shape (the word with its modes removed) is
+expanded once into paths (target, coefficient, steps), suffixes shared
+(`_paths`).  A path's exponent sum_k step_k mode_k is a constant,
+folded into its numerator, plus v . w for a weight vector w.  Each
+template's terms scalar * coefficient are brought over one nonzero
+common denominator D per basis vector (the ring's
+`clear_denominators`), so that each becomes an integer term tuple
+((exponent, int), ...), and summed per (target, w) (`_node_terms`).
+An instance does no ring arithmetic: it adds those ints into counters
+{(target, exponent): int}, the exponent shifted by v . w, and the ring
+decides whether the counters vanish (`counts_vanish`).  As D is
+nonzero, a residual is zero exactly when its cleared form is.  Where
+no (target, w) sum is left, the relation holds at every v, and the
+runner counts the run's instances without evaluating them one by one.
 
 Window rule: where a path reaches a node whose edge for the next x
 operator leaves the window, the paths into that node form a hazard,
@@ -55,9 +57,9 @@ operator (`act_x`, which drops cancelled entries before reading their
 edges) raises WindowError.
 
 A module offers x_entries (see `XAction`, which builds act_x from
-them), pair_entries, the diagonal operators act_h and act_k, and its
-ring's unit as `one`; ring elements offer mul_qpow, clear_denominators
-and counts_vanish.
+them), pair_entries, h_entries and q_entries, the diagonal operator
+act_k, and its ring's unit as `one`; ring elements offer mul_qpow,
+clear_denominators and counts_vanish.
 """
 from __future__ import annotations
 
@@ -127,6 +129,7 @@ class LoopModule(XAction):
     _phi_cache: dict = field(default_factory=dict)
     _h_cache: dict = field(default_factory=dict)
     _pair_cache: dict = field(default_factory=dict)
+    _residue_memo: dict = field(default_factory=dict)   # of pole_residues
     one = RQ_ONE                # unit of the coefficient ring
 
     # edge entry: (dst_index_or_None, step_position, base_coefficient)
@@ -233,25 +236,27 @@ class LoopModule(XAction):
 
     def h_eigenvalue(self, idx: int, i: int, m: int) -> RationalQ:
         """Eigenvalue of h_{i,m} (m != 0), extracted from the formal
-        logarithm of the module's own phi-series."""
+        logarithm of the module's own phi-series (`series_h`): the
+        independent check of `h_entries`."""
         if m == 0:
             raise ValueError("h_{i,0} is not a generator")
-        key = (idx, i, m)
-        out = self._h_cache.get(key)
-        if out is None:
-            sign = 1 if m > 0 else -1
-            s = self.phi_series(idx, i, sign, abs(m))
-            c0 = s.coeff(0)
-            unit = [c / c0 for c in s.coeffs]
-            lg = series_log(QSeries(sign, unit, abs(m)))
-            out = lg.coeff(abs(m)) / RationalQ(Q_MINUS_QINV)
-            if sign < 0:
-                out = -out
-            self._h_cache[key] = out
-        return out
+        return series_h(self.phi_series(idx, i, 1 if m > 0 else -1, abs(m)))
 
-    def act_h(self, i: int, m: int, vec: dict) -> dict:
-        return _diagonal(vec, lambda idx: self.h_eigenvalue(idx, i, m))
+    def h_entries(self, i: int, idx: int) -> tuple:
+        """Entries (idx, step, c) on which ("h", i, m) = m h_{i,m} acts
+        on the basis vector by sum c q^{m step}: the `h_residues` of row
+        i, steps twisted."""
+        key = (idx, i)
+        got = self._h_cache.get(key)
+        if got is None:
+            got = self._h_cache[key] = tuple(
+                (idx, s, c)
+                for s, c in h_residues(self.node(idx).row(i), self.twist))
+        return got
+
+    def q_entries(self, a: int, idx: int) -> tuple:
+        """The one entry (idx, a, 1) on which ("q", a, m) acts by q^{am}."""
+        return ((idx, a, RQ_ONE),)
 
     def pair_entries(self, i: int, idx: int) -> tuple:
         """Entries (idx, s_p, B_p) on which ("pair", i, t) acts on the
@@ -262,7 +267,8 @@ class LoopModule(XAction):
         if got is None:
             got = self._pair_cache[key] = tuple(
                 (idx, s, b)
-                for s, b in pole_residues(self.node(idx).row(i), self.twist))
+                for s, b in pole_residues(self.node(idx).row(i), self.twist,
+                                          self._residue_memo))
         return got
 
     # -- q-character --------------------------------------------------------------
@@ -275,16 +281,6 @@ class LoopModule(XAction):
                 raise AssertionError("duplicate l-weight in module basis")
             out[m] = 1
         return out
-
-
-def _diagonal(vec: dict, value) -> dict:
-    """An operator acting on basis vector idx by the scalar value(idx)."""
-    out = {}
-    for idx, c in vec.items():
-        val = value(idx)
-        if not val.is_zero():
-            out[idx] = c * val
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -309,6 +305,17 @@ def fr_phi_series(row: dict, sign: int, order: int, twist: int = 0) -> QSeries:
                 num = _zpoly_mul(num, {0: RQ_ONE, 1: -RationalQ.q_power(ls + 1)})
                 den = _zpoly_mul(den, {0: RQ_ONE, 1: -RationalQ.q_power(ls - 1)})
     return series_of_rational(num, den, sign, order)
+
+
+def series_h(s: QSeries) -> RationalQ:
+    """h_{i,m}, m = direction * order, from the phi-series s of one row
+    taken to order |m| in the direction of m: as phi^{+-}(z) =
+    phi_0 exp(+-(q - q^-1) sum_{k>0} h_{i,+-k} z^{+-k}), it is the
+    degree-|m| coefficient of log(s / phi_0) over +-(q - q^-1)."""
+    c0 = s.coeff(0)
+    lg = series_log(QSeries(s.direction, [c / c0 for c in s.coeffs], s.order))
+    out = lg.coeff(s.order) / RationalQ(Q_MINUS_QINV)
+    return out if s.direction > 0 else -out
 
 
 def _zpoly_mul(a: dict, b: dict) -> dict:
@@ -390,7 +397,7 @@ def row_edges(row: dict):
     return tuple(lower), tuple(upper)
 
 
-def pole_residues(row: dict, twist: int = 0) -> tuple:
+def pole_residues(row: dict, twist: int = 0, memo=None) -> tuple:
     """The partial fractions of row i's l-weight, a row that `row_edges`
     accepts: (s_p, B_p) for each simple pole, so that for every t in Z
 
@@ -404,7 +411,24 @@ def pole_residues(row: dict, twist: int = 0) -> tuple:
     and at z = infinity differ by sum_p c_p q^{t s_p} in degree t, with
     c_p = q^w prod_a (1 - q^{a - s_p}) / prod_{p' != p}
     (1 - q^{s_p' - s_p}); B_p = c_p/(q - q^-1), in lowest terms, and
-    RQ_ONE where it is one."""
+    RQ_ONE where it is one.
+
+    w and every a - s_p and s_p' - s_p are invariant under translating
+    the row, so the B_p depend only on the row shifted to start at 0: a
+    module passes its own dict as memo to compute them once per such
+    translation class."""
+    if memo is None:
+        memo = {}
+    base = min(row, default=0)
+    key = tuple((l - base, u) for l, u in row.items())
+    got = memo.get(key)
+    if got is None:
+        got = memo[key] = _residues_at_zero(dict(key))
+    return tuple((s + base + twist, b) for s, b in got)
+
+
+def _residues_at_zero(row: dict) -> tuple:
+    """`pole_residues` of a row without twist, computed afresh."""
     poles = [l + u for l, u in row.items() if row.get(l + 2 * u) != u]
     zeros = [l - u for l, u in row.items() if row.get(l - 2 * u) != u]
     out = []
@@ -419,8 +443,24 @@ def pole_residues(row: dict, twist: int = 0) -> tuple:
         b = RationalQ(num, den).canonical()
         if b.den.is_one():
             b = RQ_ONE if b.num.is_one() else RationalQ(b.num)
-        out.append((s + twist, b))
+        out.append((s, b))
     return tuple(out)
+
+
+def h_residues(row: dict, twist: int = 0) -> tuple:
+    """The closed form of h on row i of a rational l-weight: (step, c)
+    pairs such that m h_{i,m} = sum c q^{m step} for every m != 0.
+
+    With q^{m(l+1)} - q^{m(l-1)} over q - q^-1 for each Y_{i,l}^u
+    (Frenkel-Reshetikhin), Y_{i,l}^u gives +u/(q - q^-1) at step
+    l+1+twist and -u/(q - q^-1) at l-1+twist; equal steps are summed
+    and zeros dropped."""
+    acc = {}
+    for l, u in row.items():
+        for s, c in ((l + 1, u), (l - 1, -u)):
+            acc[s + twist] = acc.get(s + twist, 0) + c
+    return tuple((s, RationalQ(LaurentPoly.from_int(c), Q_MINUS_QINV))
+                 for s, c in acc.items() if c)
 
 
 def build_module(rs: RootSystem, anchors, window, flavor: str) -> LoopModule:
@@ -534,6 +574,7 @@ def _unit(idx):
 
 _RQ_MONE = -RQ_ONE
 _RQ_MINUS_QINT2 = -RationalQ(qint(2))
+_RQ_INV_QMQ = RationalQ(LaurentPoly.from_int(1), Q_MINUS_QINV)
 
 
 def relation_terms(rs: RootSystem, spec: RelationSpec) -> tuple:
@@ -541,9 +582,16 @@ def relation_terms(rs: RootSystem, spec: RelationSpec) -> tuple:
     relation holds on a vector when the sum of scalar * word vanishes.
 
     A word is a tuple of operators applied rightmost first:
-    ("x", sign, i, r) for x^{sign}_{i,r}, ("h", i, m) for h_{i,m},
-    ("k", hvec) for k_h with h = sum hvec[i] h_i, and ("pair", i, t)
-    for the diagonal (phi^+_{i,t} - phi^-_{i,t})/(q - q^-1)."""
+    ("x", sign, i, r) for x^{sign}_{i,r}, ("h", i, m) for m h_{i,m},
+    ("q", a, m) for the scalar q^{am}, ("k", hvec) for k_h with
+    h = sum hvec[i] h_i, and ("pair", i, t) for the diagonal
+    (phi^+_{i,t} - phi^-_{i,t})/(q - q^-1).
+
+    The h-x table is [h_{i,m}, x^{sign}_{j,r}] = sign [m a_ij]/m
+    x^{sign}_{j,m+r} multiplied by m != 0, with [m a_ij] written as
+    (q^{m a_ij} - q^{-m a_ij})/(q - q^-1): it holds exactly where the
+    relation does, and `relation_residual` of an h-x spec is m times
+    the residual of the relation as written."""
     p = dict(spec.params)
     rid = spec.rid
     one, mone = RQ_ONE, _RQ_MONE
@@ -558,10 +606,11 @@ def relation_terms(rs: RootSystem, spec: RelationSpec) -> tuple:
         return ((one, (a, b)), (mone, (b, a)))
     if rid == "h-x":
         i, j, m, r, sign = p["i"], p["j"], p["m"], p["r"], p["sign"]
-        h, x = ("h", i, m), ("x", sign, j, r)
-        coeff = RationalQ(qint(m * rs.cartan(i, j)), LaurentPoly.from_int(m))
+        h, x, y = ("h", i, m), ("x", sign, j, r), ("x", sign, j, m + r)
+        a = rs.cartan(i, j)
+        c = _RQ_INV_QMQ if sign > 0 else -_RQ_INV_QMQ
         return ((one, (h, x)), (mone, (x, h)),
-                (coeff if sign < 0 else -coeff, (("x", sign, j, m + r),)))
+                (-c, (("q", a, m), y)), (c, (("q", -a, m), y)))
     if rid == "x-plus-minus":
         i, j, r, rp = p["i"], p["j"], p["r"], p["rp"]
         xp, xm = ("x", 1, i, r), ("x", -1, j, rp)
@@ -597,12 +646,12 @@ def relation_terms(rs: RootSystem, spec: RelationSpec) -> tuple:
     raise ValueError(f"unknown relation id {rid}")
 
 
-# The mode parameters of each relation: the indices r of its x
+# The mode parameters of each relation: the indices of its x and h
 # operators, which `_run_suite` passes to `relation_terms` as Modes.
 MODE_PARAMS = {
     "k-conjugation": ("r",),
     "h-h": (),
-    "h-x": ("r",),
+    "h-x": ("m", "r"),
     "x-plus-minus": ("r", "rp"),
     "x-quadratic": ("r", "rp"),
     "serre-cubic": ("r1", "r2", "rp"),
@@ -678,20 +727,21 @@ def _table(rs: RootSystem, key: tuple, scalar) -> tuple:
 def _shapes(terms: tuple, n: int) -> tuple:
     """The runner's template of a table's terms, whose modes are affine
     forms in n mode values v: per term (scalar, shape, consts, cols).  A
-    shape is the word with each x and pair operator's mode removed,
-    ("x", sign, i) and ("pair", i).  The removed modes, in application
-    order (rightmost operator first), are affine forms: consts[k] is
-    the k-th one's constant, and cols[j][k] its coefficient of v_j."""
+    shape is the word with the mode of each operator but k removed:
+    ("x", sign, i), ("pair", i), ("h", i) and ("q", a).  The removed
+    modes, in application order (rightmost operator first), are affine
+    forms: consts[k] is the k-th one's constant, and cols[j][k] its
+    coefficient of v_j."""
     out = []
     for scalar, word in terms:
         shape, forms = [], []
         for op in word:
-            if op[0] in ("x", "pair"):
+            if op[0] == "k":
+                shape.append(op)
+            else:
                 shape.append(op[:-1])
                 m = op[-1]
                 forms.append(m if isinstance(m, Mode) else Mode(m, (0,) * n))
-            else:
-                shape.append(op)
         forms.reverse()
         out.append((scalar, tuple(shape), tuple(f.const for f in forms),
                     tuple(zip(*(f.coeffs for f in forms))) or ((),) * n))
@@ -704,11 +754,11 @@ def _paths(mod, shape: tuple, memo: dict):
     paths maps (target, steps) to the summed coefficient of the paths
     ending at target through the edge steps `steps` (application
     order); such paths share the factor q^{sum r_k step_k} at every mode
-    tuple, so a zero sum is dropped.  An x or pair operator moves a path
-    along its entries (`x_entries`, `pair_entries`; a pair entry returns
-    to its own node, so it never leaves the window).  An h or k operator
-    multiplies a path by its value at the target and drops it where
-    that is zero.  hazards holds (node, ((steps, coeff), ...)): the
+    tuple, so a zero sum is dropped.  An x, pair, h or q operator moves a
+    path along its entries (`x_entries`, `pair_entries`, `h_entries`,
+    `q_entries`; the last three return to their own node, so they never
+    leave the window).  A k operator multiplies a path by its value at
+    the target.  hazards holds (node, ((steps, coeff), ...)): the
     paths that reached a node whose edge for the next x operator leaves
     the window; they go no further (where their sum vanishes, so would
     their continuations).
@@ -721,7 +771,13 @@ def _paths(mod, shape: tuple, memo: dict):
     paths, hazards = _paths(mod, shape[1:], memo)
     op = shape[0]
     new = {}
-    if op[0] in ("x", "pair"):
+    if op[0] == "k":
+        values = {}
+        for (node, steps), c in paths.items():
+            if node not in values:
+                values[node] = mod.act_k(*op[1:], {node: mod.one})[node]
+            new[(node, steps)] = c * values[node]
+    else:
         entries_of = getattr(mod, op[0] + "_entries")
         leaving = {}
         for (node, steps), c in paths.items():
@@ -736,15 +792,6 @@ def _paths(mod, shape: tuple, memo: dict):
                 new[key] = cc if s is None else s + cc
         hazards += tuple((node, tuple(group))
                          for node, group in leaving.items())
-    else:
-        act = getattr(mod, "act_" + op[0])
-        values = {}
-        for (node, steps), c in paths.items():
-            if node not in values:
-                values[node] = act(*op[1:], {node: mod.one}).get(node)
-            val = values[node]
-            if val is not None:
-                new[(node, steps)] = c * val
     got = memo[shape] = ({k: c for k, c in new.items() if not c.is_zero()},
                          hazards)
     return got
@@ -843,7 +890,9 @@ def _window_exit(hazards: list, v: tuple, ring):
 def relation_residual(mod: LoopModule, spec: RelationSpec, idx: int) -> dict:
     """Left side minus right side of one defining relation applied to a
     basis vector; the contract is the empty (zero) vector.  Raises
-    WindowError when an intermediate leaves the window."""
+    WindowError when an intermediate leaves the window.  The relation is
+    its table in `relation_terms`: for h-x, m times the relation as
+    written."""
     key, v = _split(spec)
     memo = {(): ({(idx, ()): mod.one}, ())}
     den, terms, hazards = _node_terms(mod, _table(mod.rs, key, lambda s: s),
@@ -869,7 +918,9 @@ def relation_runs(rs: RootSystem, rmax: int = 3, hmax: int = 2,
     """All relation instances in the declared parameter ranges, as runs
     (key, modes): key is the relation id followed by its parameters,
     each mode parameter by its bare name (as `_split` forms it), and
-    modes the tuple of the mode-value tuples of the run's instances."""
+    modes the tuple of the mode-value tuples of the run's instances.
+    h-x has one run per (i, j, sign), its modes (m, r) m-major, so its
+    instances come in the order (i, j, sign, m, r)."""
     ids = RELATION_IDS if include is None else tuple(include)
     rr = range(-rmax, rmax + 1)
     mm = [m for m in range(-hmax, hmax + 1) if m]
@@ -884,10 +935,9 @@ def relation_runs(rs: RootSystem, rmax: int = 3, hmax: int = 2,
             if j >= i:
                 yield ("h-h", ("i", i), ("j", j), ("m1", 1), ("m2", -1)), ((),)
     if "h-x" in ids:
-        singles = tuple((r,) for r in rr)
-        for i, j, m, sign in product(I, I, mm, signs):
-            yield (("h-x", ("i", i), ("j", j), ("m", m), "r", ("sign", sign)),
-                   singles)
+        modes = tuple(product(mm, rr))
+        for i, j, sign in product(I, I, signs):
+            yield ("h-x", ("i", i), ("j", j), "m", "r", ("sign", sign)), modes
     if "x-plus-minus" in ids:
         for i, j in product(I, I):
             yield ("x-plus-minus", ("i", i), ("j", j), "r", "rp"), pairs
@@ -954,7 +1004,7 @@ def _run_suite(mod, runs, idxs, scalar) -> SuiteReport:
 
     Each run's relation is tabled once, modes as affine symbols
     (`_table`).  On each node every shape of the run is expanded into
-    paths once (`_paths`), x and pair operators moving along their
+    paths once (`_paths`), every operator but k moving along its
     entries, and the terms are cleared of denominators and summed per
     target and mode weight w (`_node_terms`).  An instance with modes v
     then only adds integers into counters keyed by target and

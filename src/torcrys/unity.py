@@ -8,13 +8,13 @@ the verification path.  The relation checks at eps evaluate the same
 term tables (`torep.relation_terms`) through the same runner as the
 generic suite, with each RationalQ scalar mapped to Q(zeta_N) by
 `eval_cyclotomic`; the l-weight series is the generic
-`torep.fr_phi_series`, and the pair operator's entries the generic
-`torep.pole_residues`, under the same map.
+`torep.fr_phi_series`, and the entries of the pair and h operators the
+generic `torep.pole_residues` and `torep.h_residues`, under the same
+map.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import cached_property
 from itertools import product
 from math import comb
@@ -25,8 +25,8 @@ from .monomial import ResidueMonomial, gamma
 from .qcoeff import (Q_MINUS_QINV, CycloElem, SpecializationError,
                      eval_cyclotomic, qint)
 from .torep import (ClosednessRefusal, LoopModule, SuiteReport, XAction,
-                    _diagonal, _run_suite, _specs, build_doubled, build_thin,
-                    doubled_anchor, fr_phi_series, pole_residues)
+                    _run_suite, _specs, build_doubled, build_thin,
+                    doubled_anchor, fr_phi_series, h_residues, pole_residues)
 
 
 @dataclass
@@ -44,14 +44,17 @@ class SpecializedModule(XAction):
     _h_cache: dict = field(default_factory=dict)
     _phi_cache: dict = field(default_factory=dict)
     _pair_cache: dict = field(default_factory=dict)
+    _residue_memo: dict = field(default_factory=dict)  # of pole_residues
     one: CycloElem = field(init=False, repr=False)
     _eps: tuple = field(init=False, repr=False)       # eps^0 .. eps^{N-1}
+    _at_eps: object = field(init=False, repr=False)   # `_eps_images`
 
     # entries: tuple of (dst, step mod N, CycloElem coefficient)
 
     def __post_init__(self):
         self.one = CycloElem.one(self.N)
         self._eps = tuple(CycloElem.q_power(self.N, k) for k in range(self.N))
+        self._at_eps = _eps_images(self.N)
 
     def __len__(self):
         return len(self.basis)
@@ -70,21 +73,6 @@ class SpecializedModule(XAction):
     def _k_exponent(self, idx: int, i: int) -> int:
         st = row_stats(self.rows[idx][i])
         return st.phi - st.eps
-
-    def k_eigenvalue(self, idx: int, i: int) -> CycloElem:
-        return self.eps_pow(self._k_exponent(idx, i))
-
-    def h_eigenvalue(self, idx: int, i: int, m: int) -> CycloElem:
-        """h_{i,m} acts by sum_l u_{i,l} eps^{lm} [m]_eps / m."""
-        key = (idx, i, m)
-        out = self._h_cache.get(key)
-        if out is None:
-            qm = CycloElem.from_laurent(self.N, qint(m)).scale(Fraction(1, m))
-            out = CycloElem.zero(self.N)
-            for l, u in self.rows[idx][i].items():
-                out = out + self.eps_pow(l * m).scale(Fraction(u)) * qm
-            self._h_cache[key] = out
-        return out
 
     def phi_component(self, idx: int, i: int, t: int) -> CycloElem:
         """Eigenvalue of phi^{+-}_{i,t}: the rational form of the
@@ -122,9 +110,6 @@ class SpecializedModule(XAction):
                                           for i, h in enumerate(hvec) if h))
                 for idx, c in vec.items()}
 
-    def act_h(self, i: int, m: int, vec: dict) -> dict:
-        return _diagonal(vec, lambda idx: self.h_eigenvalue(idx, i, m))
-
     def pair_entries(self, i: int, idx: int) -> tuple:
         """Entries (idx, s_p mod N, B_p at eps) on which ("pair", i, t)
         acts by sum_p B_p eps^{t s_p}: the `pole_residues` of the
@@ -134,9 +119,27 @@ class SpecializedModule(XAction):
         got = self._pair_cache.get(key)
         if got is None:
             got = self._pair_cache[key] = tuple(
-                (idx, s % self.N, eval_cyclotomic(b, self.N))
-                for s, b in pole_residues(self.rows[idx][i]))
+                (idx, s % self.N, self._at_eps(b))
+                for s, b in pole_residues(self.rows[idx][i], 0,
+                                          self._residue_memo))
         return got
+
+    def h_entries(self, i: int, idx: int) -> tuple:
+        """Entries (idx, step mod N, c at eps) on which ("h", i, m) =
+        m h_{i,m} acts by sum c eps^{m step}: the `h_residues` of the
+        representative row."""
+        key = (idx, i)
+        got = self._h_cache.get(key)
+        if got is None:
+            got = self._h_cache[key] = tuple(
+                (idx, s % self.N, self._at_eps(c))
+                for s, c in h_residues(self.rows[idx][i]))
+        return got
+
+    def q_entries(self, a: int, idx: int) -> tuple:
+        """The one entry (idx, a mod N, 1) on which ("q", a, m) acts by
+        eps^{am}."""
+        return ((idx, a % self.N, self.one),)
 
 
 # ---------------------------------------------------------------------------
@@ -331,9 +334,9 @@ def _eps_runs(rs: RootSystem, rmax: int, serre_rmax: int):
     for i, j, sign in product(I, I, signs):
         yield (("k-conjugation", ("i", i), ("j", j), "r", ("sign", sign)),
                ((0,), (1,)))
-    for i, j, sign, m in product(I, I, signs, (1, -1, 2, -2)):
-        yield (("h-x", ("i", i), ("j", j), ("m", m), "r", ("sign", sign)),
-               ((0,), (1,)))
+    hx_modes = tuple(product((1, -1, 2, -2), (0, 1)))
+    for i, j, sign in product(I, I, signs):
+        yield ("h-x", ("i", i), ("j", j), "m", "r", ("sign", sign)), hx_modes
     for i, j in product(I, I):
         yield ("x-plus-minus", ("i", i), ("j", j), "r", "rp"), pairs
     for sign, i, j in product(signs, I, I):
@@ -364,11 +367,12 @@ def relation_check_eps(mod: SpecializedModule, rmax: int | None = None,
     the runner of `torep.run_relation_suite`.  The instances come as
     runs (`_eps_runs`), each relation tabled once per run with its modes
     as affine symbols; each word shape is expanded into paths once per
-    basis vector, the pair operator along the pole-residue entries of
-    the representative row (`pair_entries`), and its terms are cleared
-    of denominators and summed per mode weight w.  An instance's modes v
-    shift the exponents of the integer numerators by v . w, which then
-    fold mod N and reduce mod Phi_N (`CycloElem.counts_vanish`).
+    basis vector, the pair and h operators along the entries of the
+    representative row (`pair_entries`, `h_entries`), and its terms are
+    cleared of denominators and summed per mode weight w.  An
+    instance's modes v shift the exponents of the integer numerators by
+    v . w, which then fold mod N and reduce mod Phi_N
+    (`CycloElem.counts_vanish`).
     The specialized module has no window edges, so no instance is
     inconclusive.  Failures name the RelationSpec and the residue
     monomial.
@@ -383,10 +387,8 @@ def relation_check_eps(mod: SpecializedModule, rmax: int | None = None,
         0..min(serre_rmax, rmax);
       x-commute-distant: both orders of each distant pair (i, j),
         sign +-1, r1, r2 in 0..rmax.
-    The h-h relation holds by construction: `act_h` is diagonal on
-    both module types, so any two h_{i,m} commute.  Not covered:
-    residues r > 3 when rmax is capped at 3 (as for N = 8) and h-x for
-    r outside {0, 1}."""
+    Not covered: h-h, residues r > 3 when rmax is capped at 3 (as for
+    N = 8) and h-x for r outside {0, 1}."""
     if rmax is None:
         rmax = mod.N - 1
     return _run_suite(mod, _eps_runs(mod.rs, rmax, serre_rmax),

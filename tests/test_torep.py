@@ -1,5 +1,5 @@
 from fractions import Fraction
-from functools import partial
+from functools import lru_cache, partial
 from itertools import product
 from math import comb
 
@@ -79,16 +79,35 @@ def test_act_phi_series_examples(thin_3_1):
         assert s.coeff(k) == -RationalQ(LaurentPoly({k + 1: 1, k - 1: -1}))
 
 
+def _h_on(mod, i, m, vec):
+    """h_{i,m} applied to vec by the series_log oracle `h_eigenvalue`."""
+    return _diagonal(vec, lambda idx: mod.h_eigenvalue(idx, i, m))
+
+
+def _h_sum(mod, i, idx, m):
+    """sum c q^{m step} over the h entries of (i, idx): m h_{i,m}."""
+    out = RationalQ.from_int(0)
+    for _, step, c in mod.h_entries(i, idx):
+        out = out + c.mul_qpow(m * step)
+    return out
+
+
 def test_act_h_examples(thin_3_1):
     mod = thin_3_1
     i0, v0 = unit(mod, "Y(0,1)^-1*Y(1,0)")
     assert mod.h_eigenvalue(i0, 1, 1) == RQ_ONE
     assert mod.h_eigenvalue(i0, 2, 1).is_zero()
-    assert mod.act_h(1, 1, v0) == {i0: RQ_ONE}
+    assert _h_on(mod, 1, 1, v0) == {i0: RQ_ONE}
+    # h_{1,1} = q^2/(q - q^-1) - 1/(q - q^-1) over the edges of Y(1,0),
+    # back to the vector itself; row 2 is empty, so h_{2,m} has none
+    assert [(dst, step) for dst, step, _ in mod.h_entries(1, i0)] == \
+        [(i0, 1), (i0, -1)]
+    assert _h_sum(mod, 1, i0, 1) == RQ_ONE
+    assert mod.h_entries(2, i0) == ()
     # commutator [h_{1,1}, x+_{1,0}] = [2]_q x+_{1,1} on the chain node
     i1, v1 = unit(mod, "Y(1,2)^-1*Y(2,1)")
-    lhs1 = mod.act_h(1, 1, mod.act_x(1, 1, 0, v1))
-    lhs2 = mod.act_x(1, 1, 0, mod.act_h(1, 1, v1))
+    lhs1 = _h_on(mod, 1, 1, mod.act_x(1, 1, 0, v1))
+    lhs2 = mod.act_x(1, 1, 0, _h_on(mod, 1, 1, v1))
     rhs = mod.act_x(1, 1, 1, v1)
     (k1, a), = lhs1.items()
     b = lhs2.get(k1, RationalQ.from_int(0))
@@ -209,28 +228,60 @@ def test_suite_report_json(thin_3_1):
 # run_relation_suite against a memo-free reference
 # ---------------------------------------------------------------------------
 
-def _apply(mod, op, vec):
+def _h_oracle(mod, idx, i, m):
+    """h_{i,m} on a basis vector by the formal logarithm (`series_h`):
+    `h_eigenvalue` on a generic module; at eps, the same on the rational
+    form of the representative row, mapped by eval_cyclotomic."""
+    if isinstance(mod, LoopModule):
+        return mod.h_eigenvalue(idx, i, m)
+    series = fr_phi_series(mod.rows[idx][i], 1 if m > 0 else -1, abs(m))
+    return eval_cyclotomic(torep.series_h(series), mod.N)
+
+
+def _m_h_values(mod):
+    """(idx, i, m) -> m h_{i,m} on the basis vector by `_h_oracle`,
+    memoised for this one module: the operator ("h", i, m)."""
+    @lru_cache(maxsize=None)
+    def value(idx, i, m):
+        val = _h_oracle(mod, idx, i, m)
+        out = val
+        for _ in range(abs(m) - 1):
+            out = out + val
+        return out if m > 0 else -out
+    return value
+
+
+def _diagonal(vec, value):
+    out = {}
+    for idx, c in vec.items():
+        val = value(idx)
+        if not val.is_zero():
+            out[idx] = c * val
+    return out
+
+
+def _apply(mod, op, vec, m_h):
     kind, *args = op
     if kind == "x":
         return mod.act_x(*args, vec)
     if kind == "h":
-        return mod.act_h(*args, vec)
+        i, m = args
+        return _diagonal(vec, lambda idx: m_h(idx, i, m))
+    if kind == "q":
+        a, m = args
+        return {idx: c.mul_qpow(a * m) for idx, c in vec.items()}
     if kind == "k":
         return mod.act_k(*args, vec)
     if kind == "pair":
         i, t = args
-        out = {}
-        for idx, c in vec.items():
-            val = mod.pairing_value(idx, i, t)
-            if not val.is_zero():
-                out[idx] = c * val
-        return out
+        return _diagonal(vec, lambda idx: mod.pairing_value(idx, i, t))
     raise ValueError(f"unknown operator {op}")
 
 
-def reference_residual(mod, terms, idx, one):
+def reference_residual(mod, terms, idx, one, m_h):
     """Sum of scalar * word on one basis vector, each word applied
-    operator by operator to the unit vector `one`, with no memo; raises
+    operator by operator to the unit vector `one`, with no word memo;
+    m_h gives the values of the h operators (`_m_h_values`).  Raises
     WindowError when some word leaves the window."""
     res = {}
     for s, word in terms:
@@ -238,7 +289,7 @@ def reference_residual(mod, terms, idx, one):
         for op in reversed(word):
             if not vec:
                 break
-            vec = _apply(mod, op, vec)
+            vec = _apply(mod, op, vec, m_h)
         for k, v in vec.items():
             v = s * v
             res[k] = res[k] + v if k in res else v
@@ -250,11 +301,12 @@ def reference_suite(mod, specs, scalar=lambda s: s):
     `reference_residual`; `scalar` maps the tables' RationalQ scalars
     into the module's ring."""
     report = SuiteReport()
+    m_h = _m_h_values(mod)
     for spec in specs:
         terms = [(scalar(s), word) for s, word in relation_terms(mod.rs, spec)]
         for idx in range(len(mod)):
             try:
-                res = reference_residual(mod, terms, idx, scalar(RQ_ONE))
+                res = reference_residual(mod, terms, idx, scalar(RQ_ONE), m_h)
             except WindowError:
                 report.inconclusive += 1
                 continue
@@ -387,12 +439,13 @@ def test_relation_residual_matches_reference(broken_modules):
                  "doubled_1_hazard_cancelling"):
         mod, _, ref = broken_modules[name]
         failing = {(spec, mod.graph.node_index(m)) for spec, m in ref.failures}
+        m_h = _m_h_values(mod)
         compared = 0
         for spec in {spec for spec, _ in failing}:
             terms = relation_terms(mod.rs, spec)
             for idx in range(len(mod)):
                 try:
-                    want = reference_residual(mod, terms, idx, RQ_ONE)
+                    want = reference_residual(mod, terms, idx, RQ_ONE, m_h)
                 except WindowError:
                     with pytest.raises(WindowError):
                         relation_residual(mod, spec, idx)
@@ -432,14 +485,14 @@ def test_reference_comparison_catches_perturbed_scalar(broken_modules,
 
 def _template_at(rs, spec):
     """The runner's template for the spec (`_shapes` of its relation's
-    symbolic table), each x and pair operator's affine mode evaluated
-    at the spec's mode values and put back into its word."""
+    symbolic table), each x, pair, h and q operator's affine mode
+    evaluated at the spec's mode values and put back into its word."""
     key, v = torep._split(spec)
     out = []
     for scalar, shape, consts, cols in torep._table(rs, key, lambda s: s):
         modes = [c + sum(col[k] * x for col, x in zip(cols, v))
                  for k, c in enumerate(consts)]
-        word = [op + (modes.pop(0),) if op[0] in ("x", "pair") else op
+        word = [op if op[0] == "k" else op + (modes.pop(0),)
                 for op in reversed(shape)]
         out.append((scalar, tuple(reversed(word))))
     return out
@@ -614,42 +667,101 @@ def test_pole_residues_of_a_two_pole_row():
     assert torep.pole_residues({0: 1})[0][1] is RQ_ONE
 
 
-def _first_residue_times_q(mod, i, idx):
-    """Multiply the first B_p of mod's pair entries at (i, idx) by q."""
-    entries_of = mod.pair_entries
+def _first_entry_times_q(mod, kind, i, idx):
+    """Multiply the coefficient of the first of mod's `kind` entries
+    ("pair" or "h") at (i, idx) by q."""
+    name = kind + "_entries"
+    entries_of = getattr(mod, name)
 
-    def pair_entries(j, k):
-        entries = entries_of(j, k)
+    def entries(j, k):
+        got = entries_of(j, k)
         if (j, k) != (i, idx):
-            return entries
-        (dst, s, b), *rest = entries
-        return ((dst, s, b.mul_qpow(1)), *rest)
-    mod.pair_entries = pair_entries
+            return got
+        (dst, s, c), *rest = got
+        return ((dst, s, c.mul_qpow(1)), *rest)
+    setattr(mod, name, entries)
+
+
+def _mutation_case(thin_3_1, ring, family):
+    """(module, its basis indices under test, suite): a private copy of
+    thin (3,1) with `family`'s generic suite on 12 interior nodes, or of
+    specialize_thin(3, 1, 1) with relation_check_eps at rmax 1."""
+    if ring == "generic":
+        mod = thin_3_1.twisted(0)
+        idxs = thin_3_1.graph.interior_indices()[:12]
+        return mod, idxs, partial(run_relation_suite, mod, rmax=1, hmax=1,
+                                  nodes=idxs, include=[family])
+    spec = specialize_thin(3, 1, 1)
+    mod = SpecializedModule(spec.rs, spec.N, spec.basis, spec.index,
+                            spec.minus_edges, spec.plus_edges, spec.rows)
+    return mod, range(len(mod)), partial(relation_check_eps, mod, 1)
 
 
 @pytest.mark.parametrize("ring", ["generic", "eps"])
 def test_scaled_pair_residue_is_reported(thin_3_1, ring):
     i = 1
-    if ring == "generic":
-        mod = thin_3_1.twisted(0)
-        idxs = thin_3_1.graph.interior_indices()[:12]
-        suite = partial(run_relation_suite, mod, rmax=1, hmax=1, nodes=idxs,
-                        include=["x-plus-minus"])
-    else:
-        spec = specialize_thin(3, 1, 1)
-        mod = SpecializedModule(spec.rs, spec.N, spec.basis, spec.index,
-                                spec.minus_edges, spec.plus_edges, spec.rows)
-        idxs = range(len(mod))
-        suite = partial(relation_check_eps, mod, 1)
+    mod, idxs, suite = _mutation_case(thin_3_1, ring, "x-plus-minus")
     assert suite().failures == []
     idx = next(k for k in idxs if mod.pair_entries(i, k))
-    _first_residue_times_q(mod, i, idx)
+    _first_entry_times_q(mod, "pair", i, idx)
     failures = suite().failures
     assert failures
     for spec, node in failures:
         p = dict(spec.params)
         assert (spec.rid, p["i"], p["j"], node) == \
             ("x-plus-minus", i, i, mod.node(idx))
+
+
+# ---------------------------------------------------------------------------
+# h as diagonal edges: the closed form of m h_{i,m}
+# ---------------------------------------------------------------------------
+
+def _h_closed_form_misses(mod, idxs, ms):
+    """(idx, i, m) where m h_{i,m} by the series_log oracle
+    (`_m_h_values`) differs from the sum of the vector's h entries
+    c q^{m step}, m None where an entry leaves the vector."""
+    m_h = _m_h_values(mod)
+    bad = []
+    for idx in idxs:
+        for i in mod.rs.nodes:
+            entries = mod.h_entries(i, idx)
+            if any(dst != idx for dst, _, _ in entries):
+                bad.append((idx, i, None))
+            for m in ms:
+                rest = m_h(idx, i, m)
+                for _, s, c in entries:
+                    rest = rest - c.mul_qpow(m * s)
+                if not rest.is_zero():
+                    bad.append((idx, i, m))
+    return bad
+
+
+def test_h_entries_closed_form(thin_3_1, thin_3_2):
+    # the oracle: phi^{+-} expanded from the crystal statistics (thin) or
+    # the rational form (doubled, and the representative rows at eps)
+    ms = (1, -1, 2, -2, 3, -3, 4, -4)
+    for mod in (thin_3_1, thin_3_2, build_thin(3, 3, (-12, 16)),
+                build_doubled(2, (-14, 14)), thin_3_1.twisted(1)):
+        interior = mod.graph.interior_indices()
+        assert _h_closed_form_misses(mod, interior, ms) == []
+    for mod in (specialize_thin(3, 1, 2), specialize_thin(3, 2, 2),
+                specialize_doubled(1)):
+        assert _h_closed_form_misses(mod, range(len(mod)), ms) == []
+
+
+@pytest.mark.parametrize("ring", ["generic", "eps"])
+def test_scaled_h_entry_is_reported(thin_3_1, ring):
+    # h_{i,m} at idx enters h-x at idx and at every vector with an x edge
+    # into idx; no other relation holds an h
+    i = 1
+    mod, idxs, suite = _mutation_case(thin_3_1, ring, "h-x")
+    assert suite().failures == []
+    idx = next(k for k in idxs if mod.h_entries(i, k))
+    _first_entry_times_q(mod, "h", i, idx)
+    failures = suite().failures
+    assert mod.node(idx) in [node for _, node in failures]
+    for spec, _ in failures:
+        assert (spec.rid, dict(spec.params)["i"]) == ("h-x", i)
 
 
 # ---------------------------------------------------------------------------
@@ -670,7 +782,7 @@ def _reference_instances(rs, rmax, hmax, include):
     out += [_spec("h-h", i=i, j=j, m1=1, m2=-1)
             for i, j in product(I, I) if j >= i]
     out += [_spec("h-x", i=i, j=j, m=m, r=r, sign=sign)
-            for i, j, m, sign, r in product(I, I, mm, signs, rr)]
+            for i, j, sign, m, r in product(I, I, signs, mm, rr)]
     out += [_spec("x-plus-minus", i=i, j=j, r=r, rp=rp)
             for i, j, r, rp in product(I, I, rr, rr)]
     out += [_spec("x-quadratic", i=i, j=j, r=r, rp=rp, sign=sign)
