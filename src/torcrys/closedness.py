@@ -88,7 +88,6 @@ def sl2_simple_qchar(row: dict):
             if not _general_position(strings[x], strings[y]):
                 raise UnsupportedConfigError(
                     f"q-strings {strings[x]} and {strings[y]} in special position")
-    terms = {(): 1}
     out = {(): 1}
     for a, k in strings:
         nxt = {}
@@ -116,17 +115,28 @@ def _class_key(rs: RootSystem, m: Monomial, i: int):
     """Canonical invariant of the class m * prod_l A_{i,l}^Z: rows away
     from i-1, i, i+1 verbatim, the triple of nearby rows normalized by
     clearing row i-1, and the correspondingly adjusted weight."""
+    return _class_key_and_row(rs, m, i)[0]
+
+
+def _class_key_and_row(rs: RootSystem, m: Monomial, i: int):
+    """(_class_key(rs, m, i), row i of m as a sorted tuple), from one
+    pass over m.exps."""
     im, ip = rs.mod(i - 1), rs.mod(i + 1)
     other, c, row_i, row_p = [], {}, {}, {}
-    for (j, l), u in m.exps:
+    for k, u in m.exps:
+        j = k[0]
         if j == im:
-            c[l] = u
+            c[k[1]] = u
         elif j == i:
-            row_i[l] = u
+            row_i[k[1]] = u
         elif j == ip:
-            row_p[l] = u
+            row_p[k[1]] = u
         else:
-            other.append(((j, l), u))
+            other.append((k, u))
+    row = tuple(row_i.items())
+    if not c:
+        return (tuple(other), row, tuple(row_p.items()),
+                m.weight.h, m.weight.delta), row
     for l, v in c.items():
         for e in (l - 1, l + 1):
             s = row_i.get(e, 0) + v
@@ -141,9 +151,9 @@ def _class_key(rs: RootSystem, m: Monomial, i: int):
         else:
             row_p.pop(l, None)
     total = sum(c.values())
-    w = m.weight + rs.alpha(i).scaled(total)
+    w = m.weight + rs.alpha(i).scaled(total) if total else m.weight
     return (tuple(other), tuple(sorted(row_i.items())),
-            tuple(sorted(row_p.items())), w.h, w.delta)
+            tuple(sorted(row_p.items())), w.h, w.delta), row
 
 
 def _solve_a_exponents(rs: RootSystem, i: int, diff: dict):
@@ -285,12 +295,49 @@ def _sort_key_of(m):
     return m.sort_key() if isinstance(m, Monomial) else m
 
 
-def _check_class(rs: RootSystem, members, i: int) -> ClassResult:
-    return _check_class_general(
-        members,
-        row_of=lambda m: m.row(i),
-        raise_partner=lambda m, l: m * a_monomial(rs, i, l),
-        char_partner=lambda m, row: _partner(rs, m, i, row))
+def _check_class_rows(rs: RootSystem, i: int, members, rows,
+                      chars: dict) -> ClassResult:
+    """_check_class_general for an A_{i,*}-class of Monomials, decided
+    on their row-i tuples `rows`: the projection is injective on a
+    class, so a member is found by its row and a Monomial is built only
+    as a witness.  `chars` memoizes the sl2 character of each highest
+    row (or the UnsupportedConfigError it raised)."""
+    counter = dict.fromkeys(rows, 1)
+    ranked = sorted(
+        (((sum(u for _, u in row), all(u >= 0 for _, u in row),
+           m.sort_key()), m, row) for m, row in zip(members, rows)),
+        key=itemgetter(0), reverse=True)
+    pos = 0
+    while counter:
+        while ranked[pos][2] not in counter:
+            pos += 1
+        (_, dominant, _), best, row = ranked[pos]
+        if not dominant:
+            a = min(l for l, u in row if u < 0)
+            return ClassResult(list(members), "not-closed",
+                               best * a_monomial(rs, i, a - 1),
+                               reason="maximal element not dominant")
+        char = chars.get(row)
+        if char is None:
+            try:
+                char = [(tuple(r.items()), mult)
+                        for r, mult in sl2_simple_qchar(dict(row))]
+            except UnsupportedConfigError as exc:
+                char = exc
+            chars[row] = char
+        if isinstance(char, UnsupportedConfigError):
+            return ClassResult(list(members), "inconclusive", None, str(char))
+        for target, mult in char:
+            have = counter.get(target, 0)
+            if have < mult:
+                return ClassResult(list(members), "not-closed",
+                                   _partner(rs, best, i, dict(target)),
+                                   reason="required monomial absent")
+            if have == mult:
+                del counter[target]
+            else:
+                counter[target] = have - mult
+    return ClassResult(list(members), "closed")
 
 
 def qclosed_direction(rs: RootSystem, monomials, i: int,
@@ -302,10 +349,13 @@ def qclosed_direction(rs: RootSystem, monomials, i: int,
     """
     classes = {}
     for m in monomials:
-        classes.setdefault(_class_key(rs, m, i), []).append(m)
+        key, row = _class_key_and_row(rs, m, i)
+        classes.setdefault(key, []).append((m.sort_key(), m, row))
+    chars = {}
     report = DirectionReport(i, True, None)
     for key in sorted(classes):
-        members = sorted(classes[key], key=Monomial.sort_key)
+        entries = sorted(classes[key], key=itemgetter(0))
+        members = [m for _, m, _ in entries]
         if window is not None:
             lmin, lmax = window
             lv = [l for m in members for l in m.support_levels()]
@@ -313,7 +363,8 @@ def qclosed_direction(rs: RootSystem, monomials, i: int,
                 report.classes.append(
                     ClassResult(members, "inconclusive", None, "window boundary"))
                 continue
-        res = _check_class(rs, members, i)
+        res = _check_class_rows(rs, i, members,
+                                [row for _, _, row in entries], chars)
         report.classes.append(res)
         if res.verdict == "not-closed" and report.qclosed is not False:
             report.qclosed = False

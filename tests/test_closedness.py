@@ -236,3 +236,64 @@ def test_partner_matches_repeated_products(n):
                 for m in members:
                     assert _partner(rs, base, i, m.row(i)) == m
     assert compared > len(nodes)
+
+
+@pytest.mark.parametrize("n", [3, 5, 7])
+def test_row_keyed_check_matches_monomial_route(n):
+    # every class of every direction of the closedness-sweep crystals,
+    # window-boundary classes included: deciding a class on its row-i
+    # tuples gives the verdict, witness and reason of the route that
+    # keys the class by Monomials and builds every character partner
+    from torcrys.closedness import (_check_class_general, _check_class_rows,
+                                    _class_key, _partner)
+    from torcrys.monomial import Monomial
+    window = (-3 * (n + 1), 3 * (n + 1))
+    verdicts = set()
+    for ell in range(1, n + 1):
+        rs = RootSystem.for_fundamental(n, ell)
+        nodes = generate(rs, [fundamental_anchor(rs, ell)], window).nodes
+        for i in rs.nodes:
+            classes = {}
+            for m in nodes:
+                classes.setdefault(_class_key(rs, m, i), []).append(m)
+            chars = {}
+            for key in sorted(classes):
+                members = sorted(classes[key], key=Monomial.sort_key)
+                rows = [tuple(sorted(m.row(i).items())) for m in members]
+                got = _check_class_rows(rs, i, members, rows, chars)
+                want = _check_class_general(
+                    members,
+                    row_of=lambda m: m.row(i),
+                    raise_partner=lambda m, l: m * a_monomial(rs, i, l),
+                    char_partner=lambda m, row: _partner(rs, m, i, row))
+                assert got.members == want.members
+                assert (got.verdict, got.witness, got.reason) == \
+                    (want.verdict, want.witness, want.reason), (ell, i, key)
+                verdicts.add((want.verdict, want.reason))
+    assert verdicts >= {("closed", ""),
+                        ("not-closed", "maximal element not dominant"),
+                        ("not-closed", "required monomial absent")}
+
+
+def test_qclosed_direction_fails_on_a_deleted_member():
+    # deleting either member of a closed two-member class breaks
+    # q-closedness, with the deleted monomial as the witness: once as a
+    # required monomial that is absent, once as the raising partner of
+    # a maximal element that is not dominant
+    rs = RootSystem.for_fundamental(3, 1)
+    window = (-12, 12)
+    nodes = generate(rs, [fundamental_anchor(rs, 1)], window).nodes
+    rep = qclosed_direction(rs, nodes, 1, window=window)
+    assert rep.qclosed is True
+    pair = next(c.members for c in rep.classes
+                if c.verdict == "closed" and len(c.members) == 2)
+    reasons = set()
+    for victim in pair:
+        rest = [m for m in nodes if m != victim]
+        mutated = qclosed_direction(rs, rest, 1, window=window)
+        assert mutated.qclosed is False
+        assert mutated.witness == victim
+        reasons.add(next(c.reason for c in mutated.classes
+                         if c.verdict == "not-closed"))
+    assert reasons == {"maximal element not dominant",
+                       "required monomial absent"}
