@@ -72,9 +72,13 @@ def _window(args, n):
     return (lmin, lmax)
 
 
+def _require(value, flag):
+    if value is None:
+        raise ValueError(f"{flag} is required")
+
+
 def _require_odd(n):
-    if n is None:
-        raise ValueError("--n is required")
+    _require(n, "--n")
     if n % 2 == 0:
         raise EvenRankError(
             f"n = {n} is even; the monomial crystal needs n odd")
@@ -151,8 +155,7 @@ def cmd_closed(args):
 
 def cmd_rep(args):
     _require_odd(args.n)
-    if args.ell is None:
-        raise ValueError("--ell is required")
+    _require(args.ell, "--ell")
     window = _window(args, args.n)
     mod = build_thin(args.n, args.ell, window)
     if args.rep_action == "build":
@@ -204,6 +207,7 @@ def cmd_s5(args):
 def cmd_unity(args):
     if args.unity_kind == "thin":
         _require_odd(args.n)
+        _require(args.ell, "--ell")
         mod = specialize_thin(args.n, args.ell, args.L)
     else:
         mod = specialize_doubled(args.L)

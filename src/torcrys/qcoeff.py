@@ -193,8 +193,8 @@ class LaurentPoly:
         va, vb = self.valuation(), other.valuation()
         num = {k - va: Fraction(c) for k, c in self.terms.items()}
         den = {k - vb: Fraction(c) for k, c in other.terms.items()}
-        quot = _frac_poly_divmod(num, den)
-        if quot is None:
+        quot, rem = _frac_poly_divmod(num, den)
+        if rem:
             raise ValueError("inexact LaurentPoly division")
         out = {}
         for k, c in quot.items():
@@ -247,10 +247,8 @@ Q = LaurentPoly({1: 1})
 
 
 def _frac_poly_divmod(num: dict, den: dict):
-    """Divide polynomials with Fraction coefficients (keys >= 0).
-
-    Returns the quotient dict when the remainder is zero, else None.
-    """
+    """(quotient, remainder) of polynomials with Fraction coefficients
+    (keys >= 0), as dicts without zero entries."""
     dd = max(den)
     lead = den[dd]
     rem = dict(num)
@@ -258,7 +256,7 @@ def _frac_poly_divmod(num: dict, den: dict):
     while rem:
         dr = max(rem)
         if dr < dd:
-            return None
+            break
         f = rem[dr] / lead
         quot[dr - dd] = f
         for k, c in den.items():
@@ -268,7 +266,7 @@ def _frac_poly_divmod(num: dict, den: dict):
                 rem[e] = s
             else:
                 rem.pop(e, None)
-    return quot
+    return quot, rem
 
 
 def _poly_gcd(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
@@ -279,7 +277,7 @@ def _poly_gcd(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
     fa = {k - a.valuation(): Fraction(c) for k, c in a.terms.items()}
     fb = {k - b.valuation(): Fraction(c) for k, c in b.terms.items()}
     while fb:
-        fa, fb = fb, _frac_poly_mod(fa, fb)
+        fa, fb = fb, _frac_poly_divmod(fa, fb)[1]
     # fa is the gcd up to a rational unit; make it primitive over Z
     den_lcm = 1
     for c in fa.values():
@@ -293,23 +291,6 @@ def _poly_gcd(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
         ints = {k: -c for k, c in ints.items()}
     g = gcd(ca, cb)
     return LaurentPoly({k: c * g for k, c in ints.items()})
-
-
-def _frac_poly_mod(a: dict, b: dict) -> dict:
-    db = max(b)
-    lead = b[db]
-    rem = dict(a)
-    while rem and max(rem) >= db:
-        dr = max(rem)
-        f = rem[dr] / lead
-        for k, c in b.items():
-            e = dr - db + k
-            s = rem.get(e, 0) - f * c
-            if s:
-                rem[e] = s
-            else:
-                rem.pop(e, None)
-    return rem
 
 
 # ---------------------------------------------------------------------------
@@ -827,7 +808,7 @@ class CycloElem:
         r0, r1 = b, a
         s0, s1 = {}, {0: Fraction(1)}
         while r1:
-            q, r = _frac_poly_divmod_full(r0, r1)
+            q, r = _frac_poly_divmod(r0, r1)
             r0, r1 = r1, r
             s0, s1 = s1, _frac_poly_sub(s0, _frac_poly_mul(q, s1))
         # r0 = gcd = nonzero constant (irreducibility)
@@ -869,25 +850,6 @@ class CycloElem:
 
     def __repr__(self):
         return f"CycloElem(N={self.N}, '{self}')"
-
-
-def _frac_poly_divmod_full(a: dict, b: dict):
-    db = max(b)
-    lead = b[db]
-    rem = dict(a)
-    quot = {}
-    while rem and max(rem) >= db:
-        dr = max(rem)
-        f = rem[dr] / lead
-        quot[dr - db] = quot.get(dr - db, 0) + f
-        for k, c in b.items():
-            e = dr - db + k
-            s = rem.get(e, 0) - f * c
-            if s:
-                rem[e] = s
-            else:
-                rem.pop(e, None)
-    return {k: v for k, v in quot.items() if v}, rem
 
 
 def _frac_poly_mul(a: dict, b: dict) -> dict:

@@ -126,9 +126,7 @@ class LoopModule(XAction):
     minus_edges: dict = field(default_factory=dict)  # i -> [entries per node]
     plus_edges: dict = field(default_factory=dict)
     twist: int = 0              # spectral twist t_b with b = q^twist
-    _phi_cache: dict = field(default_factory=dict)
     _h_cache: dict = field(default_factory=dict)
-    _pair_cache: dict = field(default_factory=dict)
     _residue_memo: dict = field(default_factory=dict)   # of pole_residues
     one = RQ_ONE                # unit of the coefficient ring
 
@@ -165,17 +163,11 @@ class LoopModule(XAction):
         return vec
 
     def act_k(self, hvec, vec: dict) -> dict:
-        """k_h for h = sum hvec[i] h_i (+ hvec[n+1] d when given)."""
+        """k_h for h = sum hvec[i] h_i."""
         out = {}
         for idx, c in vec.items():
             w = self.node(idx).weight
-            e = sum(hvec[i] * w.h[i] for i in range(self.rs.n + 1))
-            if len(hvec) > self.rs.n + 1 and hvec[-1]:
-                d = hvec[-1] * w.delta
-                if d.denominator != 1:
-                    raise ValueError("fractional k_d eigenvalue")
-                e += int(d)
-            out[idx] = c.mul_qpow(e)
+            out[idx] = c.mul_qpow(sum(h * w.h[i] for i, h in enumerate(hvec)))
         return out
 
     # -- diagonal loop-Cartan data ----------------------------------------------
@@ -186,17 +178,10 @@ class LoopModule(XAction):
         Thin flavor: the crystal-statistics formula.  Section-5 flavor:
         the rational form read from the node's own row.
         """
-        key = (idx, i, sign)
-        cached = self._phi_cache.get(key)
-        if cached is not None and len(cached) >= order + 1:
-            return QSeries(sign, cached[: order + 1], order)
         if self.flavor == "thin":
-            coeffs = self._phi_actmod(idx, i, sign, order)
-        else:
-            row = self.node(idx).row(i)
-            coeffs = list(fr_phi_series(row, sign, order, twist=self.twist).coeffs)
-        self._phi_cache[key] = coeffs
-        return QSeries(sign, coeffs, order)
+            return QSeries(sign, self._phi_actmod(idx, i, sign, order), order)
+        return fr_phi_series(self.node(idx).row(i), sign, order,
+                             twist=self.twist)
 
     def _phi_actmod(self, idx, i, sign, order):
         st = row_stats(self.node(idx).row(i))
@@ -262,14 +247,9 @@ class LoopModule(XAction):
         """Entries (idx, s_p, B_p) on which ("pair", i, t) acts on the
         basis vector by sum_p B_p q^{t s_p}: the `pole_residues` of row
         i, steps twisted."""
-        key = (idx, i)
-        got = self._pair_cache.get(key)
-        if got is None:
-            got = self._pair_cache[key] = tuple(
-                (idx, s, b)
-                for s, b in pole_residues(self.node(idx).row(i), self.twist,
-                                          self._residue_memo))
-        return got
+        return tuple((idx, s, b)
+                     for s, b in pole_residues(self.node(idx).row(i), self.twist,
+                                               self._residue_memo))
 
     # -- q-character --------------------------------------------------------------
 

@@ -7,10 +7,10 @@ The quantum parameter is kept symbolic in Q[q]/(Phi_N); no floats on
 the verification path.  The relation checks at eps evaluate the same
 term tables (`torep.relation_terms`) through the same runner as the
 generic suite, with each RationalQ scalar mapped to Q(zeta_N) by
-`eval_cyclotomic`; the l-weight series is the generic
-`torep.fr_phi_series`, and the entries of the pair and h operators the
-generic `torep.pole_residues` and `torep.h_residues`, under the same
-map.
+`eval_cyclotomic`; the entries of the pair and h operators are the
+generic `torep.pole_residues` and `torep.h_residues` under the same
+map, and the joint spectrum of the loop-Cartan operators is read from
+those pole residues.
 """
 from __future__ import annotations
 
@@ -19,7 +19,7 @@ from functools import cached_property
 from itertools import product
 from math import comb
 
-from .crystal import WindowError, row_stats
+from .crystal import WindowError
 from .lattice import RootSystem
 from .monomial import ResidueMonomial, gamma
 from .qcoeff import (Q_MINUS_QINV, CycloElem, SpecializationError,
@@ -42,8 +42,6 @@ class SpecializedModule(XAction):
     plus_edges: dict = field(default_factory=dict)
     rows: list = field(default_factory=list)          # representative rows per node
     _h_cache: dict = field(default_factory=dict)
-    _phi_cache: dict = field(default_factory=dict)
-    _pair_cache: dict = field(default_factory=dict)
     _residue_memo: dict = field(default_factory=dict)  # of pole_residues
     one: CycloElem = field(init=False, repr=False)
     _eps: tuple = field(init=False, repr=False)       # eps^0 .. eps^{N-1}
@@ -71,25 +69,14 @@ class SpecializedModule(XAction):
         return self.basis[idx]
 
     def _k_exponent(self, idx: int, i: int) -> int:
-        st = row_stats(self.rows[idx][i])
-        return st.phi - st.eps
+        return sum(self.rows[idx][i].values())
 
     def phi_component(self, idx: int, i: int, t: int) -> CycloElem:
         """Eigenvalue of phi^{+-}_{i,t}: the rational form of the
-        representative row (`fr_phi_series`), mapped to Q(zeta_N).  The
-        first miss expands the series to order N + 2, the depth
-        `joint_spectrum_simple` reads, so its increasing orders hit the
-        cache."""
-        sign = 1 if t >= 0 else -1
-        key = (idx, i, sign)
-        coeffs = self._phi_cache.get(key)
-        need = abs(t)
-        if coeffs is None or len(coeffs) <= need:
-            series = fr_phi_series(self.rows[idx][i], sign,
-                                   max(need, self.N + 2))
-            coeffs = [eval_cyclotomic(c, self.N) for c in series.coeffs]
-            self._phi_cache[key] = coeffs
-        return coeffs[need]
+        representative row (`fr_phi_series`) expanded to order |t| and
+        mapped to Q(zeta_N), the oracle of `pair_entries`."""
+        series = fr_phi_series(self.rows[idx][i], 1 if t >= 0 else -1, abs(t))
+        return eval_cyclotomic(series.coeff(abs(t)), self.N)
 
     @cached_property
     def _qmq_inv(self) -> CycloElem:
@@ -115,14 +102,9 @@ class SpecializedModule(XAction):
         acts by sum_p B_p eps^{t s_p}: the `pole_residues` of the
         representative row.  A B_p with no value at eps raises
         SpecializationError."""
-        key = (idx, i)
-        got = self._pair_cache.get(key)
-        if got is None:
-            got = self._pair_cache[key] = tuple(
-                (idx, s % self.N, self._at_eps(b))
-                for s, b in pole_residues(self.rows[idx][i], 0,
-                                          self._residue_memo))
-        return got
+        return tuple((idx, s % self.N, self._at_eps(b))
+                     for s, b in pole_residues(self.rows[idx][i], 0,
+                                               self._residue_memo))
 
     def h_entries(self, i: int, idx: int) -> tuple:
         """Entries (idx, step mod N, c at eps) on which ("h", i, m) =
@@ -288,14 +270,8 @@ def _anchor_blocks(mod: LoopModule, smax: int) -> dict:
             adj[src].append(dst)
     block = {}
     for s in range(smax + 1):
-        start = g.index[doubled_anchor(mod.rs, s)]
-        seen, stack = {start}, [start]
-        while stack:
-            for dst in adj[stack.pop()]:
-                if dst not in seen:
-                    seen.add(dst)
-                    stack.append(dst)
-        block.update((g.nodes[k], s) for k in seen)
+        reached = _reach(adj, g.index[doubled_anchor(mod.rs, s)])
+        block.update((g.nodes[k], s) for k in reached)
     if len(block) != len(g.nodes):
         raise AssertionError("untagged nodes in the crystal union")
     return block
@@ -399,19 +375,54 @@ def relation_check_eps(mod: SpecializedModule, rmax: int | None = None,
 # generated submodules, simplicity and thinness
 # ---------------------------------------------------------------------------
 
-def joint_spectrum_simple(mod: SpecializedModule, order: int | None = None) -> bool:
-    """True iff the diagonal loop-Cartan data separates the basis."""
-    if order is None:
-        order = mod.N + 2
-    seen = set()
-    for idx in range(len(mod)):
-        sig = tuple(
-            tuple(mod.phi_component(idx, i, sign * s) for s in range(order + 1))
-            for i in mod.rs.nodes for sign in (1, -1))
-        if sig in seen:
-            return False
-        seen.add(sig)
-    return True
+def _spectrum_signature(mod: SpecializedModule, idx: int) -> tuple:
+    """Per node i, k_i mod N and the nonzero sums of the B_p of
+    `pair_entries` over each step class mod N (`joint_spectrum_simple`)."""
+    sig = []
+    for i in mod.rs.nodes:
+        sums = {}
+        for _, s, b in mod.pair_entries(i, idx):
+            sums[s] = sums[s] + b if s in sums else b
+        sig.append((mod._k_exponent(idx, i) % mod.N,
+                    tuple(sorted((s, c) for s, c in sums.items()
+                                 if not c.is_zero()))))
+    return tuple(sig)
+
+
+def joint_spectrum_simple(mod: SpecializedModule) -> bool:
+    """True iff the diagonal loop-Cartan data separates the basis.
+
+    On row i of a basis vector phi^{+-}_{i,0} = eps^{+-k_i}, k_i the sum
+    of the row's exponents, and for t != 0 phi^{+-}_{i,t} =
+    +-(eps - eps^-1) sum_p B_p eps^{t s_p} over the `pair_entries`
+    (s_p mod N, B_p), periodic in t mod N.  As eps is a primitive N-th
+    root (N >= 4 here), the discrete Fourier transform over Z/N is
+    invertible: the series determine and are determined by k_i mod N
+    and the nonzero sums of the B_p over each step class mod N, the
+    signature read here (`_spectrum_signature`)."""
+    return len({_spectrum_signature(mod, idx)
+                for idx in range(len(mod))}) == len(mod)
+
+
+def _digraph(mod: SpecializedModule) -> list:
+    """Successor sets of the nonzero-entry digraph of the x generators."""
+    adj = [set() for _ in range(len(mod))]
+    for i in mod.rs.nodes:
+        for table in (mod.minus_edges[i], mod.plus_edges[i]):
+            for src, entries in enumerate(table):
+                adj[src].update(dst for dst, _, c in entries if not c.is_zero())
+    return adj
+
+
+def _reach(adj, start: int) -> set:
+    """The nodes reachable from start along the successor lists adj."""
+    seen, stack = {start}, [start]
+    while stack:
+        for dst in adj[stack.pop()]:
+            if dst not in seen:
+                seen.add(dst)
+                stack.append(dst)
+    return seen
 
 
 def generated_submodule(mod: SpecializedModule, idx: int) -> set:
@@ -422,22 +433,7 @@ def generated_submodule(mod: SpecializedModule, idx: int) -> set:
     every submodule is then spanned by basis vectors, so the generated
     submodule is the set reachable from `idx` in the nonzero-entry
     digraph."""
-    adj = [set() for _ in range(len(mod))]
-    for i in mod.rs.nodes:
-        for table in (mod.minus_edges[i], mod.plus_edges[i]):
-            for src, entries in enumerate(table):
-                for dst, _, coeff in entries:
-                    if not coeff.is_zero():
-                        adj[src].add(dst)
-    seen = {idx}
-    stack = [idx]
-    while stack:
-        x = stack.pop()
-        for y in adj[x]:
-            if y not in seen:
-                seen.add(y)
-                stack.append(y)
-    return seen
+    return _reach(_digraph(mod), idx)
 
 
 def cyclic_generation_check(mod: SpecializedModule) -> bool:
@@ -450,5 +446,6 @@ def cyclic_generation_check(mod: SpecializedModule) -> bool:
     vector but not by every one (cyclic, not simple) gives False."""
     if not joint_spectrum_simple(mod):
         raise AssertionError("joint spectrum not simple; graph reduction invalid")
+    adj = _digraph(mod)
     n = len(mod)
-    return all(len(generated_submodule(mod, k)) == n for k in range(n))
+    return all(len(_reach(adj, k)) == n for k in range(n))

@@ -2,7 +2,7 @@ import json
 
 from torcrys import cli
 from torcrys.cli import (EXIT_NOT_CLOSED, EXIT_OK, EXIT_SPECIALIZATION,
-                         EXIT_UNSUPPORTED, EXIT_USAGE, main)
+                         EXIT_UNSUPPORTED, EXIT_USAGE, EXIT_VALIDATION, main)
 from torcrys.qcoeff import SpecializationError
 from torcrys.torep import ConstructionError
 
@@ -102,6 +102,12 @@ def test_unity_thin_prints_dimension(capsys):
     assert data["dimension"] == 4
     assert data["cyclic_generation"] is True
     assert abs(data["eps_float"][1] - 1.0) < 1e-9  # eps = i
+
+
+def test_unity_thin_without_ell_is_a_validation_error(capsys):
+    code, out, err = run(capsys, "unity", "thin", "--n", "3", "--L", "1")
+    assert code == EXIT_VALIDATION == 3
+    assert out == "" and "--ell is required" in err
 
 
 def test_construction_error_exit(monkeypatch, capsys):

@@ -220,23 +220,71 @@ def test_doubled_generation_obstruction():
     assert cyclic_generation_check(m) is False
 
 
-def test_phi_component_expands_each_series_once(monkeypatch):
-    """joint_spectrum_simple reads phi coefficients in increasing order
-    up to N + 2: each (vector, node, sign) series is expanded once."""
-    from torcrys import unity
-    m = specialize_thin(3, 1, 2)
-    calls = []
-    real = unity.fr_phi_series
+def _spectrum_cases():
+    """The modules of the joint-spectrum oracle: thin ones, both doubled
+    quotients and both direct sums, by name."""
+    for n, ell, L in ((3, 1, 1), (3, 1, 2), (3, 2, 2), (3, 3, 1), (3, 1, 3),
+                      (5, 3, 2), (5, 1, 1), (5, 5, 1)):
+        yield f"thin{(n, ell, L)}", specialize_thin(n, ell, L)
+    for L in (1, 2):
+        yield f"doubled{L}", specialize_doubled(L)
+    yield "thin+thin", _direct_sum(specialize_thin(3, 1, 1),
+                                   specialize_thin(3, 1, 1))
+    yield "doubled+thin", _direct_sum(specialize_doubled(1),
+                                      specialize_thin(3, 1, 1))
 
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return real(*args, **kwargs)
 
-    monkeypatch.setattr(unity, "fr_phi_series", counting)
-    assert joint_spectrum_simple(m)
-    keys = len(m) * len(m.rs.nodes) * 2
-    assert keys == 64
-    assert len(calls) <= keys
+def _partition(keys):
+    classes = {}
+    for idx, key in enumerate(keys):
+        classes.setdefault(key, set()).add(idx)
+    return sorted(sorted(c) for c in classes.values())
+
+
+def _generated_by_action(m, idx):
+    """The span reached from basis vector idx by act_x, every i, sign and
+    r in 0..N-1, vector by vector."""
+    seen, stack = {idx}, [idx]
+    while stack:
+        src = stack.pop()
+        for i in m.rs.nodes:
+            for sign in (1, -1):
+                for r in range(m.N):
+                    for dst in m.act_x(sign, i, r, {src: m.one}):
+                        if dst not in seen:
+                            seen.add(dst)
+                            stack.append(dst)
+    return seen
+
+
+def test_joint_spectrum_matches_series_oracle():
+    """The pole-residue signature of joint_spectrum_simple splits the
+    basis as the phi-series do, each (row, sign) expanded to order N + 2
+    by fr_phi_series and mapped by eval_cyclotomic.  generated_submodule
+    is the span act_x reaches, and cyclic_generation_check says whether
+    every basis vector reaches the whole basis."""
+    from torcrys.torep import fr_phi_series
+    from torcrys.unity import _spectrum_signature
+    for name, m in _spectrum_cases():
+        series = [tuple(tuple(eval_cyclotomic(c, m.N) for c in
+                              fr_phi_series(m.rows[idx][i], sign,
+                                            m.N + 2).coeffs)
+                        for i in m.rs.nodes for sign in (1, -1))
+                  for idx in range(len(m))]
+        expected = _partition(series)
+        residues = [_spectrum_signature(m, idx) for idx in range(len(m))]
+        assert _partition(residues) == expected, name
+        simple = len(expected) == len(m)
+        assert joint_spectrum_simple(m) == simple, name
+        reached = [_generated_by_action(m, k) for k in range(len(m))]
+        assert [generated_submodule(m, k)
+                for k in range(len(m))] == reached, name
+        if not simple:
+            with pytest.raises(AssertionError):
+                cyclic_generation_check(m)
+            continue
+        assert cyclic_generation_check(m) == all(
+            len(r) == len(m) for r in reached), name
 
 
 @pytest.mark.parametrize("L", [1, 2])
