@@ -307,7 +307,12 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else EXIT_OK
     try:
-        args = _merge_config(args)
+        try:
+            args = _merge_config(args)
+        except OSError as exc:
+            print(f"error (usage): cannot read config file {args.config}: "
+                  f"{exc.strerror or exc}", file=sys.stderr)
+            return EXIT_USAGE
         return args.func(args)
     except EvenRankError as exc:
         print(f"error (odd-rank rule): {exc}", file=sys.stderr)

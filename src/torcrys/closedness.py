@@ -114,7 +114,9 @@ def sl2_simple_qchar(row: dict):
 def _class_key(rs: RootSystem, m: Monomial, i: int):
     """Canonical invariant of the class m * prod_l A_{i,l}^Z: rows away
     from i-1, i, i+1 verbatim, the triple of nearby rows normalized by
-    clearing row i-1, and the correspondingly adjusted weight."""
+    clearing row i-1, and the correspondingly adjusted delta-coefficient.
+    The h-part of the weight is left out: it is the column sums of the
+    normalized exponents, so two keys that agree on those agree on it."""
     return _class_key_and_row(rs, m, i)[0]
 
 
@@ -135,8 +137,7 @@ def _class_key_and_row(rs: RootSystem, m: Monomial, i: int):
             other.append((k, u))
     row = tuple(row_i.items())
     if not c:
-        return (tuple(other), row, tuple(row_p.items()),
-                m.weight.h, m.weight.delta), row
+        return (tuple(other), row, tuple(row_p.items()), m.weight.delta), row
     for l, v in c.items():
         for e in (l - 1, l + 1):
             s = row_i.get(e, 0) + v
@@ -150,10 +151,11 @@ def _class_key_and_row(rs: RootSystem, m: Monomial, i: int):
             row_p[l] = s
         else:
             row_p.pop(l, None)
-    total = sum(c.values())
-    w = m.weight + rs.alpha(i).scaled(total) if total else m.weight
+    # the weight gains alpha_i * sum(c); alpha_i has a delta-coefficient
+    # only at i = 0
+    delta = m.weight.delta + sum(c.values()) * rs.alpha(i).delta
     return (tuple(other), tuple(sorted(row_i.items())),
-            tuple(sorted(row_p.items())), w.h, w.delta), row
+            tuple(sorted(row_p.items())), delta), row
 
 
 def _solve_a_exponents(rs: RootSystem, i: int, diff: dict):
@@ -297,15 +299,18 @@ def _sort_key_of(m):
 
 def _check_class_rows(rs: RootSystem, i: int, members, rows,
                       chars: dict) -> ClassResult:
-    """_check_class_general for an A_{i,*}-class of Monomials, decided
-    on their row-i tuples `rows`: the projection is injective on a
-    class, so a member is found by its row and a Monomial is built only
-    as a witness.  `chars` memoizes the sl2 character of each highest
-    row (or the UnsupportedConfigError it raised)."""
+    """_check_class_general for an A_{i,*}-class of Monomials, given in
+    Monomial.sort_key order, decided on their row-i tuples `rows`: the
+    projection is injective on a class, so a member is found by its row
+    and a Monomial is built only as a witness.  `chars` memoizes the sl2
+    character of each highest row (or the UnsupportedConfigError it
+    raised)."""
     counter = dict.fromkeys(rows, 1)
+    # rank by (row sum, dominance, sort-key position); the row sum is
+    # the weight's value on h_i
     ranked = sorted(
-        (((sum(u for _, u in row), all(u >= 0 for _, u in row),
-           m.sort_key()), m, row) for m, row in zip(members, rows)),
+        (((m.weight.h[i], all(u >= 0 for _, u in row), k), m, row)
+         for k, (m, row) in enumerate(zip(members, rows))),
         key=itemgetter(0), reverse=True)
     pos = 0
     while counter:
@@ -347,24 +352,32 @@ def qclosed_direction(rs: RootSystem, monomials, i: int,
     Classes whose support touches the window edge (within `margin`) are
     reported inconclusive rather than risking a truncation artifact.
     """
+    if window is not None:
+        lo, hi = window[0] + margin, window[1] - margin
     classes = {}
-    for m in monomials:
+    edge = set()
+    for m in sorted(monomials, key=Monomial.sort_key):
         key, row = _class_key_and_row(rs, m, i)
-        classes.setdefault(key, []).append((m.sort_key(), m, row))
+        entry = classes.get(key)
+        if entry is None:
+            classes[key] = ([m], [row])
+        else:
+            entry[0].append(m)
+            entry[1].append(row)
+        if window is not None and key not in edge:
+            for (_, l), _ in m.exps:
+                if l <= lo or l >= hi:
+                    edge.add(key)
+                    break
     chars = {}
     report = DirectionReport(i, True, None)
     for key in sorted(classes):
-        entries = sorted(classes[key], key=itemgetter(0))
-        members = [m for _, m, _ in entries]
-        if window is not None:
-            lmin, lmax = window
-            lv = [l for m in members for l in m.support_levels()]
-            if lv and (min(lv) <= lmin + margin or max(lv) >= lmax - margin):
-                report.classes.append(
-                    ClassResult(members, "inconclusive", None, "window boundary"))
-                continue
-        res = _check_class_rows(rs, i, members,
-                                [row for _, _, row in entries], chars)
+        members, rows = classes[key]
+        if key in edge:
+            report.classes.append(
+                ClassResult(members, "inconclusive", None, "window boundary"))
+            continue
+        res = _check_class_rows(rs, i, members, rows, chars)
         report.classes.append(res)
         if res.verdict == "not-closed" and report.qclosed is not False:
             report.qclosed = False

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .lattice import RootSystem
 from .monomial import Monomial, a_exponents, exp_key, exp_mul, exp_row
@@ -23,37 +24,34 @@ class WindowError(ValueError):
 # Kashiwara statistics
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class KashiwaraStats:
+class KashiwaraStats(NamedTuple):
     eps: int
     phi: int
     p: int | None
     qq: int | None
 
 
+_NO_STATS = KashiwaraStats(0, 0, None, None)
+
+
 def row_stats(row: dict) -> KashiwaraStats:
-    """Statistics of one row of exponents: eps, phi as maxima of the
-    suffix/prefix partial sums, p and qq per their max/min rules."""
+    """Statistics of one row of exponents, from one pass over its prefix
+    sums P_0 = 0, P_1, ..., P_k (P_k the total): phi is their maximum
+    and qq the smallest position whose prefix attains it; eps, the
+    largest negated suffix sum, is phi - P_k, and p is the largest
+    position whose preceding prefix attains phi."""
     if not row:
-        return KashiwaraStats(0, 0, None, None)
-    ls = sorted(row)
-    # phi: largest prefix sum; qq: the smallest position attaining it
+        return _NO_STATS
     acc = phi = 0
-    qq = None
-    for l in ls:
+    p = qq = None
+    for l in sorted(row):
+        if acc == phi:
+            p = l
         acc += row[l]
         if acc > phi:
             phi, qq = acc, l
-    total = acc
-    # eps: largest negated suffix sum; p: the largest position attaining it
-    acc = eps = 0
-    p = None
-    for l in reversed(ls):
-        acc -= row[l]
-        if acc > eps:
-            eps, p = acc, l
-    assert phi - eps == total
-    return KashiwaraStats(eps, phi, p, qq)
+    eps = phi - acc
+    return KashiwaraStats(eps, phi, p if eps else None, qq)
 
 
 def stats(rs: RootSystem, m: Monomial, i: int) -> KashiwaraStats:
@@ -96,15 +94,17 @@ def f_tilde(rs: RootSystem, m: Monomial, i: int) -> Monomial | None:
 
 def kashiwara_images(rs: RootSystem, m: Monomial, i: int, row: dict):
     """(f~_i m, e~_i m), either None when it vanishes, from one
-    `row_stats` pass over row i of m (`row` is m.row(i))."""
-    st = row_stats(row)
+    `row_stats` pass over row i of m (`row` is m.row(i)); each image is
+    m times the memoised exponents of one A_{i,l}^{-+1}, with its weight
+    moved by -+alpha_i."""
+    eps, phi, p, qq = row_stats(row)
     fm = em = None
-    if st.phi:
-        fm = Monomial(exp_key(exp_mul(m.exps, a_exponents(rs, i, st.qq + 1),
+    if phi:
+        fm = Monomial(exp_key(exp_mul(m.exps, a_exponents(rs, i, qq + 1),
                                       sign=-1)),
                       m.weight - rs.alpha(i))
-    if st.eps:
-        em = Monomial(exp_key(exp_mul(m.exps, a_exponents(rs, i, st.p - 1))),
+    if eps:
+        em = Monomial(exp_key(exp_mul(m.exps, a_exponents(rs, i, p - 1))),
                       m.weight + rs.alpha(i))
     return fm, em
 
@@ -163,7 +163,10 @@ class CrystalGraph:
 
 def _in_window(m: Monomial, window) -> bool:
     lmin, lmax = window
-    return all(lmin <= l <= lmax for (_, l), _ in m.exps)
+    for (_, l), _ in m.exps:
+        if not lmin <= l <= lmax:
+            return False
+    return True
 
 
 def _closure(rs: RootSystem, starts, labels, window):
@@ -171,7 +174,9 @@ def _closure(rs: RootSystem, starts, labels, window):
     with labels in `labels`, restricted to the spectral window.  Returns
     (nodes, index, f_edges, e_edges, interior) with nodes sorted; a node
     is interior when no operator leads it out of the window.  Each
-    (node, label) takes one `kashiwara_images` call for both images."""
+    (node, label) takes one `kashiwara_images` call for both images: one
+    pass over the row, and one A_{i,l} from the root system's memo per
+    image.  A node is hashed once, however often `seen` looks it up."""
     seen = dict.fromkeys(starts, True)
     frontier = deque(seen)
     f_raw, e_raw = {}, {}

@@ -108,6 +108,8 @@ class RootSystem:
             Weight(tuple(self._cartan[j][i] for j in self.nodes),
                    1 if i == 0 else 0)
             for i in self.nodes)
+        # exponents of A_{i,l} by (i, l), filled by monomial.a_exponents
+        self.a_exps = {}
 
     @classmethod
     def for_fundamental(cls, n: int, ell: int) -> "RootSystem":

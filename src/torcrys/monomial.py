@@ -11,8 +11,11 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from types import MappingProxyType
 
 from .lattice import RootSystem, Weight
+
+_setattr = object.__setattr__
 
 
 class ParityError(ValueError):
@@ -43,15 +46,23 @@ def exp_row(exps: dict, i: int) -> dict:
     return {l: u for (j, l), u in exps.items() if j == i}
 
 
-def a_exponents(rs: RootSystem, i: int, l: int) -> dict:
-    """Exponents of A_{i,l} = Y_{i,l-1} Y_{i,l+1} Y_{i-1,l}^-1 Y_{i+1,l}^-1."""
-    i = rs.mod(i)
-    if l % 2 != (rs.s(i) + 1) % 2:
-        raise ParityError(f"A_({i},{l}) has illegal spectral parity")
-    out = {(i, l - 1): 1, (i, l + 1): 1}
-    for j in (rs.mod(i - 1), rs.mod(i + 1)):
-        out[(j, l)] = out.get((j, l), 0) - 1
-    return {k: u for k, u in out.items() if u}
+def a_exponents(rs: RootSystem, i: int, l: int):
+    """Exponents of A_{i,l} = Y_{i,l-1} Y_{i,l+1} Y_{i-1,l}^-1 Y_{i+1,l}^-1,
+    as a read-only mapping memoised on rs (`rs.a_exps`).  An illegal
+    spectral parity raises ParityError on every call; it is never
+    memoised."""
+    try:
+        return rs.a_exps[(i, l)]
+    except KeyError:
+        pass
+    j = rs.mod(i)
+    if l % 2 != (rs.s(j) + 1) % 2:
+        raise ParityError(f"A_({j},{l}) has illegal spectral parity")
+    # n >= 3, so the four variables are distinct
+    out = rs.a_exps[(i, l)] = MappingProxyType({
+        (j, l - 1): 1, (j, l + 1): 1,
+        (rs.mod(j - 1), l): -1, (rs.mod(j + 1), l): -1})
+    return out
 
 
 def phi_exponents(rs: RootSystem, exps: dict) -> dict:
@@ -72,7 +83,7 @@ def exp_key(exps: dict):
 # Monomial
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Monomial:
     """A monomial e^{weight} prod Y_{i,l}^{u_{i,l}}, in canonical form.
 
@@ -81,8 +92,23 @@ class Monomial:
     in one parity class.
     """
 
+    __slots__ = ("exps", "weight", "_hash")
     exps: tuple
     weight: Weight
+
+    def __init__(self, exps: tuple, weight: Weight):
+        _setattr(self, "exps", exps)
+        _setattr(self, "weight", weight)
+        # hashed once, here: a Monomial is looked up in dicts and sets
+        # several times, and its fields never change
+        _setattr(self, "_hash", hash((exps, weight)))
+
+    def __hash__(self):
+        return self._hash
+
+    def __reduce__(self):
+        # copies and unpickled instances are rebuilt, so hashed afresh
+        return Monomial, (self.exps, self.weight)
 
     @staticmethod
     def make(rs: RootSystem, exps: dict, weight: Weight,
@@ -118,9 +144,6 @@ class Monomial:
         for (i, l), u in self.exps:
             out.setdefault(i, {})[l] = u
         return out
-
-    def support_levels(self):
-        return [l for ((_, l), _) in self.exps]
 
     def is_identity(self) -> bool:
         return not self.exps and self.weight.is_zero()

@@ -900,8 +900,13 @@ def relation_runs(rs: RootSystem, rmax: int = 3, hmax: int = 2,
     each mode parameter by its bare name (as `_split` forms it), and
     modes the tuple of the mode-value tuples of the run's instances.
     h-x has one run per (i, j, sign), its modes (m, r) m-major, so its
-    instances come in the order (i, j, sign, m, r)."""
+    instances come in the order (i, j, sign, m, r).  An id outside
+    RELATION_IDS raises ValueError."""
     ids = RELATION_IDS if include is None else tuple(include)
+    unknown = [r for r in ids if r not in RELATION_IDS]
+    if unknown:
+        raise ValueError(f"unknown relation id {unknown[0]!r}; "
+                         f"expected one of {', '.join(RELATION_IDS)}")
     rr = range(-rmax, rmax + 1)
     mm = [m for m in range(-hmax, hmax + 1) if m]
     I, signs = rs.nodes, (1, -1)

@@ -110,6 +110,21 @@ def test_unity_thin_without_ell_is_a_validation_error(capsys):
     assert out == "" and "--ell is required" in err
 
 
+def test_rep_check_unknown_relation_is_a_validation_error(capsys):
+    code, out, err = run(capsys, "rep", "check", "--n", "3", "--ell", "1",
+                         "--relations", "foo")
+    assert code == EXIT_VALIDATION == 3
+    assert out == "" and "unknown relation id 'foo'" in err
+
+
+def test_missing_config_file_is_a_usage_error(tmp_path, capsys):
+    missing = tmp_path / "absent.conf"
+    code, out, err = run(capsys, "--config", str(missing), "crystal", "gen",
+                         "--n", "3", "--ell", "1")
+    assert code == EXIT_USAGE == 2
+    assert out == "" and len(err.splitlines()) == 1 and str(missing) in err
+
+
 def test_construction_error_exit(monkeypatch, capsys):
     # ConstructionError subclasses ValueError; it must not exit as validation
     def refuse(*args, **kwargs):

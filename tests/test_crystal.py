@@ -5,10 +5,12 @@ import pytest
 
 from torcrys.crystal import (WindowError, check_shift_automorphism,
                              check_twist, e_tilde, f_tilde, generate,
-                             is_extremal, row_stats, stats, sub_crystal)
+                             is_extremal, kashiwara_images, row_stats, stats,
+                             sub_crystal)
 from torcrys.lattice import RootSystem, Weight
-from torcrys.monomial import (from_variables, monomial_from_json,
-                              phi_exponents, psi_exponents)
+from torcrys.monomial import (ParityError, a_exponents, from_variables,
+                              monomial_from_json, phi_exponents,
+                              psi_exponents)
 
 
 def rs1():
@@ -52,6 +54,44 @@ def test_stats_against_scan_oracle():
         row = {l: u for l, u in row.items() if u}
         st = row_stats(row)
         assert (st.eps, st.phi, st.p, st.qq) == brute_stats(row)
+
+
+@pytest.mark.parametrize("n,ells", [(3, (1, 2, 3)), (5, (3,)), (7, (4,))])
+def test_kashiwara_images_match_single_operators(n, ells):
+    # both images of every (node, label) of the closedness-sweep crystals
+    # equal f~ and e~ applied on their own
+    from torcrys.closedness import fundamental_anchor
+    for ell in ells:
+        rs = RootSystem.for_fundamental(n, ell)
+        g = generate(rs, [fundamental_anchor(rs, ell)],
+                     (-3 * (n + 1), 3 * (n + 1)))
+        for m in g.nodes:
+            for i in rs.nodes:
+                assert kashiwara_images(rs, m, i, m.row(i)) == \
+                    (f_tilde(rs, m, i), e_tilde(rs, m, i))
+
+
+def test_a_exponents_memo_matches_formula():
+    # every legal (i, l) in the window, labels given unreduced too: the
+    # memoised value is the four-term formula, read-only and reused;
+    # illegal parity raises on every call and is never memoised
+    for n, parity in ((3, 0), (3, 1), (5, 0), (7, 1)):
+        rs = RootSystem(n, parity=parity)
+        for i in range(-1, n + 2):
+            j = rs.mod(i)
+            for l in range(-3 * (n + 1), 3 * (n + 1) + 1):
+                if l % 2 == rs.s(j):
+                    for _ in range(2):
+                        with pytest.raises(ParityError):
+                            a_exponents(rs, i, l)
+                    assert (i, l) not in rs.a_exps
+                    continue
+                got = a_exponents(rs, i, l)
+                assert got == {(j, l - 1): 1, (j, l + 1): 1,
+                               (rs.mod(j - 1), l): -1, (rs.mod(j + 1), l): -1}
+                assert a_exponents(rs, i, l) is got
+                with pytest.raises(TypeError):
+                    got[(j, l)] = 1
 
 
 def test_kashiwara_operators_paper_chain():

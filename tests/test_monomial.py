@@ -1,3 +1,5 @@
+import copy
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -159,3 +161,32 @@ def test_json_round_trip():
     assert data["exp"] == sorted(data["exp"])
     assert monomial_from_json(data) == m
     assert monomial_from_json_str(monomial_to_json_str(m)) == m
+
+
+def test_hash_equal_across_constructors():
+    rs = rs1()
+    m = M0(rs)
+    a = a_monomial(rs, 1, 1)
+    built = [
+        Monomial.make(rs, {(0, 1): -1, (1, 0): 1}, rs.varpi(1)),
+        from_variables(rs, [(1, 0, 1), (0, 1, -1)], rs.varpi(1)),
+        (m * a) * a.inverse(),
+        identity_monomial(rs) * m,
+        monomial_from_json(monomial_to_json(m)),
+    ]
+    for x in built:
+        assert x == m and x is not m
+        assert hash(x) == hash(m) == hash((x.exps, x.weight))
+        assert hash(x) == hash(x)
+    assert len({m, *built}) == 1
+
+
+def test_hash_survives_copy_and_pickle():
+    rs = rs1()
+    half = Weight((0,) * 4, Fraction(1, 2))
+    for m in (M0(rs), tau(rs, M0(rs), 4, half)):
+        fresh = [copy.copy(m), pickle.loads(pickle.dumps(m))]
+        want = hash((m.exps, m.weight))
+        assert hash(m) == want
+        for x in fresh + [copy.copy(m), pickle.loads(pickle.dumps(m))]:
+            assert x == m and hash(x) == want and x in {m}

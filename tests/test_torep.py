@@ -224,6 +224,11 @@ def test_suite_report_json(thin_3_1):
         "serre-cubic", "x-commute-distant"}
 
 
+def test_unknown_relation_id_is_rejected(thin_3_1):
+    with pytest.raises(ValueError, match="unknown relation id 'foo'"):
+        run_relation_suite(thin_3_1, rmax=1, hmax=1, include=["h-h", "foo"])
+
+
 # ---------------------------------------------------------------------------
 # run_relation_suite against a memo-free reference
 # ---------------------------------------------------------------------------
