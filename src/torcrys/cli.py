@@ -64,9 +64,10 @@ def type_coerce(val: str):
         return val
 
 
-def _window(args, n):
-    lmin = args.lmin if args.lmin is not None else -4 * (n + 1)
-    lmax = args.lmax if args.lmax is not None else 4 * (n + 1)
+def _window(args, half):
+    """(lmin, lmax) from the flags, each defaulting to -half or half."""
+    lmin = args.lmin if args.lmin is not None else -half
+    lmax = args.lmax if args.lmax is not None else half
     if lmin > lmax:
         raise ValueError("empty window")
     return (lmin, lmax)
@@ -99,7 +100,7 @@ def _emit(args, text):
 def cmd_crystal(args):
     _require_odd(args.n)
     rs = RootSystem.for_fundamental(args.n, args.ell)
-    window = _window(args, args.n)
+    window = _window(args, 4 * (args.n + 1))
     g = generate(rs, [fundamental_anchor(rs, args.ell)], window)
     meta = {"n": args.n, "ell": args.ell, "window": list(window),
             "nodes": len(g), "interior": sum(g.interior)}
@@ -139,7 +140,7 @@ def cmd_closed(args):
     _require_odd(args.n)
     window = None
     if args.lmin is not None or args.lmax is not None:
-        window = _window(args, args.n)
+        window = _window(args, 4 * (args.n + 1))
     rep = closed_report(args.n, args.ell, window)
     lines = [f"# closedness n={args.n} ell={args.ell} window={rep.window}",
              "direction\tqclosed\twitness\tclasses\tinconclusive"]
@@ -156,7 +157,7 @@ def cmd_closed(args):
 def cmd_rep(args):
     _require_odd(args.n)
     _require(args.ell, "--ell")
-    window = _window(args, args.n)
+    window = _window(args, 4 * (args.n + 1))
     mod = build_thin(args.n, args.ell, window)
     if args.rep_action == "build":
         info = {"n": args.n, "ell": args.ell, "window": list(window),
@@ -188,11 +189,10 @@ def cmd_rep(args):
 
 def cmd_s5(args):
     smax = args.smax if args.smax is not None else 1
-    lmin = args.lmin if args.lmin is not None else -4 * (smax + 2)
-    lmax = args.lmax if args.lmax is not None else 4 * (smax + 2)
-    mod = build_doubled(smax, (lmin, lmax))
+    window = _window(args, 4 * (smax + 2))
+    mod = build_doubled(smax, window)
     if args.s5_action == "build":
-        info = {"smax": smax, "window": [lmin, lmax],
+        info = {"smax": smax, "window": list(window),
                 "dimension_window": len(mod),
                 "interior": sum(mod.graph.interior)}
         _emit(args, json.dumps(info, sort_keys=True))
@@ -223,7 +223,7 @@ def cmd_unity(args):
         "cyclic_generation": gen,
     }
     if args.float_check:
-        z = mod.eps_pow(1).to_complex()
+        z = mod.one.mul_qpow(1).to_complex()
         payload["eps_float"] = [round(z.real, 12), round(z.imag, 12)]
     _emit(args, json.dumps(payload, sort_keys=True))
     return EXIT_OK if rep.ok else EXIT_CHECK_FAILED

@@ -111,18 +111,15 @@ def sl2_simple_qchar(row: dict):
 # A_{i,*}-classes
 # ---------------------------------------------------------------------------
 
-def _class_key(rs: RootSystem, m: Monomial, i: int):
-    """Canonical invariant of the class m * prod_l A_{i,l}^Z: rows away
-    from i-1, i, i+1 verbatim, the triple of nearby rows normalized by
-    clearing row i-1, and the correspondingly adjusted delta-coefficient.
-    The h-part of the weight is left out: it is the column sums of the
-    normalized exponents, so two keys that agree on those agree on it."""
-    return _class_key_and_row(rs, m, i)[0]
-
-
 def _class_key_and_row(rs: RootSystem, m: Monomial, i: int):
-    """(_class_key(rs, m, i), row i of m as a sorted tuple), from one
-    pass over m.exps."""
+    """(key, row i of m as a sorted tuple), from one pass over m.exps.
+
+    The key is the canonical invariant of the class m * prod_l
+    A_{i,l}^Z: rows away from i-1, i, i+1 verbatim, the triple of nearby
+    rows normalized by clearing row i-1, and the correspondingly
+    adjusted delta-coefficient.  The h-part of the weight is left out:
+    it is the column sums of the normalized exponents, so two keys that
+    agree on those agree on it."""
     im, ip = rs.mod(i - 1), rs.mod(i + 1)
     other, c, row_i, row_p = [], {}, {}, {}
     for k, u in m.exps:

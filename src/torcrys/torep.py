@@ -25,9 +25,10 @@ edges back to the vector itself with constant steps:
 x-plus-minus relation acts by sum_p B_p q^{t s_p}, one edge per simple
 pole of row i of the l-weight (`pole_residues`); ("h", i, m) = m h_{i,m}
 by sum_l u_{i,l} (q^{m(l+1)} - q^{m(l-1)})/(q - q^-1), the closed form
-on a rational l-weight (`h_residues`); and the scalar ("q", a, m) =
-q^{am} by one edge of step a.  So the paths a word takes through the
-basis do not depend on the mode indices.  The relations come as runs
+on a rational l-weight (`h_residues`); ("k", hvec, m) = k_h^m by one
+edge of step <h, wt>; and the scalar ("q", a, m) = q^{am} by one edge
+of step a.  So the paths a word takes through the basis do not depend
+on the mode indices.  The relations come as runs
 (`relation_runs`): a key, the relation id with its non-mode
 parameters, and the mode tuples v of its instances; an instance
 becomes a RelationSpec only to name a failure.  The runner tables each
@@ -56,9 +57,12 @@ nonzero.  This is exactly when applying the word operator by
 operator (`act_x`, which drops cancelled entries before reading their
 edges) raises WindowError.
 
-A module offers x_entries (see `XAction`, which builds act_x from
-them), pair_entries, h_entries and q_entries, the diagonal operator
-act_k, and its ring's unit as `one`; ring elements offer mul_qpow,
+Both module types share one operator rule (`XAction`): x_entries,
+k_entries, q_entries, pair_entries and h_entries, with act_x and act_k
+for applying operators one by one, are written once on two hooks of
+each module, row(idx, i) and hpart(idx).  The generic ring keeps steps
+and coefficients as they are; the root-of-unity module takes steps mod
+N and maps coefficients to Q(zeta_N).  Ring elements offer mul_qpow,
 clear_denominators and counts_vanish.
 """
 from __future__ import annotations
@@ -96,9 +100,35 @@ class ConstructionError(ValueError):
 # ---------------------------------------------------------------------------
 
 class XAction:
-    """act_x from the module's x_entries(sign, i, idx): the entries
-    (dst, step, c0) on which x^{sign}_{i,r} acts by c0 q^{r step}, dst
-    None where the edge leaves the window."""
+    """The operator entries of a loop weight module, written once for
+    both coefficient rings.  An entry (dst, step, c0) of an operator
+    with mode r acts by c0 q^{r step}; dst is None where an x edge
+    leaves the window.
+
+    A module supplies its x edge tables (`minus_edges`, `plus_edges`),
+    its unit `one`, `_h_cache`, `_residue_memo`, `phi_component` and two
+    hooks: row(idx, i), row i of the basis vector's l-weight, and
+    hpart(idx), the h-values of its weight.  The defaults below are the
+    generic ring's: no twist, and steps and RationalQ coefficients kept
+    as they are; a module over another ring reduces steps (`_step`) and
+    maps coefficients into its ring (`_scalar`, which raises
+    SpecializationError where a coefficient has no value there)."""
+
+    twist = 0
+
+    def _step(self, s: int) -> int:
+        return s
+
+    def _scalar(self, c: RationalQ):
+        return c
+
+    def x_entries(self, sign: int, i: int, idx: int) -> tuple:
+        """Edge entries (dst, step, c0) of x^{sign}_{i,r} at a basis
+        vector: step is l + twist for the step position l."""
+        entries = (self.plus_edges if sign > 0 else self.minus_edges)[i][idx]
+        if self.twist:
+            return tuple((dst, l + self.twist, c0) for dst, l, c0 in entries)
+        return entries
 
     def act_x(self, sign: int, i: int, r: int, vec: dict) -> dict:
         out = {}
@@ -116,6 +146,52 @@ class XAction:
                 else:
                     out[dst] = s
         return out
+
+    def act_k(self, hvec, vec: dict) -> dict:
+        """k_h for h = sum hvec[i] h_i, by q^{<h, wt>} on each basis
+        vector: the k operator of a reference that does not go through
+        `k_entries`."""
+        return {idx: c.mul_qpow(sum(map(mul, hvec, self.hpart(idx))))
+                for idx, c in vec.items()}
+
+    def k_entries(self, hvec, idx: int) -> tuple:
+        """The one entry (idx, <h, wt>, 1) on which ("k", hvec, m) =
+        k_h^m acts by q^{m <h, wt>}."""
+        return ((idx, self._step(sum(map(mul, hvec, self.hpart(idx)))),
+                 self.one),)
+
+    def q_entries(self, a: int, idx: int) -> tuple:
+        """The one entry (idx, a, 1) on which ("q", a, m) acts by q^{am}."""
+        return ((idx, self._step(a), self.one),)
+
+    def pair_entries(self, i: int, idx: int) -> tuple:
+        """Entries (idx, s_p, B_p) on which ("pair", i, t) acts on the
+        basis vector by sum_p B_p q^{t s_p}: the `pole_residues` of row
+        i, steps twisted."""
+        return tuple((idx, self._step(s), self._scalar(b))
+                     for s, b in pole_residues(self.row(idx, i), self.twist,
+                                               self._residue_memo))
+
+    def h_entries(self, i: int, idx: int) -> tuple:
+        """Entries (idx, step, c) on which ("h", i, m) = m h_{i,m} acts
+        on the basis vector by sum c q^{m step}: the `h_residues` of row
+        i, steps twisted."""
+        key = (idx, i)
+        got = self._h_cache.get(key)
+        if got is None:
+            got = self._h_cache[key] = tuple(
+                (idx, self._step(s), self._scalar(c))
+                for s, c in h_residues(self.row(idx, i), self.twist))
+        return got
+
+    def pairing_value(self, idx: int, i: int, t: int):
+        """(phi^+_{i,t} - phi^-_{i,t})/(q - q^-1) as needed by the
+        [x^+, x^-] relation, from the module's own `phi_component`: the
+        oracle of `pair_entries`.  At t = 0 it is [k_i], k_i = <h_i, wt>."""
+        if t == 0:
+            return self._scalar(RationalQ(qint(self.hpart(idx)[i])))
+        num = self.phi_component(idx, i, t)
+        return (num if t > 0 else -num) * self._scalar(_RQ_INV_QMQ)
 
 
 @dataclass
@@ -138,21 +214,16 @@ class LoopModule(XAction):
     def node(self, idx: int) -> Monomial:
         return self.graph.nodes[idx]
 
+    def row(self, idx: int, i: int) -> dict:
+        return self.graph.nodes[idx].row(i)
+
+    def hpart(self, idx: int) -> tuple:
+        return self.graph.nodes[idx].weight.h
+
     def twisted(self, k: int) -> "LoopModule":
         """Twist by the spectral automorphism sending x_{i,r} to q^{kr} x_{i,r}."""
         return LoopModule(self.rs, self.graph, self.flavor,
                           self.minus_edges, self.plus_edges, self.twist + k)
-
-    # -- generator actions -----------------------------------------------------
-
-    def x_entries(self, sign: int, i: int, idx: int) -> tuple:
-        """Edge entries (dst, step, c0) of x^{sign}_{i,r} at a basis
-        vector: step is l + twist for the step position l, and dst is
-        None where the edge leaves the window."""
-        entries = (self.plus_edges if sign > 0 else self.minus_edges)[i][idx]
-        if self.twist:
-            return tuple((dst, l + self.twist, c0) for dst, l, c0 in entries)
-        return entries
 
     def divided_power_x(self, sign: int, i: int, k: int, vec: dict) -> dict:
         for _ in range(k):
@@ -161,14 +232,6 @@ class LoopModule(XAction):
             inv = RationalQ(LaurentPoly.from_int(1), qfact(k))
             vec = {idx: c * inv for idx, c in vec.items()}
         return vec
-
-    def act_k(self, hvec, vec: dict) -> dict:
-        """k_h for h = sum hvec[i] h_i."""
-        out = {}
-        for idx, c in vec.items():
-            w = self.node(idx).weight
-            out[idx] = c.mul_qpow(sum(h * w.h[i] for i, h in enumerate(hvec)))
-        return out
 
     # -- diagonal loop-Cartan data ----------------------------------------------
 
@@ -180,11 +243,10 @@ class LoopModule(XAction):
         """
         if self.flavor == "thin":
             return QSeries(sign, self._phi_actmod(idx, i, sign, order), order)
-        return fr_phi_series(self.node(idx).row(i), sign, order,
-                             twist=self.twist)
+        return fr_phi_series(self.row(idx, i), sign, order, twist=self.twist)
 
     def _phi_actmod(self, idx, i, sign, order):
-        st = row_stats(self.node(idx).row(i))
+        st = row_stats(self.row(idx, i))
         w = st.phi - st.eps
         coeffs = [RationalQ.q_power(sign * w)]
         qmq = RationalQ(Q_MINUS_QINV)
@@ -207,18 +269,6 @@ class LoopModule(XAction):
         s = self.phi_series(idx, i, 1 if t >= 0 else -1, abs(t))
         return s.coeff(abs(t))
 
-    def pairing_value(self, idx: int, i: int, t: int) -> RationalQ:
-        """(phi^+_{i,t} - phi^-_{i,t})/(q - q^-1) as needed by the
-        [x^+, x^-] relation."""
-        if t > 0:
-            num = self.phi_component(idx, i, t)
-        elif t < 0:
-            num = -self.phi_component(idx, i, t)
-        else:
-            w = row_stats(self.node(idx).row(i))
-            return RationalQ(qint(w.phi - w.eps))
-        return num / RationalQ(Q_MINUS_QINV)
-
     def h_eigenvalue(self, idx: int, i: int, m: int) -> RationalQ:
         """Eigenvalue of h_{i,m} (m != 0), extracted from the formal
         logarithm of the module's own phi-series (`series_h`): the
@@ -226,30 +276,6 @@ class LoopModule(XAction):
         if m == 0:
             raise ValueError("h_{i,0} is not a generator")
         return series_h(self.phi_series(idx, i, 1 if m > 0 else -1, abs(m)))
-
-    def h_entries(self, i: int, idx: int) -> tuple:
-        """Entries (idx, step, c) on which ("h", i, m) = m h_{i,m} acts
-        on the basis vector by sum c q^{m step}: the `h_residues` of row
-        i, steps twisted."""
-        key = (idx, i)
-        got = self._h_cache.get(key)
-        if got is None:
-            got = self._h_cache[key] = tuple(
-                (idx, s, c)
-                for s, c in h_residues(self.node(idx).row(i), self.twist))
-        return got
-
-    def q_entries(self, a: int, idx: int) -> tuple:
-        """The one entry (idx, a, 1) on which ("q", a, m) acts by q^{am}."""
-        return ((idx, a, RQ_ONE),)
-
-    def pair_entries(self, i: int, idx: int) -> tuple:
-        """Entries (idx, s_p, B_p) on which ("pair", i, t) acts on the
-        basis vector by sum_p B_p q^{t s_p}: the `pole_residues` of row
-        i, steps twisted."""
-        return tuple((idx, s, b)
-                     for s, b in pole_residues(self.node(idx).row(i), self.twist,
-                                               self._residue_memo))
 
     # -- q-character --------------------------------------------------------------
 
@@ -563,7 +589,7 @@ def relation_terms(rs: RootSystem, spec: RelationSpec) -> tuple:
 
     A word is a tuple of operators applied rightmost first:
     ("x", sign, i, r) for x^{sign}_{i,r}, ("h", i, m) for m h_{i,m},
-    ("q", a, m) for the scalar q^{am}, ("k", hvec) for k_h with
+    ("q", a, m) for the scalar q^{am}, ("k", hvec, m) for k_h^m with
     h = sum hvec[i] h_i, and ("pair", i, t) for the diagonal
     (phi^+_{i,t} - phi^-_{i,t})/(q - q^-1).
 
@@ -579,7 +605,7 @@ def relation_terms(rs: RootSystem, spec: RelationSpec) -> tuple:
         i, j, r, sign = p["i"], p["j"], p["r"], p["sign"]
         hvec = tuple(int(k == i) for k in range(rs.n + 1))
         x = ("x", sign, j, r)
-        return ((one, (("k", hvec), x, ("k", tuple(-c for c in hvec)))),
+        return ((one, (("k", hvec, 1), x, ("k", hvec, -1))),
                 (-RationalQ.q_power(sign * rs.cartan(i, j)), (x,)))
     if rid == "h-h":
         a, b = ("h", p["i"], p["m1"]), ("h", p["j"], p["m2"])
@@ -707,21 +733,18 @@ def _table(rs: RootSystem, key: tuple, scalar) -> tuple:
 def _shapes(terms: tuple, n: int) -> tuple:
     """The runner's template of a table's terms, whose modes are affine
     forms in n mode values v: per term (scalar, shape, consts, cols).  A
-    shape is the word with the mode of each operator but k removed:
-    ("x", sign, i), ("pair", i), ("h", i) and ("q", a).  The removed
-    modes, in application order (rightmost operator first), are affine
-    forms: consts[k] is the k-th one's constant, and cols[j][k] its
-    coefficient of v_j."""
+    shape is the word with the mode of each operator removed:
+    ("x", sign, i), ("pair", i), ("h", i), ("k", hvec) and ("q", a).
+    The removed modes, in application order (rightmost operator first),
+    are affine forms: consts[k] is the k-th one's constant, and
+    cols[j][k] its coefficient of v_j."""
     out = []
     for scalar, word in terms:
         shape, forms = [], []
         for op in word:
-            if op[0] == "k":
-                shape.append(op)
-            else:
-                shape.append(op[:-1])
-                m = op[-1]
-                forms.append(m if isinstance(m, Mode) else Mode(m, (0,) * n))
+            shape.append(op[:-1])
+            m = op[-1]
+            forms.append(m if isinstance(m, Mode) else Mode(m, (0,) * n))
         forms.reverse()
         out.append((scalar, tuple(shape), tuple(f.const for f in forms),
                     tuple(zip(*(f.coeffs for f in forms))) or ((),) * n))
@@ -734,14 +757,13 @@ def _paths(mod, shape: tuple, memo: dict):
     paths maps (target, steps) to the summed coefficient of the paths
     ending at target through the edge steps `steps` (application
     order); such paths share the factor q^{sum r_k step_k} at every mode
-    tuple, so a zero sum is dropped.  An x, pair, h or q operator moves a
-    path along its entries (`x_entries`, `pair_entries`, `h_entries`,
-    `q_entries`; the last three return to their own node, so they never
-    leave the window).  A k operator multiplies a path by its value at
-    the target.  hazards holds (node, ((steps, coeff), ...)): the
-    paths that reached a node whose edge for the next x operator leaves
-    the window; they go no further (where their sum vanishes, so would
-    their continuations).
+    tuple, so a zero sum is dropped.  Every operator moves a path along
+    its entries (`x_entries`, `pair_entries`, `h_entries`, `k_entries`,
+    `q_entries`; all but the first return to their own node, so they
+    never leave the window).  hazards holds (node, ((steps, coeff),
+    ...)): the paths that reached a node whose edge for the next x
+    operator leaves the window; they go no further (where their sum
+    vanishes, so would their continuations).
 
     memo maps shapes to these values for this one vector and starts as
     {(): ({(idx, ()): unit}, ())}; a shape is expanded from shape[1:]."""
@@ -751,27 +773,19 @@ def _paths(mod, shape: tuple, memo: dict):
     paths, hazards = _paths(mod, shape[1:], memo)
     op = shape[0]
     new = {}
-    if op[0] == "k":
-        values = {}
-        for (node, steps), c in paths.items():
-            if node not in values:
-                values[node] = mod.act_k(*op[1:], {node: mod.one})[node]
-            new[(node, steps)] = c * values[node]
-    else:
-        entries_of = getattr(mod, op[0] + "_entries")
-        leaving = {}
-        for (node, steps), c in paths.items():
-            entries = entries_of(*op[1:], node)
-            if any(dst is None for dst, _, _ in entries):
-                leaving.setdefault(node, []).append((steps, c))
-                continue
-            for dst, step, c0 in entries:
-                key = (dst, steps + (step,))
-                cc = c if c0 is mod.one else c * c0
-                s = new.get(key)
-                new[key] = cc if s is None else s + cc
-        hazards += tuple((node, tuple(group))
-                         for node, group in leaving.items())
+    entries_of = getattr(mod, op[0] + "_entries")
+    leaving = {}
+    for (node, steps), c in paths.items():
+        entries = entries_of(*op[1:], node)
+        if any(dst is None for dst, _, _ in entries):
+            leaving.setdefault(node, []).append((steps, c))
+            continue
+        for dst, step, c0 in entries:
+            key = (dst, steps + (step,))
+            cc = c if c0 is mod.one else c * c0
+            s = new.get(key)
+            new[key] = cc if s is None else s + cc
+    hazards += tuple((node, tuple(group)) for node, group in leaving.items())
     got = memo[shape] = ({k: c for k, c in new.items() if not c.is_zero()},
                          hazards)
     return got
@@ -875,7 +889,7 @@ def relation_residual(mod: LoopModule, spec: RelationSpec, idx: int) -> dict:
     written."""
     key, v = _split(spec)
     memo = {(): ({(idx, ()): mod.one}, ())}
-    den, terms, hazards = _node_terms(mod, _table(mod.rs, key, lambda s: s),
+    den, terms, hazards = _node_terms(mod, _table(mod.rs, key, mod._scalar),
                                       memo)
     node = _window_exit(hazards, v, mod.one)
     if node is not None:
@@ -981,16 +995,16 @@ class SuiteReport:
         }
 
 
-def _run_suite(mod, runs, idxs, scalar) -> SuiteReport:
+def _run_suite(mod, runs, idxs) -> SuiteReport:
     """Evaluate every instance of the runs (key, modes) on every basis
     vector in idxs; any nonzero residual is recorded as a failure,
-    instances leaving the window count as inconclusive.  `scalar` maps
-    the tables' RationalQ scalars into the module's coefficient ring.
+    instances leaving the window count as inconclusive.  The module's
+    `_scalar` maps the tables' RationalQ scalars into its ring.
 
     Each run's relation is tabled once, modes as affine symbols
     (`_table`).  On each node every shape of the run is expanded into
-    paths once (`_paths`), every operator but k moving along its
-    entries, and the terms are cleared of denominators and summed per
+    paths once (`_paths`), every operator moving along its entries,
+    and the terms are cleared of denominators and summed per
     target and mode weight w (`_node_terms`).  An instance with modes v
     then only adds integers into counters keyed by target and
     q-exponent, shifted by v . w (`_residual`); where nothing is left
@@ -1002,7 +1016,7 @@ def _run_suite(mod, runs, idxs, scalar) -> SuiteReport:
     failures = []
     ring = mod.one
     for rpos, (key, modes) in enumerate(runs):
-        template = _table(mod.rs, key, scalar)
+        template = _table(mod.rs, key, mod._scalar)
         checked = 0
         for npos, idx in enumerate(idxs):
             memo = {(): ({(idx, ()): ring}, ())}
@@ -1035,7 +1049,7 @@ def run_relation_suite(mod: LoopModule, rmax: int = 3, hmax: int = 2,
     spec by spec, nodes in the given order."""
     idxs = list(nodes) if nodes is not None else range(len(mod))
     runs = relation_runs(mod.rs, rmax=rmax, hmax=hmax, include=include)
-    return _run_suite(mod, runs, idxs, lambda s: s)
+    return _run_suite(mod, runs, idxs)
 
 
 # ---------------------------------------------------------------------------

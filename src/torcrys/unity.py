@@ -7,32 +7,33 @@ The quantum parameter is kept symbolic in Q[q]/(Phi_N); no floats on
 the verification path.  The relation checks at eps evaluate the same
 term tables (`torep.relation_terms`) through the same runner as the
 generic suite, with each RationalQ scalar mapped to Q(zeta_N) by
-`eval_cyclotomic`; the entries of the pair and h operators are the
-generic `torep.pole_residues` and `torep.h_residues` under the same
-map, and the joint spectrum of the loop-Cartan operators is read from
-those pole residues.
+`eval_cyclotomic`.  The operator entries are the generic ones of
+`torep.XAction`, read from each basis vector's representative row and
+weight, with steps taken mod N and coefficients under the same map;
+the joint spectrum of the loop-Cartan operators is read from the pole
+residues of the pair entries.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 from itertools import product
 from math import comb
 
 from .crystal import WindowError
 from .lattice import RootSystem
 from .monomial import ResidueMonomial, gamma
-from .qcoeff import (Q_MINUS_QINV, CycloElem, SpecializationError,
-                     eval_cyclotomic, qint)
+from .qcoeff import CycloElem, SpecializationError, eval_cyclotomic
 from .torep import (ClosednessRefusal, LoopModule, SuiteReport, XAction,
-                    _run_suite, _specs, build_doubled, build_thin,
-                    doubled_anchor, fr_phi_series, h_residues, pole_residues)
+                    _run_suite, build_doubled, build_thin, doubled_anchor,
+                    fr_phi_series)
 
 
 @dataclass
 class SpecializedModule(XAction):
     """Finite module over Q(zeta_N) with basis indexed by residue
-    monomials; action tables are dense per generator family."""
+    monomials; action tables are dense per generator family.  Its
+    operator entries are those of `XAction` on the representative rows,
+    steps taken mod N and coefficients mapped to Q(zeta_N)."""
 
     rs: RootSystem
     N: int
@@ -44,84 +45,35 @@ class SpecializedModule(XAction):
     _h_cache: dict = field(default_factory=dict)
     _residue_memo: dict = field(default_factory=dict)  # of pole_residues
     one: CycloElem = field(init=False, repr=False)
-    _eps: tuple = field(init=False, repr=False)       # eps^0 .. eps^{N-1}
-    _at_eps: object = field(init=False, repr=False)   # `_eps_images`
+    _scalar: object = field(init=False, repr=False)   # `_eps_images`
 
     # entries: tuple of (dst, step mod N, CycloElem coefficient)
 
     def __post_init__(self):
         self.one = CycloElem.one(self.N)
-        self._eps = tuple(CycloElem.q_power(self.N, k) for k in range(self.N))
-        self._at_eps = _eps_images(self.N)
+        self._scalar = _eps_images(self.N)
 
     def __len__(self):
         return len(self.basis)
 
-    def eps_pow(self, k: int) -> CycloElem:
-        return self._eps[k % self.N]
-
-    def x_entries(self, sign: int, i: int, idx: int) -> tuple:
-        """Edge entries (dst, step, c0) of x^{sign}_{i,r} at a basis
-        vector; it acts by c0 eps^{r step}."""
-        return (self.plus_edges if sign > 0 else self.minus_edges)[i][idx]
-
     def node(self, idx: int) -> ResidueMonomial:
         return self.basis[idx]
 
-    def _k_exponent(self, idx: int, i: int) -> int:
-        return sum(self.rows[idx][i].values())
+    def row(self, idx: int, i: int) -> dict:
+        return self.rows[idx][i]
+
+    def hpart(self, idx: int) -> tuple:
+        return self.basis[idx].h
+
+    def _step(self, s: int) -> int:
+        return s % self.N
 
     def phi_component(self, idx: int, i: int, t: int) -> CycloElem:
         """Eigenvalue of phi^{+-}_{i,t}: the rational form of the
         representative row (`fr_phi_series`) expanded to order |t| and
         mapped to Q(zeta_N), the oracle of `pair_entries`."""
-        series = fr_phi_series(self.rows[idx][i], 1 if t >= 0 else -1, abs(t))
+        series = fr_phi_series(self.row(idx, i), 1 if t >= 0 else -1, abs(t))
         return eval_cyclotomic(series.coeff(abs(t)), self.N)
-
-    @cached_property
-    def _qmq_inv(self) -> CycloElem:
-        return CycloElem.from_laurent(self.N, Q_MINUS_QINV).inv()
-
-    def pairing_value(self, idx: int, i: int, t: int) -> CycloElem:
-        if t > 0:
-            return self.phi_component(idx, i, t) * self._qmq_inv
-        if t < 0:
-            return -self.phi_component(idx, i, t) * self._qmq_inv
-        return CycloElem.from_laurent(self.N, qint(self._k_exponent(idx, i)))
-
-    # -- diagonal operators of the relation words --------------------------
-
-    def act_k(self, hvec, vec: dict) -> dict:
-        """k_h for h = sum hvec[i] h_i."""
-        return {idx: c * self.eps_pow(sum(h * self._k_exponent(idx, i)
-                                          for i, h in enumerate(hvec) if h))
-                for idx, c in vec.items()}
-
-    def pair_entries(self, i: int, idx: int) -> tuple:
-        """Entries (idx, s_p mod N, B_p at eps) on which ("pair", i, t)
-        acts by sum_p B_p eps^{t s_p}: the `pole_residues` of the
-        representative row.  A B_p with no value at eps raises
-        SpecializationError."""
-        return tuple((idx, s % self.N, self._at_eps(b))
-                     for s, b in pole_residues(self.rows[idx][i], 0,
-                                               self._residue_memo))
-
-    def h_entries(self, i: int, idx: int) -> tuple:
-        """Entries (idx, step mod N, c at eps) on which ("h", i, m) =
-        m h_{i,m} acts by sum c eps^{m step}: the `h_residues` of the
-        representative row."""
-        key = (idx, i)
-        got = self._h_cache.get(key)
-        if got is None:
-            got = self._h_cache[key] = tuple(
-                (idx, s % self.N, self._at_eps(c))
-                for s, c in h_residues(self.rows[idx][i]))
-        return got
-
-    def q_entries(self, a: int, idx: int) -> tuple:
-        """The one entry (idx, a mod N, 1) on which ("q", a, m) acts by
-        eps^{am}."""
-        return ((idx, a % self.N, self.one),)
 
 
 # ---------------------------------------------------------------------------
@@ -329,12 +281,6 @@ def _eps_runs(rs: RootSystem, rmax: int, serre_rmax: int):
                     ("sign", sign)), pairs)
 
 
-def _eps_specs(rs: RootSystem, rmax: int, serre_rmax: int):
-    """The relation instances checked at eps, one RelationSpec per
-    instance of `_eps_runs`."""
-    return _specs(_eps_runs(rs, rmax, serre_rmax))
-
-
 def relation_check_eps(mod: SpecializedModule, rmax: int | None = None,
                        serre_rmax: int = 2) -> SuiteReport:
     """All defining relations with eps in place of q, on the whole
@@ -368,7 +314,7 @@ def relation_check_eps(mod: SpecializedModule, rmax: int | None = None,
     if rmax is None:
         rmax = mod.N - 1
     return _run_suite(mod, _eps_runs(mod.rs, rmax, serre_rmax),
-                      range(len(mod)), _eps_images(mod.N))
+                      range(len(mod)))
 
 
 # ---------------------------------------------------------------------------
@@ -376,14 +322,15 @@ def relation_check_eps(mod: SpecializedModule, rmax: int | None = None,
 # ---------------------------------------------------------------------------
 
 def _spectrum_signature(mod: SpecializedModule, idx: int) -> tuple:
-    """Per node i, k_i mod N and the nonzero sums of the B_p of
-    `pair_entries` over each step class mod N (`joint_spectrum_simple`)."""
+    """Per node i, k_i = <h_i, wt> mod N and the nonzero sums of the B_p
+    of `pair_entries` over each step class mod N
+    (`joint_spectrum_simple`)."""
     sig = []
     for i in mod.rs.nodes:
         sums = {}
         for _, s, b in mod.pair_entries(i, idx):
             sums[s] = sums[s] + b if s in sums else b
-        sig.append((mod._k_exponent(idx, i) % mod.N,
+        sig.append((mod.hpart(idx)[i] % mod.N,
                     tuple(sorted((s, c) for s, c in sums.items()
                                  if not c.is_zero()))))
     return tuple(sig)

@@ -94,6 +94,14 @@ def test_s5_build_and_check(capsys):
     assert code == EXIT_OK
 
 
+def test_empty_window_is_a_validation_error(capsys):
+    for argv in (("s5", "build"), ("rep", "build", "--n", "3", "--ell", "1"),
+                 ("crystal", "gen", "--n", "3", "--ell", "1")):
+        code, out, err = run(capsys, *argv, "--lmin", "5", "--lmax", "4")
+        assert code == EXIT_VALIDATION == 3, argv
+        assert out == "" and "empty window" in err, argv
+
+
 def test_unity_thin_prints_dimension(capsys):
     code, out, _ = run(capsys, "unity", "thin", "--n", "3", "--ell", "1",
                        "--L", "1", "--float-check")

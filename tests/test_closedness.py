@@ -209,7 +209,8 @@ def test_partner_matches_repeated_products(n):
     # every class of every direction of the closedness-sweep crystals:
     # the partners of its first member at the rows of all its members,
     # and at the rows of the first member's sl2 character when dominant
-    from torcrys.closedness import UnsupportedConfigError, _class_key, _partner
+    from torcrys.closedness import (UnsupportedConfigError, _class_key_and_row,
+                                    _partner)
     window = (-3 * (n + 1), 3 * (n + 1))
     compared = 0
     for ell in range(1, n + 1):
@@ -218,7 +219,8 @@ def test_partner_matches_repeated_products(n):
         for i in rs.nodes:
             classes = {}
             for m in nodes:
-                classes.setdefault(_class_key(rs, m, i), []).append(m)
+                key = _class_key_and_row(rs, m, i)[0]
+                classes.setdefault(key, []).append(m)
             for members in classes.values():
                 base = members[0]
                 targets = [m.row(i) for m in members]
@@ -245,7 +247,7 @@ def test_row_keyed_check_matches_monomial_route(n):
     # tuples gives the verdict, witness and reason of the route that
     # keys the class by Monomials and builds every character partner
     from torcrys.closedness import (_check_class_general, _check_class_rows,
-                                    _class_key, _partner)
+                                    _class_key_and_row, _partner)
     from torcrys.monomial import Monomial
     window = (-3 * (n + 1), 3 * (n + 1))
     verdicts = set()
@@ -255,7 +257,8 @@ def test_row_keyed_check_matches_monomial_route(n):
         for i in rs.nodes:
             classes = {}
             for m in nodes:
-                classes.setdefault(_class_key(rs, m, i), []).append(m)
+                key = _class_key_and_row(rs, m, i)[0]
+                classes.setdefault(key, []).append(m)
             chars = {}
             for key in sorted(classes):
                 members = sorted(classes[key], key=Monomial.sort_key)

@@ -17,9 +17,9 @@ from torcrys.torep import (ClosednessRefusal, LoopModule, RelationSpec,
                            relation_instances, relation_residual,
                            relation_terms, run_relation_suite,
                            verify_extremal_vector)
-from torcrys.unity import (SpecializedModule, _eps_runs, _eps_specs,
-                           relation_check_eps, specialize_doubled,
-                           specialize_thin)
+from torcrys.torep import _specs
+from torcrys.unity import (SpecializedModule, _eps_runs, relation_check_eps,
+                           specialize_doubled, specialize_thin)
 
 
 def unit(mod, name):
@@ -276,7 +276,8 @@ def _apply(mod, op, vec, m_h):
         a, m = args
         return {idx: c.mul_qpow(a * m) for idx, c in vec.items()}
     if kind == "k":
-        return mod.act_k(*args, vec)
+        hvec, m = args
+        return mod.act_k(tuple(m * h for h in hvec), vec)
     if kind == "pair":
         i, t = args
         return _diagonal(vec, lambda idx: mod.pairing_value(idx, i, t))
@@ -409,7 +410,8 @@ def broken_modules(thin_3_1, s5_small, coefficient_doubled):
         mod = coefficient_doubled(spec)
         rmax = min(mod.N - 1, 3)
         out[name] = (mod, partial(relation_check_eps, mod, rmax, serre_rmax),
-                     reference_suite(mod, _eps_specs(mod.rs, rmax, serre_rmax),
+                     reference_suite(mod, _specs(_eps_runs(mod.rs, rmax,
+                                                           serre_rmax)),
                                      partial(eval_cyclotomic, N=mod.N)))
     return out
 
@@ -490,15 +492,14 @@ def test_reference_comparison_catches_perturbed_scalar(broken_modules,
 
 def _template_at(rs, spec):
     """The runner's template for the spec (`_shapes` of its relation's
-    symbolic table), each x, pair, h and q operator's affine mode
-    evaluated at the spec's mode values and put back into its word."""
+    symbolic table), each operator's affine mode evaluated at the spec's
+    mode values and put back into its word."""
     key, v = torep._split(spec)
     out = []
     for scalar, shape, consts, cols in torep._table(rs, key, lambda s: s):
         modes = [c + sum(col[k] * x for col, x in zip(cols, v))
                  for k, c in enumerate(consts)]
-        word = [op if op[0] == "k" else op + (modes.pop(0),)
-                for op in reversed(shape)]
+        word = [op + (modes.pop(0),) for op in reversed(shape)]
         out.append((scalar, tuple(reversed(word))))
     return out
 
@@ -507,7 +508,7 @@ def _template_at(rs, spec):
 @pytest.mark.parametrize("parity", [0, 1])
 def test_symbolic_table_matches_relation_terms(n, parity):
     rs = RootSystem(n, parity=parity)
-    specs = [*relation_instances(rs, 3, 2), *_eps_specs(rs, 7, 7)]
+    specs = [*relation_instances(rs, 3, 2), *_specs(_eps_runs(rs, 7, 7))]
     for spec in specs:
         got, want = _template_at(rs, spec), relation_terms(rs, spec)
         assert len(got) == len(want), spec
@@ -674,7 +675,7 @@ def test_pole_residues_of_a_two_pole_row():
 
 def _first_entry_times_q(mod, kind, i, idx):
     """Multiply the coefficient of the first of mod's `kind` entries
-    ("pair" or "h") at (i, idx) by q."""
+    ("pair", "h" or "k") at (i, idx) by q; for "k", i is the hvec."""
     name = kind + "_entries"
     entries_of = getattr(mod, name)
 
@@ -715,6 +716,29 @@ def test_scaled_pair_residue_is_reported(thin_3_1, ring):
         p = dict(spec.params)
         assert (spec.rid, p["i"], p["j"], node) == \
             ("x-plus-minus", i, i, mod.node(idx))
+
+
+def _x_predecessors(mod, idxs, idx):
+    """The vectors among idxs with an x entry into idx."""
+    return {src for src in idxs for sign in (1, -1) for j in mod.rs.nodes
+            if any(dst == idx for dst, _, _ in mod.x_entries(sign, j, src))}
+
+
+@pytest.mark.parametrize("ring", ["generic", "eps"])
+def test_scaled_k_entry_is_reported(thin_3_1, ring):
+    # k_h at idx enters k-conjugation at idx, and at every vector with an
+    # x edge into idx; no other relation holds a k
+    i = 1
+    mod, idxs, suite = _mutation_case(thin_3_1, ring, "k-conjugation")
+    assert suite().failures == []
+    hvec = tuple(int(k == i) for k in mod.rs.nodes)
+    idx = next(k for k in idxs if _x_predecessors(mod, idxs, k))
+    _first_entry_times_q(mod, "k", hvec, idx)
+    failures = suite().failures
+    assert {node for _, node in failures} == \
+        {mod.node(k) for k in _x_predecessors(mod, idxs, idx) | {idx}}
+    for spec, _ in failures:
+        assert (spec.rid, dict(spec.params)["i"]) == ("k-conjugation", i)
 
 
 # ---------------------------------------------------------------------------
@@ -850,4 +874,4 @@ def test_relation_runs_flatten_to_the_instances(n, parity):
     for rmax, serre_rmax in ((1, 1), (3, 2), (7, 7)):
         want = _reference_eps_instances(rs, rmax, serre_rmax)
         assert _flatten_checked(_eps_runs(rs, rmax, serre_rmax)) == want
-        assert list(_eps_specs(rs, rmax, serre_rmax)) == want
+        assert list(_specs(_eps_runs(rs, rmax, serre_rmax))) == want
