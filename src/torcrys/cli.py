@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .closedness import closed_report, fundamental_anchor
@@ -78,11 +79,12 @@ def _require(value, flag):
         raise ValueError(f"{flag} is required")
 
 
-def _require_odd(n):
-    _require(n, "--n")
-    if n % 2 == 0:
+def _require_n_ell(args):
+    _require(args.n, "--n")
+    if args.n % 2 == 0:
         raise EvenRankError(
-            f"n = {n} is even; the monomial crystal needs n odd")
+            f"n = {args.n} is even; the monomial crystal needs n odd")
+    _require(args.ell, "--ell")
 
 
 def _emit(args, text):
@@ -91,14 +93,27 @@ def _emit(args, text):
             fh.write(text)
             if not text.endswith("\n"):
                 fh.write("\n")
-    else:
-        print(text)
+        return
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        # the reader closed stdout: drop the rest (the flush at exit
+        # included), so the command still returns its own exit code
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+
+
+def _emit_build(args, mod, **meta):
+    """The JSON summary of a built module: meta, its window, its size."""
+    meta.update(window=list(mod.graph.window), dimension_window=len(mod),
+                interior=sum(mod.graph.interior))
+    _emit(args, json.dumps(meta, sort_keys=True))
+    return EXIT_OK
 
 
 # -- subcommands --------------------------------------------------------------
 
 def cmd_crystal(args):
-    _require_odd(args.n)
+    _require_n_ell(args)
     rs = RootSystem.for_fundamental(args.n, args.ell)
     window = _window(args, 4 * (args.n + 1))
     g = generate(rs, [fundamental_anchor(rs, args.ell)], window)
@@ -121,7 +136,7 @@ def cmd_crystal(args):
 
 
 def cmd_tableaux(args):
-    _require_odd(args.n)
+    _require_n_ell(args)
     rs = RootSystem.for_fundamental(args.n, args.ell)
     if args.ell > rs.r + 1:
         raise ValueError("tableau listings need ell <= (n+1)/2")
@@ -137,11 +152,8 @@ def cmd_tableaux(args):
 
 
 def cmd_closed(args):
-    _require_odd(args.n)
-    window = None
-    if args.lmin is not None or args.lmax is not None:
-        window = _window(args, 4 * (args.n + 1))
-    rep = closed_report(args.n, args.ell, window)
+    _require_n_ell(args)
+    rep = closed_report(args.n, args.ell, _window(args, 3 * (args.n + 1)))
     lines = [f"# closedness n={args.n} ell={args.ell} window={rep.window}",
              "direction\tqclosed\twitness\tclasses\tinconclusive"]
     for d in rep.directions:
@@ -155,16 +167,10 @@ def cmd_closed(args):
 
 
 def cmd_rep(args):
-    _require_odd(args.n)
-    _require(args.ell, "--ell")
-    window = _window(args, 4 * (args.n + 1))
-    mod = build_thin(args.n, args.ell, window)
+    _require_n_ell(args)
+    mod = build_thin(args.n, args.ell, _window(args, 4 * (args.n + 1)))
     if args.rep_action == "build":
-        info = {"n": args.n, "ell": args.ell, "window": list(window),
-                "dimension_window": len(mod),
-                "interior": sum(mod.graph.interior)}
-        _emit(args, json.dumps(info, sort_keys=True))
-        return EXIT_OK
+        return _emit_build(args, mod, n=args.n, ell=args.ell)
     if args.rep_action == "qchar":
         periods = args.periods if args.periods is not None else 2
         lines = []
@@ -192,11 +198,7 @@ def cmd_s5(args):
     window = _window(args, 4 * (smax + 2))
     mod = build_doubled(smax, window)
     if args.s5_action == "build":
-        info = {"smax": smax, "window": list(window),
-                "dimension_window": len(mod),
-                "interior": sum(mod.graph.interior)}
-        _emit(args, json.dumps(info, sort_keys=True))
-        return EXIT_OK
+        return _emit_build(args, mod, smax=smax)
     rmax = args.rmax if args.rmax is not None else 1
     report = run_relation_suite(mod, rmax=rmax, hmax=2,
                                 nodes=mod.graph.interior_indices())
@@ -205,9 +207,9 @@ def cmd_s5(args):
 
 
 def cmd_unity(args):
+    _require(args.L, "--L")
     if args.unity_kind == "thin":
-        _require_odd(args.n)
-        _require(args.ell, "--ell")
+        _require_n_ell(args)
         mod = specialize_thin(args.n, args.ell, args.L)
     else:
         mod = specialize_doubled(args.L)
@@ -240,61 +242,44 @@ def build_parser():
     p.add_argument("--config", help="key=value file merged under the flags")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, ell=True):
-        sp.add_argument("--n", type=int)
-        if ell:
-            sp.add_argument("--ell", type=int, required=True)
-        sp.add_argument("--lmin", type=int)
-        sp.add_argument("--lmax", type=int)
+    def common(sp, *ints):
+        """The integer flags named and --out."""
+        for name in ints:
+            sp.add_argument(f"--{name}", type=int)
         sp.add_argument("--out")
 
     crystal = sub.add_parser("crystal", help="generate a fundamental crystal")
     crystal.add_argument("crystal_action", choices=["gen"])
-    common(crystal)
+    common(crystal, "n", "ell", "lmin", "lmax")
     crystal.add_argument("--format", choices=["text", "json", "dot"], default="text")
     crystal.set_defaults(func=cmd_crystal)
 
     tabs = sub.add_parser("tableaux", help="list tableau monomials")
     tabs.add_argument("tab_action", choices=["list"])
-    common(tabs)
-    tabs.add_argument("--jmin", type=int)
-    tabs.add_argument("--jmax", type=int)
+    common(tabs, "n", "ell", "jmin", "jmax")
     tabs.set_defaults(func=cmd_tableaux)
 
     closed = sub.add_parser("closed", help="closedness report")
-    common(closed)
+    common(closed, "n", "ell", "lmin", "lmax")
     closed.set_defaults(func=cmd_closed)
 
     rep = sub.add_parser("rep", help="loop weight modules")
     rep.add_argument("rep_action", choices=["build", "check", "qchar"])
-    rep.add_argument("--n", type=int)
-    rep.add_argument("--ell", type=int)
-    rep.add_argument("--lmin", type=int)
-    rep.add_argument("--lmax", type=int)
-    rep.add_argument("--out")
+    common(rep, "n", "ell", "lmin", "lmax", "rmax", "periods")
     rep.add_argument("--relations", default=None,
                      help="'all' or one relation id")
-    rep.add_argument("--rmax", type=int)
-    rep.add_argument("--periods", type=int)
     rep.set_defaults(func=cmd_rep)
 
     s5 = sub.add_parser("s5", help="the pasted module for twice the first "
                                    "fundamental weight (n=3)")
     s5.add_argument("s5_action", choices=["build", "check"])
-    s5.add_argument("--smax", type=int)
-    s5.add_argument("--lmin", type=int)
-    s5.add_argument("--lmax", type=int)
-    s5.add_argument("--rmax", type=int)
-    s5.add_argument("--out")
+    common(s5, "smax", "lmin", "lmax", "rmax")
     s5.set_defaults(func=cmd_s5)
 
     unity = sub.add_parser("unity", help="specialize at a root of unity")
     unity.add_argument("unity_kind", choices=["thin", "s5"])
-    unity.add_argument("--n", type=int)
-    unity.add_argument("--ell", type=int)
-    unity.add_argument("--L", type=int, required=True)
+    common(unity, "n", "ell", "L")
     unity.add_argument("--float-check", action="store_true")
-    unity.add_argument("--out")
     unity.set_defaults(func=cmd_unity)
 
     return p

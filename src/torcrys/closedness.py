@@ -342,15 +342,18 @@ def _check_class_rows(rs: RootSystem, i: int, members, rows,
     return ClassResult(list(members), "closed")
 
 
+EDGE_MARGIN = 3
+
+
 def qclosed_direction(rs: RootSystem, monomials, i: int,
-                      window=None, margin: int = 3) -> DirectionReport:
+                      window=None) -> DirectionReport:
     """Decide q-closedness of the finite set in direction i.
 
-    Classes whose support touches the window edge (within `margin`) are
-    reported inconclusive rather than risking a truncation artifact.
+    Classes whose support touches the window edge (within EDGE_MARGIN)
+    are reported inconclusive rather than risking a truncation artifact.
     """
     if window is not None:
-        lo, hi = window[0] + margin, window[1] - margin
+        lo, hi = window[0] + EDGE_MARGIN, window[1] - EDGE_MARGIN
     classes = {}
     edge = set()
     for m in sorted(monomials, key=Monomial.sort_key):

@@ -206,9 +206,6 @@ class LaurentPoly:
 
     # -- evaluation ---------------------------------------------------------
 
-    def evaluate(self, x):
-        return sum(c * x ** k for k, c in self.terms.items())
-
     def eval_at_one(self) -> int:
         return sum(self.terms.values())
 
@@ -464,9 +461,6 @@ class RationalQ:
         if shift:
             num, den = num.shifted(-shift), den.shifted(-shift)
         return RationalQ(num, den)
-
-    def evaluate(self, x):
-        return self.num.evaluate(x) / self.den.evaluate(x)
 
     def __str__(self):
         c = self.canonical()

@@ -72,14 +72,12 @@ from fractions import Fraction
 from itertools import product
 from operator import add, mul
 
-from .closedness import fundamental_anchor
+from .closedness import closed_report, fundamental_anchor
 from .crystal import CrystalGraph, WindowError, generate, row_stats
 from .lattice import RootSystem, Weight
-from .monomial import (Monomial, a_exponents, a_monomial, exp_key, exp_mul,
-                       from_variables)
+from .monomial import Monomial, a_exponents, exp_key, exp_mul, from_variables
 from .qcoeff import (Q_MINUS_QINV, RQ_ONE, RQ_ZERO, LaurentPoly, QSeries,
                      RationalQ, qfact, qint, series_log, series_of_rational)
-from .tableaux import tab_monomial
 
 
 class ClosednessRefusal(ValueError):
@@ -515,16 +513,15 @@ def _target(rs: RootSystem, g: CrystalGraph, m: Monomial, i: int, p: int,
 
 def build_thin(n: int, ell: int, window=None) -> LoopModule:
     """The extremal fundamental loop weight module for ell in
-    {1, r+1, n}; other ell are refused with a closedness witness."""
+    {1, r+1, n}, whose crystals are closed.  Any other ell raises
+    ClosednessRefusal carrying `closed_report(n, ell)`'s first witness:
+    a monomial its crystal needs in that direction and lacks."""
     rs = RootSystem.for_fundamental(n, ell)
     if ell not in (1, rs.r + 1, n):
-        ellp = ell if ell <= rs.r + 1 else n + 1 - ell
-        wit = tab_monomial(RootSystem.for_fundamental(n, ellp), ellp,
-                           tuple(range(1, ellp + 1)), 1)
-        wit = wit * a_monomial(RootSystem.for_fundamental(n, ellp), 1, ellp)
+        i, wit = closed_report(n, ell).first_witness()
         raise ClosednessRefusal(
             f"the fundamental crystal for n={n}, ell={ell} is not closed; "
-            f"a required monomial such as {wit} is missing", witness=wit)
+            f"direction {i} needs the missing monomial {wit}", witness=wit)
     if window is None:
         window = (-4 * (n + 1), 4 * (n + 1))
     return build_module(rs, [fundamental_anchor(rs, ell)], window, "thin")
@@ -886,7 +883,11 @@ def relation_residual(mod: LoopModule, spec: RelationSpec, idx: int) -> dict:
     basis vector; the contract is the empty (zero) vector.  Raises
     WindowError when an intermediate leaves the window.  The relation is
     its table in `relation_terms`: for h-x, m times the relation as
-    written."""
+    written.  Generic modules only: a module at a root of unity raises
+    TypeError (check it with `unity.relation_check_eps`)."""
+    if not isinstance(mod, LoopModule):
+        raise TypeError(f"relation_residual needs a generic LoopModule, not "
+                        f"{type(mod).__name__}; use unity.relation_check_eps")
     key, v = _split(spec)
     memo = {(): ({(idx, ()): mod.one}, ())}
     den, terms, hazards = _node_terms(mod, _table(mod.rs, key, mod._scalar),

@@ -23,9 +23,8 @@ from .crystal import WindowError
 from .lattice import RootSystem
 from .monomial import ResidueMonomial, gamma
 from .qcoeff import CycloElem, SpecializationError, eval_cyclotomic
-from .torep import (ClosednessRefusal, LoopModule, SuiteReport, XAction,
-                    _run_suite, build_doubled, build_thin, doubled_anchor,
-                    fr_phi_series)
+from .torep import (LoopModule, SuiteReport, XAction, _run_suite,
+                    build_doubled, build_thin, doubled_anchor, fr_phi_series)
 
 
 @dataclass
@@ -168,15 +167,10 @@ def _specialize(mod: LoopModule, N: int, keep=None) -> SpecializedModule:
 
 def specialize_thin(n: int, ell: int, L: int) -> SpecializedModule:
     """Specialize the thin module at a primitive (p*L)-th root of
-    unity, p = n+1 for ell in {1, n} and p = 2 for ell = r+1; the pair
-    (p, L) = (2, 1) is excluded.  Dimension L * C(n+1, ell)."""
-    rs = RootSystem.for_fundamental(n, ell)
-    if ell in (1, n):
-        p = n + 1
-    elif ell == rs.r + 1:
-        p = 2
-    else:
-        raise ClosednessRefusal(f"no thin module for ell={ell} (crystal not closed)")
+    unity, p = 2 for ell = r+1 and p = n+1 for ell in {1, n}; the pair
+    (p, L) = (2, 1) is excluded.  Dimension L * C(n+1, ell).  Any other
+    ell is refused by `build_thin` with its closedness witness."""
+    p = 2 if ell == RootSystem.for_fundamental(n, ell).r + 1 else n + 1
     if p == 2 and L == 1:
         raise ValueError("the case p = 2, L = 1 is excluded")
     if L < 1:

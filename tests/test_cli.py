@@ -1,4 +1,10 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
 
 from torcrys import cli
 from torcrys.cli import (EXIT_NOT_CLOSED, EXIT_OK, EXIT_SPECIALIZATION,
@@ -174,3 +180,58 @@ def test_output_file(tmp_path, capsys):
                      "--out", str(target))
     assert code == EXIT_OK
     assert target.read_text().startswith("digraph")
+
+
+def test_ell_and_L_from_the_config_file(tmp_path, capsys):
+    conf = tmp_path / "run.conf"
+    conf.write_text("n = 3\nell = 1\nlmin = -8\nlmax = 12\nL = 1\n")
+    code, out, _ = run(capsys, "--config", str(conf), "crystal", "gen")
+    assert code == EXIT_OK and "window=(-8, 12)" in out
+    code, out, _ = run(capsys, "--config", str(conf), "unity", "thin")
+    assert code == EXIT_OK and json.loads(out)["dimension"] == 4
+
+
+@pytest.mark.parametrize("argv", [("crystal", "gen", "--n", "3"),
+                                  ("tableaux", "list", "--n", "3"),
+                                  ("closed", "--n", "3"),
+                                  ("unity", "thin", "--n", "3", "--ell", "1")])
+def test_missing_ell_or_L_is_a_validation_error(argv, capsys):
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_VALIDATION == 3
+    assert out == "" and "is required" in err
+
+
+def test_closed_with_one_window_flag(capsys):
+    # the other bound keeps closed_report's default, +-3(n+1)
+    code, out, _ = run(capsys, "closed", "--n", "3", "--ell", "1",
+                       "--lmin", "-10")
+    assert code == EXIT_OK and "window=(-10, 12)" in out
+    code, out, _ = run(capsys, "closed", "--n", "3", "--ell", "1",
+                       "--lmax", "10")
+    assert code == EXIT_OK and "window=(-12, 10)" in out
+
+
+def test_tableaux_takes_no_window(capsys):
+    code, out, _ = run(capsys, "tableaux", "list", "--n", "3", "--ell", "2",
+                       "--lmin", "0")
+    assert code == EXIT_USAGE == 2 and out == ""
+
+
+@pytest.mark.parametrize("argv", [("crystal", "gen", "--n", "3", "--ell", "1"),
+                                  ("rep", "check", "--n", "3", "--ell", "1",
+                                   "--rmax", "1")])
+def test_stdout_closed_by_the_reader_keeps_the_exit_code(argv):
+    # a reader that left before the write: no traceback, the command's
+    # own exit code
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "torcrys.cli", *argv],
+                              stdout=write_end, stderr=subprocess.PIPE,
+                              env=env, timeout=120)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == EXIT_OK
+    assert proc.stderr == b""  # no traceback, no "Exception ignored"

@@ -6,8 +6,8 @@ from math import comb
 import pytest
 
 from torcrys import torep
-from torcrys.closedness import fundamental_anchor
-from torcrys.crystal import WindowError, sub_crystal
+from torcrys.closedness import closed_report, fundamental_anchor
+from torcrys.crystal import WindowError, generate, sub_crystal
 from torcrys.lattice import RootSystem
 from torcrys.qcoeff import (RQ_ONE, CycloElem, LaurentPoly, RationalQ,
                             eval_cyclotomic, qint, series_of_rational)
@@ -33,6 +33,24 @@ def test_build_thin_refusal():
     assert exc.value.witness is not None
     with pytest.raises(ClosednessRefusal):
         build_thin(7, 5, (-16, 16))
+
+
+@pytest.mark.parametrize("n, ell", [(n, ell) for n in (5, 7)
+                                    for ell in range(2, n) if ell != (n + 1) // 2])
+def test_refusal_carries_a_closedness_witness(n, ell):
+    # both constructions refuse with a monomial the crystal lacks, one of
+    # closed_report's own not-closed witnesses (also for ell > r+1)
+    rep = closed_report(n, ell)
+    wits = {c.witness for d in rep.directions for c in d.classes
+            if c.verdict == "not-closed"}
+    rs = RootSystem.for_fundamental(n, ell)
+    nodes = set(generate(rs, [fundamental_anchor(rs, ell)], rep.window).nodes)
+    for build in (lambda: build_thin(n, ell), lambda: specialize_thin(n, ell, 2)):
+        with pytest.raises(ClosednessRefusal) as exc:
+            build()
+        wit = exc.value.witness
+        assert wit in wits and wit not in nodes, (n, ell, wit)
+        assert str(wit) in str(exc.value)
 
 
 def test_qcharacter_periods(thin_3_1, thin_3_2):
@@ -133,6 +151,15 @@ def test_relation_residual_examples(thin_3_1):
     # distant commutation [x+_{1,r}, x-_{3,rp}] = 0
     spec = RelationSpec("x-plus-minus", (("i", 1), ("j", 3), ("r", 2), ("rp", -1)))
     assert relation_residual(mod, spec, i0) == {}
+
+
+def test_relation_residual_rejects_a_root_of_unity_module():
+    # the generic residual of a module at eps would keep its int
+    # denominator and unfolded exponents; the check there is another one
+    spec = RelationSpec("h-x", (("i", 1), ("j", 1), ("m", 3), ("r", 1),
+                                ("sign", 1)))
+    with pytest.raises(TypeError, match="relation_check_eps"):
+        relation_residual(specialize_thin(3, 1, 2), spec, 5)
 
 
 def test_window_error_on_boundary(thin_3_1):
