@@ -11,6 +11,7 @@ import argparse
 import json
 import os
 import sys
+from functools import partial
 
 from .closedness import closed_report, fundamental_anchor
 from .crystal import WindowError, generate
@@ -47,22 +48,60 @@ def _read_config(path):
     return out
 
 
+class UsageError(Exception):
+    """A config file that cannot be read or names an unknown option."""
+
+
+# the defaults of the options that are not None when neither the flags
+# nor the config file give them
+DEFAULTS = {"format": "text", "float_check": False}
+
+
 def _merge_config(args):
-    """Config file values fill in options the flags left at None."""
-    if not getattr(args, "config", None):
-        return args
-    conf = _read_config(args.config)
-    for key, val in conf.items():
-        if getattr(args, key, None) is None:
-            setattr(args, key, type_coerce(val))
+    """Fill each option of the subcommand that the flags did not give
+    (argparse leaves such an option out of args; see `build_parser`):
+    from the --config file where it has the key, else the default.  A
+    key that is no option of any subcommand is a UsageError; a value
+    the option does not accept is a ValueError."""
+    conf = {}
+    if args.config:
+        try:
+            conf = _read_config(args.config)
+        except OSError as exc:
+            raise UsageError(f"cannot read config file {args.config}: "
+                             f"{exc.strerror or exc}") from None
+        for key in conf:
+            if key not in args.config_keys:
+                raise UsageError(f"config file {args.config}: unknown key "
+                                 f"{key!r}")
+    for dest, action in args.options.items():
+        if hasattr(args, dest):
+            continue
+        if dest in conf:
+            setattr(args, dest, _config_value(action, dest, conf[dest]))
+        else:
+            setattr(args, dest, DEFAULTS.get(dest))
     return args
 
 
-def type_coerce(val: str):
-    try:
-        return int(val)
-    except ValueError:
-        return val
+def _config_value(action, key, val: str):
+    """A config file value for the option `action`, converted and
+    checked as its flag would be; true or false for a switch."""
+    if action.nargs == 0:
+        if val not in ("true", "false"):
+            raise ValueError(f"config key {key}: expected true or false, "
+                             f"not {val!r}")
+        return val == "true"
+    if action.type is not None:
+        try:
+            val = action.type(val)
+        except ValueError:
+            raise ValueError(f"config key {key}: invalid value {val!r}") \
+                from None
+    if action.choices is not None and val not in action.choices:
+        raise ValueError(f"config key {key}: {val!r} is not one of "
+                         f"{', '.join(action.choices)}")
+    return val
 
 
 def _window(args, half):
@@ -241,6 +280,9 @@ def build_parser():
                     "arithmetic")
     p.add_argument("--config", help="key=value file merged under the flags")
     sub = p.add_subparsers(dest="command", required=True)
+    # an option absent from the command line stays out of args, so that
+    # `_merge_config` can tell it from one given at its default value
+    add_parser = partial(sub.add_parser, argument_default=argparse.SUPPRESS)
 
     def common(sp, *ints):
         """The integer flags named and --out."""
@@ -248,40 +290,46 @@ def build_parser():
             sp.add_argument(f"--{name}", type=int)
         sp.add_argument("--out")
 
-    crystal = sub.add_parser("crystal", help="generate a fundamental crystal")
+    crystal = add_parser("crystal", help="generate a fundamental crystal")
     crystal.add_argument("crystal_action", choices=["gen"])
     common(crystal, "n", "ell", "lmin", "lmax")
-    crystal.add_argument("--format", choices=["text", "json", "dot"], default="text")
+    crystal.add_argument("--format", choices=["text", "json", "dot"])
     crystal.set_defaults(func=cmd_crystal)
 
-    tabs = sub.add_parser("tableaux", help="list tableau monomials")
+    tabs = add_parser("tableaux", help="list tableau monomials")
     tabs.add_argument("tab_action", choices=["list"])
     common(tabs, "n", "ell", "jmin", "jmax")
     tabs.set_defaults(func=cmd_tableaux)
 
-    closed = sub.add_parser("closed", help="closedness report")
+    closed = add_parser("closed", help="closedness report")
     common(closed, "n", "ell", "lmin", "lmax")
     closed.set_defaults(func=cmd_closed)
 
-    rep = sub.add_parser("rep", help="loop weight modules")
+    rep = add_parser("rep", help="loop weight modules")
     rep.add_argument("rep_action", choices=["build", "check", "qchar"])
     common(rep, "n", "ell", "lmin", "lmax", "rmax", "periods")
-    rep.add_argument("--relations", default=None,
-                     help="'all' or one relation id")
+    rep.add_argument("--relations", help="'all' or one relation id")
     rep.set_defaults(func=cmd_rep)
 
-    s5 = sub.add_parser("s5", help="the pasted module for twice the first "
-                                   "fundamental weight (n=3)")
+    s5 = add_parser("s5", help="the pasted module for twice the first "
+                               "fundamental weight (n=3)")
     s5.add_argument("s5_action", choices=["build", "check"])
     common(s5, "smax", "lmin", "lmax", "rmax")
     s5.set_defaults(func=cmd_s5)
 
-    unity = sub.add_parser("unity", help="specialize at a root of unity")
+    unity = add_parser("unity", help="specialize at a root of unity")
     unity.add_argument("unity_kind", choices=["thin", "s5"])
     common(unity, "n", "ell", "L")
     unity.add_argument("--float-check", action="store_true")
     unity.set_defaults(func=cmd_unity)
 
+    keys = set()
+    for sp in sub.choices.values():
+        options = {a.dest: a for a in sp._actions
+                   if a.option_strings and a.dest != "help"}
+        sp.set_defaults(options=options)
+        keys.update(options)
+    p.set_defaults(config_keys=frozenset(keys))
     return p
 
 
@@ -292,13 +340,10 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else EXIT_OK
     try:
-        try:
-            args = _merge_config(args)
-        except OSError as exc:
-            print(f"error (usage): cannot read config file {args.config}: "
-                  f"{exc.strerror or exc}", file=sys.stderr)
-            return EXIT_USAGE
-        return args.func(args)
+        return args.func(_merge_config(args))
+    except UsageError as exc:
+        print(f"error (usage): {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except EvenRankError as exc:
         print(f"error (odd-rank rule): {exc}", file=sys.stderr)
         return EXIT_USAGE

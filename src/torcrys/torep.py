@@ -1003,39 +1003,44 @@ def _run_suite(mod, runs, idxs) -> SuiteReport:
     `_scalar` maps the tables' RationalQ scalars into its ring.
 
     Each run's relation is tabled once, modes as affine symbols
-    (`_table`).  On each node every shape of the run is expanded into
-    paths once (`_paths`), every operator moving along its entries,
-    and the terms are cleared of denominators and summed per
-    target and mode weight w (`_node_terms`).  An instance with modes v
-    then only adds integers into counters keyed by target and
-    q-exponent, shifted by v . w (`_residual`); where nothing is left
-    to add, the whole run is zero on that node.  No RelationSpec is
-    built per instance: `_join` makes one per run, with symbolic modes,
-    and one per failure, to name it.  Failures are listed instance by
-    instance, nodes in the given order."""
+    (`_table`).  The loop is node-major: each basis vector gets one
+    memo, shared by every run, so a word shape is expanded into paths
+    (`_paths`) once per vector however many runs contain it, every
+    operator moving along its entries; a memo entry depends only on the
+    vector and the shape, never on the run.  Per run, the terms are
+    cleared of denominators and summed per target and mode weight w
+    (`_node_terms`).  An instance with modes v then only adds integers
+    into counters keyed by target and q-exponent, shifted by v . w
+    (`_residual`); where nothing is left to add, the whole run is zero
+    on that vector.  No RelationSpec is built per instance: `_join`
+    makes one per run, with symbolic modes, and one per failure, to
+    name it.  Failures are listed instance by instance (run order, then
+    mode order), nodes in the given order."""
+    ring = mod.one
+    runs = [(key, modes, _table(mod.rs, key, mod._scalar))
+            for key, modes in runs]
+    checked = [0] * len(runs)
     report = SuiteReport()
     failures = []
-    ring = mod.one
-    for rpos, (key, modes) in enumerate(runs):
-        template = _table(mod.rs, key, mod._scalar)
-        checked = 0
-        for npos, idx in enumerate(idxs):
-            memo = {(): ({(idx, ()): ring}, ())}
+    for npos, idx in enumerate(idxs):
+        memo = {(): ({(idx, ()): ring}, ())}
+        for rpos, (key, modes, template) in enumerate(runs):
             _, terms, hazards = _node_terms(mod, template, memo)
             if not terms and not hazards:
-                checked += len(modes)
+                checked[rpos] += len(modes)
                 continue
             for k, v in enumerate(modes):
                 if hazards and _window_exit(hazards, v, ring) is not None:
                     report.inconclusive += 1
                     continue
-                checked += 1
+                checked[rpos] += 1
                 if not ring.counts_vanish(_residual(terms, v)):
                     failures.append((rpos, k, npos, key, v, idx))
-        if checked:
+    for (key, _, _), count in zip(runs, checked):
+        if count:
             rid = key[0]
-            report.checked += checked
-            report.by_relation[rid] = report.by_relation.get(rid, 0) + checked
+            report.checked += count
+            report.by_relation[rid] = report.by_relation.get(rid, 0) + count
     failures.sort(key=lambda f: f[:3])
     report.failures = [(_join(key, v), mod.node(idx))
                        for *_, key, v, idx in failures]

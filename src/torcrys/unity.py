@@ -282,10 +282,12 @@ def relation_check_eps(mod: SpecializedModule, rmax: int | None = None,
     with their scalars mapped by `eval_cyclotomic`, evaluated through
     the runner of `torep.run_relation_suite`.  The instances come as
     runs (`_eps_runs`), each relation tabled once per run with its modes
-    as affine symbols; each word shape is expanded into paths once per
-    basis vector, the pair and h operators along the entries of the
-    representative row (`pair_entries`, `h_entries`), and its terms are
-    cleared of denominators and summed per mode weight w.  An
+    as affine symbols.  The runner is node-major: each basis vector
+    gets one memo shared by every run, so a word shape is expanded into
+    paths once per vector whichever runs contain it, the pair and h
+    operators along the entries of the representative row
+    (`pair_entries`, `h_entries`); each run's terms are then cleared of
+    denominators and summed per mode weight w.  An
     instance's modes v shift the exponents of the integer numerators by
     v . w, which then fold mod N and reduce mod Phi_N
     (`CycloElem.counts_vanish`).

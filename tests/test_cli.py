@@ -191,6 +191,46 @@ def test_ell_and_L_from_the_config_file(tmp_path, capsys):
     assert code == EXIT_OK and json.loads(out)["dimension"] == 4
 
 
+def test_unknown_config_key_is_a_usage_error(tmp_path, capsys):
+    conf = tmp_path / "run.conf"
+    conf.write_text("n = 3\nel = 1\n")
+    code, out, err = run(capsys, "--config", str(conf), "crystal", "gen")
+    assert code == EXIT_USAGE == 2
+    assert out == "" and len(err.splitlines()) == 1 and "'el'" in err
+    # an option of another subcommand is known: unity takes no window
+    conf.write_text("n = 3\nell = 1\nL = 1\nlmin = -8\n")
+    code, _, _ = run(capsys, "--config", str(conf), "unity", "thin")
+    assert code == EXIT_OK
+
+
+def test_format_and_float_check_from_the_config_file(tmp_path, capsys):
+    conf = tmp_path / "run.conf"
+    conf.write_text("n = 3\nell = 1\nlmin = -8\nlmax = 12\nformat = dot\n"
+                    "L = 1\nfloat-check = true\n")
+    code, out, _ = run(capsys, "--config", str(conf), "crystal", "gen")
+    assert code == EXIT_OK and out.startswith("digraph")
+    # the flag wins, also at its default value
+    code, out, _ = run(capsys, "--config", str(conf), "crystal", "gen",
+                       "--format", "text")
+    assert code == EXIT_OK and out.startswith("# crystal")
+    code, out, _ = run(capsys, "--config", str(conf), "unity", "thin")
+    assert code == EXIT_OK and json.loads(out)["eps_float"] == [0.0, 1.0]
+    conf.write_text("n = 3\nell = 1\nL = 1\nfloat_check = false\n")
+    code, out, _ = run(capsys, "--config", str(conf), "unity", "thin")
+    assert code == EXIT_OK and "eps_float" not in json.loads(out)
+
+
+@pytest.mark.parametrize("line", ["float_check = yes", "format = xml",
+                                  "n = three"])
+def test_bad_config_value_is_a_validation_error(line, tmp_path, capsys):
+    conf = tmp_path / "run.conf"
+    conf.write_text(f"n = 3\nell = 1\nL = 1\n{line}\n")
+    command = ("unity", "thin") if "float" in line else ("crystal", "gen")
+    code, out, err = run(capsys, "--config", str(conf), *command)
+    assert code == EXIT_VALIDATION == 3
+    assert out == "" and line.split()[0] in err
+
+
 @pytest.mark.parametrize("argv", [("crystal", "gen", "--n", "3"),
                                   ("tableaux", "list", "--n", "3"),
                                   ("closed", "--n", "3"),

@@ -452,6 +452,31 @@ def test_suite_matches_memo_free_reference(broken_modules):
         assert _summary(got) == _summary(ref), name
 
 
+def test_runs_share_one_memo_per_vector(thin_3_1, broken_modules,
+                                        monkeypatch):
+    # the runner is node-major: a (vector, shape) pair is expanded into
+    # paths once, however many runs contain the shape
+    expanded = []
+    paths = torep._paths
+
+    def recording(mod, shape, memo):
+        if shape not in memo:
+            (idx, _), = memo[()][0]
+            expanded.append((idx, shape))
+        return paths(mod, shape, memo)
+
+    monkeypatch.setattr(torep, "_paths", recording)
+    nodes = thin_3_1.graph.interior_indices()[:3]
+    assert run_relation_suite(thin_3_1, rmax=2, hmax=2, nodes=nodes).ok
+    assert {idx for idx, _ in expanded} == set(nodes)
+    assert len(expanded) == len(set(expanded))
+    # the failures the reference comparison re-sorts into spec-major
+    # order span several runs and several nodes
+    _, _, ref = broken_modules["thin_3_1_step_shift"]
+    assert len({torep._split(spec)[0] for spec, _ in ref.failures}) >= 2
+    assert len({node for _, node in ref.failures}) >= 2
+
+
 def test_hazard_case_cancels_for_some_modes(s5_small):
     # the window-edge node X is left out at equal modes, where the two
     # paths cancel, and reached otherwise: whether a Serre instance
