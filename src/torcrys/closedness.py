@@ -346,14 +346,14 @@ EDGE_MARGIN = 3
 
 
 def qclosed_direction(rs: RootSystem, monomials, i: int,
-                      window=None) -> DirectionReport:
-    """Decide q-closedness of the finite set in direction i.
+                      window) -> DirectionReport:
+    """Decide q-closedness in direction i of the finite set generated on
+    `window`.
 
     Classes whose support touches the window edge (within EDGE_MARGIN)
     are reported inconclusive rather than risking a truncation artifact.
     """
-    if window is not None:
-        lo, hi = window[0] + EDGE_MARGIN, window[1] - EDGE_MARGIN
+    lo, hi = window[0] + EDGE_MARGIN, window[1] - EDGE_MARGIN
     classes = {}
     edge = set()
     for m in sorted(monomials, key=Monomial.sort_key):
@@ -364,7 +364,7 @@ def qclosed_direction(rs: RootSystem, monomials, i: int,
         else:
             entry[0].append(m)
             entry[1].append(row)
-        if window is not None and key not in edge:
+        if key not in edge:
             for (_, l), _ in m.exps:
                 if l <= lo or l >= hi:
                     edge.add(key)

@@ -154,18 +154,6 @@ class LaurentPoly:
         r._key = None
         return r
 
-    def __pow__(self, n: int) -> "LaurentPoly":
-        if n < 0:
-            raise ValueError("negative power of a LaurentPoly")
-        r = ONE
-        b = self
-        while n:
-            if n & 1:
-                r = r * b
-            b = b * b
-            n >>= 1
-        return r
-
     def scale(self, c: int) -> "LaurentPoly":
         if c == 0:
             return ZERO
@@ -240,7 +228,6 @@ class LaurentPoly:
 
 ZERO = LaurentPoly()
 ONE = LaurentPoly({0: 1})
-Q = LaurentPoly({1: 1})
 
 
 def _frac_poly_divmod(num: dict, den: dict):
@@ -422,14 +409,6 @@ class RationalQ:
         """Whether integer counters {(target, exponent): int}, the
         cleared numerators of a vector, are the zero vector."""
         return not any(counts.values())
-
-    def __pow__(self, n: int) -> "RationalQ":
-        if n < 0:
-            return RQ_ONE / (self ** (-n))
-        r = RQ_ONE
-        for _ in range(n):
-            r = r * self
-        return r
 
     def __eq__(self, other):
         if not isinstance(other, RationalQ):

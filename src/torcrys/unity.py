@@ -4,14 +4,16 @@ relation checks, the submodule generated by one basis vector, and a
 simplicity certificate (every basis vector generates the module).
 
 The quantum parameter is kept symbolic in Q[q]/(Phi_N); no floats on
-the verification path.  The relation checks at eps evaluate the same
-term tables (`torep.relation_terms`) through the same runner as the
-generic suite, with each RationalQ scalar mapped to Q(zeta_N) by
-`eval_cyclotomic`.  The operator entries are the generic ones of
-`torep.XAction`, read from each basis vector's representative row and
-weight, with steps taken mod N and coefficients under the same map;
-the joint spectrum of the loop-Cartan operators is read from the pole
-residues of the pair entries.
+the verification path.  A specialized module is built in one pass over
+the generic one and owns one eps map (`_scalar`, `eval_cyclotomic`
+memoised), whose image of 1 is the ring's `one`.  The relation checks
+at eps evaluate the same term tables (`torep.relation_terms`) through
+the same runner as the generic suite, with each RationalQ scalar
+mapped to Q(zeta_N) by that map.  The operator entries are the generic
+ones of `torep.XAction`, read from each basis vector's representative
+row and weight, with steps taken mod N and coefficients under the same
+map; the joint spectrum of the loop-Cartan operators is read from the
+pole residues of the pair entries.
 """
 from __future__ import annotations
 
@@ -22,7 +24,7 @@ from math import comb
 from .crystal import WindowError
 from .lattice import RootSystem
 from .monomial import ResidueMonomial, gamma
-from .qcoeff import CycloElem, SpecializationError, eval_cyclotomic
+from .qcoeff import RQ_ONE, CycloElem, SpecializationError, eval_cyclotomic
 from .torep import (LoopModule, SuiteReport, XAction, _run_suite,
                     build_doubled, build_thin, doubled_anchor, fr_phi_series)
 
@@ -49,8 +51,8 @@ class SpecializedModule(XAction):
     # entries: tuple of (dst, step mod N, CycloElem coefficient)
 
     def __post_init__(self):
-        self.one = CycloElem.one(self.N)
         self._scalar = _eps_images(self.N)
+        self.one = self._scalar(RQ_ONE)
 
     def __len__(self):
         return len(self.basis)
@@ -94,74 +96,46 @@ def _eps_images(N: int):
 
 
 def _specialize(mod: LoopModule, N: int, keep=None) -> SpecializedModule:
-    """Common machinery: push a windowed generic module through
-    Gamma_N.  `keep` optionally filters which generic nodes survive
-    (used by the quotient construction); edges into dropped residues
-    must carry coefficients that vanish at eps (`_validate_kernel`).
-    Each distinct coefficient is evaluated at eps once."""
-    at_eps = _eps_images(N)
+    """Push a windowed generic module through Gamma_N in one pass.
+    `keep` optionally filters which generic nodes survive (the quotient
+    construction); edges from dropped nodes into kept ones must carry
+    coefficients that vanish at eps (`_validate_kernel`), and the
+    quotient projection leaves out edges into dropped nodes, as it does
+    entries vanishing at eps.  Each residue's representative is its
+    first node in index order whose module edges all stay in the graph.
+    Every coefficient goes through the specialized module's one eps
+    map, whose image of 1 is its `one`, so each distinct coefficient is
+    evaluated once."""
+    rs, nodes = mod.rs, mod.graph.nodes
+    residue = {idx: gamma(rs, m, N) for idx, m in enumerate(nodes)
+               if keep is None or keep(m)}
+    basis = sorted(set(residue.values()), key=lambda r: (r.exps, r.h))
+    out = SpecializedModule(rs, N, basis, {r: k for k, r in enumerate(basis)})
     if keep is not None:
-        _validate_kernel(mod, at_eps, keep)
-    rs = mod.rs
-    g = mod.graph
-    residues = {}
+        _validate_kernel(mod, out._scalar, keep)
+    tables = [(i, name, getattr(mod, name)[i]) for i in rs.nodes
+              for name in ("minus_edges", "plus_edges")]
     rep_of = {}
-    for idx, m in enumerate(g.nodes):
-        if keep is not None and not keep(m):
-            continue
-        rm = gamma(rs, m, N)
-        residues.setdefault(rm, []).append(idx)
-    basis = sorted(residues, key=lambda r: (r.exps, r.h))
-    index = {r: k for k, r in enumerate(basis)}
-    out = SpecializedModule(rs, N, basis, index)
-    # a representative must have every module edge materialized
-    def module_interior(idx):
-        for i in rs.nodes:
-            for table in (mod.minus_edges[i], mod.plus_edges[i]):
-                if any(dst is None for dst, _, _ in table[idx]):
-                    return False
-        return True
-
+    for idx, rm in residue.items():
+        if rm not in rep_of and all(dst is not None for _, _, table in tables
+                                    for dst, _, _ in table[idx]):
+            rep_of[rm] = idx
     for rm in basis:
-        cands = [i for i in residues[rm] if module_interior(i)]
-        if not cands:
+        if rm not in rep_of:
             raise WindowError(
                 f"no interior representative for residue {rm}; enlarge the window")
-        rep_of[rm] = cands[0]
-    out.rows = []
-    for rm in basis:
-        rep = g.nodes[rep_of[rm]]
-        out.rows.append({i: rep.row(i) for i in rs.nodes})
-    dropped = object()
-
-    def residue_target(dst_idx):
-        m = g.nodes[dst_idx]
-        if keep is not None and not keep(m):
-            return dropped
-        return index[gamma(rs, m, N)]
-
-    for i in rs.nodes:
-        for table_name in ("minus_edges", "plus_edges"):
-            src_table = getattr(mod, table_name)[i]
-            new_table = []
-            for rm in basis:
-                rep = rep_of[rm]
-                entries = []
-                for dst, l, c0 in src_table[rep]:
-                    if dst is None:
-                        raise WindowError(
-                            f"representative of {rm} is not interior enough")
-                    tgt = residue_target(dst)
-                    if tgt is dropped:
-                        # quotient projection: components in the killed
-                        # submodule are set to zero
-                        continue
-                    coeff = at_eps(c0)
-                    if coeff.is_zero():
-                        continue
-                    entries.append((tgt, l % N, coeff))
-                new_table.append(tuple(entries))
-            getattr(out, table_name)[i] = new_table
+    reps = [rep_of[rm] for rm in basis]
+    out.rows = [{i: nodes[rep].row(i) for i in rs.nodes} for rep in reps]
+    for i, name, table in tables:
+        new_table = getattr(out, name)[i] = []
+        for rep in reps:
+            entries = []
+            for dst, l, c0 in table[rep]:
+                if dst in residue:
+                    coeff = out._scalar(c0)
+                    if not coeff.is_zero():
+                        entries.append((out.index[residue[dst]], l % N, coeff))
+            new_table.append(tuple(entries))
     return out
 
 
@@ -226,7 +200,7 @@ def _anchor_blocks(mod: LoopModule, smax: int) -> dict:
 def _validate_kernel(mod: LoopModule, at_eps, keep) -> None:
     """The span of the dropped nodes must be a submodule at eps: every
     action coefficient from a dropped node into a kept one has to
-    specialize to zero under `at_eps` (`_eps_images`)."""
+    specialize to zero under `at_eps`, the specialized module's `_scalar`."""
     g = mod.graph
     for i in mod.rs.nodes:
         for table in (mod.minus_edges[i], mod.plus_edges[i]):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -275,3 +276,33 @@ def test_stdout_closed_by_the_reader_keeps_the_exit_code(argv):
         os.close(write_end)
     assert proc.returncode == EXIT_OK
     assert proc.stderr == b""  # no traceback, no "Exception ignored"
+
+
+# stdout SHA-256 and exit code of commands whose payloads are a contract
+PINNED_STDOUT = {
+    "rep check --n 3 --ell 1 --rmax 2": (
+        EXIT_OK,
+        "cb9616892af8ebed7c07b414b30f6ca3bd62a89c00852dd7fbfed44d6ae24b85"),
+    "s5 check --smax 1 --rmax 1": (
+        EXIT_OK,
+        "2ed267ebdfe931c33f54cbe6f41e67e0fc937c2e655abcef603094fc43776a85"),
+    "unity s5 --L 1 --float-check": (
+        EXIT_OK,
+        "482afe19f7add11fefd8c65792d931eadf63a19b5bd378cc1c30e534e67db40d"),
+    "unity thin --n 3 --ell 1 --L 2 --float-check": (
+        EXIT_OK,
+        "9af2e395dbbcfc27f6ee18c2a51050603a298f608a8e8645c58153b2ae13ebeb"),
+    "closed --n 5 --ell 2": (
+        EXIT_NOT_CLOSED,
+        "1bb3a8a91a6f812a72c092cba26e2f2767aaae06238d2c7d148bdeae674c5486"),
+}
+
+
+@pytest.mark.parametrize("argv", PINNED_STDOUT)
+def test_stdout_pinned_byte_for_byte(argv, capsys):
+    # a change to any of these payloads changes the command's contract
+    # and updates its digest openly
+    code, digest = PINNED_STDOUT[argv]
+    got, out, _ = run(capsys, *argv.split())
+    assert got == code
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

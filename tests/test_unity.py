@@ -1,8 +1,9 @@
 import pytest
 
-from torcrys.crystal import generate
+from torcrys.crystal import WindowError, generate
 from torcrys.monomial import ResidueMonomial, gamma
-from torcrys.qcoeff import CycloElem, eval_cyclotomic, qint, RationalQ
+from torcrys.qcoeff import (RQ_ONE, CycloElem, RationalQ, SpecializationError,
+                            eval_cyclotomic, qint)
 from torcrys.torep import (RELATION_IDS, ClosednessRefusal, RelationSpec,
                            build_doubled, build_thin, doubled_anchor)
 from torcrys.unity import (SpecializedModule, cyclic_generation_check,
@@ -321,3 +322,44 @@ def test_specialization_evaluates_each_coefficient_once(monkeypatch, L,
     assert len(specialize_doubled(L)) == 16 * L * L
     assert len(set(calls)) == distinct
     assert len(calls) == distinct
+
+
+def test_specialize_refuses_a_residue_without_interior_representative():
+    """On a window too narrow for N = 8, some residue has no node whose
+    module edges all stay in the graph."""
+    from torcrys.unity import _specialize
+    with pytest.raises(WindowError, match=r"no interior representative for "
+                       r"residue Y\(0,3m8\)\*Y\(3,4m8\)\^-1"):
+        _specialize(build_thin(3, 1, (-4, 4)), 8)
+
+
+def test_specialize_refuses_a_kernel_that_is_not_a_submodule():
+    """The doubled L = 1 quotient taken at an 8th root instead of a 4th:
+    a coefficient from the dropped block into the kept one survives, and
+    the kernel check refuses before any representative is chosen."""
+    from torcrys.unity import _anchor_blocks, _specialize
+    mod = build_doubled(1, (-16, 16))
+    block = _anchor_blocks(mod, 1)
+    with pytest.raises(SpecializationError,
+                       match=r"\(q\^3\+q\)/\(q\^4\+q\^2\+1\)"):
+        _specialize(mod, 8, keep=lambda m: block[m] < 1)
+
+
+@pytest.mark.parametrize("build", [lambda: specialize_thin(3, 1, 2),
+                                   lambda: specialize_doubled(1)],
+                         ids=["thin(3,1,2)", "doubled(1)"])
+def test_eps_unit_is_the_ring_one(build):
+    """The specialized module's one eps map sends 1 to its `one`, so
+    every unit coefficient of its operator entries is that object and
+    the runner's identity shortcuts apply."""
+    spec = build()
+    assert spec._scalar(RQ_ONE) is spec.one
+    coeffs = [c for i in spec.rs.nodes
+              for table in (spec.minus_edges[i], spec.plus_edges[i])
+              for entries in table for _, _, c in entries]
+    coeffs += [c for i in spec.rs.nodes for idx in range(len(spec))
+               for entries in (spec.pair_entries(i, idx),
+                               spec.h_entries(i, idx))
+               for _, _, c in entries]
+    units = [c for c in coeffs if c == spec.one]
+    assert units and all(c is spec.one for c in units)
