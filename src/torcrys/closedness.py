@@ -10,6 +10,13 @@ stronger sum-of-simple-characters condition, which covers every case
 occurring here; configurations our sl2 oracle cannot decide (q-strings
 in special position) are reported as inconclusive, never as a wrong
 verdict.
+
+`closed_report` builds one class table per direction, one at a time,
+and reads both verdicts off it: q-closedness class by class, and
+closedness under e~_i and f~_i, whose images stay in the class of their
+node and are found there by their row i.  `kashiwara_closed` recomputes
+every image as a Monomial; it is the reference the tables are tested
+against.
 """
 from __future__ import annotations
 
@@ -297,11 +304,14 @@ def _sort_key_of(m):
 def _check_class_rows(rs: RootSystem, i: int, members, rows,
                       chars: dict) -> ClassResult:
     """_check_class_general for an A_{i,*}-class of Monomials, given in
-    Monomial.sort_key order, decided on their row-i tuples `rows`: the
-    projection is injective on a class, so a member is found by its row
-    and a Monomial is built only as a witness.  `chars` memoizes the sl2
-    character of each highest row (or the UnsupportedConfigError it
-    raised)."""
+    Monomial.sort_key order, decided on their row-i tuples `rows` (in
+    member order: a list, or a dict keyed by them): the projection is
+    injective on a class, so a member is found by its row and a Monomial
+    is built only as a witness.  `chars` memoizes the sl2 character of
+    each highest row (or the UnsupportedConfigError it raised)."""
+    if len(members) == 1 and () in rows:
+        # a lone member with an empty row i is its own sl2 character
+        return ClassResult(list(members), "closed")
     counter = dict.fromkeys(rows, 1)
     # rank by (row sum, dominance, sort-key position); the row sum is
     # the weight's value on h_i
@@ -345,6 +355,52 @@ def _check_class_rows(rs: RootSystem, i: int, members, rows,
 EDGE_MARGIN = 3
 
 
+def _near_edge(nodes, window) -> list:
+    """Per node, whether its support comes within EDGE_MARGIN of the
+    window edge; the same in every direction."""
+    lo, hi = window[0] + EDGE_MARGIN, window[1] - EDGE_MARGIN
+    return [any(l <= lo or l >= hi for (_, l), _ in m.exps) for m in nodes]
+
+
+def _class_table(rs: RootSystem, nodes, i: int, near_edge) -> dict:
+    """The A_{i,*}-classes of `nodes` (distinct, in Monomial.sort_key
+    order), from one `_class_key_and_row` call and one lookup per node:
+    key -> [members, {row i: node position}, touches the window edge].
+    Members and rows are in node order."""
+    table = {}
+    for k, m in enumerate(nodes):
+        key, row = _class_key_and_row(rs, m, i)
+        entry = table.get(key)
+        if entry is None:
+            table[key] = [[m], {row: k}, near_edge[k]]
+        else:
+            entry[0].append(m)
+            entry[1][row] = k
+            if near_edge[k]:
+                entry[2] = True
+    return table
+
+
+def _decide_classes(rs: RootSystem, i: int, table: dict) -> DirectionReport:
+    """q-closedness in direction i from its class table, class by class
+    in key order; classes at the window edge are inconclusive."""
+    chars = {}
+    report = DirectionReport(i, True, None)
+    for key in sorted(table):
+        members, rows, edge = table[key]
+        if edge:
+            res = ClassResult(members, "inconclusive", None, "window boundary")
+        else:
+            res = _check_class_rows(rs, i, members, rows, chars)
+        report.classes.append(res)
+        if res.verdict == "not-closed" and report.qclosed is not False:
+            report.qclosed = False
+            report.witness = res.witness
+    if report.qclosed and all(c.verdict == "inconclusive" for c in report.classes):
+        report.qclosed = None
+    return report
+
+
 def qclosed_direction(rs: RootSystem, monomials, i: int,
                       window) -> DirectionReport:
     """Decide q-closedness in direction i of the finite set generated on
@@ -353,38 +409,82 @@ def qclosed_direction(rs: RootSystem, monomials, i: int,
     Classes whose support touches the window edge (within EDGE_MARGIN)
     are reported inconclusive rather than risking a truncation artifact.
     """
-    lo, hi = window[0] + EDGE_MARGIN, window[1] - EDGE_MARGIN
-    classes = {}
-    edge = set()
-    for m in sorted(monomials, key=Monomial.sort_key):
-        key, row = _class_key_and_row(rs, m, i)
-        entry = classes.get(key)
-        if entry is None:
-            classes[key] = ([m], [row])
+    nodes = sorted(set(monomials), key=Monomial.sort_key)
+    return _decide_classes(
+        rs, i, _class_table(rs, nodes, i, _near_edge(nodes, window)))
+
+
+def _moved_row(row: tuple, l: int, u: int) -> tuple:
+    """The row tuple times Y_l^u Y_{l+2}^u."""
+    out = dict(row)
+    for e in (l, l + 2):
+        s = out.get(e, 0) + u
+        if s:
+            out[e] = s
         else:
-            entry[0].append(m)
-            entry[1].append(row)
-        if key not in edge:
-            for (_, l), _ in m.exps:
-                if l <= lo or l >= hi:
-                    edge.add(key)
-                    break
-    chars = {}
-    report = DirectionReport(i, True, None)
-    for key in sorted(classes):
-        members, rows = classes[key]
-        if key in edge:
-            report.classes.append(
-                ClassResult(members, "inconclusive", None, "window boundary"))
-            continue
-        res = _check_class_rows(rs, i, members, rows, chars)
-        report.classes.append(res)
-        if res.verdict == "not-closed" and report.qclosed is not False:
-            report.qclosed = False
-            report.witness = res.witness
-    if report.qclosed and all(c.verdict == "inconclusive" for c in report.classes):
-        report.qclosed = None
-    return report
+            del out[e]
+    return tuple(sorted(out.items()))
+
+
+def _first_missing_image(table: dict, interior, before: int):
+    """(position, "e" or "f") of the first interior node below position
+    `before` whose e~_i or f~_i image (e~ first) is missing from the
+    nodes of direction i's class table, or None.
+
+    e~_i m = m A_{i,p-1} and f~_i m = m A_{i,qq+1}^-1 lie in the class
+    of m, and row i fixes a class member, so an image is present exactly
+    when its row, row_i(m) + Y_{p-2} + Y_p or row_i(m) - Y_qq - Y_{qq+2},
+    is a row of the class.  The statistics are those of `row_stats`."""
+    miss = None
+    for _, rows, _ in table.values():
+        for row, k in rows.items():
+            if k >= before:
+                break
+            if not interior[k]:
+                continue
+            acc = phi = 0
+            p = qq = None
+            for l, u in row:
+                if acc == phi:
+                    p = l
+                acc += u
+                if acc > phi:
+                    phi, qq = acc, l
+            if phi != acc and _moved_row(row, p - 2, 1) not in rows:
+                before, miss = k, (k, "e")
+                break
+            if phi and _moved_row(row, qq, -1) not in rows:
+                before, miss = k, (k, "f")
+                break
+    return miss
+
+
+def _decide_tables(rs: RootSystem, nodes, window, interior):
+    """(directions, kashiwara, kashiwara_witness) for `nodes` (distinct,
+    in Monomial.sort_key order): q-closedness in every direction and
+    closedness of the interior nodes under every Kashiwara operator,
+    both read off one class table per direction.  The witness is the
+    one `kashiwara_closed(rs, nodes, rs.nodes, interior)` returns: the
+    smallest (position, label) pair, e~ before f~."""
+    near_edge = _near_edge(nodes, window)
+    directions = []
+    miss = None                   # (position, "e" or "f", label)
+    for i in rs.nodes:
+        table = _class_table(rs, nodes, i, near_edge)
+        directions.append(_decide_classes(rs, i, table))
+        got = _first_missing_image(table, interior,
+                                   len(nodes) if miss is None else miss[0])
+        if got is not None:
+            miss = (*got, i)
+        # freed before the next direction's table is built: keeping
+        # every direction's table alive raises the peak memory
+        del table
+    if miss is None:
+        return directions, True, None
+    k, kind, i = miss
+    m = nodes[k]
+    fm, em = kashiwara_images(rs, m, i, m.row(i))
+    return directions, False, em if kind == "e" else fm
 
 
 def classical_a_exponents(n: int, i: int, l: int) -> dict:
@@ -532,9 +632,12 @@ def sl2_row_e(row: dict) -> dict | None:
 
 
 def kashiwara_closed(rs: RootSystem, monomials, J, interior=None):
-    """True iff the operators with labels in J map every (interior)
-    element back into the set; otherwise (False, witness).  Every image
-    is recomputed here, independent of any recorded crystal edges."""
+    """(True, None) iff the operators with labels in J map every
+    (interior) element back into the set; otherwise (False, witness),
+    the first missing image in element order, then label order, e~
+    before f~.  Every image is recomputed here as a Monomial,
+    independent of any recorded crystal edges: the reference for the
+    class-table check of `closed_report`."""
     pool = set(monomials)
     items = list(monomials) if interior is None else \
         [m for m, flag in zip(monomials, interior) if flag]
@@ -581,7 +684,12 @@ def fundamental_anchor(rs: RootSystem, ell: int) -> Monomial:
 def closed_report(n: int, ell: int, window=None) -> ClosednessReport:
     """Generate the fundamental crystal in a window and decide
     closedness in every direction.  The window must cover at least two
-    shift periods around the anchor."""
+    shift periods around the anchor.
+
+    q-closedness and closedness of the interior nodes under the
+    Kashiwara operators are both read off one class table per direction
+    (`_decide_tables`), with the verdicts and witnesses of
+    `qclosed_direction` and `kashiwara_closed`."""
     rs = RootSystem.for_fundamental(n, ell)
     if window is None:
         window = (-3 * (n + 1), 3 * (n + 1))
@@ -589,7 +697,5 @@ def closed_report(n: int, ell: int, window=None) -> ClosednessReport:
     if lmax - lmin < 2 * (n + 1) + 2 * rs.d(ell):
         raise ValueError("window too small: need at least two shift periods")
     g = generate(rs, [fundamental_anchor(rs, ell)], window)
-    directions = [qclosed_direction(rs, g.nodes, i, window=window)
-                  for i in rs.nodes]
-    ok, wit = kashiwara_closed(rs, g.nodes, rs.nodes, interior=g.interior)
-    return ClosednessReport(n, ell, window, directions, ok, wit)
+    return ClosednessReport(n, ell, window,
+                            *_decide_tables(rs, g.nodes, window, g.interior))

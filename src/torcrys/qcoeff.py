@@ -861,4 +861,4 @@ def eval_cyclotomic(p: RationalQ, N: int) -> CycloElem:
     if den.is_zero():
         raise SpecializationError(
             f"denominator {p.den} vanishes at a primitive {N}-th root of unity")
-    return num * den.inv()
+    return den.inv() if p.num.is_one() else num * den.inv()

@@ -779,7 +779,7 @@ def _paths(mod, shape: tuple, memo: dict):
             continue
         for dst, step, c0 in entries:
             key = (dst, steps + (step,))
-            cc = c if c0 is mod.one else c * c0
+            cc = c if c0 is mod.one else c0 if c is mod.one else c * c0
             s = new.get(key)
             new[key] = cc if s is None else s + cc
     hazards += tuple((node, tuple(group)) for node, group in leaving.items())
@@ -814,7 +814,8 @@ def _node_terms(mod, template: tuple, memo: dict):
         if not scalar.is_zero():
             for (target, steps), c in paths.items():
                 slots.append((target, _affine(consts, cols, steps)))
-                values.append(c if scalar is mod.one else scalar * c)
+                values.append(c if scalar is mod.one else
+                              scalar if c is mod.one else scalar * c)
     den, nums = mod.one.clear_denominators(values + hazard_values)
     nums = iter(nums)
     terms = _collect((target, next(nums), form) for target, form in slots)

@@ -295,6 +295,13 @@ PINNED_STDOUT = {
     "closed --n 5 --ell 2": (
         EXIT_NOT_CLOSED,
         "1bb3a8a91a6f812a72c092cba26e2f2767aaae06238d2c7d148bdeae674c5486"),
+    # a witness in every one of the eight directions
+    "closed --n 7 --ell 3": (
+        EXIT_NOT_CLOSED,
+        "e7e4eb6328b8e9d55a7ae17eab6305ca30561c264e0ce9d8cb637f87c7d10c1b"),
+    "closed --n 7 --ell 4": (
+        EXIT_OK,
+        "300f3869e684f63d022d8e06defc386d740159682baa7cf31a61be35a083a5d7"),
 }
 
 

@@ -4,7 +4,7 @@ from torcrys.closedness import (closed_report, fundamental_anchor,
                                 kashiwara_closed, qclosed_direction,
                                 sl2_qclosed, sl2_row_e, sl2_row_f,
                                 sl2_simple_qchar)
-from torcrys.crystal import generate, sub_crystal
+from torcrys.crystal import e_tilde, f_tilde, generate, sub_crystal
 from torcrys.lattice import RootSystem
 from torcrys.closedness import qclosed_direction_classical
 from torcrys.monomial import a_monomial, xi_drop
@@ -300,3 +300,118 @@ def test_qclosed_direction_fails_on_a_deleted_member():
                          if c.verdict == "not-closed"))
     assert reasons == {"maximal element not dominant",
                        "required monomial absent"}
+
+
+def _kashiwara_pools(rs, g):
+    """(pool, interior) pairs of g's nodes with images dropped: for a
+    few interior nodes m, pools missing m's first e-image, its first
+    f-image, both images of one label, or one image in each of its two
+    largest labels, each with g's interior flags and with only m
+    interior; and a pool missing an image of the first interior node in
+    its largest label and one of a later node in a smaller label, with
+    only those two nodes interior; the same for two nodes missing an
+    image in one label whose classes start in the other order; and a
+    pool missing every third node."""
+    from torcrys.closedness import _class_key_and_row
+
+    def pool(victims, only=None):
+        rest = [m for m in g.nodes if m not in victims]
+        if only is None:
+            return rest, [g.interior[g.index[m]] for m in rest]
+        return rest, [m in only for m in rest]
+
+    def images(m):
+        """(label, "e" or "f", image) of m, e~ before f~ in each label."""
+        return [(i, kind, img) for i in rs.nodes
+                for kind, img in (("e", e_tilde(rs, m, i)),
+                                  ("f", f_tilde(rs, m, i)))
+                if img is not None]
+
+    out = []
+    inner = [m for k, m in enumerate(g.nodes) if g.interior[k]]
+    for m in inner[::max(1, len(inner) // 3)]:
+        first, by_label = {}, {}
+        for i, kind, img in images(m):
+            first.setdefault(kind, img)
+            by_label.setdefault(i, []).append(img)
+        victim_sets = [{img} for img in first.values()]
+        victim_sets += [set(imgs) for imgs in by_label.values()
+                        if len(imgs) == 2][:1]
+        if len(by_label) >= 2:
+            victim_sets.append({by_label[j][0] for j in sorted(by_label)[-2:]})
+        for victims in victim_sets:
+            out += [pool(victims), pool(victims, only={m})]
+    # many nodes missing images in many classes of every direction
+    out.append(pool(set(g.nodes[1::3])))
+    # an earlier node missing an image in a larger label than a later one
+    a = inner[0]
+    j, _, va = images(a)[-1]
+    for b in inner[1:]:
+        vb = next((img for i, _, img in images(b) if i < j), None)
+        if vb is not None:
+            out.append(pool({va, vb}, only={a, b}))
+            break
+    # two nodes missing an image in one label, the later one in a class
+    # whose first member comes before every member of the earlier one's
+    inner_images = [(k, images(m)) for k, m in enumerate(g.nodes)
+                    if g.interior[k]]
+    for j in rs.nodes:
+        starts, start_of = [], {}
+        for k, m in enumerate(g.nodes):
+            key = _class_key_and_row(rs, m, j)[0]
+            starts.append(start_of.setdefault(key, k))
+        hit = [(k, img) for k, own in inner_images
+               for i, _, img in own if i == j]
+        pair = next(((ka, va, kb, vb) for ka, va in hit for kb, vb in hit
+                     if ka < kb and starts[kb] < starts[ka]), None)
+        if pair is not None:
+            ka, va, kb, vb = pair
+            out.append(pool({va, vb}, only={g.nodes[ka], g.nodes[kb]}))
+            break
+    return out
+
+
+@pytest.mark.parametrize("n", [3, 5, 7])
+def test_table_kashiwara_check_on_the_sweep_crystals(n):
+    # closed_report reads Kashiwara closedness off its class tables
+    from torcrys.closedness import _decide_tables
+    window = (-3 * (n + 1), 3 * (n + 1))
+    for ell in range(1, n + 1):
+        rs = RootSystem.for_fundamental(n, ell)
+        g = generate(rs, [fundamental_anchor(rs, ell)], window)
+        want = kashiwara_closed(rs, g.nodes, rs.nodes, interior=g.interior)
+        assert want == (True, None)
+        assert _decide_tables(rs, g.nodes, window, g.interior)[1:] == want
+
+
+def _dropped_image_crystals():
+    """The fundamental crystals for n = 3, 5, and the doubled-weight
+    crystal, whose i-strings are long enough for a node to have both
+    an e~_i- and an f~_i-image."""
+    from torcrys.torep import doubled_anchor
+    out = []
+    for n in (3, 5):
+        for ell in range(1, n + 1):
+            rs = RootSystem.for_fundamental(n, ell)
+            out.append(pytest.param(rs, fundamental_anchor(rs, ell),
+                                    (-3 * (n + 1), 3 * (n + 1)),
+                                    id=f"n{n}_ell{ell}"))
+    rs = RootSystem(3, parity=0)
+    out.append(pytest.param(rs, doubled_anchor(rs, 0), (-14, 14),
+                            id="doubled"))
+    return out
+
+
+@pytest.mark.parametrize("rs, anchor, window", _dropped_image_crystals())
+def test_table_kashiwara_check_on_dropped_images(rs, anchor, window):
+    # with images missing, the tables report kashiwara_closed's witness:
+    # the first node in pool order, then the smallest label, then e~
+    # before f~
+    from torcrys.closedness import _decide_tables
+    g = generate(rs, [anchor], window)
+    witnesses = 0
+    for pool, interior in _kashiwara_pools(rs, g):
+        want = kashiwara_closed(rs, pool, rs.nodes, interior=interior)
+        assert _decide_tables(rs, pool, window, interior)[1:] == want
+        witnesses += want[1] is not None
+    assert witnesses >= 10

@@ -363,3 +363,22 @@ def test_eps_unit_is_the_ring_one(build):
                for _, _, c in entries]
     units = [c for c in coeffs if c == spec.one]
     assert units and all(c is spec.one for c in units)
+
+
+def test_relation_check_eps_multiplies_by_no_unit(monkeypatch):
+    """The relation runner skips a coefficient product when either
+    factor is the ring's one, and the eps map has no product with a unit
+    numerator, so no CycloElem product of the check has a unit operand."""
+    spec = specialize_thin(3, 1, 2)
+    real = CycloElem.__mul__
+    operands = []
+
+    def recording(a, b):
+        operands.append((a, b))
+        return real(a, b)
+
+    monkeypatch.setattr(CycloElem, "__mul__", recording)
+    rep = relation_check_eps(spec, rmax=3, serre_rmax=2)
+    assert rep.checked == 12032 and not rep.failures
+    assert operands
+    assert [pair for pair in operands if spec.one in pair] == []
