@@ -5,6 +5,11 @@ twisted-automorphism verification.
 Crystals here are infinite; every consumer declares a spectral window
 [lmin, lmax] and only *interior* nodes (whose full operator
 neighborhood stays inside the window) participate in assertions.
+
+The BFS runs on exponent tuples and computes each edge once: an edge
+f~_i x = y found from either end is recorded with its inverse
+e~_i y = x.  Weights are propagated along the edges and checked where a
+node is found again; Monomials are built once per node, at the end.
 """
 from __future__ import annotations
 
@@ -75,8 +80,8 @@ def f_tilde_exp(rs: RootSystem, exps: dict, i: int) -> dict | None:
 
 
 # weighted operators ----------------------------------------------------------
-# f_tilde/e_tilde apply one operator on their own; the BFS and the
-# closedness check take both images of a label from kashiwara_images.
+# f_tilde/e_tilde apply one operator on their own; the closedness check
+# takes both images of a label from kashiwara_images.
 
 def e_tilde(rs: RootSystem, m: Monomial, i: int) -> Monomial | None:
     out = e_tilde_exp(rs, m.exp_dict(), i)
@@ -161,59 +166,90 @@ class CrystalGraph:
         return "\n".join(lines)
 
 
-def _in_window(m: Monomial, window) -> bool:
+def _in_window(exps: dict, window) -> bool:
+    """Whether every spectral index of an exponent dict lies in the
+    window."""
     lmin, lmax = window
-    for (_, l), _ in m.exps:
-        if not lmin <= l <= lmax:
-            return False
-    return True
+    return all(lmin <= l <= lmax for _, l in exps)
 
 
 def _closure(rs: RootSystem, starts, labels, window):
     """BFS closure of the start monomials under the Kashiwara operators
     with labels in `labels`, restricted to the spectral window.  Returns
     (nodes, index, f_edges, e_edges, interior) with nodes sorted; a node
-    is interior when no operator leads it out of the window.  Each
-    (node, label) takes one `kashiwara_images` call for both images: one
-    pass over the row, and one A_{i,l} from the root system's memo per
-    image.  A node is hashed once, however often `seen` looks it up."""
-    seen = dict.fromkeys(starts, True)
-    frontier = deque(seen)
+    is interior when no operator leads it out of the window.
+
+    The search is keyed by exponent tuples.  A weight is propagated
+    along each edge it crosses, and a node found again must arrive with
+    the weight it already has (ValidationErrorForGraph otherwise).  Each
+    edge is computed once: f~_i x = y inside the window records
+    e~_i y = x as well, and the other way round (Kashiwara's axiom), so
+    a (node, label) image already known is never recomputed, and a
+    label whose row is empty has none.  The nodes start in the window,
+    so an image lies in it exactly when the four variables of its
+    A_{i,l}^{-+1}, at l-1, l and l+1, do.  One Monomial is built per
+    node, at the end."""
+    lmin, lmax = window
+    weight = {}
+    for m in starts:
+        if weight.setdefault(m.exps, m.weight) != m.weight:
+            raise ValidationErrorForGraph(m)
+    moves = {(i, sign): rs.alpha(i).scaled(sign)
+             for i in labels for sign in (-1, 1)}
+    # a node found again has the h-part of its exponents' column sums,
+    # so only its delta-part can disagree
+    delta_moves = {key: w.delta for key, w in moves.items()}
+    frontier = deque(weight)
     f_raw, e_raw = {}, {}
     clipped = set()
     while frontier:
-        m = frontier.popleft()
-        rows = m.rows()
+        x = frontier.popleft()
+        xd, wx = dict(x), weight[x]
+        rows = {}
+        for (i, l), u in x:
+            rows.setdefault(i, {})[l] = u
         for i in labels:
-            fm, em = kashiwara_images(rs, m, i, rows.get(i, {}))
-            if fm is not None:
-                if _in_window(fm, window):
-                    f_raw[(m, i)] = fm
-                    if fm not in seen:
-                        seen[fm] = True
-                        frontier.append(fm)
-                else:
-                    clipped.add(m)
-            if em is not None:
-                if _in_window(em, window):
-                    e_raw[(m, i)] = em
-                    if em not in seen:
-                        seen[em] = True
-                        frontier.append(em)
-                else:
-                    clipped.add(m)
-    nodes = sorted(seen, key=Monomial.sort_key)
+            row = rows.get(i)
+            if not row:
+                continue
+            _, _, p, qq = row_stats(row)
+            # f~_i divides by A_{i,qq+1}, e~_i multiplies by A_{i,p-1}
+            for l, sign, known, back in ((qq, -1, f_raw, e_raw),
+                                         (p, 1, e_raw, f_raw)):
+                if l is None or (x, i) in known:
+                    continue
+                l -= sign
+                if not lmin < l < lmax:
+                    clipped.add(x)
+                    continue
+                y = exp_key(exp_mul(xd, a_exponents(rs, i, l), sign))
+                known[(x, i)] = y
+                back[(y, i)] = x
+                wy = weight.get(y)
+                if wy is None:
+                    weight[y] = wx + moves[i, sign]
+                    frontier.append(y)
+                elif wy.delta != wx.delta + delta_moves[i, sign]:
+                    raise ValidationErrorForGraph(
+                        Monomial(y, wx + moves[i, sign]))
+    keys = sorted(weight)
+    pos = {x: k for k, x in enumerate(keys)}
+    nodes = [Monomial(x, weight[x]) for x in keys]
     index = {m: k for k, m in enumerate(nodes)}
-    f_edges = {(index[m], i): index[t] for (m, i), t in f_raw.items()}
-    e_edges = {(index[m], i): index[t] for (m, i), t in e_raw.items()}
-    return nodes, index, f_edges, e_edges, [m not in clipped for m in nodes]
+    f_edges = {(pos[x], i): pos[y] for (x, i), y in f_raw.items()}
+    e_edges = {(pos[x], i): pos[y] for (x, i), y in e_raw.items()}
+    return nodes, index, f_edges, e_edges, [x not in clipped for x in keys]
 
 
 def generate(rs: RootSystem, anchors, window) -> CrystalGraph:
     """BFS closure of the anchors under the Kashiwara operators,
-    restricted to the spectral window.  Anchors carry full weights;
-    weights of discovered nodes are propagated along edges and checked
-    for consistency on rediscovery."""
+    restricted to the spectral window, on exponent tuples with each edge
+    computed once and its inverse recorded with it (see `_closure`).
+    Anchors carry full weights; weights of discovered nodes are
+    propagated along edges and checked for consistency on rediscovery,
+    so two anchors with equal exponents and different weights raise
+    ValidationErrorForGraph, as does an anchor whose column sums differ
+    from its weight's h-part."""
     lmin, lmax = window
     if lmin > lmax:
         raise WindowError("empty window")
@@ -221,17 +257,17 @@ def generate(rs: RootSystem, anchors, window) -> CrystalGraph:
     if not anchors:
         raise ValueError("at least one anchor is required")
     for a in anchors:
-        if not _in_window(a, window):
+        if not _in_window(a.exp_dict(), window):
             raise WindowError(f"anchor {a} does not fit in window {window}")
+        # A_{i,l} has the column sums of alpha_i, so every node
+        # inherits its anchor's agreement of column sums and h-part
+        sums = [0] * (rs.n + 1)
+        for (i, _), u in a.exps:
+            sums[i] += u
+        if tuple(sums) != a.weight.h:
+            raise ValidationErrorForGraph(a)
     nodes, index, f_edges, e_edges, interior = _closure(rs, anchors, rs.nodes,
                                                         window)
-    # weight consistency: column sums must match the propagated h-part
-    for m in nodes:
-        sums = [0] * (rs.n + 1)
-        for (i, _), u in m.exps:
-            sums[i] += u
-        if tuple(sums) != m.weight.h:
-            raise ValidationErrorForGraph(m)
     return CrystalGraph(rs, (lmin, lmax), nodes, index, f_edges, e_edges,
                         interior, anchors=list(anchors))
 
@@ -296,7 +332,7 @@ def is_extremal(rs: RootSystem, m: Monomial, depth: int, window) -> ExtremalityR
                             raise AssertionError("string shorter than weight pairing")
                 else:
                     continue
-                if not _in_window(y, window):
+                if not _in_window(y.exp_dict(), window):
                     return ExtremalityReport("inconclusive-window", depth, orbit)
                 if y not in seen:
                     seen.add(y)
@@ -314,18 +350,26 @@ def is_extremal(rs: RootSystem, m: Monomial, depth: int, window) -> ExtremalityR
 
 def check_twist(g: CrystalGraph, exp_map, label_map) -> list:
     """Verify f~_{label_map(i)}(map(m)) = map(f~_i(m)) and the raising
-    analogue on every interior node, at the exponent level.
+    analogue on every interior node, at the exponent level, and that
+    the image of every interior node is a node wherever it fits in the
+    window.
 
     exp_map: dict -> dict on exponent tables; label_map: node -> node.
     Returns the list of violations (empty when the map is a twisted
-    morphism on the window interior).
+    morphism on the window interior): ("f", m, i) or ("e", m, i) for an
+    operator that does not commute, ("missing", m, image) for an image
+    exponent tuple that fits in the window but is not a node.
     """
     rs = g.rs
+    node_exps = {m.exps for m in g.nodes}
     bad = []
     for idx in g.interior_indices():
         m = g.nodes[idx]
         exps = m.exp_dict()
         image = exp_map(exps)
+        key = exp_key(image)
+        if key not in node_exps and _in_window(image, g.window):
+            bad.append(("missing", m, key))
         for i in rs.nodes:
             j = rs.mod(label_map(i))
             lhs = f_tilde_exp(rs, image, j)
@@ -343,14 +387,20 @@ def check_twist(g: CrystalGraph, exp_map, label_map) -> list:
 
 def check_shift_automorphism(g: CrystalGraph, twop: int) -> list:
     """Check that the spectral shift by 2p maps edges to equally
-    labeled edges wherever both endpoints stay in the window."""
-    rs = g.rs
+    labeled edges wherever both endpoints stay in the window, and that
+    it maps every interior node to a node wherever its shifted
+    exponents fit in the window.  Returns the violations: (src, i, dst)
+    for an edge whose image is not an edge, (m, None, image) for an
+    interior node whose image exponent tuple is not a node."""
+    by_exps = {m.exps: k for k, m in enumerate(g.nodes)}
     bad = []
     shift = {}
     for k, m in enumerate(g.nodes):
         exps = {(i, l + twop): u for (i, l), u in m.exps}
         shift[k] = exp_key(exps)
-    by_exps = {m.exps: k for k, m in enumerate(g.nodes)}
+        if (g.interior[k] and shift[k] not in by_exps
+                and _in_window(exps, g.window)):
+            bad.append((m, None, shift[k]))
     for (s, i), d in g.f_edges.items():
         ss, dd = shift[s], shift[d]
         if ss in by_exps and dd in by_exps:

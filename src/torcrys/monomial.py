@@ -65,9 +65,11 @@ def a_exponents(rs: RootSystem, i: int, l: int):
     return out
 
 
-def phi_exponents(rs: RootSystem, exps: dict) -> dict:
-    """Promotion at the exponent level: Y_{i,l} -> Y_{i+1,l+1}."""
-    return {(rs.mod(i + 1), l + 1): u for (i, l), u in exps.items()}
+def phi_exponents(rs: RootSystem, exps: dict, delta: int = 1) -> dict:
+    """Promotion at the exponent level: Y_{i,l} -> Y_{i+1,l+delta}.
+    delta = +1 maps B(varpi_ell) into itself for ell <= r+1, and
+    delta = -1 for ell >= r+1."""
+    return {(rs.mod(i + 1), l + delta): u for (i, l), u in exps.items()}
 
 
 def psi_exponents(rs: RootSystem, exps: dict) -> dict:

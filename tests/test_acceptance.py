@@ -195,7 +195,10 @@ def test_criterion_8_promotion():
         rs = RootSystem.for_fundamental(n, ell)
         g = generate(rs, [fundamental_anchor(rs, ell)],
                      (-2 * (n + 1), 2 * (n + 1) + n))
-        bad = check_twist(g, lambda e, rs=rs: phi_exponents(rs, e),
+        # Y_{i,l} -> Y_{i+1,l+1} leaves B(varpi_ell) for ell > r+1, so
+        # B(varpi_n) takes Y_{i,l} -> Y_{i+1,l-1}
+        delta = 1 if ell <= rs.r + 1 else -1
+        bad = check_twist(g, lambda e, rs=rs, d=delta: phi_exponents(rs, e, d),
                           lambda i: i + 1)
         ok = ok and not bad
     # tableau promotion agrees with the monomial map node-wise

@@ -302,6 +302,13 @@ PINNED_STDOUT = {
     "closed --n 7 --ell 4": (
         EXIT_OK,
         "300f3869e684f63d022d8e06defc386d740159682baa7cf31a61be35a083a5d7"),
+    # node order, weights, edges and interior of generate
+    "crystal gen --n 3 --ell 2 --format json": (
+        EXIT_OK,
+        "c26aea81ca08cd2889656b62d85b125118f17db37998b6055c5405ec031a86a2"),
+    "crystal gen --n 5 --ell 3": (
+        EXIT_OK,
+        "c2678ec2d67b817e8fc89c4e73ea2893dc2952270b09c00cf88fcbdb4f618ea8"),
 }
 
 

@@ -3,14 +3,14 @@ from fractions import Fraction
 
 import pytest
 
-from torcrys.crystal import (WindowError, check_shift_automorphism,
-                             check_twist, e_tilde, f_tilde, generate,
-                             is_extremal, kashiwara_images, row_stats, stats,
-                             sub_crystal)
+from torcrys.crystal import (ValidationErrorForGraph, WindowError,
+                             check_shift_automorphism, check_twist, e_tilde,
+                             f_tilde, generate, is_extremal, kashiwara_images,
+                             row_stats, stats, sub_crystal)
 from torcrys.lattice import RootSystem, Weight
-from torcrys.monomial import (ParityError, a_exponents, from_variables,
-                              monomial_from_json, phi_exponents,
-                              psi_exponents)
+from torcrys.monomial import (Monomial, ParityError, a_exponents,
+                              from_variables, monomial_from_json,
+                              phi_exponents, psi_exponents, twist_psi)
 
 
 def rs1():
@@ -128,6 +128,24 @@ def test_generate_single_node_window():
     assert g.interior == [False]
 
 
+def test_generate_refuses_inconsistent_weights():
+    rs = rs1()
+    m = M0(rs)
+    up = rs.delta_weight()
+    # equal exponents, different delta
+    with pytest.raises(ValidationErrorForGraph):
+        generate(rs, [m, Monomial(m.exps, m.weight + up)], (-8, 12))
+    # f~_1 m reached from m with a delta other than its own
+    fm = f_tilde(rs, m, 1)
+    with pytest.raises(ValidationErrorForGraph):
+        generate(rs, [m, Monomial(fm.exps, fm.weight + up)], (-8, 12))
+    # column sums that differ from the h-part
+    with pytest.raises(ValidationErrorForGraph):
+        generate(rs, [Monomial(m.exps, rs.varpi(2))], (-8, 12))
+    # consistent anchors on one crystal are fine
+    assert len(generate(rs, [m, fm], (-8, 12))) == 20
+
+
 def test_generate_rejects_bad_anchor():
     rs = rs1()
     with pytest.raises(WindowError):
@@ -182,10 +200,17 @@ def test_check_twist_promotion():
 
 
 def test_check_twist_psi():
+    # psi exchanges B(varpi_1) and B(varpi_3), so the graph holds both
     rs = rs1()
-    g = generate(rs, [M0(rs)], (-10, 14))
+    g = generate(rs, [M0(rs), twist_psi(rs, M0(rs))], (-10, 14))
     bad = check_twist(g, lambda e: psi_exponents(rs, e), lambda i: -i)
     assert bad == []
+    # on B(varpi_1) alone the operators still commute, but every
+    # interior image is missing from the crystal
+    g1 = generate(rs, [M0(rs)], (-10, 14))
+    bad1 = check_twist(g1, lambda e: psi_exponents(rs, e), lambda i: -i)
+    assert bad1 and all(kind == "missing" for kind, _, _ in bad1)
+    assert len(bad1) == sum(g1.interior)
 
 
 def test_local_inverses_and_weight_identity():
@@ -215,6 +240,37 @@ def test_shift_equivariance_and_z_ell():
     assert check_shift_automorphism(g2, -2) == []
 
 
+def test_shift_automorphism_reports_missing_images():
+    # on B(varpi_1) for n = 3 only shifts by multiples of n + 1 map the
+    # crystal into itself; every other shift sends each interior node
+    # that still fits in the window to a non-node
+    from torcrys.closedness import fundamental_anchor
+    rs = rs1()
+    g = generate(rs, [fundamental_anchor(rs, 1)], (-12, 12))
+    for twop, misses in ((1, 22), (2, 21), (6, 17)):
+        bad = check_shift_automorphism(g, twop)
+        assert len(bad) == misses
+        assert all(i is None and d not in {m.exps for m in g.nodes}
+                   for _, i, d in bad)
+    for twop in (4, 8):
+        assert check_shift_automorphism(g, twop) == []
+
+
+@pytest.mark.parametrize("n,misses", [(3, 17), (5, 27)])
+def test_check_twist_reports_missing_promotion_images(n, misses):
+    # criterion 8's window: phi_{+1} sends every interior node of
+    # B(varpi_n) out of the crystal, phi_{-1} into it
+    from torcrys.closedness import fundamental_anchor
+    rs = RootSystem.for_fundamental(n, n)
+    g = generate(rs, [fundamental_anchor(rs, n)],
+                 (-2 * (n + 1), 2 * (n + 1) + n))
+    bad = check_twist(g, lambda e: phi_exponents(rs, e, 1), lambda i: i + 1)
+    assert len(bad) == misses == sum(g.interior)
+    assert all(kind == "missing" for kind, _, _ in bad)
+    assert check_twist(g, lambda e: phi_exponents(rs, e, -1),
+                       lambda i: i + 1) == []
+
+
 def test_graph_exports():
     rs = rs1()
     g = generate(rs, [M0(rs)], (-4, 8))
@@ -228,11 +284,13 @@ def test_graph_exports():
     assert again == g.nodes
 
 
-def reference_bfs(rs, anchors, window):
-    """Memo-free closure straight from the public f~/e~: the node set,
-    the f~ and e~ edges keyed by (monomial, label), and the nodes that
-    some operator leads out of the window."""
+def reference_bfs(rs, anchors, window, labels=None):
+    """Memo-free closure straight from the public f~/e~ with labels in
+    `labels` (all of them by default): the node set, the f~ and e~
+    edges keyed by (monomial, label), and the nodes that some operator
+    leads out of the window."""
     lmin, lmax = window
+    labels = rs.nodes if labels is None else labels
 
     def inside(m):
         return all(lmin <= l <= lmax for (_, l), _ in m.exps)
@@ -242,7 +300,7 @@ def reference_bfs(rs, anchors, window):
     clipped = set()
     while todo:
         m = todo.pop()
-        for i in rs.nodes:
+        for i in labels:
             for kind, op in (("f", f_tilde), ("e", e_tilde)):
                 img = op(rs, m, i)
                 if img is None:
@@ -255,6 +313,16 @@ def reference_bfs(rs, anchors, window):
                     seen.add(img)
                     todo.append(img)
     return seen, edges["f"], edges["e"], clipped
+
+
+def assert_matches_reference(g, ref):
+    nodes, f_ref, e_ref, clipped = ref
+    assert set(g.nodes) == nodes and len(g.nodes) == len(nodes)
+    assert g.nodes == sorted(nodes, key=lambda m: m.sort_key())
+    assert all(g.index[m] == k for k, m in enumerate(g.nodes))
+    assert {(g.nodes[s], i): g.nodes[d] for (s, i), d in g.f_edges.items()} == f_ref
+    assert {(g.nodes[s], i): g.nodes[d] for (s, i), d in g.e_edges.items()} == e_ref
+    assert {m for k, m in enumerate(g.nodes) if not g.interior[k]} == clipped
 
 
 def _bfs_cases():
@@ -273,12 +341,21 @@ def _bfs_cases():
 @pytest.mark.parametrize("rs,anchors,window", list(_bfs_cases()))
 def test_generate_matches_reference_bfs(rs, anchors, window):
     g = generate(rs, anchors, window)
-    nodes, f_ref, e_ref, clipped = reference_bfs(rs, anchors, window)
-    assert set(g.nodes) == nodes and len(g.nodes) == len(nodes)
-    assert {(g.nodes[s], i): g.nodes[d] for (s, i), d in g.f_edges.items()} == f_ref
-    assert {(g.nodes[s], i): g.nodes[d] for (s, i), d in g.e_edges.items()} == e_ref
-    assert {m for k, m in enumerate(g.nodes) if not g.interior[k]} == clipped
-    assert any(g.interior) and f_ref and e_ref
+    ref = reference_bfs(rs, anchors, window)
+    assert_matches_reference(g, ref)
+    assert any(g.interior) and ref[1] and ref[2]
+
+
+@pytest.mark.parametrize("rs,anchors,window", list(_bfs_cases()))
+def test_sub_crystal_matches_reference_bfs(rs, anchors, window):
+    # from a node in the middle of the graph: the classical labels
+    # 1..n, and the two labels 0 and 1
+    g = generate(rs, anchors, window)
+    m = g.nodes[len(g) // 2]
+    for J in (range(1, rs.n + 1), (0, 1)):
+        sc = sub_crystal(g, m, J)
+        assert_matches_reference(sc, reference_bfs(rs, [m], window, J))
+        assert sc.anchors == [m] and len(sc) < len(g)
 
 
 def test_kashiwara_closed_misses_dropped_f_image():
