@@ -48,7 +48,9 @@ An instance does no ring arithmetic: it adds those ints into counters
 decides whether the counters vanish (`counts_vanish`).  As D is
 nonzero, a residual is zero exactly when its cleared form is.  Where
 no (target, w) sum is left, the relation holds at every v, and the
-runner counts the run's instances without evaluating them one by one.
+runner counts the run's instances without evaluating them one by one;
+where no word shape of the run has a path or a hazard on the vector,
+it does so before building any term.
 
 Window rule: where a path reaches a node whose edge for the next x
 operator leaves the window, the paths into that node form a hazard,
@@ -760,26 +762,35 @@ def _paths(mod, shape: tuple, memo: dict):
     never leave the window).  hazards holds (node, ((steps, coeff),
     ...)): the paths that reached a node whose edge for the next x
     operator leaves the window; they go no further (where their sum
-    vanishes, so would their continuations).
+    vanishes, so would their continuations).  A shape whose suffix
+    shape[1:] has no path shares its suffix's value: it has no path
+    either, and the suffix's hazards.
 
     memo maps shapes to these values for this one vector and starts as
     {(): ({(idx, ()): unit}, ())}; a shape is expanded from shape[1:]."""
     got = memo.get(shape)
     if got is not None:
         return got
-    paths, hazards = _paths(mod, shape[1:], memo)
+    got = _paths(mod, shape[1:], memo)
+    paths, hazards = got
+    if not paths:
+        memo[shape] = got
+        return got
     op = shape[0]
-    new = {}
+    args = op[1:]
+    one = mod.one
+    windowed = op[0] == "x"
     entries_of = getattr(mod, op[0] + "_entries")
+    new = {}
     leaving = {}
     for (node, steps), c in paths.items():
-        entries = entries_of(*op[1:], node)
-        if any(dst is None for dst, _, _ in entries):
+        entries = entries_of(*args, node)
+        if windowed and any(dst is None for dst, _, _ in entries):
             leaving.setdefault(node, []).append((steps, c))
             continue
         for dst, step, c0 in entries:
             key = (dst, steps + (step,))
-            cc = c if c0 is mod.one else c0 if c is mod.one else c * c0
+            cc = c if c0 is one else c0 if c is one else c * c0
             s = new.get(key)
             new[key] = cc if s is None else s + cc
     hazards += tuple((node, tuple(group)) for node, group in leaving.items())
@@ -1004,28 +1015,42 @@ def _run_suite(mod, runs, idxs) -> SuiteReport:
     `_scalar` maps the tables' RationalQ scalars into its ring.
 
     Each run's relation is tabled once, modes as affine symbols
-    (`_table`).  The loop is node-major: each basis vector gets one
-    memo, shared by every run, so a word shape is expanded into paths
-    (`_paths`) once per vector however many runs contain it, every
-    operator moving along its entries; a memo entry depends only on the
-    vector and the shape, never on the run.  Per run, the terms are
-    cleared of denominators and summed per target and mode weight w
+    (`_table`), and its distinct word shapes are kept with the table.
+    The loop is node-major: each basis vector gets one memo, shared by
+    every run, so a word shape is expanded into paths (`_paths`) once
+    per vector however many runs contain it, every operator moving
+    along its entries; a memo entry depends only on the vector and the
+    shape, never on the run.  A (run, vector) pair none of whose shapes
+    has a path or a hazard there is dead: the run is zero on the vector
+    at every mode, so its instances are counted as checked without
+    building its terms.  Otherwise the terms are cleared of
+    denominators and summed per target and mode weight w
     (`_node_terms`).  An instance with modes v then only adds integers
     into counters keyed by target and q-exponent, shifted by v . w
     (`_residual`); where nothing is left to add, the whole run is zero
-    on that vector.  No RelationSpec is built per instance: `_join`
+    on that vector too.  No RelationSpec is built per instance: `_join`
     makes one per run, with symbolic modes, and one per failure, to
     name it.  Failures are listed instance by instance (run order, then
     mode order), nodes in the given order."""
     ring = mod.one
-    runs = [(key, modes, _table(mod.rs, key, mod._scalar))
-            for key, modes in runs]
-    checked = [0] * len(runs)
+    tabled = []
+    for key, modes in runs:
+        template = _table(mod.rs, key, mod._scalar)
+        shapes = tuple(dict.fromkeys(shape for _, shape, _, _ in template))
+        tabled.append((key, modes, template, shapes))
+    checked = [0] * len(tabled)
     report = SuiteReport()
     failures = []
     for npos, idx in enumerate(idxs):
         memo = {(): ({(idx, ()): ring}, ())}
-        for rpos, (key, modes, template) in enumerate(runs):
+        for rpos, (key, modes, template, shapes) in enumerate(tabled):
+            for shape in shapes:
+                paths, hazards = _paths(mod, shape, memo)
+                if paths or hazards:
+                    break
+            else:
+                checked[rpos] += len(modes)
+                continue
             _, terms, hazards = _node_terms(mod, template, memo)
             if not terms and not hazards:
                 checked[rpos] += len(modes)
@@ -1037,7 +1062,7 @@ def _run_suite(mod, runs, idxs) -> SuiteReport:
                 checked[rpos] += 1
                 if not ring.counts_vanish(_residual(terms, v)):
                     failures.append((rpos, k, npos, key, v, idx))
-    for (key, _, _), count in zip(runs, checked):
+    for (key, *_), count in zip(tabled, checked):
         if count:
             rid = key[0]
             report.checked += count

@@ -260,11 +260,12 @@ def relation_check_eps(mod: SpecializedModule, rmax: int | None = None,
     gets one memo shared by every run, so a word shape is expanded into
     paths once per vector whichever runs contain it, the pair and h
     operators along the entries of the representative row
-    (`pair_entries`, `h_entries`); each run's terms are then cleared of
-    denominators and summed per mode weight w.  An
-    instance's modes v shift the exponents of the integer numerators by
-    v . w, which then fold mod N and reduce mod Phi_N
-    (`CycloElem.counts_vanish`).
+    (`pair_entries`, `h_entries`).  A (run, vector) pair none of whose
+    shapes has a path from the vector is proved at every mode without
+    building its terms; the others' terms are cleared of denominators
+    and summed per mode weight w.  An instance's modes v shift the
+    exponents of the integer numerators by v . w, which then fold mod N
+    and reduce mod Phi_N (`CycloElem.counts_vanish`).
     The specialized module has no window edges, so no instance is
     inconclusive.  Failures name the RelationSpec and the residue
     monomial.

@@ -452,6 +452,57 @@ def test_suite_matches_memo_free_reference(broken_modules):
         assert _summary(got) == _summary(ref), name
 
 
+def _per_spec_suite(mod, specs, nodes):
+    """Every spec on every node, spec-major, through relation_residual,
+    a WindowError counted as inconclusive."""
+    report = SuiteReport()
+    for spec in specs:
+        for idx in nodes:
+            try:
+                res = relation_residual(mod, spec, idx)
+            except WindowError:
+                report.inconclusive += 1
+                continue
+            report.checked += 1
+            report.by_relation[spec.rid] = report.by_relation.get(spec.rid, 0) + 1
+            if res:
+                report.failures.append((spec, mod.node(idx)))
+    return report
+
+
+def test_dead_pairs_keep_the_verdicts(thin_3_1, monkeypatch):
+    # every node of thin (3,1): the interior ones and the two boundary
+    # ones, whose x edges leave the window; the runner proves the pairs
+    # without a path or hazard before building terms, and must count
+    # exactly what the per-spec reference counts, also where a dropped
+    # x entry kills words and makes instances fail
+    entered = []
+    node_terms = torep._node_terms
+
+    def recording(mod, template, memo):
+        entered.append(template)
+        return node_terms(mod, template, memo)
+
+    monkeypatch.setattr(torep, "_node_terms", recording)
+    nodes = range(len(thin_3_1))
+    boundary = set(nodes) - set(thin_3_1.graph.interior_indices())
+    assert len(boundary) == 2
+    broken = thin_3_1.twisted(0)
+    idx = next(k for k in thin_3_1.graph.interior_indices()
+               if len(broken.x_entries(-1, 1, k)) == 1)
+    _drop_first_x_entry(broken, -1, 1, idx)
+    specs = list(relation_instances(thin_3_1.rs, rmax=1, hmax=1))
+    for mod in (thin_3_1, broken):
+        entered.clear()
+        got = run_relation_suite(mod, rmax=1, hmax=1, nodes=nodes)
+        pairs = len(list(torep.relation_runs(mod.rs, 1, 1))) * len(nodes)
+        assert 0 < len(entered) < pairs
+        ref = _per_spec_suite(mod, specs, nodes)
+        assert _summary(got) == _summary(ref)
+        assert ref.inconclusive
+    assert ref.failures and not got.ok
+
+
 def test_runs_share_one_memo_per_vector(thin_3_1, broken_modules,
                                         monkeypatch):
     # the runner is node-major: a (vector, shape) pair is expanded into
@@ -768,6 +819,40 @@ def test_scaled_pair_residue_is_reported(thin_3_1, ring):
         p = dict(spec.params)
         assert (spec.rid, p["i"], p["j"], node) == \
             ("x-plus-minus", i, i, mod.node(idx))
+
+
+def _drop_first_x_entry(mod, sign, i, idx):
+    """Remove the first of mod's x^{sign}_i entries at idx."""
+    entries_of = mod.x_entries
+
+    def entries(s, j, k):
+        got = entries_of(s, j, k)
+        return got[1:] if (s, j, k) == (sign, i, idx) else got
+    mod.x_entries = entries
+
+
+@pytest.mark.parametrize("ring", ["generic", "eps"])
+def test_dropped_x_entry_is_reported(thin_3_1, ring):
+    # with its one x^-_i entry gone, every word whose first operator is
+    # x^-_i has no path from idx, so those (run, idx) pairs look dead;
+    # the pair term of x-plus-minus at i = j stays live at idx, so the
+    # run is not skipped and the missing edge shows there
+    i = 1
+    mod, idxs, suite = _mutation_case(thin_3_1, ring, "x-plus-minus")
+    assert suite().failures == []
+    idx = next(k for k in idxs if len(mod.x_entries(-1, i, k)) == 1
+               and mod.pair_entries(i, k))
+    _drop_first_x_entry(mod, -1, i, idx)
+    assert mod.x_entries(-1, i, idx) == ()
+    memo = {(): ({(idx, ()): mod.one}, ())}
+    assert torep._paths(mod, (("x", 1, i), ("x", -1, i)), memo) == ({}, ())
+    failures = suite().failures
+    at_idx = [spec for spec, node in failures
+              if spec.rid == "x-plus-minus" and node == mod.node(idx)]
+    assert at_idx
+    for spec in at_idx:
+        p = dict(spec.params)
+        assert (p["i"], p["j"]) == (i, i)
 
 
 def _x_predecessors(mod, idxs, idx):

@@ -1,15 +1,16 @@
 import pytest
 
+from torcrys import torep
 from torcrys.crystal import WindowError, generate
 from torcrys.monomial import ResidueMonomial, gamma
 from torcrys.qcoeff import (RQ_ONE, CycloElem, RationalQ, SpecializationError,
                             eval_cyclotomic, qint)
 from torcrys.torep import (RELATION_IDS, ClosednessRefusal, RelationSpec,
                            build_doubled, build_thin, doubled_anchor)
-from torcrys.unity import (SpecializedModule, cyclic_generation_check,
-                           generated_submodule, joint_spectrum_simple,
-                           relation_check_eps, specialize_doubled,
-                           specialize_thin)
+from torcrys.unity import (SpecializedModule, _eps_runs,
+                           cyclic_generation_check, generated_submodule,
+                           joint_spectrum_simple, relation_check_eps,
+                           specialize_doubled, specialize_thin)
 
 
 def test_dimensions_thin():
@@ -382,3 +383,36 @@ def test_relation_check_eps_multiplies_by_no_unit(monkeypatch):
     assert rep.checked == 12032 and not rep.failures
     assert operands
     assert [pair for pair in operands if spec.one in pair] == []
+
+
+# per basis vector, the instances of relation_check_eps at rmax 3 and
+# serre_rmax 2; the three modules are the unity_eps benchmark cases
+_EPS_PER_VECTOR = {"h-x": 256, "k-conjugation": 64, "serre-cubic": 288,
+                   "x-commute-distant": 128, "x-plus-minus": 256,
+                   "x-quadratic": 512}
+
+
+@pytest.mark.parametrize("build, dim", [
+    (lambda: specialize_thin(3, 1, 2), 8),
+    (lambda: specialize_thin(3, 2, 2), 12),
+    (lambda: specialize_doubled(1), 16)])
+def test_relation_check_eps_counts(build, dim, monkeypatch):
+    # most (run, vector) pairs have no path from the vector and are
+    # counted without building their terms; the counts stay those of
+    # evaluating every instance
+    entered = []
+    node_terms = torep._node_terms
+
+    def recording(mod, template, memo):
+        entered.append(template)
+        return node_terms(mod, template, memo)
+
+    monkeypatch.setattr(torep, "_node_terms", recording)
+    spec = build()
+    rep = relation_check_eps(spec, rmax=min(spec.N - 1, 3), serre_rmax=2)
+    assert len(spec) == dim
+    assert (rep.checked, rep.inconclusive, rep.failures) == (1504 * dim, 0, [])
+    assert rep.by_relation == {rid: k * dim
+                               for rid, k in _EPS_PER_VECTOR.items()}
+    pairs = len(list(_eps_runs(spec.rs, min(spec.N - 1, 3), 2))) * dim
+    assert 0 < len(entered) < pairs / 2
