@@ -11,12 +11,11 @@ occurring here; configurations our sl2 oracle cannot decide (q-strings
 in special position) are reported as inconclusive, never as a wrong
 verdict.
 
-`closed_report` builds one class table per direction, one at a time,
-and reads both verdicts off it: q-closedness class by class, and
-closedness under e~_i and f~_i, whose images stay in the class of their
-node and are found there by their row i.  `kashiwara_closed` recomputes
-every image as a Monomial; it is the reference the tables are tested
-against.
+`closed_report` decides q-closedness from one class table per
+direction, built one at a time.  Closedness under e~_i and f~_i needs
+no decision there: `generate` records every image of an interior node
+as a node.  `kashiwara_closed` recomputes every image as a Monomial;
+it is the independent check of that guarantee and of hand-made sets.
 """
 from __future__ import annotations
 
@@ -414,79 +413,6 @@ def qclosed_direction(rs: RootSystem, monomials, i: int,
         rs, i, _class_table(rs, nodes, i, _near_edge(nodes, window)))
 
 
-def _moved_row(row: tuple, l: int, u: int) -> tuple:
-    """The row tuple times Y_l^u Y_{l+2}^u."""
-    out = dict(row)
-    for e in (l, l + 2):
-        s = out.get(e, 0) + u
-        if s:
-            out[e] = s
-        else:
-            del out[e]
-    return tuple(sorted(out.items()))
-
-
-def _first_missing_image(table: dict, interior, before: int):
-    """(position, "e" or "f") of the first interior node below position
-    `before` whose e~_i or f~_i image (e~ first) is missing from the
-    nodes of direction i's class table, or None.
-
-    e~_i m = m A_{i,p-1} and f~_i m = m A_{i,qq+1}^-1 lie in the class
-    of m, and row i fixes a class member, so an image is present exactly
-    when its row, row_i(m) + Y_{p-2} + Y_p or row_i(m) - Y_qq - Y_{qq+2},
-    is a row of the class.  The statistics are those of `row_stats`."""
-    miss = None
-    for _, rows, _ in table.values():
-        for row, k in rows.items():
-            if k >= before:
-                break
-            if not interior[k]:
-                continue
-            acc = phi = 0
-            p = qq = None
-            for l, u in row:
-                if acc == phi:
-                    p = l
-                acc += u
-                if acc > phi:
-                    phi, qq = acc, l
-            if phi != acc and _moved_row(row, p - 2, 1) not in rows:
-                before, miss = k, (k, "e")
-                break
-            if phi and _moved_row(row, qq, -1) not in rows:
-                before, miss = k, (k, "f")
-                break
-    return miss
-
-
-def _decide_tables(rs: RootSystem, nodes, window, interior):
-    """(directions, kashiwara, kashiwara_witness) for `nodes` (distinct,
-    in Monomial.sort_key order): q-closedness in every direction and
-    closedness of the interior nodes under every Kashiwara operator,
-    both read off one class table per direction.  The witness is the
-    one `kashiwara_closed(rs, nodes, rs.nodes, interior)` returns: the
-    smallest (position, label) pair, e~ before f~."""
-    near_edge = _near_edge(nodes, window)
-    directions = []
-    miss = None                   # (position, "e" or "f", label)
-    for i in rs.nodes:
-        table = _class_table(rs, nodes, i, near_edge)
-        directions.append(_decide_classes(rs, i, table))
-        got = _first_missing_image(table, interior,
-                                   len(nodes) if miss is None else miss[0])
-        if got is not None:
-            miss = (*got, i)
-        # freed before the next direction's table is built: keeping
-        # every direction's table alive raises the peak memory
-        del table
-    if miss is None:
-        return directions, True, None
-    k, kind, i = miss
-    m = nodes[k]
-    fm, em = kashiwara_images(rs, m, i, m.row(i))
-    return directions, False, em if kind == "e" else fm
-
-
 def classical_a_exponents(n: int, i: int, l: int) -> dict:
     """A_{i,l} of the finite type-A world on rows 1..n (no wrap; border
     nodes lose the missing neighbor factor)."""
@@ -637,7 +563,7 @@ def kashiwara_closed(rs: RootSystem, monomials, J, interior=None):
     the first missing image in element order, then label order, e~
     before f~.  Every image is recomputed here as a Monomial,
     independent of any recorded crystal edges: the reference for the
-    class-table check of `closed_report`."""
+    guarantee of `generate` that `closed_report` relies on."""
     pool = set(monomials)
     items = list(monomials) if interior is None else \
         [m for m, flag in zip(monomials, interior) if flag]
@@ -657,23 +583,28 @@ def kashiwara_closed(rs: RootSystem, monomials, J, interior=None):
 
 @dataclass
 class ClosednessReport:
+    """q-closedness of a generated crystal in every direction."""
     n: int
     ell: int
     window: tuple
     directions: list
-    kashiwara: bool
-    kashiwara_witness: Monomial | None
+    # closedness of the interior under every Kashiwara operator holds
+    # by construction: `crystal._closure` records every image of an
+    # interior node as a node (pinned against `kashiwara_closed`)
+    kashiwara = True
 
     @property
     def closed(self) -> bool:
-        return self.kashiwara and all(d.qclosed is not False for d in self.directions) \
+        return all(d.qclosed is not False for d in self.directions) \
             and any(d.qclosed for d in self.directions)
 
     def first_witness(self):
+        """(direction, witness) of the first direction that is not
+        q-closed, or (None, None)."""
         for d in self.directions:
             if d.qclosed is False:
                 return d.i, d.witness
-        return None, self.kashiwara_witness
+        return None, None
 
 
 def fundamental_anchor(rs: RootSystem, ell: int) -> Monomial:
@@ -683,19 +614,19 @@ def fundamental_anchor(rs: RootSystem, ell: int) -> Monomial:
 
 def closed_report(n: int, ell: int, window=None) -> ClosednessReport:
     """Generate the fundamental crystal in a window and decide
-    closedness in every direction.  The window must cover at least two
-    shift periods around the anchor.
-
-    q-closedness and closedness of the interior nodes under the
-    Kashiwara operators are both read off one class table per direction
-    (`_decide_tables`), with the verdicts and witnesses of
-    `qclosed_direction` and `kashiwara_closed`."""
+    q-closedness in every direction, with the verdicts and witnesses of
+    `qclosed_direction`.  The window must cover at least two shift
+    periods around the anchor."""
     rs = RootSystem.for_fundamental(n, ell)
     if window is None:
         window = (-3 * (n + 1), 3 * (n + 1))
     lmin, lmax = window
     if lmax - lmin < 2 * (n + 1) + 2 * rs.d(ell):
         raise ValueError("window too small: need at least two shift periods")
-    g = generate(rs, [fundamental_anchor(rs, ell)], window)
-    return ClosednessReport(n, ell, window,
-                            *_decide_tables(rs, g.nodes, window, g.interior))
+    nodes = generate(rs, [fundamental_anchor(rs, ell)], window).nodes
+    near_edge = _near_edge(nodes, window)
+    # each table is freed before the next is built: keeping every
+    # direction's table alive raises the peak memory
+    return ClosednessReport(n, ell, window, [
+        _decide_classes(rs, i, _class_table(rs, nodes, i, near_edge))
+        for i in rs.nodes])

@@ -177,7 +177,8 @@ def _closure(rs: RootSystem, starts, labels, window):
     """BFS closure of the start monomials under the Kashiwara operators
     with labels in `labels`, restricted to the spectral window.  Returns
     (nodes, index, f_edges, e_edges, interior) with nodes sorted; a node
-    is interior when no operator leads it out of the window.
+    is interior when no operator leads it out of the window, so every
+    image of an interior node is a node.
 
     The search is keyed by exponent tuples.  A weight is propagated
     along each edge it crosses, and a node found again must arrive with
@@ -245,6 +246,7 @@ def generate(rs: RootSystem, anchors, window) -> CrystalGraph:
     """BFS closure of the anchors under the Kashiwara operators,
     restricted to the spectral window, on exponent tuples with each edge
     computed once and its inverse recorded with it (see `_closure`).
+    Every e~_i and f~_i image of an interior node is a node.
     Anchors carry full weights; weights of discovered nodes are
     propagated along edges and checked for consistency on rediscovery,
     so two anchors with equal exponents and different weights raise

@@ -4,10 +4,11 @@ from torcrys.closedness import (closed_report, fundamental_anchor,
                                 kashiwara_closed, qclosed_direction,
                                 sl2_qclosed, sl2_row_e, sl2_row_f,
                                 sl2_simple_qchar)
-from torcrys.crystal import e_tilde, f_tilde, generate, sub_crystal
+from torcrys.crystal import generate, sub_crystal
 from torcrys.lattice import RootSystem
 from torcrys.closedness import qclosed_direction_classical
-from torcrys.monomial import a_monomial, xi_drop
+from torcrys.monomial import (Monomial, a_exponents, a_monomial, exp_key,
+                              exp_mul, xi_drop)
 from torcrys.tableaux import tab_monomial
 
 
@@ -248,7 +249,6 @@ def test_row_keyed_check_matches_monomial_route(n):
     # keys the class by Monomials and builds every character partner
     from torcrys.closedness import (_check_class_general, _check_class_rows,
                                     _class_key_and_row, _partner)
-    from torcrys.monomial import Monomial
     window = (-3 * (n + 1), 3 * (n + 1))
     verdicts = set()
     for ell in range(1, n + 1):
@@ -302,116 +302,96 @@ def test_qclosed_direction_fails_on_a_deleted_member():
                        "required monomial absent"}
 
 
-def _kashiwara_pools(rs, g):
-    """(pool, interior) pairs of g's nodes with images dropped: for a
-    few interior nodes m, pools missing m's first e-image, its first
-    f-image, both images of one label, or one image in each of its two
-    largest labels, each with g's interior flags and with only m
-    interior; and a pool missing an image of the first interior node in
-    its largest label and one of a later node in a smaller label, with
-    only those two nodes interior; the same for two nodes missing an
-    image in one label whose classes start in the other order; and a
-    pool missing every third node."""
-    from torcrys.closedness import _class_key_and_row
-
-    def pool(victims, only=None):
-        rest = [m for m in g.nodes if m not in victims]
-        if only is None:
-            return rest, [g.interior[g.index[m]] for m in rest]
-        return rest, [m in only for m in rest]
-
-    def images(m):
-        """(label, "e" or "f", image) of m, e~ before f~ in each label."""
-        return [(i, kind, img) for i in rs.nodes
-                for kind, img in (("e", e_tilde(rs, m, i)),
-                                  ("f", f_tilde(rs, m, i)))
-                if img is not None]
-
-    out = []
-    inner = [m for k, m in enumerate(g.nodes) if g.interior[k]]
-    for m in inner[::max(1, len(inner) // 3)]:
-        first, by_label = {}, {}
-        for i, kind, img in images(m):
-            first.setdefault(kind, img)
-            by_label.setdefault(i, []).append(img)
-        victim_sets = [{img} for img in first.values()]
-        victim_sets += [set(imgs) for imgs in by_label.values()
-                        if len(imgs) == 2][:1]
-        if len(by_label) >= 2:
-            victim_sets.append({by_label[j][0] for j in sorted(by_label)[-2:]})
-        for victims in victim_sets:
-            out += [pool(victims), pool(victims, only={m})]
-    # many nodes missing images in many classes of every direction
-    out.append(pool(set(g.nodes[1::3])))
-    # an earlier node missing an image in a larger label than a later one
-    a = inner[0]
-    j, _, va = images(a)[-1]
-    for b in inner[1:]:
-        vb = next((img for i, _, img in images(b) if i < j), None)
-        if vb is not None:
-            out.append(pool({va, vb}, only={a, b}))
-            break
-    # two nodes missing an image in one label, the later one in a class
-    # whose first member comes before every member of the earlier one's
-    inner_images = [(k, images(m)) for k, m in enumerate(g.nodes)
-                    if g.interior[k]]
-    for j in rs.nodes:
-        starts, start_of = [], {}
-        for k, m in enumerate(g.nodes):
-            key = _class_key_and_row(rs, m, j)[0]
-            starts.append(start_of.setdefault(key, k))
-        hit = [(k, img) for k, own in inner_images
-               for i, _, img in own if i == j]
-        pair = next(((ka, va, kb, vb) for ka, va in hit for kb, vb in hit
-                     if ka < kb and starts[kb] < starts[ka]), None)
-        if pair is not None:
-            ka, va, kb, vb = pair
-            out.append(pool({va, vb}, only={g.nodes[ka], g.nodes[kb]}))
-            break
-    return out
+@pytest.fixture(scope="module")
+def sweep_reports():
+    """closed_report(n, ell) of the closedness sweep, by (n, ell)."""
+    return {(n, ell): closed_report(n, ell)
+            for n in (3, 5, 7) for ell in range(1, n + 1)}
 
 
-@pytest.mark.parametrize("n", [3, 5, 7])
-def test_table_kashiwara_check_on_the_sweep_crystals(n):
-    # closed_report reads Kashiwara closedness off its class tables
-    from torcrys.closedness import _decide_tables
-    window = (-3 * (n + 1), 3 * (n + 1))
-    for ell in range(1, n + 1):
-        rs = RootSystem.for_fundamental(n, ell)
-        g = generate(rs, [fundamental_anchor(rs, ell)], window)
-        want = kashiwara_closed(rs, g.nodes, rs.nodes, interior=g.interior)
-        assert want == (True, None)
-        assert _decide_tables(rs, g.nodes, window, g.interior)[1:] == want
-
-
-def _dropped_image_crystals():
-    """The fundamental crystals for n = 3, 5, and the doubled-weight
-    crystal, whose i-strings are long enough for a node to have both
-    an e~_i- and an f~_i-image."""
+def _interior_image_crystals():
+    """The fifteen fundamental crystals of the closedness sweep, then the
+    doubled-weight crystal, whose i-strings are long enough for a node
+    to have both an e~_i- and an f~_i-image: (rs, anchor, window, ell),
+    ell None for the doubled one."""
     from torcrys.torep import doubled_anchor
     out = []
-    for n in (3, 5):
+    for n in (3, 5, 7):
         for ell in range(1, n + 1):
             rs = RootSystem.for_fundamental(n, ell)
             out.append(pytest.param(rs, fundamental_anchor(rs, ell),
-                                    (-3 * (n + 1), 3 * (n + 1)),
+                                    (-3 * (n + 1), 3 * (n + 1)), ell,
                                     id=f"n{n}_ell{ell}"))
     rs = RootSystem(3, parity=0)
-    out.append(pytest.param(rs, doubled_anchor(rs, 0), (-14, 14),
+    out.append(pytest.param(rs, doubled_anchor(rs, 0), (-14, 14), None,
                             id="doubled"))
     return out
 
 
-@pytest.mark.parametrize("rs, anchor, window", _dropped_image_crystals())
-def test_table_kashiwara_check_on_dropped_images(rs, anchor, window):
-    # with images missing, the tables report kashiwara_closed's witness:
-    # the first node in pool order, then the smallest label, then e~
-    # before f~
-    from torcrys.closedness import _decide_tables
+@pytest.mark.parametrize("rs, anchor, window, ell", _interior_image_crystals())
+def test_generate_keeps_every_interior_image(rs, anchor, window, ell,
+                                             sweep_reports):
+    # closed_report's Kashiwara verdict rests on this guarantee of
+    # generate: every e~_i and f~_i image of an interior node is a node
     g = generate(rs, [anchor], window)
-    witnesses = 0
-    for pool, interior in _kashiwara_pools(rs, g):
-        want = kashiwara_closed(rs, pool, rs.nodes, interior=interior)
-        assert _decide_tables(rs, pool, window, interior)[1:] == want
-        witnesses += want[1] is not None
-    assert witnesses >= 10
+    assert kashiwara_closed(rs, g.nodes, rs.nodes,
+                            interior=g.interior) == (True, None)
+    if ell is not None:
+        assert sweep_reports[rs.n, ell].kashiwara
+
+
+def _missing_in_window_targets(n, ell, window):
+    """The in-window targets m A_{i,p}^{-+1} of the thin module's x^-+_i
+    entries that are not nodes of its crystal (dst None), recomputed as
+    `torep._target` looks them up."""
+    from torcrys.torep import build_module
+    rs = RootSystem.for_fundamental(n, ell)
+    mod = build_module(rs, [fundamental_anchor(rs, ell)], window, "thin")
+    lo, hi = window
+    out = set()
+    for i in rs.nodes:
+        for sign, table in ((-1, mod.minus_edges[i]), (1, mod.plus_edges[i])):
+            for m, entries in zip(mod.graph.nodes, table):
+                for dst, p, _ in entries:
+                    if dst is not None:
+                        continue
+                    exps = exp_mul(m.exps, a_exponents(rs, i, p), sign=sign)
+                    if all(lo <= l <= hi for _, l in exps):
+                        out.add(Monomial(exp_key(exps),
+                                         m.weight + rs.alpha(i).scaled(sign)))
+    return out
+
+
+# (missing in-window targets, distinct not-closed witnesses) of the
+# crystals that are not closed, on closed_report's default window
+_NOT_CLOSED_COUNTS = {(5, 2): (32, 25), (5, 4): (32, 25), (7, 2): (42, 35),
+                      (7, 6): (42, 35), (7, 3): (306, 220), (7, 5): (306, 220)}
+
+
+@pytest.mark.parametrize("n", [3, 5, 7])
+def test_closed_report_matches_the_builder(n, sweep_reports):
+    # a crystal is closed exactly when the module built on it has no
+    # x-entry whose target lies in the window but is not a node, and
+    # every not-closed witness is such a target
+    for ell in range(1, n + 1):
+        rep = sweep_reports[n, ell]
+        missing = _missing_in_window_targets(n, ell, rep.window)
+        assert rep.closed == (not missing), (n, ell, len(missing))
+        witnesses = {c.witness for d in rep.directions for c in d.classes
+                     if c.verdict == "not-closed"}
+        assert witnesses <= missing, (n, ell)
+        assert (len(missing), len(witnesses)) == \
+            _NOT_CLOSED_COUNTS.get((n, ell), (0, 0)), (n, ell)
+
+
+@pytest.mark.parametrize("n", [3, 5, 7])
+def test_first_witness(n, sweep_reports):
+    for ell in range(1, n + 1):
+        rep = sweep_reports[n, ell]
+        assert rep.closed == (ell in (1, (n + 1) // 2, n)), (n, ell)
+        if rep.closed:
+            assert rep.first_witness() == (None, None), (n, ell)
+            continue
+        d = next(d for d in rep.directions if d.qclosed is False)
+        assert rep.first_witness() == (d.i, d.witness), (n, ell)
+        assert d.witness is not None

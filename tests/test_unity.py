@@ -150,28 +150,64 @@ def _entries_by_representative(mod, N, spec, keep):
 
 
 def _specialization_cases():
-    """The criterion-11a thin cases and the doubled L = 1 quotient, each
-    with the generic module and node filter the specialization uses."""
-    for n, ell, L in ((3, 1, 1), (3, 1, 2), (3, 2, 2), (5, 3, 2)):
+    """The criterion-11a cases and thin (3,1,3), each with the generic
+    module and node filter the specialization uses."""
+    for n, ell, L in ((3, 1, 1), (3, 1, 2), (3, 2, 2), (5, 3, 2), (3, 1, 3)):
         spec = specialize_thin(n, ell, L)
         half = max(2 * spec.N + 2 * (n + 1), 4 * (n + 1))
         yield spec, build_thin(n, ell, (-half, half)), lambda m: True
-    window = (-16, 16)
-    mod = build_doubled(1, window)
-    block = {node: s for s in (0, 1)
-             for node in generate(mod.rs, [doubled_anchor(mod.rs, s)],
-                                  window).nodes}
-    yield specialize_doubled(1), mod, lambda m: block[m] < 1
+    from torcrys.unity import _anchor_blocks
+    for L in (1, 2):
+        mod = build_doubled(L, (-4 * (L + 3), 4 * (L + 3)))
+        block = _anchor_blocks(mod, L)
+        yield specialize_doubled(L), mod, lambda m, L=L, block=block: block[m] < L
+
+
+def _representative_mismatches(spec, mod, keep):
+    """Basis indices of `spec` whose interior representatives in `mod`
+    do not all give the entries `spec` holds, or that have none."""
+    rows = _entries_by_representative(mod, spec.N, spec, keep)
+    bad = [k for k in range(len(spec)) if k not in rows]
+    for k, found in rows.items():
+        expected = tuple(t[k] for i in spec.rs.nodes
+                         for t in (spec.minus_edges[i], spec.plus_edges[i]))
+        if found != {expected}:
+            bad.append(k)
+    return bad
 
 
 def test_specialization_independent_of_representative():
+    # _specialize reads each residue's entries off its first interior
+    # representative; every other one must give the same reduced entries
     for spec, mod, keep in _specialization_cases():
-        rows = _entries_by_representative(mod, spec.N, spec, keep)
-        assert sorted(rows) == list(range(len(spec)))
-        for k, found in rows.items():
-            expected = tuple(t[k] for i in spec.rs.nodes
-                             for t in (spec.minus_edges[i], spec.plus_edges[i]))
-            assert found == {expected}, spec.basis[k]
+        assert _representative_mismatches(spec, mod, keep) == [], spec.basis
+
+
+def test_representative_check_catches_a_changed_coefficient():
+    # one coefficient altered at a representative that _specialize does
+    # not choose leaves the specialized module as it was, and the check
+    # names that residue
+    from torcrys.unity import _specialize
+    N = 8
+    mod = build_thin(3, 1, (-24, 24))
+    nodes = mod.graph.nodes
+    spec = _specialize(mod, N)
+    interior = [idx for idx in range(len(nodes))
+                if all(dst is not None for i in mod.rs.nodes
+                       for t in (mod.minus_edges[i], mod.plus_edges[i])
+                       for dst, _, _ in t[idx])]
+    chosen = {}
+    for idx in interior:
+        chosen.setdefault(gamma(mod.rs, nodes[idx], N), idx)
+    victim = next(idx for idx in interior
+                  if chosen[gamma(mod.rs, nodes[idx], N)] != idx
+                  and mod.minus_edges[1][idx])
+    (dst, l, c), *rest = mod.minus_edges[1][victim]
+    assert not spec._scalar(c).is_zero()
+    mod.minus_edges[1][victim] = ((dst, l, c + c), *rest)
+    assert _specialize(mod, N).minus_edges == spec.minus_edges
+    assert _representative_mismatches(spec, mod, lambda m: True) == \
+        [spec.index[gamma(mod.rs, nodes[victim], N)]]
 
 
 def test_dimension_doubled():
