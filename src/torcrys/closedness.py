@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from operator import itemgetter
 
-from .crystal import generate, kashiwara_images
+from .crystal import e_tilde, f_tilde, generate
 from .lattice import RootSystem
 from .monomial import Monomial, a_monomial, exp_key, from_variables
 
@@ -236,9 +236,22 @@ class ClassResult:
 @dataclass
 class DirectionReport:
     i: int
-    qclosed: bool | None          # None = inconclusive only
-    witness: Monomial | None
     classes: list = field(default_factory=list)
+
+    @property
+    def qclosed(self) -> bool | None:
+        """False if some class is not closed, None if every class is
+        inconclusive (or there is none), True otherwise."""
+        verdicts = {c.verdict for c in self.classes}
+        if "not-closed" in verdicts:
+            return False
+        return None if verdicts <= {"inconclusive"} else True
+
+    @property
+    def witness(self) -> Monomial | None:
+        """The witness of the first class that is not closed."""
+        return next((c.witness for c in self.classes
+                     if c.verdict == "not-closed"), None)
 
     @property
     def n_inconclusive(self):
@@ -384,7 +397,7 @@ def _decide_classes(rs: RootSystem, i: int, table: dict) -> DirectionReport:
     """q-closedness in direction i from its class table, class by class
     in key order; classes at the window edge are inconclusive."""
     chars = {}
-    report = DirectionReport(i, True, None)
+    report = DirectionReport(i)
     for key in sorted(table):
         members, rows, edge = table[key]
         if edge:
@@ -392,11 +405,6 @@ def _decide_classes(rs: RootSystem, i: int, table: dict) -> DirectionReport:
         else:
             res = _check_class_rows(rs, i, members, rows, chars)
         report.classes.append(res)
-        if res.verdict == "not-closed" and report.qclosed is not False:
-            report.qclosed = False
-            report.witness = res.witness
-    if report.qclosed and all(c.verdict == "inconclusive" for c in report.classes):
-        report.qclosed = None
     return report
 
 
@@ -482,20 +490,11 @@ def qclosed_direction_classical(n: int, exps_list, i: int) -> DirectionReport:
     for exps in exps_list:
         key = norm(exps if isinstance(exps, dict) else dict(exps))
         classes.setdefault(class_key(key), []).append(key)
-    report = DirectionReport(i, True, None)
-    for ck in sorted(classes):
-        members = sorted(classes[ck])
-        res = _check_class_general(
-            members, row_of,
-            raise_partner=lambda m, l: mul_a(m, l, 1),
-            char_partner=char_partner)
-        report.classes.append(res)
-        if res.verdict == "not-closed" and report.qclosed is not False:
-            report.qclosed = False
-            report.witness = res.witness
-    if report.qclosed and all(c.verdict == "inconclusive" for c in report.classes):
-        report.qclosed = None
-    return report
+    return DirectionReport(i, [
+        _check_class_general(sorted(classes[ck]), row_of,
+                             raise_partner=lambda m, l: mul_a(m, l, 1),
+                             char_partner=char_partner)
+        for ck in sorted(classes)])
 
 
 def sl2_qclosed(rows) -> ClassResult:
@@ -568,10 +567,8 @@ def kashiwara_closed(rs: RootSystem, monomials, J, interior=None):
     items = list(monomials) if interior is None else \
         [m for m, flag in zip(monomials, interior) if flag]
     for m in items:
-        rows = m.rows()
         for i in J:
-            fm, em = kashiwara_images(rs, m, i, rows.get(i, {}))
-            for img in (em, fm):
+            for img in (e_tilde(rs, m, i), f_tilde(rs, m, i)):
                 if img is not None and img not in pool:
                     return False, img
     return True, None

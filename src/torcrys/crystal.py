@@ -80,8 +80,6 @@ def f_tilde_exp(rs: RootSystem, exps: dict, i: int) -> dict | None:
 
 
 # weighted operators ----------------------------------------------------------
-# f_tilde/e_tilde apply one operator on their own; the closedness check
-# takes both images of a label from kashiwara_images.
 
 def e_tilde(rs: RootSystem, m: Monomial, i: int) -> Monomial | None:
     out = e_tilde_exp(rs, m.exp_dict(), i)
@@ -95,23 +93,6 @@ def f_tilde(rs: RootSystem, m: Monomial, i: int) -> Monomial | None:
     if out is None:
         return None
     return Monomial(exp_key(out), m.weight - rs.alpha(i))
-
-
-def kashiwara_images(rs: RootSystem, m: Monomial, i: int, row: dict):
-    """(f~_i m, e~_i m), either None when it vanishes, from one
-    `row_stats` pass over row i of m (`row` is m.row(i)); each image is
-    m times the memoised exponents of one A_{i,l}^{-+1}, with its weight
-    moved by -+alpha_i."""
-    eps, phi, p, qq = row_stats(row)
-    fm = em = None
-    if phi:
-        fm = Monomial(exp_key(exp_mul(m.exps, a_exponents(rs, i, qq + 1),
-                                      sign=-1)),
-                      m.weight - rs.alpha(i))
-    if eps:
-        em = Monomial(exp_key(exp_mul(m.exps, a_exponents(rs, i, p - 1))),
-                      m.weight + rs.alpha(i))
-    return fm, em
 
 
 # ---------------------------------------------------------------------------

@@ -23,9 +23,10 @@ On both module types x^{+-}_{i,r} acts on an edge by c0 q^{r step}
 edges back to the vector itself with constant steps:
 ("pair", i, t) = (phi^+_{i,t} - phi^-_{i,t})/(q - q^-1) of the
 x-plus-minus relation acts by sum_p B_p q^{t s_p}, one edge per simple
-pole of row i of the l-weight (`pole_residues`); ("h", i, m) = m h_{i,m}
-by sum_l u_{i,l} (q^{m(l+1)} - q^{m(l-1)})/(q - q^-1), the closed form
-on a rational l-weight (`h_residues`); ("k", hvec, m) = k_h^m by one
+pole of row i of the l-weight (`pole_residues`); ("h", i, m) =
+(q - q^-1) m h_{i,m} by sum_l u_{i,l} (q^{m(l+1)} - q^{m(l-1)}), the
+closed form on a rational l-weight, with integer coefficients
+(`h_residues`); ("k", hvec, m) = k_h^m by one
 edge of step <h, wt>; and the scalar ("q", a, m) = q^{am} by one edge
 of step a.  So the paths a word takes through the basis do not depend
 on the mode indices.  The relations come as runs
@@ -106,7 +107,7 @@ class XAction:
     leaves the window.
 
     A module supplies its x edge tables (`minus_edges`, `plus_edges`),
-    its unit `one`, `_h_cache`, `_residue_memo`, `phi_component` and two
+    its unit `one`, `_residue_memo`, `phi_component` and two
     hooks: row(idx, i), row i of the basis vector's l-weight, and
     hpart(idx), the h-values of its weight.  The defaults below are the
     generic ring's: no twist, and steps and RationalQ coefficients kept
@@ -173,16 +174,11 @@ class XAction:
                                                self._residue_memo))
 
     def h_entries(self, i: int, idx: int) -> tuple:
-        """Entries (idx, step, c) on which ("h", i, m) = m h_{i,m} acts
-        on the basis vector by sum c q^{m step}: the `h_residues` of row
-        i, steps twisted."""
-        key = (idx, i)
-        got = self._h_cache.get(key)
-        if got is None:
-            got = self._h_cache[key] = tuple(
-                (idx, self._step(s), self._scalar(c))
-                for s, c in h_residues(self.row(idx, i), self.twist))
-        return got
+        """Entries (idx, step, c) on which ("h", i, m) =
+        (q - q^-1) m h_{i,m} acts on the basis vector by sum c q^{m step}:
+        the `h_residues` of row i, steps twisted, each c an integer."""
+        return tuple((idx, self._step(s), self._scalar(c))
+                     for s, c in h_residues(self.row(idx, i), self.twist))
 
     def pairing_value(self, idx: int, i: int, t: int):
         """(phi^+_{i,t} - phi^-_{i,t})/(q - q^-1) as needed by the
@@ -202,7 +198,6 @@ class LoopModule(XAction):
     minus_edges: dict = field(default_factory=dict)  # i -> [entries per node]
     plus_edges: dict = field(default_factory=dict)
     twist: int = 0              # spectral twist t_b with b = q^twist
-    _h_cache: dict = field(default_factory=dict)
     _residue_memo: dict = field(default_factory=dict)   # of pole_residues
     one = RQ_ONE                # unit of the coefficient ring
 
@@ -272,7 +267,8 @@ class LoopModule(XAction):
     def h_eigenvalue(self, idx: int, i: int, m: int) -> RationalQ:
         """Eigenvalue of h_{i,m} (m != 0), extracted from the formal
         logarithm of the module's own phi-series (`series_h`): the
-        independent check of `h_entries`."""
+        independent check of `h_entries`, which sum to (q - q^-1) m
+        times it."""
         if m == 0:
             raise ValueError("h_{i,0} is not a generator")
         return series_h(self.phi_series(idx, i, 1 if m > 0 else -1, abs(m)))
@@ -455,17 +451,18 @@ def _residues_at_zero(row: dict) -> tuple:
 
 def h_residues(row: dict, twist: int = 0) -> tuple:
     """The closed form of h on row i of a rational l-weight: (step, c)
-    pairs such that m h_{i,m} = sum c q^{m step} for every m != 0.
+    pairs such that (q - q^-1) m h_{i,m} = sum c q^{m step} for every
+    m != 0, each c an integer, and RQ_ONE itself where it is one, so
+    that the runner skips its products.
 
-    With q^{m(l+1)} - q^{m(l-1)} over q - q^-1 for each Y_{i,l}^u
-    (Frenkel-Reshetikhin), Y_{i,l}^u gives +u/(q - q^-1) at step
-    l+1+twist and -u/(q - q^-1) at l-1+twist; equal steps are summed
-    and zeros dropped."""
+    With u (q^{m(l+1)} - q^{m(l-1)}) for each Y_{i,l}^u
+    (Frenkel-Reshetikhin), Y_{i,l}^u gives +u at step l+1+twist and -u
+    at l-1+twist; equal steps are summed and zeros dropped."""
     acc = {}
     for l, u in row.items():
         for s, c in ((l + 1, u), (l - 1, -u)):
             acc[s + twist] = acc.get(s + twist, 0) + c
-    return tuple((s, RationalQ(LaurentPoly.from_int(c), Q_MINUS_QINV))
+    return tuple((s, RQ_ONE if c == 1 else RationalQ.from_int(c))
                  for s, c in acc.items() if c)
 
 
@@ -587,16 +584,18 @@ def relation_terms(rs: RootSystem, spec: RelationSpec) -> tuple:
     relation holds on a vector when the sum of scalar * word vanishes.
 
     A word is a tuple of operators applied rightmost first:
-    ("x", sign, i, r) for x^{sign}_{i,r}, ("h", i, m) for m h_{i,m},
+    ("x", sign, i, r) for x^{sign}_{i,r}, ("h", i, m) for
+    (q - q^-1) m h_{i,m},
     ("q", a, m) for the scalar q^{am}, ("k", hvec, m) for k_h^m with
     h = sum hvec[i] h_i, and ("pair", i, t) for the diagonal
     (phi^+_{i,t} - phi^-_{i,t})/(q - q^-1).
 
     The h-x table is [h_{i,m}, x^{sign}_{j,r}] = sign [m a_ij]/m
-    x^{sign}_{j,m+r} multiplied by m != 0, with [m a_ij] written as
-    (q^{m a_ij} - q^{-m a_ij})/(q - q^-1): it holds exactly where the
-    relation does, and `relation_residual` of an h-x spec is m times
-    the residual of the relation as written."""
+    x^{sign}_{j,m+r} multiplied by (q - q^-1) m, nonzero for m != 0:
+    sign (q^{m a_ij} - q^{-m a_ij}) x^{sign}_{j,m+r} on the right.  It
+    holds exactly where the relation does, and `relation_residual` of
+    an h-x spec is (q - q^-1) m times the residual of the relation as
+    written; of an h-h spec, (q - q^-1)^2 m1 m2 times."""
     p = dict(spec.params)
     rid = spec.rid
     one, mone = RQ_ONE, _RQ_MONE
@@ -613,7 +612,7 @@ def relation_terms(rs: RootSystem, spec: RelationSpec) -> tuple:
         i, j, m, r, sign = p["i"], p["j"], p["m"], p["r"], p["sign"]
         h, x, y = ("h", i, m), ("x", sign, j, r), ("x", sign, j, m + r)
         a = rs.cartan(i, j)
-        c = _RQ_INV_QMQ if sign > 0 else -_RQ_INV_QMQ
+        c = one if sign > 0 else mone
         return ((one, (h, x)), (mone, (x, h)),
                 (-c, (("q", a, m), y)), (c, (("q", -a, m), y)))
     if rid == "x-plus-minus":
@@ -655,7 +654,7 @@ def relation_terms(rs: RootSystem, spec: RelationSpec) -> tuple:
 # operators, which `_run_suite` passes to `relation_terms` as Modes.
 MODE_PARAMS = {
     "k-conjugation": ("r",),
-    "h-h": (),
+    "h-h": ("m1", "m2"),
     "h-x": ("m", "r"),
     "x-plus-minus": ("r", "rp"),
     "x-quadratic": ("r", "rp"),
@@ -894,9 +893,10 @@ def relation_residual(mod: LoopModule, spec: RelationSpec, idx: int) -> dict:
     """Left side minus right side of one defining relation applied to a
     basis vector; the contract is the empty (zero) vector.  Raises
     WindowError when an intermediate leaves the window.  The relation is
-    its table in `relation_terms`: for h-x, m times the relation as
-    written.  Generic modules only: a module at a root of unity raises
-    TypeError (check it with `unity.relation_check_eps`)."""
+    its table in `relation_terms`: for h-x, (q - q^-1) m times the
+    relation as written, and for h-h (q - q^-1)^2 m1 m2 times.  Generic
+    modules only: a module at a root of unity raises TypeError (check it
+    with `unity.relation_check_eps`)."""
     if not isinstance(mod, LoopModule):
         raise TypeError(f"relation_residual needs a generic LoopModule, not "
                         f"{type(mod).__name__}; use unity.relation_check_eps")
@@ -927,13 +927,17 @@ def relation_runs(rs: RootSystem, rmax: int = 3, hmax: int = 2,
     each mode parameter by its bare name (as `_split` forms it), and
     modes the tuple of the mode-value tuples of the run's instances.
     h-x has one run per (i, j, sign), its modes (m, r) m-major, so its
-    instances come in the order (i, j, sign, m, r).  An id outside
-    RELATION_IDS raises ValueError."""
+    instances come in the order (i, j, sign, m, r); h-h has one run per
+    (i, j >= i), with the one mode tuple (m1, m2) = (1, -1).  An id
+    outside RELATION_IDS, rmax < 0 or hmax < 1 raises ValueError."""
     ids = RELATION_IDS if include is None else tuple(include)
     unknown = [r for r in ids if r not in RELATION_IDS]
     if unknown:
         raise ValueError(f"unknown relation id {unknown[0]!r}; "
                          f"expected one of {', '.join(RELATION_IDS)}")
+    if rmax < 0 or hmax < 1:
+        raise ValueError(f"need rmax >= 0 and hmax >= 1, not rmax={rmax}, "
+                         f"hmax={hmax}")
     rr = range(-rmax, rmax + 1)
     mm = [m for m in range(-hmax, hmax + 1) if m]
     I, signs = rs.nodes, (1, -1)
@@ -945,7 +949,7 @@ def relation_runs(rs: RootSystem, rmax: int = 3, hmax: int = 2,
     if "h-h" in ids:
         for i, j in product(I, I):
             if j >= i:
-                yield ("h-h", ("i", i), ("j", j), ("m1", 1), ("m2", -1)), ((),)
+                yield ("h-h", ("i", i), ("j", j), "m1", "m2"), ((1, -1),)
     if "h-x" in ids:
         modes = tuple(product(mm, rr))
         for i, j, sign in product(I, I, signs):

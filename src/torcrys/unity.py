@@ -43,7 +43,6 @@ class SpecializedModule(XAction):
     minus_edges: dict = field(default_factory=dict)   # i -> [entries]
     plus_edges: dict = field(default_factory=dict)
     rows: list = field(default_factory=list)          # representative rows per node
-    _h_cache: dict = field(default_factory=dict)
     _residue_memo: dict = field(default_factory=dict)  # of pole_residues
     one: CycloElem = field(init=False, repr=False)
     _scalar: object = field(init=False, repr=False)   # `_eps_images`
@@ -281,9 +280,13 @@ def relation_check_eps(mod: SpecializedModule, rmax: int | None = None,
       x-commute-distant: both orders of each distant pair (i, j),
         sign +-1, r1, r2 in 0..rmax.
     Not covered: h-h, residues r > 3 when rmax is capped at 3 (as for
-    N = 8) and h-x for r outside {0, 1}."""
+    N = 8) and h-x for r outside {0, 1}.  rmax < 0 or serre_rmax < 0
+    raises ValueError."""
     if rmax is None:
         rmax = mod.N - 1
+    if rmax < 0 or serre_rmax < 0:
+        raise ValueError(f"need rmax >= 0 and serre_rmax >= 0, not "
+                         f"rmax={rmax}, serre_rmax={serre_rmax}")
     return _run_suite(mod, _eps_runs(mod.rs, rmax, serre_rmax),
                       range(len(mod)))
 

@@ -132,6 +132,16 @@ def test_rep_check_unknown_relation_is_a_validation_error(capsys):
     assert out == "" and "unknown relation id 'foo'" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("rep", "check", "--n", "3", "--ell", "1", "--rmax", "-1"),
+    ("s5", "check", "--smax", "1", "--rmax", "-1")])
+def test_negative_rmax_is_a_validation_error(argv, capsys):
+    # a negative range would check no x relation and report success
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_VALIDATION == 3
+    assert out == "" and "rmax >= 0" in err
+
+
 def test_missing_config_file_is_a_usage_error(tmp_path, capsys):
     missing = tmp_path / "absent.conf"
     code, out, err = run(capsys, "--config", str(missing), "crystal", "gen",

@@ -5,8 +5,8 @@ import pytest
 
 from torcrys.crystal import (ValidationErrorForGraph, WindowError,
                              check_shift_automorphism, check_twist, e_tilde,
-                             f_tilde, generate, is_extremal, kashiwara_images,
-                             row_stats, stats, sub_crystal)
+                             f_tilde, generate, is_extremal, row_stats, stats,
+                             sub_crystal)
 from torcrys.lattice import RootSystem, Weight
 from torcrys.monomial import (Monomial, ParityError, a_exponents,
                               from_variables, monomial_from_json,
@@ -54,21 +54,6 @@ def test_stats_against_scan_oracle():
         row = {l: u for l, u in row.items() if u}
         st = row_stats(row)
         assert (st.eps, st.phi, st.p, st.qq) == brute_stats(row)
-
-
-@pytest.mark.parametrize("n,ells", [(3, (1, 2, 3)), (5, (3,)), (7, (4,))])
-def test_kashiwara_images_match_single_operators(n, ells):
-    # both images of every (node, label) of the closedness-sweep crystals
-    # equal f~ and e~ applied on their own
-    from torcrys.closedness import fundamental_anchor
-    for ell in ells:
-        rs = RootSystem.for_fundamental(n, ell)
-        g = generate(rs, [fundamental_anchor(rs, ell)],
-                     (-3 * (n + 1), 3 * (n + 1)))
-        for m in g.nodes:
-            for i in rs.nodes:
-                assert kashiwara_images(rs, m, i, m.row(i)) == \
-                    (f_tilde(rs, m, i), e_tilde(rs, m, i))
 
 
 def test_a_exponents_memo_matches_formula():

@@ -9,8 +9,9 @@ from torcrys import torep
 from torcrys.closedness import closed_report, fundamental_anchor
 from torcrys.crystal import WindowError, generate, sub_crystal
 from torcrys.lattice import RootSystem
-from torcrys.qcoeff import (RQ_ONE, CycloElem, LaurentPoly, RationalQ,
-                            eval_cyclotomic, qint, series_of_rational)
+from torcrys.qcoeff import (Q_MINUS_QINV, RQ_ONE, CycloElem, LaurentPoly,
+                            RationalQ, eval_cyclotomic, qint,
+                            series_of_rational)
 from torcrys.torep import (ClosednessRefusal, LoopModule, RelationSpec,
                            SuiteReport, build_doubled, build_thin,
                            fr_consistency_report, fr_phi_series,
@@ -103,7 +104,8 @@ def _h_on(mod, i, m, vec):
 
 
 def _h_sum(mod, i, idx, m):
-    """sum c q^{m step} over the h entries of (i, idx): m h_{i,m}."""
+    """sum c q^{m step} over the h entries of (i, idx):
+    (q - q^-1) m h_{i,m}."""
     out = RationalQ.from_int(0)
     for _, step, c in mod.h_entries(i, idx):
         out = out + c.mul_qpow(m * step)
@@ -116,11 +118,11 @@ def test_act_h_examples(thin_3_1):
     assert mod.h_eigenvalue(i0, 1, 1) == RQ_ONE
     assert mod.h_eigenvalue(i0, 2, 1).is_zero()
     assert _h_on(mod, 1, 1, v0) == {i0: RQ_ONE}
-    # h_{1,1} = q^2/(q - q^-1) - 1/(q - q^-1) over the edges of Y(1,0),
-    # back to the vector itself; row 2 is empty, so h_{2,m} has none
+    # (q - q^-1) h_{1,1} = q - q^-1 over the edges of Y(1,0), back to
+    # the vector itself; row 2 is empty, so h_{2,m} has none
     assert [(dst, step) for dst, step, _ in mod.h_entries(1, i0)] == \
         [(i0, 1), (i0, -1)]
-    assert _h_sum(mod, 1, i0, 1) == RQ_ONE
+    assert _h_sum(mod, 1, i0, 1) == RationalQ(Q_MINUS_QINV)
     assert mod.h_entries(2, i0) == ()
     # commutator [h_{1,1}, x+_{1,0}] = [2]_q x+_{1,1} on the chain node
     i1, v1 = unit(mod, "Y(1,2)^-1*Y(2,1)")
@@ -256,6 +258,16 @@ def test_unknown_relation_id_is_rejected(thin_3_1):
         run_relation_suite(thin_3_1, rmax=1, hmax=1, include=["h-h", "foo"])
 
 
+@pytest.mark.parametrize("rmax, hmax", [(-1, 2), (1, 0), (0, -1)])
+def test_empty_ranges_are_rejected(thin_3_1, rmax, hmax):
+    # rmax < 0 empties every x family and hmax < 1 h-x: a suite that
+    # drops them must not report success
+    with pytest.raises(ValueError, match="rmax >= 0 and hmax >= 1"):
+        list(torep.relation_runs(thin_3_1.rs, rmax, hmax))
+    with pytest.raises(ValueError, match="rmax >= 0 and hmax >= 1"):
+        run_relation_suite(thin_3_1, rmax=rmax, hmax=hmax, nodes=[0])
+
+
 # ---------------------------------------------------------------------------
 # run_relation_suite against a memo-free reference
 # ---------------------------------------------------------------------------
@@ -271,11 +283,16 @@ def _h_oracle(mod, idx, i, m):
 
 
 def _m_h_values(mod):
-    """(idx, i, m) -> m h_{i,m} on the basis vector by `_h_oracle`,
-    memoised for this one module: the operator ("h", i, m)."""
+    """(idx, i, m) -> (q - q^-1) m h_{i,m} on the basis vector by
+    `_h_oracle`, q - q^-1 mapped by eval_cyclotomic at eps, memoised for
+    this one module: the operator ("h", i, m)."""
+    qmq = RationalQ(Q_MINUS_QINV)
+    if not isinstance(mod, LoopModule):
+        qmq = eval_cyclotomic(qmq, mod.N)
+
     @lru_cache(maxsize=None)
     def value(idx, i, m):
-        val = _h_oracle(mod, idx, i, m)
+        val = _h_oracle(mod, idx, i, m) * qmq
         out = val
         for _ in range(abs(m) - 1):
             out = out + val
@@ -879,11 +896,11 @@ def test_scaled_k_entry_is_reported(thin_3_1, ring):
 
 
 # ---------------------------------------------------------------------------
-# h as diagonal edges: the closed form of m h_{i,m}
+# h as diagonal edges: the closed form of (q - q^-1) m h_{i,m}
 # ---------------------------------------------------------------------------
 
 def _h_closed_form_misses(mod, idxs, ms):
-    """(idx, i, m) where m h_{i,m} by the series_log oracle
+    """(idx, i, m) where (q - q^-1) m h_{i,m} by the series_log oracle
     (`_m_h_values`) differs from the sum of the vector's h entries
     c q^{m step}, m None where an entry leaves the vector."""
     m_h = _m_h_values(mod)
@@ -913,6 +930,36 @@ def test_h_entries_closed_form(thin_3_1, thin_3_2):
     for mod in (specialize_thin(3, 1, 2), specialize_thin(3, 2, 2),
                 specialize_doubled(1)):
         assert _h_closed_form_misses(mod, range(len(mod)), ms) == []
+
+
+def test_h_entries_are_integers(thin_3_1, thin_3_2):
+    # (q - q^-1) m h_{i,m} has integer coefficients: no h entry carries
+    # a denominator into a path product or a clearing; the unit is
+    # RQ_ONE itself, so the runner skips its products
+    assert torep.h_residues({0: 1}) == ((1, RQ_ONE), (-1, -RQ_ONE))
+    assert torep.h_residues({0: 1})[0][1] is RQ_ONE
+    for mod in (thin_3_1, thin_3_2, build_doubled(2, (-14, 14))):
+        for idx, i in product(range(len(mod)), mod.rs.nodes):
+            assert all(c.den.is_one() for _, _, c in mod.h_entries(i, idx))
+    for mod in (specialize_thin(3, 1, 2), specialize_doubled(1)):
+        for idx, i in product(range(len(mod)), mod.rs.nodes):
+            assert all(c.den == 1 for _, _, c in mod.h_entries(i, idx))
+
+
+def test_symbolic_h_h_cancels_at_every_mode(thin_3_1, s5_small):
+    # with m1 and m2 symbolic, both words of each h-h table reach the
+    # vector through the same steps with the same integer coefficient,
+    # so nothing is left: (q - q^-1)^2 m1 m2 [h_{i,m1}, h_{j,m2}] = 0
+    # for every (m1, m2)
+    for mod in (thin_3_1, s5_small):
+        tables = [torep._table(mod.rs, key, mod._scalar) for key, _ in
+                  torep.relation_runs(mod.rs, 0, 1, include=["h-h"])]
+        assert tables
+        for idx in mod.graph.interior_indices():
+            memo = {(): ({(idx, ()): mod.one}, ())}
+            for template in tables:
+                _, terms, hazards = torep._node_terms(mod, template, memo)
+                assert (terms, hazards) == ([], []), (idx, template)
 
 
 @pytest.mark.parametrize("ring", ["generic", "eps"])

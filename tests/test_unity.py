@@ -452,3 +452,10 @@ def test_relation_check_eps_counts(build, dim, monkeypatch):
                                for rid, k in _EPS_PER_VECTOR.items()}
     pairs = len(list(_eps_runs(spec.rs, min(spec.N - 1, 3), 2))) * dim
     assert 0 < len(entered) < pairs / 2
+
+
+@pytest.mark.parametrize("rmax, serre_rmax", [(-1, 2), (1, -1)])
+def test_relation_check_eps_rejects_empty_ranges(rmax, serre_rmax):
+    # rmax < 0 empties every x family and serre_rmax < 0 serre-cubic
+    with pytest.raises(ValueError, match="rmax >= 0 and serre_rmax >= 0"):
+        relation_check_eps(specialize_thin(3, 1, 2), rmax, serre_rmax)
