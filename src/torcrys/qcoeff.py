@@ -13,13 +13,16 @@ denominator 1 and skip the gcd.  The cyclotomic polynomials are
 computed on first use and kept in memory for the process.
 
 Both coefficient rings of the modules, RationalQ and CycloElem, offer
-one method pair for residuals summed in integers.
+three methods for residuals summed in integers.
 `clear_denominators(values)` brings a list of values over one nonzero
 common denominator D and returns each value * D as integer terms
 ((exponent, int), ...): for RationalQ, D is the product of the distinct
 denominators up to units +-q^k, with no division and no gcd; for
 CycloElem, D is the lcm of the integer denominators and the exponents
 are those of the basis q^0 .. q^{deg Phi_N - 1}.
+`mode_weight(w)` reduces the mode weight w of a numerator, the
+coefficients of the mode values v in its exponent: RationalQ keeps w,
+CycloElem takes each entry mod N (q^N = 1, so v . w matters mod N only).
 `counts_vanish(counts)` decides whether integer counters
 {(target, exponent): int} are zero: in Z[q^+-1] when every counter is,
 at eps when per target the exponents folded mod N reduce to zero mod
@@ -405,6 +408,13 @@ class RationalQ:
         return den, out
 
     @staticmethod
+    def mode_weight(w: tuple) -> tuple:
+        """The mode weight w of a cleared numerator (the coefficients of
+        the modes in its exponent), reduced as far as the ring allows:
+        in Z[q^+-1] not at all."""
+        return w
+
+    @staticmethod
     def counts_vanish(counts: dict) -> bool:
         """Whether integer counters {(target, exponent): int}, the
         cleared numerators of a vector, are the zero vector."""
@@ -745,6 +755,13 @@ class CycloElem:
         return den, [tuple((k, x * (den // v.den))
                            for k, x in enumerate(v.nums) if x)
                      for v in values]
+
+    def mode_weight(self, w: tuple) -> tuple:
+        """The mode weight w with each entry taken mod N: at eps,
+        q^{v . w} depends on v . w mod N only, which v . (w mod N)
+        is for every integer mode tuple v."""
+        N = self.N
+        return tuple(x % N for x in w)
 
     def counts_vanish(self, counts: dict) -> bool:
         """Whether integer counters {(target, exponent): int}, the

@@ -43,11 +43,14 @@ folded into its numerator, plus v . w for a weight vector w.  Each
 template's terms scalar * coefficient are brought over one nonzero
 common denominator D per basis vector (the ring's
 `clear_denominators`), so that each becomes an integer term tuple
-((exponent, int), ...), and summed per (target, w) (`_node_terms`).
-An instance does no ring arithmetic: it adds those ints into counters
+((exponent, int), ...), and summed per (target, w), w reduced by the
+ring (`mode_weight`: kept in Q(q), taken mod N at a root of unity,
+where q^{v . w} only depends on v . w mod N); a sum the ring says
+vanishes (`counts_vanish`) is dropped (`_node_terms`).  An instance
+does no ring arithmetic: it adds those ints into counters
 {(target, exponent): int}, the exponent shifted by v . w, and the ring
-decides whether the counters vanish (`counts_vanish`).  As D is
-nonzero, a residual is zero exactly when its cleared form is.  Where
+decides whether the counters vanish.  As D is nonzero, a residual is
+zero exactly when its cleared form is.  Where
 no (target, w) sum is left, the relation holds at every v, and the
 runner counts the run's instances without evaluating them one by one;
 where no word shape of the run has a path or a hazard on the vector,
@@ -66,7 +69,7 @@ for applying operators one by one, are written once on two hooks of
 each module, row(idx, i) and hpart(idx).  The generic ring keeps steps
 and coefficients as they are; the root-of-unity module takes steps mod
 N and maps coefficients to Q(zeta_N).  Ring elements offer mul_qpow,
-clear_denominators and counts_vanish.
+clear_denominators, mode_weight and counts_vanish.
 """
 from __future__ import annotations
 
@@ -804,13 +807,15 @@ def _node_terms(mod, template: tuple, memo: dict):
     terms, hazards).  A path through steps s_k contributes q^e with
     e = sum s_k (consts[k] + cols[.][k] . v) at the modes v: the
     constant part is folded into the integer numerator of scalar *
-    coefficient * D, and the rest is v . w with w_j = sum s_k cols[j][k].
+    coefficient * D, and the rest is v . w with w_j = sum s_k cols[j][k],
+    w reduced by the ring (`mode_weight`: mod N at a root of unity).
     terms holds (target, numerator, w), numerator a term tuple
     ((exponent, int), ...), summed over the paths with equal (target, w)
-    and dropped where zero; hazards holds (node, entries), entries in
-    the same form with node as target, or None for a single path, which
-    never cancels, and leaves out the hazards whose paths cancel at all
-    modes.  A term with scalar zero keeps its hazards."""
+    and dropped where the ring says the sum vanishes (`_collect`);
+    hazards holds (node, entries), entries in the same form with node
+    as target, or None for a single path, which never cancels, and
+    leaves out the hazards whose paths cancel at all modes.  A term
+    with scalar zero keeps its hazards."""
     slots, values, hazard_slots, hazard_values = [], [], [], []
     for scalar, shape, consts, cols in template:
         paths, hz = _paths(mod, shape, memo)
@@ -828,11 +833,13 @@ def _node_terms(mod, template: tuple, memo: dict):
                               scalar if c is mod.one else scalar * c)
     den, nums = mod.one.clear_denominators(values + hazard_values)
     nums = iter(nums)
-    terms = _collect((target, next(nums), form) for target, form in slots)
+    terms = _collect(((target, next(nums), form) for target, form in slots),
+                     mod.one)
     hazards = []
     for node, group in hazard_slots:
         if group is not None:
-            group = _collect((node, next(nums), form) for form in group)
+            group = _collect(((node, next(nums), form) for form in group),
+                             mod.one)
             if not group:
                 continue
         hazards.append((node, group))
@@ -846,22 +853,28 @@ def _affine(consts: tuple, cols: tuple, steps: tuple):
             tuple(sum(map(mul, col, steps)) for col in cols))
 
 
-def _collect(items) -> list:
+def _collect(items, ring) -> list:
     """(target, numerator, (shift, w)) items as (target, numerator, w):
-    numerators shifted by q^shift and summed per (target, w), zeros
-    dropped."""
+    w reduced by the ring (`mode_weight`), numerators shifted by
+    q^shift and summed per (target, w), and a sum dropped where the
+    ring says it vanishes (`counts_vanish`).  At any modes v the items
+    of one group then share the power q^{v . w} in the ring, so a
+    dropped group adds zero to every instance's residual."""
     acc = {}
+    reduce = ring.mode_weight
     for target, num, (shift, w) in items:
-        cs = acc.get((target, w))
+        key = (target, reduce(w))
+        cs = acc.get(key)
         if cs is None:
-            cs = acc[(target, w)] = {}
+            cs = acc[key] = {}
         for k, c in num:
             k += shift
             cs[k] = cs.get(k, 0) + c
     out = []
+    vanish = ring.counts_vanish
     for (target, w), cs in acc.items():
         num = tuple((k, c) for k, c in cs.items() if c)
-        if num:
+        if num and not vanish({(target, k): c for k, c in num}):
             out.append((target, num, w))
     return out
 
@@ -929,7 +942,8 @@ def relation_runs(rs: RootSystem, rmax: int = 3, hmax: int = 2,
     h-x has one run per (i, j, sign), its modes (m, r) m-major, so its
     instances come in the order (i, j, sign, m, r); h-h has one run per
     (i, j >= i), with the one mode tuple (m1, m2) = (1, -1).  An id
-    outside RELATION_IDS, rmax < 0 or hmax < 1 raises ValueError."""
+    outside RELATION_IDS, rmax < 0 or hmax < 1 raises ValueError at the
+    call, before any run is asked for."""
     ids = RELATION_IDS if include is None else tuple(include)
     unknown = [r for r in ids if r not in RELATION_IDS]
     if unknown:
@@ -938,6 +952,11 @@ def relation_runs(rs: RootSystem, rmax: int = 3, hmax: int = 2,
     if rmax < 0 or hmax < 1:
         raise ValueError(f"need rmax >= 0 and hmax >= 1, not rmax={rmax}, "
                          f"hmax={hmax}")
+    return _runs(rs, rmax, hmax, ids)
+
+
+def _runs(rs: RootSystem, rmax: int, hmax: int, ids: tuple):
+    """The runs of `relation_runs`, its arguments already checked."""
     rr = range(-rmax, rmax + 1)
     mm = [m for m in range(-hmax, hmax + 1) if m]
     I, signs = rs.nodes, (1, -1)
@@ -1028,13 +1047,14 @@ def _run_suite(mod, runs, idxs) -> SuiteReport:
     has a path or a hazard there is dead: the run is zero on the vector
     at every mode, so its instances are counted as checked without
     building its terms.  Otherwise the terms are cleared of
-    denominators and summed per target and mode weight w
-    (`_node_terms`).  An instance with modes v then only adds integers
-    into counters keyed by target and q-exponent, shifted by v . w
-    (`_residual`); where nothing is left to add, the whole run is zero
-    on that vector too.  No RelationSpec is built per instance: `_join`
-    makes one per run, with symbolic modes, and one per failure, to
-    name it.  Failures are listed instance by instance (run order, then
+    denominators and summed per target and mode weight w, w reduced by
+    the ring (mod N at a root of unity), and the sums that vanish in
+    the ring are dropped (`_node_terms`).  Where nothing is left, the
+    whole run is zero on that vector too, at every mode.  Otherwise an
+    instance with modes v only adds integers into counters keyed by
+    target and q-exponent, shifted by v . w (`_residual`).  No
+    RelationSpec is built per instance: `_join` makes one per run, with
+    symbolic modes, and one per failure, to name it.  Failures are listed instance by instance (run order, then
     mode order), nodes in the given order."""
     ring = mod.one
     tabled = []

@@ -262,9 +262,13 @@ def relation_check_eps(mod: SpecializedModule, rmax: int | None = None,
     (`pair_entries`, `h_entries`).  A (run, vector) pair none of whose
     shapes has a path from the vector is proved at every mode without
     building its terms; the others' terms are cleared of denominators
-    and summed per mode weight w.  An instance's modes v shift the
-    exponents of the integer numerators by v . w, which then fold mod N
-    and reduce mod Phi_N (`CycloElem.counts_vanish`).
+    and summed per target and mode weight w, with w taken mod N
+    (`CycloElem.mode_weight`), and each sum whose exponents, folded mod
+    N, reduce to zero mod Phi_N is dropped (`CycloElem.counts_vanish`).
+    As v . w = v . (w mod N) mod N, a pair with no sum left is proved
+    at every mode at once.  Only on the pairs where a sum is left do an
+    instance's modes v shift the exponents of the integer numerators by
+    v . w, to be folded and reduced the same way.
     The specialized module has no window edges, so no instance is
     inconclusive.  Failures name the RelationSpec and the residue
     monomial.

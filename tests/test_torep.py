@@ -268,6 +268,39 @@ def test_empty_ranges_are_rejected(thin_3_1, rmax, hmax):
         run_relation_suite(thin_3_1, rmax=rmax, hmax=hmax, nodes=[0])
 
 
+@pytest.mark.parametrize("rmax, hmax, include, match", [
+    (-1, 2, None, "rmax >= 0 and hmax >= 1"),
+    (1, 0, None, "rmax >= 0 and hmax >= 1"),
+    (1, 1, ["h-h", "foo"], "unknown relation id 'foo'")])
+def test_relation_runs_checks_at_the_call(thin_3_1, rmax, hmax, include,
+                                          match):
+    # the call itself raises: no run has to be asked for
+    with pytest.raises(ValueError, match=match):
+        torep.relation_runs(thin_3_1.rs, rmax, hmax, include)
+
+
+@pytest.mark.parametrize("ring", [CycloElem.one(8), RQ_ONE])
+def test_collect_folds_mode_weights_in_the_ring(ring):
+    # at eps = zeta_8, weights 0 and 8 give one power q^{8r} = 1 at
+    # every mode r, and q^8 - 1 = 0; in Q(q) neither sum vanishes.
+    # Weights 0 and 11 differ mod 8 and stay apart in both rings.
+    by_weight = [(0, ((0, 1),), (0, (0,))), (0, ((0, -1),), (0, (8,)))]
+    by_exponent = [(0, ((0, 1),), (0, (3,))), (0, ((8, -1),), (0, (3,)))]
+    apart = [(0, ((0, 1),), (0, (0,))), (0, ((0, -1),), (0, (11,)))]
+    if isinstance(ring, CycloElem):
+        assert torep._collect(by_weight, ring) == []
+        assert torep._collect(by_exponent, ring) == []
+        assert torep._collect(apart, ring) == [(0, ((0, 1),), (0,)),
+                                               (0, ((0, -1),), (3,))]
+    else:
+        assert torep._collect(apart, ring) == [(0, ((0, 1),), (0,)),
+                                               (0, ((0, -1),), (11,))]
+        assert torep._collect(by_weight, ring) == [(0, ((0, 1),), (0,)),
+                                                   (0, ((0, -1),), (8,))]
+        assert torep._collect(by_exponent, ring) == [
+            (0, ((0, 1), (8, -1)), (3,))]
+
+
 # ---------------------------------------------------------------------------
 # run_relation_suite against a memo-free reference
 # ---------------------------------------------------------------------------
@@ -467,6 +500,27 @@ def test_suite_matches_memo_free_reference(broken_modules):
         assert ref.failures, name
         assert ref.inconclusive or not isinstance(mod, LoopModule), name
         assert _summary(got) == _summary(ref), name
+
+
+def test_eps_instances_are_evaluated_where_the_fold_leaves_a_sum(
+        coefficient_doubled, monkeypatch):
+    # a doubled coefficient leaves (target, w mod N) sums that do not
+    # vanish at eps; their instances are evaluated one by one and fail
+    # exactly where the memo-free reference does
+    calls = []
+    residual = torep._residual
+
+    def recording(terms, v):
+        calls.append(v)
+        return residual(terms, v)
+
+    mod = coefficient_doubled(specialize_thin(3, 1, 2))
+    ref = reference_suite(mod, _specs(_eps_runs(mod.rs, 3, 2)),
+                          partial(eval_cyclotomic, N=mod.N))
+    monkeypatch.setattr(torep, "_residual", recording)
+    got = relation_check_eps(mod, 3, 2)
+    assert calls and ref.failures
+    assert _summary(got) == _summary(ref)
 
 
 def _per_spec_suite(mod, specs, nodes):

@@ -434,16 +434,22 @@ _EPS_PER_VECTOR = {"h-x": 256, "k-conjugation": 64, "serre-cubic": 288,
     (lambda: specialize_doubled(1), 16)])
 def test_relation_check_eps_counts(build, dim, monkeypatch):
     # most (run, vector) pairs have no path from the vector and are
-    # counted without building their terms; the counts stay those of
-    # evaluating every instance
-    entered = []
-    node_terms = torep._node_terms
+    # counted without building their terms; the others leave no sum
+    # once mode weights are taken mod N, so no instance is evaluated one
+    # by one; the counts stay those of evaluating every instance
+    entered, evaluated = [], []
+    node_terms, residual = torep._node_terms, torep._residual
 
     def recording(mod, template, memo):
         entered.append(template)
         return node_terms(mod, template, memo)
 
+    def recording_residual(terms, v):
+        evaluated.append(v)
+        return residual(terms, v)
+
     monkeypatch.setattr(torep, "_node_terms", recording)
+    monkeypatch.setattr(torep, "_residual", recording_residual)
     spec = build()
     rep = relation_check_eps(spec, rmax=min(spec.N - 1, 3), serre_rmax=2)
     assert len(spec) == dim
@@ -452,6 +458,30 @@ def test_relation_check_eps_counts(build, dim, monkeypatch):
                                for rid, k in _EPS_PER_VECTOR.items()}
     pairs = len(list(_eps_runs(spec.rs, min(spec.N - 1, 3), 2))) * dim
     assert 0 < len(entered) < pairs / 2
+    assert evaluated == []
+
+
+@pytest.mark.parametrize("build, checked", [
+    (lambda: specialize_thin(3, 1, 2), 68096),
+    (lambda: specialize_thin(3, 2, 2), 22272),
+    (lambda: specialize_doubled(1), 29696),
+    (lambda: specialize_doubled(2), 544768)])
+def test_relation_check_eps_at_every_residue(build, checked, monkeypatch):
+    # rmax = serre_rmax = N - 1 covers every residue of each mode; every
+    # (run, vector) pair is proved at once, none instance by instance
+    evaluated = []
+    residual = torep._residual
+
+    def recording(terms, v):
+        evaluated.append(v)
+        return residual(terms, v)
+
+    monkeypatch.setattr(torep, "_residual", recording)
+    spec = build()
+    rep = relation_check_eps(spec, spec.N - 1, spec.N - 1)
+    assert rep.ok and not rep.failures and not rep.inconclusive
+    assert rep.checked == checked
+    assert evaluated == []
 
 
 @pytest.mark.parametrize("rmax, serre_rmax", [(-1, 2), (1, -1)])
