@@ -251,6 +251,9 @@ def cmd_unity(args):
         _require_n_ell(args)
         mod = specialize_thin(args.n, args.ell, args.L)
     else:
+        if args.n not in (None, 3):
+            raise ValueError(f"the pasted module is built for n = 3 only, "
+                             f"not n = {args.n}")
         mod = specialize_doubled(args.L)
     rep = relation_check_eps(mod, rmax=min(mod.N - 1, 3), serre_rmax=1)
     gen = cyclic_generation_check(mod)

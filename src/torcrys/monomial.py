@@ -113,14 +113,13 @@ class Monomial:
         return Monomial, (self.exps, self.weight)
 
     @staticmethod
-    def make(rs: RootSystem, exps: dict, weight: Weight,
-             check_parity: bool = True) -> "Monomial":
+    def make(rs: RootSystem, exps: dict, weight: Weight) -> "Monomial":
         exps = {k: int(u) for k, u in exps.items() if u}
         sums = [0] * (rs.n + 1)
         for (i, l), u in exps.items():
             if not 0 <= i <= rs.n:
                 raise ValidationError(f"node index {i} out of range")
-            if check_parity and l % 2 != rs.s(i):
+            if l % 2 != rs.s(i):
                 raise ParityError(
                     f"Y_({i},{l}) violates the parity class s_{i}={rs.s(i)}")
             sums[i] += u
@@ -254,9 +253,6 @@ class ResidueMonomial:
     N: int
     exps: tuple
     h: tuple
-
-    def row(self, i: int) -> dict:
-        return {l: u for (j, l), u in self.exps if j == i}
 
     def __str__(self):
         if not self.exps:

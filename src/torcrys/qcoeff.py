@@ -73,8 +73,8 @@ class LaurentPoly:
         return LaurentPoly({0: c})
 
     @staticmethod
-    def q_power(k: int, c: int = 1) -> "LaurentPoly":
-        return LaurentPoly({k: c})
+    def q_power(k: int) -> "LaurentPoly":
+        return LaurentPoly({k: 1})
 
     # -- structure ----------------------------------------------------------
 
@@ -548,12 +548,9 @@ def series_of_rational(num: dict, den: dict, direction: int, order: int) -> QSer
     return QSeries(1, out, order)
 
 
-def series_log(s: QSeries, order: int | None = None) -> QSeries:
+def series_log(s: QSeries) -> QSeries:
     """Formal logarithm of a series with constant term 1."""
-    if order is None:
-        order = s.order
-    if order > s.order:
-        raise ValueError("cannot extend truncation order in series_log")
+    order = s.order
     if not s.coeff(0) == RQ_ONE:
         raise ValueError("series_log requires constant term 1")
     u = [RQ_ZERO] + list(s.coeffs[1: order + 1])
@@ -569,10 +566,9 @@ def series_log(s: QSeries, order: int | None = None) -> QSeries:
     return QSeries(s.direction, out, order)
 
 
-def series_exp(s: QSeries, order: int | None = None) -> QSeries:
+def series_exp(s: QSeries) -> QSeries:
     """Formal exponential of a series with constant term 0."""
-    if order is None:
-        order = s.order
+    order = s.order
     if not s.coeff(0).is_zero():
         raise ValueError("series_exp requires constant term 0")
     u = [RQ_ZERO] + list(s.coeffs[1: order + 1])

@@ -113,12 +113,10 @@ class XAction:
     its unit `one`, `_residue_memo`, `phi_component` and two
     hooks: row(idx, i), row i of the basis vector's l-weight, and
     hpart(idx), the h-values of its weight.  The defaults below are the
-    generic ring's: no twist, and steps and RationalQ coefficients kept
-    as they are; a module over another ring reduces steps (`_step`) and
-    maps coefficients into its ring (`_scalar`, which raises
+    generic ring's: steps and RationalQ coefficients kept as they are; a
+    module over another ring reduces steps (`_step`) and maps
+    coefficients into its ring (`_scalar`, which raises
     SpecializationError where a coefficient has no value there)."""
-
-    twist = 0
 
     def _step(self, s: int) -> int:
         return s
@@ -128,11 +126,8 @@ class XAction:
 
     def x_entries(self, sign: int, i: int, idx: int) -> tuple:
         """Edge entries (dst, step, c0) of x^{sign}_{i,r} at a basis
-        vector: step is l + twist for the step position l."""
-        entries = (self.plus_edges if sign > 0 else self.minus_edges)[i][idx]
-        if self.twist:
-            return tuple((dst, l + self.twist, c0) for dst, l, c0 in entries)
-        return entries
+        vector."""
+        return (self.plus_edges if sign > 0 else self.minus_edges)[i][idx]
 
     def act_x(self, sign: int, i: int, r: int, vec: dict) -> dict:
         out = {}
@@ -170,18 +165,17 @@ class XAction:
 
     def pair_entries(self, i: int, idx: int) -> tuple:
         """Entries (idx, s_p, B_p) on which ("pair", i, t) acts on the
-        basis vector by sum_p B_p q^{t s_p}: the `pole_residues` of row
-        i, steps twisted."""
+        basis vector by sum_p B_p q^{t s_p}: the `pole_residues` of row i."""
         return tuple((idx, self._step(s), self._scalar(b))
-                     for s, b in pole_residues(self.row(idx, i), self.twist,
+                     for s, b in pole_residues(self.row(idx, i),
                                                self._residue_memo))
 
     def h_entries(self, i: int, idx: int) -> tuple:
         """Entries (idx, step, c) on which ("h", i, m) =
         (q - q^-1) m h_{i,m} acts on the basis vector by sum c q^{m step}:
-        the `h_residues` of row i, steps twisted, each c an integer."""
+        the `h_residues` of row i, each c an integer."""
         return tuple((idx, self._step(s), self._scalar(c))
-                     for s, c in h_residues(self.row(idx, i), self.twist))
+                     for s, c in h_residues(self.row(idx, i)))
 
     def pairing_value(self, idx: int, i: int, t: int):
         """(phi^+_{i,t} - phi^-_{i,t})/(q - q^-1) as needed by the
@@ -213,10 +207,21 @@ class LoopModule(XAction):
         return self.graph.nodes[idx]
 
     def row(self, idx: int, i: int) -> dict:
-        return self.graph.nodes[idx].row(i)
+        """Row i of the basis vector's l-weight, translated by the twist."""
+        row = self.graph.nodes[idx].row(i)
+        if self.twist:
+            return {l + self.twist: u for l, u in row.items()}
+        return row
 
     def hpart(self, idx: int) -> tuple:
         return self.graph.nodes[idx].weight.h
+
+    def x_entries(self, sign: int, i: int, idx: int) -> tuple:
+        """`XAction.x_entries` with each step translated by the twist."""
+        entries = (self.plus_edges if sign > 0 else self.minus_edges)[i][idx]
+        if self.twist:
+            return tuple((dst, l + self.twist, c0) for dst, l, c0 in entries)
+        return entries
 
     def twisted(self, k: int) -> "LoopModule":
         """Twist by the spectral automorphism sending x_{i,r} to q^{kr} x_{i,r}."""
@@ -241,7 +246,7 @@ class LoopModule(XAction):
         """
         if self.flavor == "thin":
             return QSeries(sign, self._phi_actmod(idx, i, sign, order), order)
-        return fr_phi_series(self.row(idx, i), sign, order, twist=self.twist)
+        return fr_phi_series(self.row(idx, i), sign, order)
 
     def _phi_actmod(self, idx, i, sign, order):
         st = row_stats(self.row(idx, i))
@@ -252,10 +257,10 @@ class LoopModule(XAction):
             val = RQ_ZERO
             if st.phi:
                 val = val + RationalQ.from_int(st.phi).mul_qpow(
-                    sign * s * (st.qq + 1 + self.twist))
+                    sign * s * (st.qq + 1))
             if st.eps:
                 val = val - RationalQ.from_int(st.eps).mul_qpow(
-                    sign * s * (st.p - 1 + self.twist))
+                    sign * s * (st.p - 1))
             if sign > 0:
                 coeffs.append(qmq * val)
             else:
@@ -292,7 +297,7 @@ class LoopModule(XAction):
 # Frenkel-Reshetikhin rational form of an l-weight
 # ---------------------------------------------------------------------------
 
-def fr_phi_series(row: dict, sign: int, order: int, twist: int = 0) -> QSeries:
+def fr_phi_series(row: dict, sign: int, order: int) -> QSeries:
     """Series of q^{deg Q - deg R} Q(zq^-1) R(zq) / (Q(zq) R(zq^-1))
     where Q collects the positive and R the negative exponents of the
     row.  This is the l-weight attached to the monomial by the
@@ -301,14 +306,13 @@ def fr_phi_series(row: dict, sign: int, order: int, twist: int = 0) -> QSeries:
     num = {0: RationalQ.q_power(w)}
     den = {0: RQ_ONE}
     for l, u in sorted(row.items()):
-        ls = l + twist
         for _ in range(abs(u)):
             if u > 0:
-                num = _zpoly_mul(num, {0: RQ_ONE, 1: -RationalQ.q_power(ls - 1)})
-                den = _zpoly_mul(den, {0: RQ_ONE, 1: -RationalQ.q_power(ls + 1)})
+                num = _zpoly_mul(num, {0: RQ_ONE, 1: -RationalQ.q_power(l - 1)})
+                den = _zpoly_mul(den, {0: RQ_ONE, 1: -RationalQ.q_power(l + 1)})
             else:
-                num = _zpoly_mul(num, {0: RQ_ONE, 1: -RationalQ.q_power(ls + 1)})
-                den = _zpoly_mul(den, {0: RQ_ONE, 1: -RationalQ.q_power(ls - 1)})
+                num = _zpoly_mul(num, {0: RQ_ONE, 1: -RationalQ.q_power(l + 1)})
+                den = _zpoly_mul(den, {0: RQ_ONE, 1: -RationalQ.q_power(l - 1)})
     return series_of_rational(num, den, sign, order)
 
 
@@ -347,10 +351,10 @@ def fr_consistency_report(mod: LoopModule, order: int = 6, nodes=None):
     for idx in idxs:
         m = mod.node(idx)
         for i in mod.rs.nodes:
-            row = m.row(i)
+            row = mod.row(idx, i)
             for sign in (1, -1):
                 lhs = mod.phi_series(idx, i, sign, order)
-                rhs = fr_phi_series(row, sign, order, twist=mod.twist)
+                rhs = fr_phi_series(row, sign, order)
                 if lhs != rhs:
                     bad.append((m, i, sign))
     return bad
@@ -402,7 +406,7 @@ def row_edges(row: dict):
     return tuple(lower), tuple(upper)
 
 
-def pole_residues(row: dict, twist: int = 0, memo=None) -> tuple:
+def pole_residues(row: dict, memo=None) -> tuple:
     """The partial fractions of row i's l-weight, a row that `row_edges`
     accepts: (s_p, B_p) for each simple pole, so that for every t in Z
 
@@ -411,12 +415,11 @@ def pole_residues(row: dict, twist: int = 0, memo=None) -> tuple:
     The rational form of `fr_phi_series` is q^w prod_a (1 - q^a z) /
     prod_p (1 - q^{s_p} z), w the sum of the row's exponents: Y_{i,l}
     gives the zero a = l-1 and the pole s = l+1, Y_{i,l}^-1 the zero
-    l+1 and the pole l-1, all shifted by the twist, and a zero cancels
-    an equal pole, the rule of `row_edges`.  Its expansions at z = 0
-    and at z = infinity differ by sum_p c_p q^{t s_p} in degree t, with
-    c_p = q^w prod_a (1 - q^{a - s_p}) / prod_{p' != p}
-    (1 - q^{s_p' - s_p}); B_p = c_p/(q - q^-1), in lowest terms, and
-    RQ_ONE where it is one.
+    l+1 and the pole l-1, and a zero cancels an equal pole, the rule of
+    `row_edges`.  Its expansions at z = 0 and at z = infinity differ by
+    sum_p c_p q^{t s_p} in degree t, with c_p = q^w prod_a (1 - q^{a - s_p})
+    / prod_{p' != p} (1 - q^{s_p' - s_p}); B_p = c_p/(q - q^-1), in lowest
+    terms, and RQ_ONE where it is one.
 
     w and every a - s_p and s_p' - s_p are invariant under translating
     the row, so the B_p depend only on the row shifted to start at 0: a
@@ -429,11 +432,11 @@ def pole_residues(row: dict, twist: int = 0, memo=None) -> tuple:
     got = memo.get(key)
     if got is None:
         got = memo[key] = _residues_at_zero(dict(key))
-    return tuple((s + base + twist, b) for s, b in got)
+    return tuple((s + base, b) for s, b in got)
 
 
 def _residues_at_zero(row: dict) -> tuple:
-    """`pole_residues` of a row without twist, computed afresh."""
+    """`pole_residues` of a row starting at 0, computed afresh."""
     poles = [l + u for l, u in row.items() if row.get(l + 2 * u) != u]
     zeros = [l - u for l, u in row.items() if row.get(l - 2 * u) != u]
     out = []
@@ -452,19 +455,19 @@ def _residues_at_zero(row: dict) -> tuple:
     return tuple(out)
 
 
-def h_residues(row: dict, twist: int = 0) -> tuple:
+def h_residues(row: dict) -> tuple:
     """The closed form of h on row i of a rational l-weight: (step, c)
     pairs such that (q - q^-1) m h_{i,m} = sum c q^{m step} for every
     m != 0, each c an integer, and RQ_ONE itself where it is one, so
     that the runner skips its products.
 
     With u (q^{m(l+1)} - q^{m(l-1)}) for each Y_{i,l}^u
-    (Frenkel-Reshetikhin), Y_{i,l}^u gives +u at step l+1+twist and -u
-    at l-1+twist; equal steps are summed and zeros dropped."""
+    (Frenkel-Reshetikhin), Y_{i,l}^u gives +u at step l+1 and -u at
+    l-1; equal steps are summed and zeros dropped."""
     acc = {}
     for l, u in row.items():
         for s, c in ((l + 1, u), (l - 1, -u)):
-            acc[s + twist] = acc.get(s + twist, 0) + c
+            acc[s] = acc.get(s, 0) + c
     return tuple((s, RQ_ONE if c == 1 else RationalQ.from_int(c))
                  for s, c in acc.items() if c)
 

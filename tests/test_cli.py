@@ -125,6 +125,22 @@ def test_unity_thin_without_ell_is_a_validation_error(capsys):
     assert out == "" and "--ell is required" in err
 
 
+def test_unity_s5_refuses_any_rank_but_3(tmp_path, capsys):
+    # the pasted module exists for n = 3 only: another n, from a flag or
+    # from the config file, must not print the n = 3 result
+    conf = tmp_path / "run.conf"
+    conf.write_text("n = 5\nL = 1\n")
+    for argv in (("unity", "s5", "--L", "1", "--n", "5"),
+                 ("unity", "s5", "--L", "1", "--n", "4"),
+                 ("--config", str(conf), "unity", "s5")):
+        code, out, err = run(capsys, *argv)
+        assert code == EXIT_VALIDATION == 3, argv
+        assert out == "" and "n = 3 only" in err, argv
+    _, plain, _ = run(capsys, "unity", "s5", "--L", "1")
+    code, out, _ = run(capsys, "unity", "s5", "--L", "1", "--n", "3")
+    assert code == EXIT_OK and out == plain
+
+
 def test_rep_check_unknown_relation_is_a_validation_error(capsys):
     code, out, err = run(capsys, "rep", "check", "--n", "3", "--ell", "1",
                          "--relations", "foo")

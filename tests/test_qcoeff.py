@@ -1,9 +1,12 @@
+import ast
 import random
 from fractions import Fraction
 from math import gcd
+from pathlib import Path
 
 import pytest
 
+import torcrys
 from torcrys.qcoeff import (CycloElem, ExpansionError, LaurentPoly, QSeries,
                             RQ_ONE, RationalQ, SpecializationError,
                             cyclotomic, eval_cyclotomic, qbinom, qint,
@@ -350,3 +353,48 @@ def test_clear_denominators_keys_associates_once():
     assert nums == [((0, 1),), ((0, -1),), ((0, -1),)]
     for v, num in zip(values, nums):
         assert RationalQ(LaurentPoly(dict(num)), den) == v
+
+
+def _scoped(tree, scope=()):
+    """(qualified name of the enclosing def or class, node) for every
+    node below tree."""
+    for child in ast.iter_child_nodes(tree):
+        inner = scope
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                              ast.ClassDef)):
+            inner = scope + (child.name,)
+        yield ".".join(inner), child
+        yield from _scoped(child, inner)
+
+
+def test_no_floats_on_the_verification_path():
+    """Float and complex literals, the names float, complex and round,
+    and any cmath import occur only in the display cross-check of
+    `--float-check`: `CycloElem.to_complex` and `cli.cmd_unity`; math
+    is imported only for gcd, lcm and comb.  Not caught: true division
+    of two ints (a / b), which makes a float without naming one."""
+    floaty = set()
+    math_names = set()
+    for path in sorted(Path(torcrys.__file__).parent.glob("*.py")):
+        for scope, node in _scoped(ast.parse(path.read_text())):
+            where = (path.name, scope)
+            if isinstance(node, ast.Constant) and isinstance(
+                    node.value, (float, complex)):
+                floaty.add(where)
+            elif isinstance(node, ast.Name) and node.id in (
+                    "float", "complex", "round"):
+                floaty.add(where)
+            elif isinstance(node, ast.Import):
+                for alias in node.names:
+                    if alias.name == "cmath":
+                        floaty.add(where)
+                    elif alias.name == "math":
+                        math_names.add("*")
+            elif isinstance(node, ast.ImportFrom):
+                if node.module == "cmath":
+                    floaty.add(where)
+                elif node.module == "math":
+                    math_names.update(alias.name for alias in node.names)
+    assert floaty == {("qcoeff.py", "CycloElem.to_complex"),
+                      ("cli.py", "cmd_unity")}
+    assert math_names <= {"gcd", "lcm", "comb"}

@@ -175,8 +175,10 @@ def test_window_error_on_boundary(thin_3_1):
 
 
 def test_fr_consistency(thin_3_1, thin_3_2):
-    assert fr_consistency_report(thin_3_1, order=6) == []
-    assert fr_consistency_report(thin_3_2, order=6) == []
+    # the twisted module's phi-series and rational form both read the
+    # twisted rows
+    for mod in (thin_3_1, thin_3_2, thin_3_1.twisted(1)):
+        assert fr_consistency_report(mod, order=6) == []
 
 
 def test_fr_phi_series_standalone():
@@ -223,6 +225,11 @@ def test_spectral_twist(thin_3_1):
     mod = thin_3_1
     tw = mod.twisted(2)
     i0, v0 = unit(mod, "Y(0,1)^-1*Y(1,0)")
+    # the twist translates every row of the l-weight by 2
+    for idx in (i0, *tw.graph.interior_indices()[:6]):
+        for i in mod.rs.nodes:
+            assert tw.row(idx, i) == {l + 2: u for l, u
+                                      in mod.node(idx).row(i).items()}
     base = mod.act_x(-1, 1, 1, v0)
     twisted = tw.act_x(-1, 1, 1, v0)
     (k1, a), = base.items()
@@ -833,13 +840,13 @@ def test_pair_entries_closed_form(thin_3_1, thin_3_2):
 
 
 def test_pole_residues_of_a_two_pole_row():
-    # Y_{1,0} Y_{1,4}: poles at steps 1 and 5, zeros at -1 and 3, so
-    # B_1 = q^2 (1 - q^-2)(1 - q^2) / ((1 - q^4)(q - q^-1)) = q/(1 + q^2)
-    # and B_5 = (1 + q^2 + q^4)/(q + q^3), which sum to [2] = q + q^-1
-    (s1, b1), (s5, b5) = torep.pole_residues({0: 1, 4: 1}, twist=1)
-    assert (s1, s5) == (2, 6)
-    assert b1 == RationalQ(LaurentPoly({1: 1}), LaurentPoly({0: 1, 2: 1}))
-    assert b5 == RationalQ(LaurentPoly({0: 1, 2: 1, 4: 1}),
+    # Y_{1,1} Y_{1,5}: poles at steps 2 and 6, zeros at 0 and 4, so
+    # B_2 = q^2 (1 - q^-2)(1 - q^2) / ((1 - q^4)(q - q^-1)) = q/(1 + q^2)
+    # and B_6 = (1 + q^2 + q^4)/(q + q^3), which sum to [2] = q + q^-1
+    (s2, b2), (s6, b6) = torep.pole_residues({1: 1, 5: 1})
+    assert (s2, s6) == (2, 6)
+    assert b2 == RationalQ(LaurentPoly({1: 1}), LaurentPoly({0: 1, 2: 1}))
+    assert b6 == RationalQ(LaurentPoly({0: 1, 2: 1, 4: 1}),
                            LaurentPoly({1: 1, 3: 1}))
     # a zero on a pole cancels it: Y_{1,0} Y_{1,2} has the one pole 3
     assert [s for s, _ in torep.pole_residues({0: 1, 2: 1})] == [3]
