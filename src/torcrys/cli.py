@@ -254,6 +254,9 @@ def cmd_unity(args):
         if args.n not in (None, 3):
             raise ValueError(f"the pasted module is built for n = 3 only, "
                              f"not n = {args.n}")
+        if args.ell is not None:
+            raise ValueError(f"--ell belongs to the thin family; the pasted "
+                             f"module takes none, not ell = {args.ell}")
         mod = specialize_doubled(args.L)
     rep = relation_check_eps(mod, rmax=min(mod.N - 1, 3), serre_rmax=1)
     gen = cyclic_generation_check(mod)

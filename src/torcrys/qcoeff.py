@@ -380,7 +380,11 @@ class RationalQ:
         associate (valuation 0, positive lowest coefficient), and
         numerators[k] the term tuple ((exponent, int), ...) of
         values[k] * D: its numerator times the unit and the other
-        associates.  No division and no gcd."""
+        associates.  No division and no gcd.  Where every denominator
+        is ONE itself, as on every thin module, D is ONE and the
+        numerators are the values' own terms."""
+        if all(v.den is ONE for v in values):
+            return ONE, [tuple(v.num.terms.items()) for v in values]
         # denominator key -> (associate key, exponent shift, sign)
         den, cofactor, unit = ONE, {}, {}
         for v in values:

@@ -4,7 +4,9 @@ twice the first fundamental level-zero weight (n = 3), q-characters,
 and exact verification of the quantum toroidal defining relations on
 windows.
 
-Scalars are RationalQ throughout; every residual test is exact.
+Coefficients are RationalQ throughout, and the relation scalars the
+runner reads are integer Laurent polynomials; every residual test is
+exact.
 
 One builder makes both module types (`build_module`): on a windowed
 crystal, x^{+-}_i acts along the poles of row i of each basis vector's
@@ -15,8 +17,11 @@ Each defining relation is written once, as a term table: a tuple of
 (scalar, word) terms whose sum must act by zero (`relation_terms`).
 `relation_residual`, `run_relation_suite` and the root-of-unity check
 `unity.relation_check_eps` evaluate the same tables through one
-mode-factored evaluator; the last maps their scalars into the
-cyclotomic field first.
+mode-factored evaluator.  Every scalar of a table is a Laurent
+polynomial with integer coefficients, so the runner keeps it as its
+integer term tuple, whatever the module's ring; a table depends only
+on the rank and the relation key, and is built once per pair
+(`_table`).
 
 On both module types x^{+-}_{i,r} acts on an edge by c0 q^{r step}
 (eps^{r step} at a root of unity).  So do the diagonal operators, by
@@ -39,14 +44,15 @@ operator's mode is a form const + c . v in the mode values v.  On each
 basis vector every word shape (the word with its modes removed) is
 expanded once into paths (target, coefficient, steps), suffixes shared
 (`_paths`).  A path's exponent sum_k step_k mode_k is a constant,
-folded into its numerator, plus v . w for a weight vector w.  Each
-template's terms scalar * coefficient are brought over one nonzero
-common denominator D per basis vector (the ring's
-`clear_denominators`), so that each becomes an integer term tuple
-((exponent, int), ...), and summed per (target, w), w reduced by the
-ring (`mode_weight`: kept in Q(q), taken mod N at a root of unity,
-where q^{v . w} only depends on v . w mod N); a sum the ring says
-vanishes (`counts_vanish`) is dropped (`_node_terms`).  An instance
+folded into its numerator, plus v . w for a weight vector w.  The
+path coefficients of a template are brought over one nonzero common
+denominator D per basis vector (the ring's `clear_denominators`), so
+that each becomes an integer term tuple ((exponent, int), ...); each is
+multiplied by its term's integer scalar as exponent shifts and integer
+factors, and summed per (target, w), w reduced by the ring
+(`mode_weight`: kept in Q(q), taken mod N at a root of unity, where
+q^{v . w} only depends on v . w mod N); a sum the ring says vanishes
+(`counts_vanish`) is dropped (`_node_terms`, `_collect`).  An instance
 does no ring arithmetic: it adds those ints into counters
 {(target, exponent): int}, the exponent shifted by v . w, and the ring
 decides whether the counters vanish.  As D is nonzero, a residual is
@@ -723,20 +729,42 @@ def _join(key: tuple, v) -> RelationSpec:
                                       else p for p in key[1:]))
 
 
-def _table(rs: RootSystem, key: tuple, scalar) -> tuple:
+# (rank, key) -> the key's template, filled by `_table`
+_TEMPLATES = {}
+
+
+def _table(rs: RootSystem, key: tuple) -> tuple:
     """The runner's template (`_shapes`) of the key's relation:
     `relation_terms` with the k-th mode parameter passed as the symbol
-    v_k and its scalars mapped by `scalar`."""
-    n = sum(isinstance(p, str) for p in key[1:])
-    symbols = [Mode(0, tuple(int(j == k) for j in range(n)))
-               for k in range(n)]
-    terms = relation_terms(rs, _join(key, symbols))
-    return _shapes(tuple((scalar(s), word) for s, word in terms), n)
+    v_k and each scalar as its integer term tuple (`_int_terms`).  The
+    table reads only the Cartan data of the rank, never the parity or a
+    module's ring, so it is built once per (rank, key) and shared by
+    every module of that rank, generic or at a root of unity."""
+    got = _TEMPLATES.get((rs.n, key))
+    if got is None:
+        n = sum(isinstance(p, str) for p in key[1:])
+        symbols = [Mode(0, tuple(int(j == k) for j in range(n)))
+                   for k in range(n)]
+        terms = relation_terms(rs, _join(key, symbols))
+        got = _TEMPLATES[(rs.n, key)] = _shapes(
+            tuple((_int_terms(s), word) for s, word in terms), n)
+    return got
+
+
+def _int_terms(s: RationalQ) -> tuple:
+    """The scalar s of a relation table as the term tuple ((exponent,
+    int), ...) of a Laurent polynomial with integer coefficients; a
+    denominator that is not a unit +-q^k raises ValueError."""
+    if not s.den.is_monomial() or abs(s.den.lowest_coeff()) != 1:
+        raise ValueError(f"relation scalar {s} is not in Z[q, q^-1]")
+    (k, c), = s.den.terms.items()
+    return tuple((e - k, a * c) for e, a in s.num.key())
 
 
 def _shapes(terms: tuple, n: int) -> tuple:
     """The runner's template of a table's terms, whose modes are affine
-    forms in n mode values v: per term (scalar, shape, consts, cols).  A
+    forms in n mode values v: per term (scalar, shape, consts, cols),
+    scalar as it was given (an integer term tuple in `_table`).  A
     shape is the word with the mode of each operator removed:
     ("x", sign, i), ("pair", i), ("h", i), ("k", hvec) and ("q", a).
     The removed modes, in application order (rightmost operator first),
@@ -805,20 +833,22 @@ def _paths(mod, shape: tuple, memo: dict):
 
 
 def _node_terms(mod, template: tuple, memo: dict):
-    """One template (`_shapes`) on the memo's basis vector, over one
-    common denominator D (the ring's `clear_denominators`): returns (D,
-    terms, hazards).  A path through steps s_k contributes q^e with
-    e = sum s_k (consts[k] + cols[.][k] . v) at the modes v: the
-    constant part is folded into the integer numerator of scalar *
-    coefficient * D, and the rest is v . w with w_j = sum s_k cols[j][k],
-    w reduced by the ring (`mode_weight`: mod N at a root of unity).
-    terms holds (target, numerator, w), numerator a term tuple
-    ((exponent, int), ...), summed over the paths with equal (target, w)
-    and dropped where the ring says the sum vanishes (`_collect`);
-    hazards holds (node, entries), entries in the same form with node
-    as target, or None for a single path, which never cancels, and
-    leaves out the hazards whose paths cancel at all modes.  A term
-    with scalar zero keeps its hazards."""
+    """One template (`_shapes` of `_table`) on the memo's basis vector,
+    over one common denominator D (the ring's `clear_denominators`):
+    returns (D, terms, hazards).  Only the path coefficients are
+    cleared, no ring product is formed: each cleared numerator is
+    multiplied by its term's integer scalar in `_collect`.  A path
+    through steps s_k contributes q^e with e = sum s_k (consts[k] +
+    cols[.][k] . v) at the modes v: the constant part is folded into the
+    integer numerator of scalar * coefficient * D, and the rest is v . w
+    with w_j = sum s_k cols[j][k], w reduced by the ring (`mode_weight`:
+    mod N at a root of unity).  terms holds (target, numerator, w),
+    numerator a term tuple ((exponent, int), ...), summed over the paths
+    with equal (target, w) and dropped where the ring says the sum
+    vanishes (`_collect`); hazards holds (node, entries), entries in the
+    same form with node as target, or None for a single path, which
+    never cancels, and leaves out the hazards whose paths cancel at all
+    modes.  A term with scalar zero keeps its hazards."""
     slots, values, hazard_slots, hazard_values = [], [], [], []
     for scalar, shape, consts, cols in template:
         paths, hz = _paths(mod, shape, memo)
@@ -829,20 +859,19 @@ def _node_terms(mod, template: tuple, memo: dict):
                 hazard_slots.append((node, [_affine(consts, cols, steps)
                                             for steps, _ in group]))
                 hazard_values.extend(c for _, c in group)
-        if not scalar.is_zero():
+        if scalar:
             for (target, steps), c in paths.items():
-                slots.append((target, _affine(consts, cols, steps)))
-                values.append(c if scalar is mod.one else
-                              scalar if c is mod.one else scalar * c)
+                slots.append((target, scalar, _affine(consts, cols, steps)))
+                values.append(c)
     den, nums = mod.one.clear_denominators(values + hazard_values)
     nums = iter(nums)
-    terms = _collect(((target, next(nums), form) for target, form in slots),
-                     mod.one)
+    terms = _collect(((target, scalar, next(nums), form)
+                      for target, scalar, form in slots), mod.one)
     hazards = []
     for node, group in hazard_slots:
         if group is not None:
-            group = _collect(((node, next(nums), form) for form in group),
-                             mod.one)
+            group = _collect(((node, _UNIT, next(nums), form)
+                              for form in group), mod.one)
             if not group:
                 continue
         hazards.append((node, group))
@@ -856,23 +885,32 @@ def _affine(consts: tuple, cols: tuple, steps: tuple):
             tuple(sum(map(mul, col, steps)) for col in cols))
 
 
+_UNIT = ((0, 1),)       # the integer term tuple of the scalar 1
+
+
 def _collect(items, ring) -> list:
-    """(target, numerator, (shift, w)) items as (target, numerator, w):
-    w reduced by the ring (`mode_weight`), numerators shifted by
-    q^shift and summed per (target, w), and a sum dropped where the
-    ring says it vanishes (`counts_vanish`).  At any modes v the items
-    of one group then share the power q^{v . w} in the ring, so a
+    """(target, scalar, numerator, (shift, w)) items as (target,
+    numerator, w), scalar and numerator integer term tuples: w reduced
+    by the ring (`mode_weight`), numerators multiplied by the scalar and
+    by q^shift, exponent by exponent, and summed per (target, w), and a
+    sum dropped where the ring says it vanishes (`counts_vanish`).  The
+    products are exact in either ring: at a root of unity the counters'
+    exponents fold mod N and reduce mod Phi_N (`counts_vanish`), so a
+    scalar that vanishes there drops out in the fold.  At any modes v
+    the items of one group share the power q^{v . w} in the ring, so a
     dropped group adds zero to every instance's residual."""
     acc = {}
     reduce = ring.mode_weight
-    for target, num, (shift, w) in items:
+    for target, scalar, num, (shift, w) in items:
         key = (target, reduce(w))
         cs = acc.get(key)
         if cs is None:
             cs = acc[key] = {}
-        for k, c in num:
-            k += shift
-            cs[k] = cs.get(k, 0) + c
+        for s, a in scalar:
+            s += shift
+            for k, c in num:
+                k += s
+                cs[k] = cs.get(k, 0) + a * c
     out = []
     vanish = ring.counts_vanish
     for (target, w), cs in acc.items():
@@ -918,8 +956,7 @@ def relation_residual(mod: LoopModule, spec: RelationSpec, idx: int) -> dict:
                         f"{type(mod).__name__}; use unity.relation_check_eps")
     key, v = _split(spec)
     memo = {(): ({(idx, ()): mod.one}, ())}
-    den, terms, hazards = _node_terms(mod, _table(mod.rs, key, mod._scalar),
-                                      memo)
+    den, terms, hazards = _node_terms(mod, _table(mod.rs, key), memo)
     node = _window_exit(hazards, v, mod.one)
     if node is not None:
         raise WindowError(
@@ -1037,11 +1074,12 @@ class SuiteReport:
 def _run_suite(mod, runs, idxs) -> SuiteReport:
     """Evaluate every instance of the runs (key, modes) on every basis
     vector in idxs; any nonzero residual is recorded as a failure,
-    instances leaving the window count as inconclusive.  The module's
-    `_scalar` maps the tables' RationalQ scalars into its ring.
+    instances leaving the window count as inconclusive.
 
-    Each run's relation is tabled once, modes as affine symbols
-    (`_table`), and its distinct word shapes are kept with the table.
+    Each run's relation is tabled with its modes as affine symbols and
+    its scalars as integer term tuples (`_table`), a table built once
+    per (rank, key) and shared by every module and ring of that rank;
+    its distinct word shapes are kept with the table.
     The loop is node-major: each basis vector gets one memo, shared by
     every run, so a word shape is expanded into paths (`_paths`) once
     per vector however many runs contain it, every operator moving
@@ -1049,20 +1087,21 @@ def _run_suite(mod, runs, idxs) -> SuiteReport:
     shape, never on the run.  A (run, vector) pair none of whose shapes
     has a path or a hazard there is dead: the run is zero on the vector
     at every mode, so its instances are counted as checked without
-    building its terms.  Otherwise the terms are cleared of
-    denominators and summed per target and mode weight w, w reduced by
-    the ring (mod N at a root of unity), and the sums that vanish in
-    the ring are dropped (`_node_terms`).  Where nothing is left, the
-    whole run is zero on that vector too, at every mode.  Otherwise an
-    instance with modes v only adds integers into counters keyed by
-    target and q-exponent, shifted by v . w (`_residual`).  No
-    RelationSpec is built per instance: `_join` makes one per run, with
-    symbolic modes, and one per failure, to name it.  Failures are listed instance by instance (run order, then
-    mode order), nodes in the given order."""
+    building its terms.  Otherwise the path coefficients are cleared of
+    denominators, multiplied by the integer scalars and summed per
+    target and mode weight w, w reduced by the ring (mod N at a root of
+    unity), and the sums that vanish in the ring are dropped
+    (`_node_terms`).  Where nothing is left, the whole run is zero on
+    that vector too, at every mode.  Otherwise an instance with modes v
+    only adds integers into counters keyed by target and q-exponent,
+    shifted by v . w (`_residual`).  No RelationSpec is built per
+    instance: `_join` makes one per run, with symbolic modes, and one
+    per failure, to name it.  Failures are listed instance by instance
+    (run order, then mode order), nodes in the given order."""
     ring = mod.one
     tabled = []
     for key, modes in runs:
-        template = _table(mod.rs, key, mod._scalar)
+        template = _table(mod.rs, key)
         shapes = tuple(dict.fromkeys(shape for _, shape, _, _ in template))
         tabled.append((key, modes, template, shapes))
     checked = [0] * len(tabled)

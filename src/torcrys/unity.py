@@ -8,8 +8,10 @@ the verification path.  A specialized module is built in one pass over
 the generic one and owns one eps map (`_scalar`, `eval_cyclotomic`
 memoised), whose image of 1 is the ring's `one`.  The relation checks
 at eps evaluate the same term tables (`torep.relation_terms`) through
-the same runner as the generic suite, with each RationalQ scalar
-mapped to Q(zeta_N) by that map.  The operator entries are the generic
+the same runner as the generic suite: the tables' scalars are integer
+Laurent polynomials, kept as integer term tuples in both rings and
+shared with the generic suite of the same rank (`torep._table`), so no
+scalar is mapped to Q(zeta_N).  The operator entries are the generic
 ones of `torep.XAction`, read from each basis vector's representative
 row and weight, with steps taken mod N and coefficients under the same
 map; the joint spectrum of the loop-Cartan operators is read from the
@@ -102,6 +104,8 @@ def _specialize(mod: LoopModule, N: int, keep=None) -> SpecializedModule:
     quotient projection leaves out edges into dropped nodes, as it does
     entries vanishing at eps.  Each residue's representative is its
     first node in index order whose module edges all stay in the graph.
+    Rows and x entries are read through the generic module's `row` and
+    `x_entries` hooks, so a spectral twist carries over to both.
     Every coefficient goes through the specialized module's one eps
     map, whose image of 1 is its `one`, so each distinct coefficient is
     evaluated once."""
@@ -112,24 +116,25 @@ def _specialize(mod: LoopModule, N: int, keep=None) -> SpecializedModule:
     out = SpecializedModule(rs, N, basis, {r: k for k, r in enumerate(basis)})
     if keep is not None:
         _validate_kernel(mod, out._scalar, keep)
-    tables = [(i, name, getattr(mod, name)[i]) for i in rs.nodes
-              for name in ("minus_edges", "plus_edges")]
+    ops = [(i, sign, name) for i in rs.nodes
+           for sign, name in ((-1, "minus_edges"), (1, "plus_edges"))]
     rep_of = {}
     for idx, rm in residue.items():
-        if rm not in rep_of and all(dst is not None for _, _, table in tables
-                                    for dst, _, _ in table[idx]):
+        if rm not in rep_of and all(
+                dst is not None for i, sign, _ in ops
+                for dst, _, _ in mod.x_entries(sign, i, idx)):
             rep_of[rm] = idx
     for rm in basis:
         if rm not in rep_of:
             raise WindowError(
                 f"no interior representative for residue {rm}; enlarge the window")
     reps = [rep_of[rm] for rm in basis]
-    out.rows = [{i: nodes[rep].row(i) for i in rs.nodes} for rep in reps]
-    for i, name, table in tables:
+    out.rows = [{i: mod.row(rep, i) for i in rs.nodes} for rep in reps]
+    for i, sign, name in ops:
         new_table = getattr(out, name)[i] = []
         for rep in reps:
             entries = []
-            for dst, l, c0 in table[rep]:
+            for dst, l, c0 in mod.x_entries(sign, i, rep):
                 if dst in residue:
                     coeff = out._scalar(c0)
                     if not coeff.is_zero():
@@ -251,18 +256,21 @@ def _eps_runs(rs: RootSystem, rmax: int, serre_rmax: int):
 def relation_check_eps(mod: SpecializedModule, rmax: int | None = None,
                        serre_rmax: int = 2) -> SuiteReport:
     """All defining relations with eps in place of q, on the whole
-    finite basis: the generic term tables of `torep.relation_terms`
-    with their scalars mapped by `eval_cyclotomic`, evaluated through
-    the runner of `torep.run_relation_suite`.  The instances come as
-    runs (`_eps_runs`), each relation tabled once per run with its modes
-    as affine symbols.  The runner is node-major: each basis vector
+    finite basis: the generic term tables of `torep.relation_terms`,
+    their scalars as integer term tuples, evaluated through the runner
+    of `torep.run_relation_suite`.  The instances come as runs
+    (`_eps_runs`), each relation tabled with its modes as affine symbols
+    once per (rank, key) and shared with the generic suite
+    (`torep._table`).  The runner is node-major: each basis vector
     gets one memo shared by every run, so a word shape is expanded into
     paths once per vector whichever runs contain it, the pair and h
     operators along the entries of the representative row
     (`pair_entries`, `h_entries`).  A (run, vector) pair none of whose
     shapes has a path from the vector is proved at every mode without
-    building its terms; the others' terms are cleared of denominators
-    and summed per target and mode weight w, with w taken mod N
+    building its terms; for the others the path coefficients are
+    cleared of denominators, multiplied by the integer scalars (exact
+    at eps, where the exponents fold mod N below), and summed per
+    target and mode weight w, with w taken mod N
     (`CycloElem.mode_weight`), and each sum whose exponents, folded mod
     N, reduce to zero mod Phi_N is dropped (`CycloElem.counts_vanish`).
     As v . w = v . (w mod N) mod N, a pair with no sum left is proved

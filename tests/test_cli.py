@@ -141,6 +141,19 @@ def test_unity_s5_refuses_any_rank_but_3(tmp_path, capsys):
     assert code == EXIT_OK and out == plain
 
 
+def test_unity_s5_refuses_ell(tmp_path, capsys):
+    # --ell selects a thin module; the pasted module has none, so an
+    # --ell from a flag or from the config file must not print its result
+    conf = tmp_path / "run.conf"
+    conf.write_text("ell = 2\nL = 1\n")
+    for argv in (("unity", "s5", "--L", "1", "--ell", "2"),
+                 ("unity", "s5", "--L", "1", "--ell", "1"),
+                 ("--config", str(conf), "unity", "s5")):
+        code, out, err = run(capsys, *argv)
+        assert code == EXIT_VALIDATION == 3, argv
+        assert out == "" and "--ell belongs to the thin family" in err, argv
+
+
 def test_rep_check_unknown_relation_is_a_validation_error(capsys):
     code, out, err = run(capsys, "rep", "check", "--n", "3", "--ell", "1",
                          "--relations", "foo")

@@ -7,8 +7,8 @@ from pathlib import Path
 import pytest
 
 import torcrys
-from torcrys.qcoeff import (CycloElem, ExpansionError, LaurentPoly, QSeries,
-                            RQ_ONE, RationalQ, SpecializationError,
+from torcrys.qcoeff import (ONE, CycloElem, ExpansionError, LaurentPoly,
+                            QSeries, RQ_ONE, RationalQ, SpecializationError,
                             cyclotomic, eval_cyclotomic, qbinom, qint,
                             series_log, series_of_rational)
 
@@ -352,6 +352,29 @@ def test_clear_denominators_keys_associates_once():
     assert den == one_minus_q
     assert nums == [((0, 1),), ((0, -1),), ((0, -1),)]
     for v, num in zip(values, nums):
+        assert RationalQ(LaurentPoly(dict(num)), den) == v
+
+
+def test_clear_denominators_unit_fast_path_matches_general_path():
+    # values over ONE itself take the fast path; the same values over an
+    # equal copy of ONE take the general one, as does a mixed list with
+    # one real denominator, and all three clear to the same values
+    polys = [LaurentPoly(), LaurentPoly.q_power(-3),
+             LaurentPoly({0: 2, 5: -1}), -qint(3), LaurentPoly.from_int(1)]
+    fast = [RationalQ(p) for p in polys]
+    assert all(v.den is ONE for v in fast)
+    general = [RationalQ(p, LaurentPoly({0: 1})) for p in polys]
+    assert all(v.den is not ONE for v in general)
+    assert (RationalQ.clear_denominators(fast)
+            == RationalQ.clear_denominators(general)
+            == (ONE, [tuple(p.terms.items()) for p in polys]))
+    real = RationalQ(LaurentPoly.q_power(2), LaurentPoly({0: 1, 1: -1}))
+    mixed = fast[:2] + [real] + fast[2:]
+    den, nums = RationalQ.clear_denominators(mixed)
+    assert (den, nums) == RationalQ.clear_denominators(
+        general[:2] + [real] + general[2:])
+    assert den == LaurentPoly({0: 1, 1: -1})
+    for v, num in zip(mixed, nums):
         assert RationalQ(LaurentPoly(dict(num)), den) == v
 
 

@@ -291,9 +291,13 @@ def test_collect_folds_mode_weights_in_the_ring(ring):
     # at eps = zeta_8, weights 0 and 8 give one power q^{8r} = 1 at
     # every mode r, and q^8 - 1 = 0; in Q(q) neither sum vanishes.
     # Weights 0 and 11 differ mod 8 and stay apart in both rings.
-    by_weight = [(0, ((0, 1),), (0, (0,))), (0, ((0, -1),), (0, (8,)))]
-    by_exponent = [(0, ((0, 1),), (0, (3,))), (0, ((8, -1),), (0, (3,)))]
-    apart = [(0, ((0, 1),), (0, (0,))), (0, ((0, -1),), (0, (11,)))]
+    one = torep._UNIT
+    by_weight = [(0, one, ((0, 1),), (0, (0,))),
+                 (0, one, ((0, -1),), (0, (8,)))]
+    by_exponent = [(0, one, ((0, 1),), (0, (3,))),
+                   (0, one, ((8, -1),), (0, (3,)))]
+    apart = [(0, one, ((0, 1),), (0, (0,))),
+             (0, one, ((0, -1),), (0, (11,)))]
     if isinstance(ring, CycloElem):
         assert torep._collect(by_weight, ring) == []
         assert torep._collect(by_exponent, ring) == []
@@ -306,6 +310,24 @@ def test_collect_folds_mode_weights_in_the_ring(ring):
                                                    (0, ((0, -1),), (8,))]
         assert torep._collect(by_exponent, ring) == [
             (0, ((0, 1), (8, -1)), (3,))]
+
+
+@pytest.mark.parametrize("N", [4, 8])
+def test_collect_multiplies_by_integer_scalars(N):
+    # a scalar multiplies a numerator exponent by exponent, shifted by
+    # the path's constant: q^2 * q^1 * (1 - q) and -q^3 * (1 - q) * q^0
+    # cancel in every ring; -[2] = -q - q^-1 survives in Q(q) and at
+    # zeta_8, and is dropped by the fold mod N at zeta_4, where it is 0
+    cancel = [(0, ((2, 1),), ((0, 1), (1, -1)), (1, (0,))),
+              (0, ((3, -1),), ((0, 1), (1, -1)), (0, (0,)))]
+    minus_two = [(0, ((-1, -1), (1, -1)), ((0, 1),), (0, (1,)))]
+    for ring in (RQ_ONE, CycloElem.one(N)):
+        assert torep._collect(cancel, ring) == []
+        got = torep._collect(minus_two, ring)
+        if ring is RQ_ONE or N == 8:
+            assert got == [(0, ((-1, -1), (1, -1)), (1,))]
+        else:
+            assert got == []
 
 
 # ---------------------------------------------------------------------------
@@ -663,6 +685,9 @@ def test_reference_comparison_catches_perturbed_scalar(broken_modules,
         (scalar, word), *rest = terms
         return ((scalar.mul_qpow(1), word), *rest)
 
+    # the templates are built once per (rank, key): a warm memo would
+    # never call the perturbed tables
+    monkeypatch.setattr(torep, "_TEMPLATES", {})
     monkeypatch.setattr(torep, "relation_terms", perturbed_terms)
     got = suite()
     assert (got.checked, got.inconclusive, got.by_relation) == \
@@ -674,20 +699,26 @@ def test_reference_comparison_catches_perturbed_scalar(broken_modules,
 def _template_at(rs, spec):
     """The runner's template for the spec (`_shapes` of its relation's
     symbolic table), each operator's affine mode evaluated at the spec's
-    mode values and put back into its word."""
+    mode values and put back into its word, and each integer scalar
+    read back as a RationalQ."""
     key, v = torep._split(spec)
     out = []
-    for scalar, shape, consts, cols in torep._table(rs, key, lambda s: s):
+    for scalar, shape, consts, cols in torep._table(rs, key):
         modes = [c + sum(col[k] * x for col, x in zip(cols, v))
                  for k, c in enumerate(consts)]
         word = [op + (modes.pop(0),) for op in reversed(shape)]
-        out.append((scalar, tuple(reversed(word))))
+        assert all(type(e) is int and type(c) is int and c
+                   for e, c in scalar), scalar
+        out.append((RationalQ(LaurentPoly(dict(scalar))),
+                    tuple(reversed(word))))
     return out
 
 
 @pytest.mark.parametrize("n", [3, 5])
 @pytest.mark.parametrize("parity", [0, 1])
 def test_symbolic_table_matches_relation_terms(n, parity):
+    # the template memo is keyed by rank alone: whichever parity built a
+    # table first, it must match relation_terms at this parity
     rs = RootSystem(n, parity=parity)
     specs = [*relation_instances(rs, 3, 2), *_specs(_eps_runs(rs, 7, 7))]
     for spec in specs:
@@ -712,12 +743,71 @@ def test_mode_in_a_scalar_raises(thin_3_1, monkeypatch):
     spec = RelationSpec("k-conjugation",
                         (("i", 1), ("j", 1), ("r", 0), ("sign", 1)))
     for patched in (q_power_r, branch_on_r):
+        # a cold template memo, so that the patched tables are built
+        monkeypatch.setattr(torep, "_TEMPLATES", {})
         monkeypatch.setattr(torep, "relation_terms", patched)
         with pytest.raises(TypeError):
             run_relation_suite(thin_3_1, rmax=1, hmax=1, nodes=[0],
                                include=["k-conjugation"])
         with pytest.raises(TypeError):
             relation_residual(thin_3_1, spec, 0)
+
+
+def test_int_terms_reads_scalars_in_z_q():
+    # +-q^a, -[2] and a unit denominator +-q^k are integer term tuples;
+    # a denominator that is no unit has none
+    assert torep._int_terms(RationalQ.q_power(-2)) == ((-2, 1),)
+    assert torep._int_terms(-RationalQ(qint(2))) == ((-1, -1), (1, -1))
+    assert torep._int_terms(RationalQ(LaurentPoly({1: 3}),
+                                      LaurentPoly({2: -1}))) == ((-1, -3),)
+    assert torep._int_terms(RationalQ(LaurentPoly())) == ()
+    with pytest.raises(ValueError, match="not in Z"):
+        torep._int_terms(RationalQ(LaurentPoly.from_int(1),
+                                   LaurentPoly.from_int(2)))
+    with pytest.raises(ValueError, match="not in Z"):
+        torep._int_terms(RationalQ(LaurentPoly.from_int(1), Q_MINUS_QINV))
+
+
+def test_relation_terms_run_once_per_rank_and_key(thin_3_1, monkeypatch):
+    # the generic suite and the check at eps on modules of one rank share
+    # the templates: each (rank, key) is tabled once in the process
+    calls = []
+    terms = torep.relation_terms
+
+    def recording(rs, spec):
+        calls.append((rs.n, torep._split(spec)[0]))
+        return terms(rs, spec)
+
+    monkeypatch.setattr(torep, "_TEMPLATES", {})
+    monkeypatch.setattr(torep, "relation_terms", recording)
+    rep = run_relation_suite(thin_3_1, nodes=thin_3_1.graph.interior_indices())
+    assert rep.ok
+    generic = {(3, key) for key, _ in torep.relation_runs(thin_3_1.rs)}
+    assert len(calls) == len(generic) == 142
+    spec = specialize_thin(3, 1, 2)
+    assert relation_check_eps(spec).ok
+    assert len(calls) == len(set(calls))
+    assert set(calls) == generic | {(3, key) for key, _ in
+                                    _eps_runs(spec.rs, spec.N - 1, 2)}
+    assert len(calls) == 146
+
+
+def test_rank_5_suite_after_rank_3_gets_rank_5_tables(thin_3_1, monkeypatch):
+    # the same key names other relations at another rank: nodes 0 and 3
+    # are adjacent at n = 3 and distant at n = 5.  Counts are those of a
+    # runner that tables every run afresh.
+    monkeypatch.setattr(torep, "_TEMPLATES", {})
+    rep = run_relation_suite(thin_3_1, rmax=1, hmax=1,
+                             nodes=thin_3_1.graph.interior_indices())
+    assert (rep.checked, rep.inconclusive, rep.failures) == (27296, 108, [])
+    mod = build_thin(5, 3, (-12, 12))
+    rep = run_relation_suite(mod, rmax=1, hmax=1,
+                             nodes=mod.graph.interior_indices()[:8])
+    assert (rep.checked, rep.inconclusive, rep.failures) == (17772, 108, [])
+    assert rep.by_relation == {
+        "h-h": 168, "h-x": 3456, "k-conjugation": 1728, "serre-cubic": 3384,
+        "x-commute-distant": 1296, "x-plus-minus": 2592, "x-quadratic": 5148}
+    assert {rank for rank, _ in torep._TEMPLATES} == {3, 5}
 
 
 # ---------------------------------------------------------------------------
@@ -741,7 +831,7 @@ def _fan_counts(mod, r):
     """Cleared counters of x^-_{1,r} on vector 0, with the template's
     common denominator."""
     word = (("x", -1, 1, torep.Mode(0, (1,))),)
-    template = torep._shapes(((mod.one, word),), 1)
+    template = torep._shapes(((torep._UNIT, word),), 1)
     den, terms, hazards = torep._node_terms(
         mod, template, {(): ({(0, ()): mod.one}, ())})
     assert not hazards
@@ -1013,7 +1103,7 @@ def test_symbolic_h_h_cancels_at_every_mode(thin_3_1, s5_small):
     # so nothing is left: (q - q^-1)^2 m1 m2 [h_{i,m1}, h_{j,m2}] = 0
     # for every (m1, m2)
     for mod in (thin_3_1, s5_small):
-        tables = [torep._table(mod.rs, key, mod._scalar) for key, _ in
+        tables = [torep._table(mod.rs, key) for key, _ in
                   torep.relation_runs(mod.rs, 0, 1, include=["h-h"])]
         assert tables
         for idx in mod.graph.interior_indices():
