@@ -729,7 +729,10 @@ def _join(key: tuple, v) -> RelationSpec:
                                       else p for p in key[1:]))
 
 
-# (rank, key) -> the key's template, filled by `_table`
+# (rank, key) -> the key's template, filled by `_table`.  One suite
+# tables each of its keys once anyway; the memo pays where one process
+# runs several suites of one rank (a sweep over modules or relation
+# families, or the generic and root-of-unity checks of one rank).
 _TEMPLATES = {}
 
 

@@ -1,7 +1,16 @@
 import pytest
 
+from torcrys import torep
 from torcrys.torep import build_doubled, build_thin
 from torcrys.unity import SpecializedModule
+
+
+@pytest.fixture(autouse=True)
+def cold_templates(monkeypatch):
+    """Every test starts from an empty relation template memo
+    (`torep._TEMPLATES`), so a test that patches `relation_terms` gets
+    its patched tables built, whichever tests ran before it."""
+    monkeypatch.setattr(torep, "_TEMPLATES", {})
 
 
 @pytest.fixture(scope="session")

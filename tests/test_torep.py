@@ -685,9 +685,8 @@ def test_reference_comparison_catches_perturbed_scalar(broken_modules,
         (scalar, word), *rest = terms
         return ((scalar.mul_qpow(1), word), *rest)
 
-    # the templates are built once per (rank, key): a warm memo would
-    # never call the perturbed tables
-    monkeypatch.setattr(torep, "_TEMPLATES", {})
+    # the template memo starts empty (conftest.py), so the perturbed
+    # tables are the ones built
     monkeypatch.setattr(torep, "relation_terms", perturbed_terms)
     got = suite()
     assert (got.checked, got.inconclusive, got.by_relation) == \
@@ -743,7 +742,8 @@ def test_mode_in_a_scalar_raises(thin_3_1, monkeypatch):
     spec = RelationSpec("k-conjugation",
                         (("i", 1), ("j", 1), ("r", 0), ("sign", 1)))
     for patched in (q_power_r, branch_on_r):
-        # a cold template memo, so that the patched tables are built
+        # a cold template memo for each patch, so that its tables are
+        # built
         monkeypatch.setattr(torep, "_TEMPLATES", {})
         monkeypatch.setattr(torep, "relation_terms", patched)
         with pytest.raises(TypeError):
@@ -778,7 +778,6 @@ def test_relation_terms_run_once_per_rank_and_key(thin_3_1, monkeypatch):
         calls.append((rs.n, torep._split(spec)[0]))
         return terms(rs, spec)
 
-    monkeypatch.setattr(torep, "_TEMPLATES", {})
     monkeypatch.setattr(torep, "relation_terms", recording)
     rep = run_relation_suite(thin_3_1, nodes=thin_3_1.graph.interior_indices())
     assert rep.ok
@@ -792,11 +791,10 @@ def test_relation_terms_run_once_per_rank_and_key(thin_3_1, monkeypatch):
     assert len(calls) == 146
 
 
-def test_rank_5_suite_after_rank_3_gets_rank_5_tables(thin_3_1, monkeypatch):
+def test_rank_5_suite_after_rank_3_gets_rank_5_tables(thin_3_1):
     # the same key names other relations at another rank: nodes 0 and 3
     # are adjacent at n = 3 and distant at n = 5.  Counts are those of a
     # runner that tables every run afresh.
-    monkeypatch.setattr(torep, "_TEMPLATES", {})
     rep = run_relation_suite(thin_3_1, rmax=1, hmax=1,
                              nodes=thin_3_1.graph.interior_indices())
     assert (rep.checked, rep.inconclusive, rep.failures) == (27296, 108, [])
