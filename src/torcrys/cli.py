@@ -181,6 +181,8 @@ def cmd_tableaux(args):
         raise ValueError("tableau listings need ell <= (n+1)/2")
     jmin = args.jmin if args.jmin is not None else 0
     jmax = args.jmax if args.jmax is not None else args.ell - 1
+    if jmin > jmax:
+        raise ValueError(f"empty range of j: jmin = {jmin} > jmax = {jmax}")
     lines = []
     for j in range(jmin, jmax + 1):
         for T in all_tableaux(rs, args.ell):
@@ -212,6 +214,8 @@ def cmd_rep(args):
         return _emit_build(args, mod, n=args.n, ell=args.ell)
     if args.rep_action == "qchar":
         periods = args.periods if args.periods is not None else 2
+        if periods < 0:
+            raise ValueError(f"need periods >= 0, not periods={periods}")
         lines = []
         for m in sorted(mod.qcharacter(), key=lambda m: (m.weight.delta, m.sort_key())):
             if abs(m.weight.delta) <= periods:

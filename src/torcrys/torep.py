@@ -40,11 +40,13 @@ parameters, and the mode tuples v of its instances; an instance
 becomes a RelationSpec only to name a failure.  The runner tables each
 run's relation once (`MODE_PARAMS` names the modes), passing its modes
 to `relation_terms` as affine symbols (`Mode`), so that each
-operator's mode is a form const + c . v in the mode values v.  On each
-basis vector every word shape (the word with its modes removed) is
-expanded once into paths (target, coefficient, steps), suffixes shared
-(`_paths`).  A path's exponent sum_k step_k mode_k is a constant,
-folded into its numerator, plus v . w for a weight vector w.  The
+operator's mode is a form const + c . v in the mode values v.  A word
+shape (the word with its modes removed) is interned as an integer id in
+an append-only registry (`_intern`), and on each basis vector every
+shape is expanded once into paths (target, coefficient, steps), in a
+memo indexed by id, suffixes shared (`_paths`).  A path's exponent
+sum_k step_k mode_k is a constant, folded into its numerator, plus
+v . w for a weight vector w.  The
 path coefficients of a template are brought over one nonzero common
 denominator D per basis vector (the ring's `clear_denominators`), so
 that each becomes an integer term tuple ((exponent, int), ...); each is
@@ -60,7 +62,9 @@ zero exactly when its cleared form is.  Where
 no (target, w) sum is left, the relation holds at every v, and the
 runner counts the run's instances without evaluating them one by one;
 where no word shape of the run has a path or a hazard on the vector,
-it does so before building any term.
+it does so before building any term, and where no first applied x
+operator of the run's shapes has an entry at the vector, before
+looking at a shape (`_run_suite`).
 
 Window rule: where a path reaches a node whose edge for the next x
 operator leaves the window, the paths into that node form a hazard,
@@ -739,7 +743,8 @@ _TEMPLATES = {}
 def _table(rs: RootSystem, key: tuple) -> tuple:
     """The runner's template (`_shapes`) of the key's relation:
     `relation_terms` with the k-th mode parameter passed as the symbol
-    v_k and each scalar as its integer term tuple (`_int_terms`).  The
+    v_k, each scalar as its integer term tuple (`_int_terms`) and each
+    word shape as its id in the shape registry (`_intern`).  The
     table reads only the Cartan data of the rank, never the parity or a
     module's ring, so it is built once per (rank, key) and shared by
     every module of that rank, generic or at a root of unity."""
@@ -768,11 +773,11 @@ def _shapes(terms: tuple, n: int) -> tuple:
     """The runner's template of a table's terms, whose modes are affine
     forms in n mode values v: per term (scalar, shape, consts, cols),
     scalar as it was given (an integer term tuple in `_table`).  A
-    shape is the word with the mode of each operator removed:
-    ("x", sign, i), ("pair", i), ("h", i), ("k", hvec) and ("q", a).
-    The removed modes, in application order (rightmost operator first),
-    are affine forms: consts[k] is the k-th one's constant, and
-    cols[j][k] its coefficient of v_j."""
+    shape is the word with the mode of each operator removed, ("x",
+    sign, i), ("pair", i), ("h", i), ("k", hvec) and ("q", a), interned
+    as an integer id (`_intern`).  The removed modes, in application
+    order (rightmost operator first), are affine forms: consts[k] is the
+    k-th one's constant, and cols[j][k] its coefficient of v_j."""
     out = []
     for scalar, word in terms:
         shape, forms = [], []
@@ -781,13 +786,51 @@ def _shapes(terms: tuple, n: int) -> tuple:
             m = op[-1]
             forms.append(m if isinstance(m, Mode) else Mode(m, (0,) * n))
         forms.reverse()
-        out.append((scalar, tuple(shape), tuple(f.const for f in forms),
+        out.append((scalar, _intern(tuple(shape)),
+                    tuple(f.const for f in forms),
                     tuple(zip(*(f.coeffs for f in forms))) or ((),) * n))
     return tuple(out)
 
 
-def _paths(mod, shape: tuple, memo: dict):
-    """(paths, hazards) of a word shape on one basis vector.
+# The interned word shapes, append-only, so that an id names one shape
+# for the life of the process: _SHAPE_IDS maps a shape to its id, 0 for
+# the empty shape, and _SHAPE_OPS[id] holds its leftmost (last applied)
+# operator as (entries method, arguments, windowed), windowed for an x
+# operator, then the id of the shape without that operator and the
+# first applied x operator of the shape as (sign, i), None if it has
+# none.
+_SHAPE_IDS = {(): 0}
+_SHAPE_OPS = [(None, (), False, 0, None)]
+
+
+def _intern(shape: tuple) -> int:
+    """The id of a word shape in the registry, its suffixes interned
+    first."""
+    sid = _SHAPE_IDS.get(shape)
+    if sid is None:
+        suffix = _intern(shape[1:])
+        op = shape[0]
+        windowed = op[0] == "x"
+        first_x = _SHAPE_OPS[suffix][4]
+        if first_x is None and windowed:
+            first_x = op[1:]
+        sid = _SHAPE_IDS[shape] = len(_SHAPE_OPS)
+        _SHAPE_OPS.append((op[0] + "_entries", op[1:], windowed, suffix,
+                           first_x))
+    return sid
+
+
+def _vector_memo(idx: int, one) -> list:
+    """A fresh `_paths` memo for one basis vector: a slot per interned
+    shape, the empty shape's holding the vector itself."""
+    memo = [None] * len(_SHAPE_OPS)
+    memo[0] = ({(idx, ()): one}, ())
+    return memo
+
+
+def _paths(mod, sid: int, memo: list):
+    """(paths, hazards) of the word shape with id sid (`_intern`) on one
+    basis vector.
 
     paths maps (target, steps) to the summed coefficient of the paths
     ending at target through the edge steps `steps` (application
@@ -798,25 +841,24 @@ def _paths(mod, shape: tuple, memo: dict):
     never leave the window).  hazards holds (node, ((steps, coeff),
     ...)): the paths that reached a node whose edge for the next x
     operator leaves the window; they go no further (where their sum
-    vanishes, so would their continuations).  A shape whose suffix
-    shape[1:] has no path shares its suffix's value: it has no path
-    either, and the suffix's hazards.
+    vanishes, so would their continuations).  A shape whose suffix (the
+    shape without its leftmost operator) has no path shares its
+    suffix's value: it has no path either, and the suffix's hazards.
 
-    memo maps shapes to these values for this one vector and starts as
-    {(): ({(idx, ()): unit}, ())}; a shape is expanded from shape[1:]."""
-    got = memo.get(shape)
+    memo is the vector's list of these values indexed by shape id
+    (`_vector_memo`), made after the shape was interned; a shape is
+    expanded from its suffix."""
+    got = memo[sid]
     if got is not None:
         return got
-    got = _paths(mod, shape[1:], memo)
+    method, args, windowed, suffix, _ = _SHAPE_OPS[sid]
+    got = memo[suffix] or _paths(mod, suffix, memo)
     paths, hazards = got
     if not paths:
-        memo[shape] = got
+        memo[sid] = got
         return got
-    op = shape[0]
-    args = op[1:]
     one = mod.one
-    windowed = op[0] == "x"
-    entries_of = getattr(mod, op[0] + "_entries")
+    entries_of = getattr(mod, method)
     new = {}
     leaving = {}
     for (node, steps), c in paths.items():
@@ -830,8 +872,8 @@ def _paths(mod, shape: tuple, memo: dict):
             s = new.get(key)
             new[key] = cc if s is None else s + cc
     hazards += tuple((node, tuple(group)) for node, group in leaving.items())
-    got = memo[shape] = ({k: c for k, c in new.items() if not c.is_zero()},
-                         hazards)
+    got = memo[sid] = ({k: c for k, c in new.items() if not c.is_zero()},
+                       hazards)
     return got
 
 
@@ -853,8 +895,8 @@ def _node_terms(mod, template: tuple, memo: dict):
     never cancels, and leaves out the hazards whose paths cancel at all
     modes.  A term with scalar zero keeps its hazards."""
     slots, values, hazard_slots, hazard_values = [], [], [], []
-    for scalar, shape, consts, cols in template:
-        paths, hz = _paths(mod, shape, memo)
+    for scalar, sid, consts, cols in template:
+        paths, hz = _paths(mod, sid, memo)
         for node, group in hz:
             if len(group) == 1:
                 hazard_slots.append((node, None))
@@ -958,8 +1000,9 @@ def relation_residual(mod: LoopModule, spec: RelationSpec, idx: int) -> dict:
         raise TypeError(f"relation_residual needs a generic LoopModule, not "
                         f"{type(mod).__name__}; use unity.relation_check_eps")
     key, v = _split(spec)
-    memo = {(): ({(idx, ()): mod.one}, ())}
-    den, terms, hazards = _node_terms(mod, _table(mod.rs, key), memo)
+    template = _table(mod.rs, key)
+    den, terms, hazards = _node_terms(mod, template,
+                                      _vector_memo(idx, mod.one))
     node = _window_exit(hazards, v, mod.one)
     if node is not None:
         raise WindowError(
@@ -1052,10 +1095,15 @@ def _specs(runs):
 
 @dataclass
 class SuiteReport:
+    """The verdicts of one relation run.  proved counts the (run,
+    vector) pairs proved at every mode without evaluating an instance
+    (the runner's dead and nothing-left pairs); it stays out of
+    `to_json`, whose payload is the command-line contract."""
     checked: int = 0
     inconclusive: int = 0
     failures: list = field(default_factory=list)
     by_relation: dict = field(default_factory=dict)
+    proved: int = 0
 
     @property
     def ok(self) -> bool:
@@ -1081,48 +1129,61 @@ def _run_suite(mod, runs, idxs) -> SuiteReport:
 
     Each run's relation is tabled with its modes as affine symbols and
     its scalars as integer term tuples (`_table`), a table built once
-    per (rank, key) and shared by every module and ring of that rank;
-    its distinct word shapes are kept with the table.
-    The loop is node-major: each basis vector gets one memo, shared by
-    every run, so a word shape is expanded into paths (`_paths`) once
-    per vector however many runs contain it, every operator moving
-    along its entries; a memo entry depends only on the vector and the
-    shape, never on the run.  A (run, vector) pair none of whose shapes
-    has a path or a hazard there is dead: the run is zero on the vector
-    at every mode, so its instances are counted as checked without
-    building its terms.  Otherwise the path coefficients are cleared of
-    denominators, multiplied by the integer scalars and summed per
-    target and mode weight w, w reduced by the ring (mod N at a root of
-    unity), and the sums that vanish in the ring are dropped
-    (`_node_terms`).  Where nothing is left, the whole run is zero on
-    that vector too, at every mode.  Otherwise an instance with modes v
-    only adds integers into counters keyed by target and q-exponent,
-    shifted by v . w (`_residual`).  No RelationSpec is built per
-    instance: `_join` makes one per run, with symbolic modes, and one
-    per failure, to name it.  Failures are listed instance by instance
-    (run order, then mode order), nodes in the given order."""
+    per (rank, key) and shared by every module and ring of that rank.
+    A run keeps its distinct word shapes as ids (`_intern`) and its
+    gate: the set of the shapes' first applied x operators, or None
+    when some shape has no x operator.
+    The loop is node-major: each basis vector gets one memo, a list
+    indexed by shape id and shared by every run, so a word shape is
+    expanded into paths (`_paths`) once per vector however many runs
+    contain it, every operator moving along its entries; a memo entry
+    depends only on the vector and the shape, never on the run.  Per
+    vector the live x operators are those with any entry there, one
+    leaving the window included.  A run whose gate holds no live
+    operator is dead on the vector: the diagonal operators applied
+    before a shape's first x operator stay on the vector and make no
+    hazard, so no shape has a path or a hazard.  A (run, vector) pair
+    the gate lets through is dead too where none of its shapes has a
+    path or a hazard.  A dead run is zero on the vector at every mode,
+    so its instances are counted as checked without building its terms.
+    Otherwise the path coefficients are cleared of denominators,
+    multiplied by the integer scalars and summed per target and mode
+    weight w, w reduced by the ring (mod N at a root of unity), and the
+    sums that vanish in the ring are dropped (`_node_terms`).  Where
+    nothing is left, the whole run is zero on that vector too, at every
+    mode.  Dead and nothing-left pairs are counted in `proved`.
+    Otherwise an instance with modes v only adds integers into counters
+    keyed by target and q-exponent, shifted by v . w (`_residual`).  No
+    RelationSpec is built per instance: `_join` makes one per run, with
+    symbolic modes, and one per failure, to name it.  Failures are
+    listed instance by instance (run order, then mode order), nodes in
+    the given order."""
     ring = mod.one
     tabled = []
     for key, modes in runs:
         template = _table(mod.rs, key)
-        shapes = tuple(dict.fromkeys(shape for _, shape, _, _ in template))
-        tabled.append((key, modes, template, shapes))
+        sids = tuple(dict.fromkeys(sid for _, sid, _, _ in template))
+        firsts = {_SHAPE_OPS[sid][4] for sid in sids}
+        tabled.append((key, modes, template, sids,
+                       None if None in firsts else firsts))
+    xops = [(sign, i) for sign in (1, -1) for i in mod.rs.nodes]
     checked = [0] * len(tabled)
     report = SuiteReport()
     failures = []
     for npos, idx in enumerate(idxs):
-        memo = {(): ({(idx, ()): ring}, ())}
-        for rpos, (key, modes, template, shapes) in enumerate(tabled):
-            for shape in shapes:
-                paths, hazards = _paths(mod, shape, memo)
-                if paths or hazards:
-                    break
-            else:
-                checked[rpos] += len(modes)
-                continue
-            _, terms, hazards = _node_terms(mod, template, memo)
+        live = {op for op in xops if mod.x_entries(*op, idx)}
+        memo = _vector_memo(idx, ring)
+        for rpos, (key, modes, template, sids, gate) in enumerate(tabled):
+            terms = hazards = ()
+            if gate is None or not live.isdisjoint(gate):
+                for sid in sids:
+                    paths, hazards = memo[sid] or _paths(mod, sid, memo)
+                    if paths or hazards:
+                        _, terms, hazards = _node_terms(mod, template, memo)
+                        break
             if not terms and not hazards:
                 checked[rpos] += len(modes)
+                report.proved += 1
                 continue
             for k, v in enumerate(modes):
                 if hazards and _window_exit(hazards, v, ring) is not None:

@@ -261,20 +261,23 @@ def relation_check_eps(mod: SpecializedModule, rmax: int | None = None,
     of `torep.run_relation_suite`.  The instances come as runs
     (`_eps_runs`), each relation tabled with its modes as affine symbols
     once per (rank, key) and shared with the generic suite
-    (`torep._table`).  The runner is node-major: each basis vector
-    gets one memo shared by every run, so a word shape is expanded into
+    (`torep._table`), each word shape an id of the shape registry.  The
+    runner is node-major: each basis vector gets one memo, indexed by
+    shape id and shared by every run, so a word shape is expanded into
     paths once per vector whichever runs contain it, the pair and h
     operators along the entries of the representative row
     (`pair_entries`, `h_entries`).  A (run, vector) pair none of whose
-    shapes has a path from the vector is proved at every mode without
-    building its terms; for the others the path coefficients are
+    shapes' first applied x operators has an entry at the vector, or
+    none of whose shapes has a path from it, is proved at every mode
+    without building its terms; for the others the path coefficients are
     cleared of denominators, multiplied by the integer scalars (exact
     at eps, where the exponents fold mod N below), and summed per
     target and mode weight w, with w taken mod N
     (`CycloElem.mode_weight`), and each sum whose exponents, folded mod
     N, reduce to zero mod Phi_N is dropped (`CycloElem.counts_vanish`).
     As v . w = v . (w mod N) mod N, a pair with no sum left is proved
-    at every mode at once.  Only on the pairs where a sum is left do an
+    at every mode at once; the report counts the proved pairs
+    (`SuiteReport.proved`).  Only on the pairs where a sum is left do an
     instance's modes v shift the exponents of the integer numerators by
     v . w, to be folded and reduced the same way.
     The specialized module has no window edges, so no instance is

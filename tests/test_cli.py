@@ -171,6 +171,29 @@ def test_negative_rmax_is_a_validation_error(argv, capsys):
     assert out == "" and "rmax >= 0" in err
 
 
+@pytest.mark.parametrize("argv, conf, msg", [
+    (("tableaux", "list", "--n", "3", "--ell", "2", "--jmin", "3",
+      "--jmax", "1"), None, "empty range of j"),
+    (("tableaux", "list", "--n", "3", "--ell", "2"), "jmin = 2\n",
+     "empty range of j"),
+    (("rep", "qchar", "--n", "3", "--ell", "1", "--periods", "-1"), None,
+     "periods >= 0"),
+    (("rep", "qchar", "--n", "3", "--ell", "1"), "periods = -1\n",
+     "periods >= 0")])
+def test_empty_listing_is_a_validation_error(argv, conf, msg, tmp_path,
+                                             capsys):
+    # an empty range of tableau columns j or a negative number of
+    # periods would print nothing and report success, from a flag or
+    # from the config file (where jmin = 2 passes jmax's default ell - 1)
+    if conf is not None:
+        path = tmp_path / "run.conf"
+        path.write_text(conf)
+        argv = ("--config", str(path), *argv)
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_VALIDATION == 3
+    assert out == "" and msg in err
+
+
 def test_missing_config_file_is_a_usage_error(tmp_path, capsys):
     missing = tmp_path / "absent.conf"
     code, out, err = run(capsys, "--config", str(missing), "crystal", "gen",

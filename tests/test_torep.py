@@ -603,6 +603,116 @@ def test_dead_pairs_keep_the_verdicts(thin_3_1, monkeypatch):
     assert ref.failures and not got.ok
 
 
+def _gate_dead(mod, template, idx):
+    """Whether the live-operator gate may call the template's run dead
+    on the vector, read off the shapes themselves: every shape has an x
+    operator, and the first applied one has no entry there, an entry
+    leaving the window included."""
+    shapes = {sid: shape for shape, sid in torep._SHAPE_IDS.items()}
+    firsts = [next((op[1:] for op in reversed(shapes[sid]) if op[0] == "x"),
+                   None) for _, sid, _, _ in template]
+    return None not in firsts and not any(mod.x_entries(*op, idx)
+                                          for op in firsts)
+
+
+def _pair_census(mod, runs, idxs):
+    """(dead, proved): the (run, vector) pairs the gate calls dead, each
+    checked to have no path and no hazard for any shape, and those whose
+    terms and hazards are empty, each pair on a fresh memo."""
+    dead = proved = 0
+    for key, _ in runs:
+        template = torep._table(mod.rs, key)
+        for idx in idxs:
+            if _gate_dead(mod, template, idx):
+                dead += 1
+                memo = torep._vector_memo(idx, mod.one)
+                for _, sid, _, _ in template:
+                    assert torep._paths(mod, sid, memo) == ({}, ()), (key, idx)
+            _, terms, hazards = torep._node_terms(
+                mod, template, torep._vector_memo(idx, mod.one))
+            proved += not terms and not hazards
+    return dead, proved
+
+
+def _per_spec_eps_suite(mod, runs):
+    """Every instance of the runs on every basis vector of a module at a
+    root of unity, spec-major, each evaluated on its own from its
+    (run, vector) terms, built on a fresh memo without the runner's
+    dead-pair shortcuts."""
+    report = SuiteReport()
+    for key, modes in runs:
+        template = torep._table(mod.rs, key)
+        terms = [torep._node_terms(mod, template,
+                                   torep._vector_memo(idx, mod.one))[1:]
+                 for idx in range(len(mod))]
+        for v in modes:
+            for idx, (got, hazards) in enumerate(terms):
+                assert not hazards
+                report.checked += 1
+                report.by_relation[key[0]] = \
+                    report.by_relation.get(key[0], 0) + 1
+                if not mod.one.counts_vanish(torep._residual(got, v)):
+                    report.failures.append((torep._join(key, v),
+                                            mod.node(idx)))
+    return report
+
+
+def _first_x_entry_leaves(mod, sign, i, idx):
+    """Make the first of mod's x^{sign}_i entries at idx leave the
+    window: its target becomes None."""
+    entries_of = mod.x_entries
+
+    def entries(s, j, k):
+        got = entries_of(s, j, k)
+        if (s, j, k) == (sign, i, idx):
+            (_, step, c0), *rest = got
+            return ((None, step, c0), *rest)
+        return got
+    mod.x_entries = entries
+
+
+@pytest.mark.parametrize("case", ["thin_3_1", "thin_3_1_leaving",
+                                  "doubled_1", "eps_thin_3_1_2",
+                                  "eps_doubled_1"])
+def test_live_gate_keeps_the_verdicts(case, thin_3_1, s5_small):
+    # a run whose shapes' first applied x operators have no entry at a
+    # vector is dead there without a look at its shapes; the reports
+    # must equal the per-spec references and count as proved exactly
+    # the pairs left with no terms and no hazards.  In the leaving case
+    # one x entry of an interior vector leaves the window: that operator
+    # stays live there, so the runs it starts count as inconclusive, as
+    # they do per spec, and a gate that skips such entries calls them
+    # dead and fails
+    if case.startswith("eps"):
+        mod = specialize_thin(3, 1, 2) if case == "eps_thin_3_1_2" \
+            else specialize_doubled(1)
+        runs = list(_eps_runs(mod.rs, mod.N - 1, 2))
+        idxs = range(len(mod))
+        got = relation_check_eps(mod)
+        ref = _per_spec_eps_suite(mod, runs)
+    else:
+        if case == "doubled_1":
+            mod, idxs = s5_small, s5_small.graph.interior_indices()
+        else:
+            mod, idxs = thin_3_1.twisted(0), range(len(thin_3_1))
+        if case == "thin_3_1_leaving":
+            sign, i = -1, 1
+            idx = next(k for k in thin_3_1.graph.interior_indices()
+                       if len(mod.x_entries(sign, i, k)) == 1)
+            before = run_relation_suite(mod, rmax=1, hmax=1, nodes=idxs)
+            _first_x_entry_leaves(mod, sign, i, idx)
+            assert mod.x_entries(sign, i, idx)[0][0] is None
+        runs = list(torep.relation_runs(mod.rs, 1, 1))
+        got = run_relation_suite(mod, rmax=1, hmax=1, nodes=idxs)
+        ref = _per_spec_suite(mod, list(_specs(runs)), idxs)
+    assert _summary(got) == _summary(ref)
+    dead, proved = _pair_census(mod, runs, idxs)
+    assert 0 < dead <= proved == got.proved <= len(runs) * len(idxs)
+    if case == "thin_3_1_leaving":
+        assert got.inconclusive > before.inconclusive
+        assert got.proved < before.proved
+
+
 def test_runs_share_one_memo_per_vector(thin_3_1, broken_modules,
                                         monkeypatch):
     # the runner is node-major: a (vector, shape) pair is expanded into
@@ -610,11 +720,11 @@ def test_runs_share_one_memo_per_vector(thin_3_1, broken_modules,
     expanded = []
     paths = torep._paths
 
-    def recording(mod, shape, memo):
-        if shape not in memo:
-            (idx, _), = memo[()][0]
-            expanded.append((idx, shape))
-        return paths(mod, shape, memo)
+    def recording(mod, sid, memo):
+        if memo[sid] is None:
+            (idx, _), = memo[0][0]
+            expanded.append((idx, sid))
+        return paths(mod, sid, memo)
 
     monkeypatch.setattr(torep, "_paths", recording)
     nodes = thin_3_1.graph.interior_indices()[:3]
@@ -697,12 +807,15 @@ def test_reference_comparison_catches_perturbed_scalar(broken_modules,
 
 def _template_at(rs, spec):
     """The runner's template for the spec (`_shapes` of its relation's
-    symbolic table), each operator's affine mode evaluated at the spec's
-    mode values and put back into its word, and each integer scalar
-    read back as a RationalQ."""
+    symbolic table), each shape id read back as its shape, each
+    operator's affine mode evaluated at the spec's mode values and put
+    back into its word, and each integer scalar read back as a
+    RationalQ."""
     key, v = torep._split(spec)
+    shapes = {sid: shape for shape, sid in torep._SHAPE_IDS.items()}
     out = []
-    for scalar, shape, consts, cols in torep._table(rs, key):
+    for scalar, sid, consts, cols in torep._table(rs, key):
+        shape = shapes[sid]
         modes = [c + sum(col[k] * x for col, x in zip(cols, v))
                  for k, c in enumerate(consts)]
         word = [op + (modes.pop(0),) for op in reversed(shape)]
@@ -795,9 +908,12 @@ def test_rank_5_suite_after_rank_3_gets_rank_5_tables(thin_3_1):
     # the same key names other relations at another rank: nodes 0 and 3
     # are adjacent at n = 3 and distant at n = 5.  Counts are those of a
     # runner that tables every run afresh.
-    rep = run_relation_suite(thin_3_1, rmax=1, hmax=1,
-                             nodes=thin_3_1.graph.interior_indices())
+    nodes = thin_3_1.graph.interior_indices()
+    rep = run_relation_suite(thin_3_1, rmax=1, hmax=1, nodes=nodes)
     assert (rep.checked, rep.inconclusive, rep.failures) == (27296, 108, [])
+    # all but 8 of the 142 runs x 26 vectors are proved at every mode;
+    # those 8 pairs hold a hazard, where the 108 inconclusive instances are
+    assert rep.proved == 3684 == 142 * len(nodes) - 8
     mod = build_thin(5, 3, (-12, 12))
     rep = run_relation_suite(mod, rmax=1, hmax=1,
                              nodes=mod.graph.interior_indices()[:8])
@@ -831,7 +947,7 @@ def _fan_counts(mod, r):
     word = (("x", -1, 1, torep.Mode(0, (1,))),)
     template = torep._shapes(((torep._UNIT, word),), 1)
     den, terms, hazards = torep._node_terms(
-        mod, template, {(): ({(0, ()): mod.one}, ())})
+        mod, template, torep._vector_memo(0, mod.one))
     assert not hazards
     return den, torep._residual(terms, (r,))
 
@@ -1010,8 +1126,9 @@ def test_dropped_x_entry_is_reported(thin_3_1, ring):
                and mod.pair_entries(i, k))
     _drop_first_x_entry(mod, -1, i, idx)
     assert mod.x_entries(-1, i, idx) == ()
-    memo = {(): ({(idx, ()): mod.one}, ())}
-    assert torep._paths(mod, (("x", 1, i), ("x", -1, i)), memo) == ({}, ())
+    sid = torep._intern((("x", 1, i), ("x", -1, i)))
+    assert torep._paths(mod, sid, torep._vector_memo(idx, mod.one)) == \
+        ({}, ())
     failures = suite().failures
     at_idx = [spec for spec, node in failures
               if spec.rid == "x-plus-minus" and node == mod.node(idx)]
@@ -1105,7 +1222,7 @@ def test_symbolic_h_h_cancels_at_every_mode(thin_3_1, s5_small):
                   torep.relation_runs(mod.rs, 0, 1, include=["h-h"])]
         assert tables
         for idx in mod.graph.interior_indices():
-            memo = {(): ({(idx, ()): mod.one}, ())}
+            memo = torep._vector_memo(idx, mod.one)
             for template in tables:
                 _, terms, hazards = torep._node_terms(mod, template, memo)
                 assert (terms, hazards) == ([], []), (idx, template)

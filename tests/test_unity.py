@@ -495,6 +495,7 @@ def test_relation_check_eps_counts(build, dim, monkeypatch):
     pairs = len(list(_eps_runs(spec.rs, min(spec.N - 1, 3), 2))) * dim
     assert 0 < len(entered) < pairs / 2
     assert evaluated == []
+    assert rep.proved == pairs
 
 
 @pytest.mark.parametrize("build, checked", [
@@ -518,6 +519,8 @@ def test_relation_check_eps_at_every_residue(build, checked, monkeypatch):
     assert rep.ok and not rep.failures and not rep.inconclusive
     assert rep.checked == checked
     assert evaluated == []
+    assert rep.proved == len(list(_eps_runs(spec.rs, spec.N - 1,
+                                            spec.N - 1))) * len(spec)
 
 
 @pytest.mark.parametrize("rmax, serre_rmax", [(-1, 2), (1, -1)])
