@@ -57,6 +57,24 @@ class UsageError(Exception):
 DEFAULTS = {"format": "text", "float_check": False}
 
 
+# the flags that an action of rep or s5 never reads, by (command, action)
+UNREAD = {("rep", "build"): ("rmax", "periods", "relations"),
+          ("rep", "qchar"): ("rmax", "relations"),
+          ("rep", "check"): ("periods",), ("s5", "build"): ("rmax",)}
+
+
+def _refuse_unread(args):
+    """A flag given on the command line that the action never reads is
+    a ValueError naming it; a config key stays ignored, as the keys of
+    other subcommands are."""
+    action = getattr(args, f"{args.command}_action", None)
+    for dest in UNREAD.get((args.command, action), ()):
+        if hasattr(args, dest):
+            raise ValueError(f"--{dest} is not read by {args.command} "
+                             f"{action}")
+    return args
+
+
 def _merge_config(args):
     """Fill each option of the subcommand that the flags did not give
     (argparse leaves such an option out of args; see `build_parser`):
@@ -350,7 +368,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else EXIT_OK
     try:
-        return args.func(_merge_config(args))
+        return args.func(_merge_config(_refuse_unread(args)))
     except UsageError as exc:
         print(f"error (usage): {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -1,6 +1,7 @@
 """Kashiwara operators on weighted monomials, windowed BFS generation
 of connected crystals, subcrystals, extremality certificates, and
-twisted-automorphism verification.
+twisted-automorphism verification.  One reflection-orbit walk serves
+the extremality checks of crystals and of loop weight modules.
 
 Crystals here are infinite; every consumer declares a spectral window
 [lmin, lmax] and only *interior* nodes (whose full operator
@@ -283,48 +284,58 @@ class ExtremalityReport:
     witness_direction: int | None = None
 
 
+def _reflection_walk(rs: RootSystem, m: Monomial, depth: int,
+                     step) -> ExtremalityReport:
+    """The reflection-orbit walk of `is_extremal` and
+    `torep.verify_extremal_vector`: depth layers of simple reflections
+    from m.  step(x, i) is the image of x under s_i (x itself where
+    <h_i, wt> = 0), or None where x fails the check in direction i; a
+    WindowError from it makes the verdict inconclusive."""
+    seen, layer, orbit = {m}, [m], [m]
+    try:
+        for _ in range(depth):
+            nxt = []
+            for x in layer:
+                for i in rs.nodes:
+                    y = step(x, i)
+                    if y is None:
+                        return ExtremalityReport("not-extremal", depth, orbit,
+                                                 x, i)
+                    if y not in seen:
+                        seen.add(y)
+                        orbit.append(y)
+                        nxt.append(y)
+            layer = nxt
+    except WindowError:
+        return ExtremalityReport("inconclusive-window", depth, orbit)
+    return ExtremalityReport("extremal", depth, orbit)
+
+
 def is_extremal(rs: RootSystem, m: Monomial, depth: int, window) -> ExtremalityReport:
     """Bounded extremality certificate: explore all S_i-strings of
-    length <= depth and check i-extremality of every element reached.
+    length <= depth and check i-extremality of every element reached
+    (`_reflection_walk`); an image outside the window is inconclusive.
 
     The Weyl group is infinite, so the verdict is a certificate up to
     the given depth, never the full quantified statement.
     """
-    seen = {m}
-    layer = [m]
-    orbit = [m]
-    for _ in range(depth):
-        nxt = []
-        for x in layer:
-            for i in rs.nodes:
-                st = stats(rs, x, i)
-                if st.eps > 0 and st.phi > 0:
-                    return ExtremalityReport("not-extremal", depth, orbit,
-                                             witness=x, witness_direction=i)
-                c = x.weight.pair(i)
-                y = x
-                if c > 0:
-                    for _ in range(c):
-                        y = f_tilde(rs, y, i)
-                        if y is None:
-                            raise AssertionError("string shorter than weight pairing")
-                elif c < 0:
-                    for _ in range(-c):
-                        y = e_tilde(rs, y, i)
-                        if y is None:
-                            raise AssertionError("string shorter than weight pairing")
-                else:
-                    continue
-                if not _in_window(y.exp_dict(), window):
-                    return ExtremalityReport("inconclusive-window", depth, orbit)
-                if y not in seen:
-                    seen.add(y)
-                    orbit.append(y)
-                    nxt.append(y)
-        layer = nxt
-        if not layer:
-            break
-    return ExtremalityReport("extremal", depth, orbit)
+    def step(x, i):
+        st = stats(rs, x, i)
+        if st.eps > 0 and st.phi > 0:
+            return None
+        c = x.weight.pair(i)
+        if c == 0:
+            return x
+        move = f_tilde if c > 0 else e_tilde
+        y = x
+        for _ in range(abs(c)):
+            y = move(rs, y, i)
+            if y is None:
+                raise AssertionError("string shorter than weight pairing")
+        if not _in_window(y.exp_dict(), window):
+            raise WindowError(f"reflection image {y} leaves window {window}")
+        return y
+    return _reflection_walk(rs, m, depth, step)
 
 
 # ---------------------------------------------------------------------------

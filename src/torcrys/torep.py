@@ -34,11 +34,12 @@ closed form on a rational l-weight, with integer coefficients
 (`h_residues`); ("k", hvec, m) = k_h^m by one
 edge of step <h, wt>; and the scalar ("q", a, m) = q^{am} by one edge
 of step a.  So the paths a word takes through the basis do not depend
-on the mode indices.  The relations come as runs
-(`relation_runs`): a key, the relation id with its non-mode
-parameters, and the mode tuples v of its instances; an instance
-becomes a RelationSpec only to name a failure.  The runner tables each
-run's relation once (`MODE_PARAMS` names the modes), passing its modes
+on the mode indices.  The relations come as runs from one run
+generator (`_runs`), fed the generic mode table by `relation_runs` and
+the one at a root of unity by `unity._eps_runs`: a key, the relation
+id with its non-mode parameters, and the mode tuples v of its
+instances; an instance becomes a RelationSpec only to name a failure.
+The runner tables each run's relation once (`MODE_PARAMS` names the modes), passing its modes
 to `relation_terms` as affine symbols (`Mode`), so that each
 operator's mode is a form const + c . v in the mode values v.  A word
 shape (the word with its modes removed) is interned as an integer id in
@@ -79,17 +80,19 @@ for applying operators one by one, are written once on two hooks of
 each module, row(idx, i) and hpart(idx).  The generic ring keeps steps
 and coefficients as they are; the root-of-unity module takes steps mod
 N and maps coefficients to Q(zeta_N).  Ring elements offer mul_qpow,
-clear_denominators, mode_weight and counts_vanish.
+clear_denominators, mode_weight and counts_vanish.  Extremal vectors
+are checked by the reflection-orbit walk of `crystal.is_extremal`.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
-from operator import add, mul
+from operator import add, lt, mul
 
 from .closedness import closed_report, fundamental_anchor
-from .crystal import CrystalGraph, WindowError, generate, row_stats
+from .crystal import (CrystalGraph, ExtremalityReport, WindowError,
+                      _reflection_walk, generate, row_stats)
 from .lattice import RootSystem, Weight
 from .monomial import Monomial, a_exponents, exp_key, exp_mul, from_variables
 from .qcoeff import (Q_MINUS_QINV, RQ_ONE, RQ_ZERO, LaurentPoly, QSeries,
@@ -1022,12 +1025,14 @@ RELATION_IDS = ("k-conjugation", "h-h", "h-x", "x-plus-minus", "x-quadratic",
 def relation_runs(rs: RootSystem, rmax: int = 3, hmax: int = 2,
                   include=None):
     """All relation instances in the declared parameter ranges, as runs
-    (key, modes): key is the relation id followed by its parameters,
-    each mode parameter by its bare name (as `_split` forms it), and
-    modes the tuple of the mode-value tuples of the run's instances.
-    h-x has one run per (i, j, sign), its modes (m, r) m-major, so its
-    instances come in the order (i, j, sign, m, r); h-h has one run per
-    (i, j >= i), with the one mode tuple (m1, m2) = (1, -1).  An id
+    (key, modes) of the one run generator `_runs`, fed the generic mode
+    table: key is the relation id followed by its parameters, each mode
+    parameter by its bare name (as `_split` forms it), and modes the
+    tuple of the mode-value tuples of the run's instances.  h-x has one
+    run per (i, j, sign), its modes (m, r) m-major, so its instances
+    come in the order (i, j, sign, m, r); h-h has one run per
+    (i, j >= i), with the one mode tuple (m1, m2) = (1, -1);
+    x-commute-distant has one run per distant pair j > i.  An id
     outside RELATION_IDS, rmax < 0 or hmax < 1 raises ValueError at the
     call, before any run is asked for."""
     ids = RELATION_IDS if include is None else tuple(include)
@@ -1038,45 +1043,46 @@ def relation_runs(rs: RootSystem, rmax: int = 3, hmax: int = 2,
     if rmax < 0 or hmax < 1:
         raise ValueError(f"need rmax >= 0 and hmax >= 1, not rmax={rmax}, "
                          f"hmax={hmax}")
-    return _runs(rs, rmax, hmax, ids)
-
-
-def _runs(rs: RootSystem, rmax: int, hmax: int, ids: tuple):
-    """The runs of `relation_runs`, its arguments already checked."""
     rr = range(-rmax, rmax + 1)
     mm = [m for m in range(-hmax, hmax + 1) if m]
-    I, signs = rs.nodes, (1, -1)
     pairs = tuple(product(rr, rr))
-    if "k-conjugation" in ids:
-        for i, j, sign in product(I, I, signs):
-            yield (("k-conjugation", ("i", i), ("j", j), "r", ("sign", sign)),
-                   ((-1,), (0,), (1,)))
-    if "h-h" in ids:
-        for i, j in product(I, I):
-            if j >= i:
-                yield ("h-h", ("i", i), ("j", j), "m1", "m2"), ((1, -1),)
-    if "h-x" in ids:
-        modes = tuple(product(mm, rr))
-        for i, j, sign in product(I, I, signs):
-            yield ("h-x", ("i", i), ("j", j), "m", "r", ("sign", sign)), modes
-    if "x-plus-minus" in ids:
-        for i, j in product(I, I):
-            yield ("x-plus-minus", ("i", i), ("j", j), "r", "rp"), pairs
-    if "x-quadratic" in ids:
-        for sign, i, j in product(signs, I, I):
-            yield (("x-quadratic", ("i", i), ("j", j), "r", "rp",
-                    ("sign", sign)), pairs)
-    if "serre-cubic" in ids:
-        triples = tuple(v for v in product(rr, rr, rr) if v[0] <= v[1])
-        for sign, i in product(signs, I):
-            for j in (rs.mod(i - 1), rs.mod(i + 1)):
-                yield (("serre-cubic", ("i", i), ("j", j), "r1", "r2", "rp",
-                        ("sign", sign)), triples)
-    if "x-commute-distant" in ids:
-        for sign, i, j in product(signs, I, I):
-            if j > i and rs.cartan(i, j) == 0:
-                yield (("x-commute-distant", ("i", i), ("j", j), "r1", "r2",
-                        ("sign", sign)), pairs)
+    modes = {"k-conjugation": ((-1,), (0,), (1,)),
+             "h-h": ((1, -1),),
+             "h-x": tuple(product(mm, rr)),
+             "x-plus-minus": pairs,
+             "x-quadratic": pairs,
+             "serre-cubic": tuple(v for v in product(rr, rr, rr)
+                                  if v[0] <= v[1]),
+             "x-commute-distant": pairs}
+    return _runs(rs, {rid: modes[rid] for rid in ids}, lt)
+
+
+def _runs(rs: RootSystem, modes: dict, distant):
+    """The one loop nest over relation families, shared by the generic
+    suite (`relation_runs`) and the checks at eps (`unity._eps_runs`):
+    for each id of RELATION_IDS that `modes` maps to its mode tuples, in
+    that order, one run (key, modes[id]) per node pair and sign.
+    x-commute-distant takes the ordered pairs (i, j) with a_ij = 0 that
+    distant(i, j) picks."""
+    I, signs = rs.nodes, (1, -1)
+    nodes = {  # id -> its (i, j, sign) triples, sign None where it has none
+        "k-conjugation": product(I, I, signs),
+        "h-h": ((i, j, None) for i, j in product(I, I) if j >= i),
+        "h-x": product(I, I, signs),
+        "x-plus-minus": ((i, j, None) for i, j in product(I, I)),
+        "x-quadratic": ((i, j, sign) for sign, i, j in product(signs, I, I)),
+        "serre-cubic": ((i, j, sign) for sign, i in product(signs, I)
+                        for j in (rs.mod(i - 1), rs.mod(i + 1))),
+        "x-commute-distant": ((i, j, sign)
+                              for sign, i, j in product(signs, I, I)
+                              if distant(i, j) and rs.cartan(i, j) == 0),
+    }
+    for rid in RELATION_IDS:
+        if rid in modes:
+            for i, j, sign in nodes[rid]:
+                tail = () if sign is None else (("sign", sign),)
+                yield ((rid, ("i", i), ("j", j), *MODE_PARAMS[rid], *tail),
+                       modes[rid])
 
 
 def relation_instances(rs: RootSystem, rmax: int = 3, hmax: int = 2,
@@ -1218,50 +1224,28 @@ def run_relation_suite(mod: LoopModule, rmax: int = 3, hmax: int = 2,
 # extremal vectors at the module level
 # ---------------------------------------------------------------------------
 
-@dataclass
-class ExtremalVectorReport:
-    verdict: str
-    orbit: list
-    failing_direction: int | None = None
-
-
-def verify_extremal_vector(mod: LoopModule, m: Monomial, depth: int) -> ExtremalVectorReport:
+def verify_extremal_vector(mod: LoopModule, m: Monomial,
+                           depth: int) -> ExtremalityReport:
     """Run the reflection strings with divided powers on v_m and check
-    the extremal-vector equations along the orbit."""
-    idx0 = mod.graph.node_index(m)
-    if idx0 is None:
+    the extremal-vector equations along the orbit (the walk of
+    `crystal.is_extremal`): x^{+-}_{i,0} kills the vector where
+    +-<h_i, wt> >= 0, and the divided power of order |<h_i, wt>| maps it
+    to one basis vector with coefficient 1."""
+    if mod.graph.node_index(m) is None:
         raise ValueError(f"{m} is not a basis monomial")
-    seen = {idx0}
-    layer = [idx0]
-    orbit = [m]
-    try:
-        for _ in range(depth):
-            nxt = []
-            for idx in layer:
-                w = mod.node(idx).weight
-                for i in mod.rs.nodes:
-                    c = w.pair(i)
-                    up = mod.act_x(1, i, 0, _unit(idx))
-                    dn = mod.act_x(-1, i, 0, _unit(idx))
-                    if c >= 0 and up:
-                        return ExtremalVectorReport("not-extremal", orbit, i)
-                    if c <= 0 and dn:
-                        return ExtremalVectorReport("not-extremal", orbit, i)
-                    if c == 0:
-                        continue
-                    vec = mod.divided_power_x(-1 if c > 0 else 1, i, abs(c), _unit(idx))
-                    if len(vec) != 1:
-                        return ExtremalVectorReport("not-extremal", orbit, i)
-                    (tgt, coeff), = vec.items()
-                    if not coeff == RQ_ONE:
-                        return ExtremalVectorReport("not-extremal", orbit, i)
-                    if tgt not in seen:
-                        seen.add(tgt)
-                        orbit.append(mod.node(tgt))
-                        nxt.append(tgt)
-            layer = nxt
-            if not layer:
-                break
-    except WindowError:
-        return ExtremalVectorReport("inconclusive-window", orbit)
-    return ExtremalVectorReport("extremal", orbit)
+
+    def step(x, i):
+        unit = _unit(mod.graph.node_index(x))
+        c = x.weight.pair(i)
+        up = mod.act_x(1, i, 0, unit)
+        dn = mod.act_x(-1, i, 0, unit)
+        if (c >= 0 and up) or (c <= 0 and dn):
+            return None
+        if c == 0:
+            return x
+        vec = mod.divided_power_x(-1 if c > 0 else 1, i, abs(c), unit)
+        if len(vec) != 1:
+            return None
+        (tgt, coeff), = vec.items()
+        return mod.node(tgt) if coeff == RQ_ONE else None
+    return _reflection_walk(mod.rs, m, depth, step)

@@ -22,12 +22,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import product
 from math import comb
+from operator import ne
 
 from .crystal import WindowError
 from .lattice import RootSystem
 from .monomial import ResidueMonomial, gamma
 from .qcoeff import RQ_ONE, CycloElem, SpecializationError, eval_cyclotomic
-from .torep import (LoopModule, SuiteReport, XAction, _run_suite,
+from .torep import (LoopModule, SuiteReport, XAction, _run_suite, _runs,
                     build_doubled, build_thin, doubled_anchor, fr_phi_series)
 
 
@@ -226,31 +227,20 @@ def _validate_kernel(mod: LoopModule, at_eps, keep) -> None:
 
 def _eps_runs(rs: RootSystem, rmax: int, serre_rmax: int):
     """The relation instances checked at eps as runs (key, modes), keys
-    and parameters as in `torep.relation_runs`."""
-    I, signs = rs.nodes, (1, -1)
+    and parameters as in `torep.relation_runs`: the eps mode table, run
+    through the one run generator `torep._runs` with both orders of
+    each distant pair.  h-h is not in the table."""
     rr = range(rmax + 1)
     rser = range(min(serre_rmax, rmax) + 1)
     pairs = tuple(product(rr, rr))
-    for i, j, sign in product(I, I, signs):
-        yield (("k-conjugation", ("i", i), ("j", j), "r", ("sign", sign)),
-               ((0,), (1,)))
-    hx_modes = tuple(product((1, -1, 2, -2), (0, 1)))
-    for i, j, sign in product(I, I, signs):
-        yield ("h-x", ("i", i), ("j", j), "m", "r", ("sign", sign)), hx_modes
-    for i, j in product(I, I):
-        yield ("x-plus-minus", ("i", i), ("j", j), "r", "rp"), pairs
-    for sign, i, j in product(signs, I, I):
-        yield (("x-quadratic", ("i", i), ("j", j), "r", "rp", ("sign", sign)),
-               pairs)
-    triples = tuple(v for v in product(rser, rser, rser) if v[0] <= v[1])
-    for sign, i in product(signs, I):
-        for j in (rs.mod(i - 1), rs.mod(i + 1)):
-            yield (("serre-cubic", ("i", i), ("j", j), "r1", "r2", "rp",
-                    ("sign", sign)), triples)
-    for sign, i, j in product(signs, I, I):
-        if i != j and rs.cartan(i, j) == 0:
-            yield (("x-commute-distant", ("i", i), ("j", j), "r1", "r2",
-                    ("sign", sign)), pairs)
+    return _runs(rs, {
+        "k-conjugation": ((0,), (1,)),
+        "h-x": tuple(product((1, -1, 2, -2), (0, 1))),
+        "x-plus-minus": pairs,
+        "x-quadratic": pairs,
+        "serre-cubic": tuple(v for v in product(rser, rser, rser)
+                             if v[0] <= v[1]),
+        "x-commute-distant": pairs}, ne)
 
 
 def relation_check_eps(mod: SpecializedModule, rmax: int | None = None,
@@ -284,16 +274,9 @@ def relation_check_eps(mod: SpecializedModule, rmax: int | None = None,
     inconclusive.  Failures name the RelationSpec and the residue
     monomial.
 
-    Exponents r only matter mod N, so rmax defaults to N - 1.  Current
-    coverage, for all i, j in the nodes:
-      k-conjugation: sign +-1, r in {0, 1};
-      h-x: m in {+-1, +-2}, sign +-1, r in {0, 1};
-      x-plus-minus: r, rp in 0..rmax;
-      x-quadratic: sign +-1, r, rp in 0..rmax;
-      serre-cubic: j = i +- 1, sign +-1, r1 <= r2 and rp in
-        0..min(serre_rmax, rmax);
-      x-commute-distant: both orders of each distant pair (i, j),
-        sign +-1, r1, r2 in 0..rmax.
+    Exponents r only matter mod N, so rmax defaults to N - 1.  The
+    families and mode ranges covered are the eps mode table of
+    `_eps_runs`, for all i, j in the nodes.
     Not covered: h-h, residues r > 3 when rmax is capped at 3 (as for
     N = 8) and h-x for r outside {0, 1}.  rmax < 0 or serre_rmax < 0
     raises ValueError."""

@@ -171,6 +171,29 @@ def test_negative_rmax_is_a_validation_error(argv, capsys):
     assert out == "" and "rmax >= 0" in err
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (("rep", "qchar", "--n", "3", "--ell", "1", "--rmax", "-1"), "--rmax"),
+    (("rep", "build", "--n", "3", "--ell", "1", "--relations", "foo"),
+     "--relations"),
+    (("rep", "check", "--n", "3", "--ell", "1", "--rmax", "0", "--periods",
+      "-1"), "--periods"),
+    (("s5", "build", "--smax", "0", "--rmax", "-1"), "--rmax")])
+def test_flag_the_action_never_reads_is_a_validation_error(argv, flag,
+                                                           tmp_path, capsys):
+    # a flag the action would drop unread must not report success; the
+    # same key in a config file stays ignored, as keys of other
+    # subcommands are
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_VALIDATION == 3
+    assert out == "" and f"{flag} is not read by {argv[0]} {argv[1]}" in err
+    at = argv.index(flag)
+    conf = tmp_path / "run.conf"
+    conf.write_text(f"{flag[2:]} = {argv[at + 1]}\n")
+    code, _, _ = run(capsys, "--config", str(conf), *argv[:at],
+                     *argv[at + 2:])
+    assert code == EXIT_OK
+
+
 @pytest.mark.parametrize("argv, conf, msg", [
     (("tableaux", "list", "--n", "3", "--ell", "2", "--jmin", "3",
       "--jmax", "1"), None, "empty range of j"),

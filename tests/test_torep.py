@@ -1,3 +1,4 @@
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache, partial
 from itertools import product
@@ -7,7 +8,7 @@ import pytest
 
 from torcrys import torep
 from torcrys.closedness import closed_report, fundamental_anchor
-from torcrys.crystal import WindowError, generate, sub_crystal
+from torcrys.crystal import WindowError, generate, is_extremal, sub_crystal
 from torcrys.lattice import RootSystem
 from torcrys.qcoeff import (Q_MINUS_QINV, RQ_ONE, CycloElem, LaurentPoly,
                             RationalQ, eval_cyclotomic, qint,
@@ -219,6 +220,37 @@ def test_extremal_vector(thin_3_1):
     rep = verify_extremal_vector(mod, anchor, 5)
     assert rep.verdict == "extremal"
     assert mod.rs.varpi(1) in [m.weight for m in rep.orbit]
+
+
+@pytest.mark.parametrize("build, census", [
+    (lambda: build_thin(3, 1, (-16, 16)),
+     {("extremal", "extremal"): 26,
+      ("inconclusive-window", "inconclusive-window"): 4}),
+    (lambda: build_doubled(2, (-14, 14)),
+     {("extremal", "extremal"): 48,
+      ("not-extremal", "not-extremal"): 137,
+      ("inconclusive-window", "inconclusive-window"): 18,
+      ("inconclusive-window", "not-extremal"): 25})])
+def test_extremality_census_on_the_interior(build, census):
+    # (module verdict, crystal verdict) of every interior node at depth 3:
+    # verify_extremal_vector on the module and is_extremal on its window.
+    # An x edge of the module leaves the window before the crystal's
+    # reflection image does on 25 doubled nodes, which the crystal check
+    # finds not extremal
+    mod = build()
+    got = Counter()
+    for m in map(mod.node, mod.graph.interior_indices()):
+        module = verify_extremal_vector(mod, m, 3)
+        crystal = is_extremal(mod.rs, m, 3, mod.graph.window)
+        got[module.verdict, crystal.verdict] += 1
+        for rep in (module, crystal):
+            assert rep.depth == 3 and rep.orbit[0] == m
+            failed = rep.verdict == "not-extremal"
+            assert (rep.witness in rep.orbit) == failed
+            assert (rep.witness_direction in mod.rs.nodes) == failed
+        if module.verdict == crystal.verdict == "extremal":
+            assert module.orbit == crystal.orbit
+    assert got == census
 
 
 def test_spectral_twist(thin_3_1):

@@ -523,6 +523,30 @@ def test_relation_check_eps_at_every_residue(build, checked, monkeypatch):
                                             spec.N - 1))) * len(spec)
 
 
+@pytest.mark.parametrize("build", [lambda: specialize_thin(3, 1, 2),
+                                   lambda: specialize_doubled(2)])
+def test_fault_at_residue_seven_escapes_the_cap_at_three(build):
+    # eight extra pair entries (0, s, eps^s), s = 0..7, on row 1 of basis
+    # vector 0 act by sum_s eps^{s(t+1)} = 8 delta(t = 7 mod 8): only
+    # x-plus-minus at r + rp = 7 sees them, a residue the r <= 3 range of
+    # the command line and the benchmark never reaches
+    spec = build()
+    assert spec.N == 8
+    extra = tuple((0, s, spec.one.mul_qpow(s)) for s in range(8))
+    entries = spec.pair_entries
+    spec.pair_entries = lambda i, idx: (
+        entries(i, idx) + extra if (i, idx) == (1, 0) else entries(i, idx))
+    for serre_rmax in (1, 2):
+        capped = relation_check_eps(spec, 3, serre_rmax)
+        assert capped.ok and not capped.failures
+    full = relation_check_eps(spec, 7, 7)
+    assert len(full.failures) == 8
+    for rel, _ in full.failures:
+        p = dict(rel.params)
+        assert (rel.rid, p["i"], p["j"], p["r"] + p["rp"]) == (
+            "x-plus-minus", 1, 1, 7)
+
+
 @pytest.mark.parametrize("rmax, serre_rmax", [(-1, 2), (1, -1)])
 def test_relation_check_eps_rejects_empty_ranges(rmax, serre_rmax):
     # rmax < 0 empties every x family and serre_rmax < 0 serre-cubic
