@@ -49,7 +49,8 @@ def _read_config(path):
 
 
 class UsageError(Exception):
-    """A config file that cannot be read or names an unknown option."""
+    """A config file that cannot be read or names an unknown option, or
+    an --out file that cannot be written."""
 
 
 # the defaults of the options that are not None when neither the flags
@@ -146,10 +147,14 @@ def _require_n_ell(args):
 
 def _emit(args, text):
     if getattr(args, "out", None):
-        with open(args.out, "w") as fh:
-            fh.write(text)
-            if not text.endswith("\n"):
-                fh.write("\n")
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(text)
+                if not text.endswith("\n"):
+                    fh.write("\n")
+        except OSError as exc:
+            raise UsageError(f"cannot write output file {args.out}: "
+                             f"{exc.strerror or exc}") from None
         return
     try:
         print(text, flush=True)

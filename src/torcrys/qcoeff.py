@@ -5,6 +5,16 @@ Every value is immutable; every operation is a pure function.  These
 scalars are the coefficients of all module actions downstream, so
 equality and zero-tests must be exact (no floats on the main path).
 
+Every polynomial has integer coefficients.  Exact division in Z[q^+-1]
+is integer long division from the top (`LaurentPoly.divexact`); the gcd
+behind `RationalQ.canonical` is the primitive pseudo-remainder sequence
+(`_poly_gcd`); a `CycloElem` is inverted through its Galois norm, the
+product of its conjugates under q -> q^k, k prime to N, a nonzero
+rational (`CycloElem.inv`).  `Fraction` holds rational scalars only: the
+`from_fraction` constructors, the coefficients given to the `CycloElem`
+constructor, `scale`, the 1/m of `series_log` and `series_exp`, and
+display.
+
 An element of the cyclotomic field Q[q]/(Phi_N) (`CycloElem`) is a
 tuple of integer numerators over one positive common denominator, in
 lowest terms.  Phi_N is monic with integer coefficients, so reduction
@@ -175,25 +185,33 @@ class LaurentPoly:
         return r
 
     def divexact(self, other: "LaurentPoly") -> "LaurentPoly":
-        """Exact division; raises ValueError when the division has a
-        remainder or a non-integer quotient."""
+        """Exact division in Z[q^+-1] by integer long division from the
+        top; raises ValueError when the quotient has a remainder or a
+        non-integer coefficient.  An exact quotient is read off from the
+        top term by term, so each step's leading coefficient divides
+        exactly, and its lowest exponent is val(self) - val(other)."""
         if other.is_zero():
             raise ZeroDivisionError("LaurentPoly division by zero")
         if self.is_zero():
             return ZERO
         va, vb = self.valuation(), other.valuation()
-        num = {k - va: Fraction(c) for k, c in self.terms.items()}
-        den = {k - vb: Fraction(c) for k, c in other.terms.items()}
-        quot, rem = _frac_poly_divmod(num, den)
-        if rem:
-            raise ValueError("inexact LaurentPoly division")
-        out = {}
-        for k, c in quot.items():
-            if c.denominator != 1:
-                raise ValueError("non-integer quotient in divexact")
+        rem = _dense(self)
+        den = [(k - vb, c) for k, c in other.terms.items()]
+        top = other.degree()
+        db, lead = top - vb, other.terms[top]
+        quot = {}
+        for i in range(len(rem) - 1 - db, -1, -1):
+            c = rem[i + db]
             if c:
-                out[k + va - vb] = int(c)
-        return LaurentPoly(out)
+                f, r = divmod(c, lead)
+                if r:
+                    raise ValueError("inexact LaurentPoly division")
+                quot[i + va - vb] = f
+                for k, d in den:
+                    rem[i + k] -= f * d
+        if any(rem[:db]):
+            raise ValueError("inexact LaurentPoly division")
+        return LaurentPoly(quot)
 
     # -- evaluation ---------------------------------------------------------
 
@@ -233,51 +251,49 @@ ZERO = LaurentPoly()
 ONE = LaurentPoly({0: 1})
 
 
-def _frac_poly_divmod(num: dict, den: dict):
-    """(quotient, remainder) of polynomials with Fraction coefficients
-    (keys >= 0), as dicts without zero entries."""
-    dd = max(den)
-    lead = den[dd]
-    rem = dict(num)
-    quot = {}
-    while rem:
-        dr = max(rem)
-        if dr < dd:
-            break
-        f = rem[dr] / lead
-        quot[dr - dd] = f
-        for k, c in den.items():
-            e = dr - dd + k
-            s = rem.get(e, 0) - f * c
-            if s:
-                rem[e] = s
-            else:
-                rem.pop(e, None)
-    return quot, rem
+def _dense(p: LaurentPoly) -> list:
+    """The integer coefficients of the nonzero p / q^val(p), lowest
+    first."""
+    v = p.valuation()
+    cs = [0] * (p.degree() - v + 1)
+    for k, c in p.terms.items():
+        cs[k - v] = c
+    return cs
+
+
+def _primitive(cs: list) -> list:
+    """A coefficient list divided by its content."""
+    g = gcd(*cs)
+    return cs if g == 1 else [c // g for c in cs]
 
 
 def _poly_gcd(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
     """Gcd of two nonzero integer Laurent polynomials, as a primitive
     polynomial times the gcd of contents, with valuation 0 and positive
-    leading coefficient."""
-    ca, cb = abs(a.content()), abs(b.content())
-    fa = {k - a.valuation(): Fraction(c) for k, c in a.terms.items()}
-    fb = {k - b.valuation(): Fraction(c) for k, c in b.terms.items()}
+    leading coefficient: the primitive pseudo-remainder sequence of the
+    primitive parts, in integers (Gauss's lemma makes its last nonzero
+    entry the primitive gcd)."""
+    fa, fb = _primitive(_dense(a)), _primitive(_dense(b))
+    if len(fa) < len(fb):
+        fa, fb = fb, fa
     while fb:
-        fa, fb = fb, _frac_poly_divmod(fa, fb)[1]
-    # fa is the gcd up to a rational unit; make it primitive over Z
-    den_lcm = 1
-    for c in fa.values():
-        den_lcm = den_lcm * c.denominator // gcd(den_lcm, c.denominator)
-    ints = {k: int(c * den_lcm) for k, c in fa.items()}
-    cont = 0
-    for c in ints.values():
-        cont = gcd(cont, c)
-    ints = {k: c // cont for k, c in ints.items()}
-    if ints[max(ints)] < 0:
-        ints = {k: -c for k, c in ints.items()}
-    g = gcd(ca, cb)
-    return LaurentPoly({k: c * g for k, c in ints.items()})
+        db, lb = len(fb) - 1, fb[-1]
+        r = fa
+        while len(r) > db:
+            # lb * r - lr * q^top * b over their gcd cancels r's top term
+            h = gcd(r[-1], lb)
+            mr, mb = lb // h, r[-1] // h
+            top = len(r) - 1 - db
+            r = [mr * c for c in r[:-1]]
+            for k, d in enumerate(fb[:-1], top):
+                r[k] -= mb * d
+            while r and not r[-1]:
+                r.pop()
+        fa, fb = fb, _primitive(r)
+    if fa[-1] < 0:
+        fa = [-c for c in fa]
+    g = gcd(a.content(), b.content())
+    return LaurentPoly({k: c * g for k, c in enumerate(fa)})
 
 
 # ---------------------------------------------------------------------------
@@ -788,28 +804,26 @@ class CycloElem:
                       self.den * f.denominator)
 
     def inv(self) -> "CycloElem":
-        """Inverse in the field Q(zeta_N); Phi_N is irreducible over Q."""
+        """Inverse in the field Q(zeta_N) by the Galois norm.  Phi_N is
+        irreducible over Q, so the maps q -> q^k, k prime to N, are the
+        field automorphisms; the product P of the conjugates of the
+        integral numerator a other than a itself makes a * P = norm(a),
+        a nonzero integer, and (a / den)^-1 = den * P / norm(a)."""
         if self.is_zero():
             raise SpecializationError("inverse of zero in cyclotomic field")
-        phi = cyclotomic(self.N)
-        b = {k: Fraction(c) for k, c in phi.terms.items()}
-        a = {i: Fraction(c) for i, c in enumerate(self.nums) if c}
-        # extended Euclid on (a, b)
-        r0, r1 = b, a
-        s0, s1 = {}, {0: Fraction(1)}
-        while r1:
-            q, r = _frac_poly_divmod(r0, r1)
-            r0, r1 = r1, r
-            s0, s1 = s1, _frac_poly_sub(s0, _frac_poly_mul(q, s1))
-        # r0 = gcd = nonzero constant (irreducibility)
-        if max(r0) != 0:
-            raise SpecializationError("non-invertible cyclotomic element")
-        # (nums / den)^-1 = den * s0 / r0
-        c = r0[0] / self.den
-        cs = [0] * len(self.nums)
-        for k, v in s0.items():
-            cs[k] = v / c
-        return CycloElem(self.N, cs)
+        N = self.N
+        a = _cyclo(N, self.nums)
+        p = CycloElem.one(N)
+        for k in range(2, N):
+            if gcd(k, N) == 1:
+                cs = [0] * N
+                for i, x in enumerate(self.nums):
+                    cs[i * k % N] = x
+                p = p * _cyclo(N, _reduce(cs, N))
+        norm = (a * p).nums[0]
+        if norm < 0:
+            norm, p = -norm, -p
+        return _cyclo(N, tuple(self.den * x for x in p.nums), norm)
 
     def __truediv__(self, other: "CycloElem") -> "CycloElem":
         return self * other.inv()
@@ -840,29 +854,6 @@ class CycloElem:
 
     def __repr__(self):
         return f"CycloElem(N={self.N}, '{self}')"
-
-
-def _frac_poly_mul(a: dict, b: dict) -> dict:
-    out = {}
-    for i, c in a.items():
-        for j, d in b.items():
-            s = out.get(i + j, 0) + c * d
-            if s:
-                out[i + j] = s
-            else:
-                out.pop(i + j, None)
-    return out
-
-
-def _frac_poly_sub(a: dict, b: dict) -> dict:
-    out = dict(a)
-    for k, c in b.items():
-        s = out.get(k, 0) - c
-        if s:
-            out[k] = s
-        else:
-            out.pop(k, None)
-    return out
 
 
 def eval_cyclotomic(p: RationalQ, N: int) -> CycloElem:

@@ -880,7 +880,7 @@ def _paths(mod, sid: int, memo: list):
     return got
 
 
-def _node_terms(mod, template: tuple, memo: dict):
+def _node_terms(mod, template: tuple, memo: list):
     """One template (`_shapes` of `_table`) on the memo's basis vector,
     over one common denominator D (the ring's `clear_denominators`):
     returns (D, terms, hazards).  Only the path coefficients are

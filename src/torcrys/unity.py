@@ -278,8 +278,9 @@ def relation_check_eps(mod: SpecializedModule, rmax: int | None = None,
     families and mode ranges covered are the eps mode table of
     `_eps_runs`, for all i, j in the nodes.
     Not covered: h-h, residues r > 3 when rmax is capped at 3 (as for
-    N = 8) and h-x for r outside {0, 1}.  rmax < 0 or serre_rmax < 0
-    raises ValueError."""
+    N = 8), and h-x for r outside {0, 1} or m outside {+-1, +-2}, even
+    at rmax = serre_rmax = N - 1.  rmax < 0 or serre_rmax < 0 raises
+    ValueError."""
     if rmax is None:
         rmax = mod.N - 1
     if rmax < 0 or serre_rmax < 0:

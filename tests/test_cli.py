@@ -268,6 +268,17 @@ def test_output_file(tmp_path, capsys):
     assert target.read_text().startswith("digraph")
 
 
+@pytest.mark.parametrize("target", ["dir", "dir/absent/crystal.txt"])
+def test_unwritable_output_file_is_a_usage_error(target, tmp_path, capsys):
+    # a directory, or a path under a missing directory, exits 2 naming it
+    out_path = tmp_path / target
+    (tmp_path / "dir").mkdir()
+    code, out, err = run(capsys, "crystal", "gen", "--n", "3", "--ell", "1",
+                         "--out", str(out_path))
+    assert code == EXIT_USAGE == 2
+    assert out == "" and len(err.splitlines()) == 1 and str(out_path) in err
+
+
 def test_ell_and_L_from_the_config_file(tmp_path, capsys):
     conf = tmp_path / "run.conf"
     conf.write_text("n = 3\nell = 1\nlmin = -8\nlmax = 12\nL = 1\n")

@@ -1,7 +1,7 @@
 import ast
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from pathlib import Path
 
 import pytest
@@ -9,8 +9,8 @@ import pytest
 import torcrys
 from torcrys.qcoeff import (ONE, CycloElem, ExpansionError, LaurentPoly,
                             QSeries, RQ_ONE, RationalQ, SpecializationError,
-                            cyclotomic, eval_cyclotomic, qbinom, qint,
-                            series_log, series_of_rational)
+                            _poly_gcd, cyclotomic, eval_cyclotomic, qbinom,
+                            qint, series_log, series_of_rational)
 
 Q = LaurentPoly.q_power
 INT = LaurentPoly.from_int
@@ -175,7 +175,7 @@ def test_cyclo_field_ops():
 
 # Fraction-coefficient reference for Q[q]/(Phi_N): dense lists of
 # Fractions indexed by the powers q^0..q^{deg-1}
-CYCLO_ORDERS = (1, 2, 3, 4, 5, 6, 8, 12)
+CYCLO_ORDERS = (1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 12, 15, 16, 24)
 
 
 def ref_reduce(cs, N):
@@ -339,6 +339,91 @@ def test_divexact_error():
     assert LaurentPoly({2: 1, 0: 1}).divexact(qint(2)) == Q(1)
     with pytest.raises(ValueError):
         LaurentPoly({2: 1, 0: 2}).divexact(qint(2))
+
+
+# Fraction-coefficient Euclid reference for Z[q^+-1]: polynomials as
+# {exponent: coefficient} dicts shifted to valuation 0
+def ref_divmod(num: dict, den: dict):
+    rem = {k: Fraction(c) for k, c in num.items() if c}
+    den = {k: Fraction(c) for k, c in den.items() if c}
+    dd = max(den)
+    quot = {}
+    while rem and max(rem) >= dd:
+        dr = max(rem)
+        f = rem[dr] / den[dd]
+        quot[dr - dd] = f
+        for k, c in den.items():
+            rem[dr - dd + k] = rem.get(dr - dd + k, 0) - f * c
+        rem = {k: c for k, c in rem.items() if c}
+    return quot, rem
+
+
+def ref_lowered(p: LaurentPoly) -> dict:
+    v = p.valuation()
+    return {k - v: c for k, c in p.terms.items()}
+
+
+def ref_divexact(a: LaurentPoly, b: LaurentPoly):
+    """a / b as a LaurentPoly, or None when it is not one with integer
+    coefficients."""
+    quot, rem = ref_divmod(ref_lowered(a), ref_lowered(b))
+    if rem or any(c.denominator != 1 for c in quot.values()):
+        return None
+    shift = a.valuation() - b.valuation()
+    return LaurentPoly({k + shift: int(c) for k, c in quot.items()})
+
+
+def ref_gcd(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
+    """Euclid over Q, made primitive over Z with a positive leading
+    coefficient, times the gcd of the contents."""
+    fa, fb = ref_lowered(a), ref_lowered(b)
+    while fb:
+        fa, fb = fb, ref_divmod(fa, fb)[1]
+    den = lcm(*(Fraction(c).denominator for c in fa.values()))
+    ints = {k: int(c * den) for k, c in fa.items()}
+    unit = gcd(*ints.values()) * (1 if ints[max(ints)] > 0 else -1)
+    cont = gcd(a.content(), b.content())
+    return LaurentPoly({k: c // unit * cont for k, c in ints.items()})
+
+
+def test_gcd_divexact_and_canonical_agree_with_fraction_euclid():
+    rng = random.Random(30)
+
+    def draw(degree, scale):
+        low = rng.randint(-3, 3)
+        terms = {low + k: rng.randint(-6, 6) for k in range(degree + 1)}
+        p = LaurentPoly(terms)
+        return p.scale(scale) if not p.is_zero() else INT(scale)
+
+    refused = exact = 0
+    for _ in range(2000):
+        f = draw(rng.randint(0, 3), rng.choice((1, 1, 2, -3, 6)))
+        g = draw(rng.randint(0, 4), rng.choice((1, 1, 1, 2, -5)))
+        h = draw(rng.randint(0, 4), rng.choice((1, 1, 1, 3, -2)))
+        a, b = f * g, f * h
+        got = _poly_gcd(a, b)
+        assert got == ref_gcd(a, b)
+        assert got.valuation() == 0 and got.terms[got.degree()] > 0
+        assert got.content() == gcd(a.content(), b.content())
+        for num, den in ((a, b), (b, a), (a, f), (a, g), (g, h), (a, got),
+                         (a, f.scale(2)), (a, got * h)):
+            want = ref_divexact(num, den)
+            if want is None:
+                refused += 1
+                with pytest.raises(ValueError):
+                    num.divexact(den)
+            else:
+                exact += 1
+                assert num.divexact(den) == want
+        c = RationalQ(a, b).canonical()
+        num, den = ref_divexact(a, got), ref_divexact(b, got)
+        if den.lowest_coeff() < 0:
+            num, den = -num, -den
+        shift = min(num.valuation(), den.valuation())
+        assert (c.num, c.den) == (num.shifted(-shift), den.shifted(-shift))
+    assert refused > 5000 and exact > 5000
+    with pytest.raises(ZeroDivisionError):
+        ONE.divexact(LaurentPoly())
 
 
 def test_clear_denominators_keys_associates_once():

@@ -1,3 +1,5 @@
+import operator
+
 import pytest
 
 from torcrys import torep
@@ -545,6 +547,40 @@ def test_fault_at_residue_seven_escapes_the_cap_at_three(build):
         p = dict(rel.params)
         assert (rel.rid, p["i"], p["j"], p["r"] + p["rp"]) == (
             "x-plus-minus", 1, 1, 7)
+
+
+@pytest.mark.parametrize("build, checked", [
+    (lambda: specialize_thin(3, 1, 2), (10496, 12032, 68096, 2048)),
+    (lambda: specialize_doubled(2), (83968, 96256, 544768, 16384))])
+def test_h_fault_outside_the_h_x_modes_escapes_relation_check_eps(build,
+                                                                  checked):
+    # eight extra h entries (0, s, eps^{-3s}), s = 0..7, on row 1 of basis
+    # vector 0 act by sum_s eps^{s(m-3)} = 8 delta(m = 3 mod 8): the h-x
+    # runs of relation_check_eps take m in {+-1, +-2} only, so they pass
+    # at the command-line, benchmark and every-residue ranges, while an
+    # h-x run at m = 3 or m = -5 fails
+    spec = build()
+    assert spec.N == 8
+    extra = tuple((0, s, spec.one.mul_qpow(-3 * s)) for s in range(8))
+    entries = spec.h_entries
+    spec.h_entries = lambda i, idx: (
+        entries(i, idx) + extra if (i, idx) == (1, 0) else entries(i, idx))
+    for (rmax, serre_rmax), want in zip(((3, 1), (3, 2), (7, 7)), checked):
+        rep = relation_check_eps(spec, rmax, serre_rmax)
+        assert rep.ok and not rep.failures and rep.checked == want
+    for m in (1, 2, 3, 4, 5, 6, 7, -5):
+        runs = torep._runs(spec.rs, {"h-x": tuple((m, r) for r in range(8))},
+                           operator.ne)
+        rep = torep._run_suite(spec, runs, range(len(spec)))
+        assert rep.checked == checked[3]
+        if m % 8 != 3:
+            assert rep.ok and not rep.failures
+            continue
+        assert len(rep.failures) == 32
+        for rel, _ in rep.failures:
+            p = dict(rel.params)
+            assert (rel.rid, p["i"], p["m"]) == ("h-x", 1, m)
+            assert p["j"] in (0, 1)
 
 
 @pytest.mark.parametrize("rmax, serre_rmax", [(-1, 2), (1, -1)])
