@@ -12,8 +12,9 @@ The layers, bottom to top:
 - crystal: Kashiwara operators, windowed crystal graphs, extremality.
 - tableaux: the single-row tableau model (an independent oracle).
 - closedness: q-closedness decisions with witnesses.
-- torep: the loop weight modules over Q(q) and the defining-relation
-  verifier.
+- relations: the defining relations as term tables, their instances
+  generically and at roots of unity, and the one checker of both rings.
+- torep: the loop weight modules over Q(q).
 - unity: specializations at roots of unity.
 - cli: the torcrys command.
 """
@@ -33,10 +34,10 @@ from .closedness import (ClosednessReport, closed_report, fundamental_anchor,
                          sl2_simple_qchar)
 from .tableaux import (all_tableaux, box_exponents, enumerate_monomials,
                        tab_kashiwara, tab_monomial, tab_promotion)
+from .relations import RelationSpec, relation_residual, relation_terms
 from .torep import (ClosednessRefusal, ConstructionError, LoopModule,
-                    RelationSpec, build_doubled, build_module, build_thin,
-                    fr_consistency_report, relation_residual,
-                    relation_terms, run_relation_suite,
+                    build_doubled, build_module, build_thin,
+                    fr_consistency_report, run_relation_suite,
                     verify_extremal_vector)
 from .unity import (SpecializedModule, cyclic_generation_check,
                     generated_submodule, relation_check_eps,

@@ -8,6 +8,7 @@ code so scripted runs can distinguish failure modes.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import os
 import sys
@@ -143,6 +144,28 @@ def _require_n_ell(args):
         raise EvenRankError(
             f"n = {args.n} is even; the monomial crystal needs n odd")
     _require(args.ell, "--ell")
+
+
+def _check_out(args):
+    """An --out target that cannot be written is a UsageError before any
+    work is done: a directory, a path in a directory that is missing or
+    not writable, or a file that is not writable.  The file itself is
+    neither created nor truncated here."""
+    path = getattr(args, "out", None)
+    if path:
+        parent = os.path.dirname(os.path.abspath(path))
+        if os.path.isdir(path):
+            err = errno.EISDIR
+        elif not os.path.isdir(parent):
+            err = errno.ENOENT
+        elif not os.access(path if os.path.exists(path) else parent,
+                           os.W_OK):
+            err = errno.EACCES
+        else:
+            return args
+        raise UsageError(f"cannot write output file {path}: "
+                         f"{os.strerror(err)}")
+    return args
 
 
 def _emit(args, text):
@@ -373,7 +396,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else EXIT_OK
     try:
-        return args.func(_merge_config(_refuse_unread(args)))
+        return args.func(_check_out(_merge_config(_refuse_unread(args))))
     except UsageError as exc:
         print(f"error (usage): {exc}", file=sys.stderr)
         return EXIT_USAGE

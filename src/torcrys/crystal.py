@@ -284,8 +284,8 @@ class ExtremalityReport:
     witness_direction: int | None = None
 
 
-def _reflection_walk(rs: RootSystem, m: Monomial, depth: int,
-                     step) -> ExtremalityReport:
+def reflection_walk(rs: RootSystem, m: Monomial, depth: int,
+                    step) -> ExtremalityReport:
     """The reflection-orbit walk of `is_extremal` and
     `torep.verify_extremal_vector`: depth layers of simple reflections
     from m.  step(x, i) is the image of x under s_i (x itself where
@@ -314,7 +314,7 @@ def _reflection_walk(rs: RootSystem, m: Monomial, depth: int,
 def is_extremal(rs: RootSystem, m: Monomial, depth: int, window) -> ExtremalityReport:
     """Bounded extremality certificate: explore all S_i-strings of
     length <= depth and check i-extremality of every element reached
-    (`_reflection_walk`); an image outside the window is inconclusive.
+    (`reflection_walk`); an image outside the window is inconclusive.
 
     The Weyl group is infinite, so the verdict is a certificate up to
     the given depth, never the full quantified statement.
@@ -335,7 +335,7 @@ def is_extremal(rs: RootSystem, m: Monomial, depth: int, window) -> ExtremalityR
         if not _in_window(y.exp_dict(), window):
             raise WindowError(f"reflection image {y} leaves window {window}")
         return y
-    return _reflection_walk(rs, m, depth, step)
+    return reflection_walk(rs, m, depth, step)
 
 
 # ---------------------------------------------------------------------------

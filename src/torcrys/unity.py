@@ -6,30 +6,27 @@ simplicity certificate (every basis vector generates the module).
 The quantum parameter is kept symbolic in Q[q]/(Phi_N); no floats on
 the verification path.  A specialized module is built in one pass over
 the generic one and owns one eps map (`_scalar`, `eval_cyclotomic`
-memoised), whose image of 1 is the ring's `one`.  The relation checks
-at eps evaluate the same term tables (`torep.relation_terms`) through
-the same runner as the generic suite: the tables' scalars are integer
-Laurent polynomials, kept as integer term tuples in both rings and
-shared with the generic suite of the same rank (`torep._table`), so no
-scalar is mapped to Q(zeta_N).  The operator entries are the generic
-ones of `torep.XAction`, read from each basis vector's representative
-row and weight, with steps taken mod N and coefficients under the same
-map; the joint spectrum of the loop-Cartan operators is read from the
-pole residues of the pair entries.
+memoised), whose image of 1 is the ring's `one`.  The operator
+entries are the generic ones of `torep.XAction`, read from each basis
+vector's representative row and weight, with steps taken mod N and
+coefficients under the same map; the joint spectrum of the loop-Cartan
+operators is read from the pole residues of the pair entries.  The
+defining relations are checked over the eps mode table
+(`relations.eps_runs`) by the runner of the generic suite
+(`relations.run_suite`), in `relation_check_eps`.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import product
 from math import comb
-from operator import ne
 
 from .crystal import WindowError
 from .lattice import RootSystem
 from .monomial import ResidueMonomial, gamma
 from .qcoeff import RQ_ONE, CycloElem, SpecializationError, eval_cyclotomic
-from .torep import (LoopModule, SuiteReport, XAction, _run_suite, _runs,
-                    build_doubled, build_thin, doubled_anchor, fr_phi_series)
+from .relations import SuiteReport, eps_runs, run_suite
+from .torep import (LoopModule, XAction, build_doubled, build_thin,
+                    doubled_anchor, fr_phi_series)
 
 
 @dataclass
@@ -225,69 +222,29 @@ def _validate_kernel(mod: LoopModule, at_eps, keep) -> None:
 # relation checks at eps
 # ---------------------------------------------------------------------------
 
-def _eps_runs(rs: RootSystem, rmax: int, serre_rmax: int):
-    """The relation instances checked at eps as runs (key, modes), keys
-    and parameters as in `torep.relation_runs`: the eps mode table, run
-    through the one run generator `torep._runs` with both orders of
-    each distant pair.  h-h is not in the table."""
-    rr = range(rmax + 1)
-    rser = range(min(serre_rmax, rmax) + 1)
-    pairs = tuple(product(rr, rr))
-    return _runs(rs, {
-        "k-conjugation": ((0,), (1,)),
-        "h-x": tuple(product((1, -1, 2, -2), (0, 1))),
-        "x-plus-minus": pairs,
-        "x-quadratic": pairs,
-        "serre-cubic": tuple(v for v in product(rser, rser, rser)
-                             if v[0] <= v[1]),
-        "x-commute-distant": pairs}, ne)
-
-
 def relation_check_eps(mod: SpecializedModule, rmax: int | None = None,
                        serre_rmax: int = 2) -> SuiteReport:
     """All defining relations with eps in place of q, on the whole
-    finite basis: the generic term tables of `torep.relation_terms`,
-    their scalars as integer term tuples, evaluated through the runner
-    of `torep.run_relation_suite`.  The instances come as runs
-    (`_eps_runs`), each relation tabled with its modes as affine symbols
-    once per (rank, key) and shared with the generic suite
-    (`torep._table`), each word shape an id of the shape registry.  The
-    runner is node-major: each basis vector gets one memo, indexed by
-    shape id and shared by every run, so a word shape is expanded into
-    paths once per vector whichever runs contain it, the pair and h
-    operators along the entries of the representative row
-    (`pair_entries`, `h_entries`).  A (run, vector) pair none of whose
-    shapes' first applied x operators has an entry at the vector, or
-    none of whose shapes has a path from it, is proved at every mode
-    without building its terms; for the others the path coefficients are
-    cleared of denominators, multiplied by the integer scalars (exact
-    at eps, where the exponents fold mod N below), and summed per
-    target and mode weight w, with w taken mod N
-    (`CycloElem.mode_weight`), and each sum whose exponents, folded mod
-    N, reduce to zero mod Phi_N is dropped (`CycloElem.counts_vanish`).
-    As v . w = v . (w mod N) mod N, a pair with no sum left is proved
-    at every mode at once; the report counts the proved pairs
-    (`SuiteReport.proved`).  Only on the pairs where a sum is left do an
-    instance's modes v shift the exponents of the integer numerators by
-    v . w, to be folded and reduced the same way.
-    The specialized module has no window edges, so no instance is
-    inconclusive.  Failures name the RelationSpec and the residue
-    monomial.
+    finite basis: the instances of the eps mode table
+    (`relations.eps_runs`) through the runner of the generic suite
+    (`relations.run_suite`).  The module has no window edges, so no
+    instance is inconclusive.  Failures name the RelationSpec and the
+    residue monomial.
 
-    Exponents r only matter mod N, so rmax defaults to N - 1.  The
-    families and mode ranges covered are the eps mode table of
-    `_eps_runs`, for all i, j in the nodes.
-    Not covered: h-h, residues r > 3 when rmax is capped at 3 (as for
-    N = 8), and h-x for r outside {0, 1} or m outside {+-1, +-2}, even
-    at rmax = serre_rmax = N - 1.  rmax < 0 or serre_rmax < 0 raises
-    ValueError."""
+    Exponents r only matter mod N, so rmax defaults to N - 1.  Checked,
+    for all i, j in the nodes: r in 0..rmax, serre-cubic's modes in
+    0..min(serre_rmax, rmax), k-conjugation at r in {0, 1}, h-x at r in
+    {0, 1} and m in {+-1, +-2}.  Not covered: h-h, residues r > 3 when
+    rmax is capped at 3 (as for N = 8), and h-x for r outside {0, 1} or
+    m outside {+-1, +-2}, even at rmax = serre_rmax = N - 1.  rmax < 0
+    or serre_rmax < 0 raises ValueError."""
     if rmax is None:
         rmax = mod.N - 1
     if rmax < 0 or serre_rmax < 0:
         raise ValueError(f"need rmax >= 0 and serre_rmax >= 0, not "
                          f"rmax={rmax}, serre_rmax={serre_rmax}")
-    return _run_suite(mod, _eps_runs(mod.rs, rmax, serre_rmax),
-                      range(len(mod)))
+    return run_suite(mod, eps_runs(mod.rs, rmax, serre_rmax),
+                     range(len(mod)))
 
 
 # ---------------------------------------------------------------------------

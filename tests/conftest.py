@@ -1,6 +1,6 @@
 import pytest
 
-from torcrys import torep
+from torcrys import relations
 from torcrys.torep import build_doubled, build_thin
 from torcrys.unity import SpecializedModule
 
@@ -8,9 +8,9 @@ from torcrys.unity import SpecializedModule
 @pytest.fixture(autouse=True)
 def cold_templates(monkeypatch):
     """Every test starts from an empty relation template memo
-    (`torep._TEMPLATES`), so a test that patches `relation_terms` gets
+    (`relations._TEMPLATES`), so a test that patches `relation_terms` gets
     its patched tables built, whichever tests ran before it."""
-    monkeypatch.setattr(torep, "_TEMPLATES", {})
+    monkeypatch.setattr(relations, "_TEMPLATES", {})
 
 
 @pytest.fixture(scope="session")

@@ -8,8 +8,9 @@ from pathlib import Path
 import pytest
 
 from torcrys import cli
-from torcrys.cli import (EXIT_NOT_CLOSED, EXIT_OK, EXIT_SPECIALIZATION,
-                         EXIT_UNSUPPORTED, EXIT_USAGE, EXIT_VALIDATION, main)
+from torcrys.cli import (EXIT_CHECK_FAILED, EXIT_NOT_CLOSED, EXIT_OK,
+                         EXIT_SPECIALIZATION, EXIT_UNSUPPORTED, EXIT_USAGE,
+                         EXIT_VALIDATION, main)
 from torcrys.qcoeff import SpecializationError
 from torcrys.torep import ConstructionError
 
@@ -277,6 +278,31 @@ def test_unwritable_output_file_is_a_usage_error(target, tmp_path, capsys):
                          "--out", str(out_path))
     assert code == EXIT_USAGE == 2
     assert out == "" and len(err.splitlines()) == 1 and str(out_path) in err
+
+
+def test_output_file_is_checked_before_the_work(monkeypatch, tmp_path,
+                                                capsys):
+    # an unwritable --out exits 2 before any module is built; a command
+    # that exits 3 leaves no file, and a failed check (exit 1) still
+    # writes its JSON
+    def never(*args, **kwargs):
+        raise AssertionError("the module was built")
+    monkeypatch.setattr(cli, "build_doubled", never)
+    out_path = tmp_path / "absent" / "x.json"
+    code, out, err = run(capsys, "s5", "check", "--smax", "2", "--rmax", "2",
+                         "--out", str(out_path))
+    assert code == EXIT_USAGE == 2
+    assert out == "" and str(out_path) in err
+    target = tmp_path / "F"
+    code, _, _ = run(capsys, "rep", "check", "--n", "3", "--ell", "1",
+                     "--relations", "foo", "--out", str(target))
+    assert code == EXIT_VALIDATION and not target.exists()
+    monkeypatch.setattr(cli, "fr_consistency_report",
+                        lambda *args, **kwargs: [("m", 1, 1)])
+    code, _, _ = run(capsys, "rep", "check", "--n", "3", "--ell", "1",
+                     "--rmax", "0", "--out", str(target))
+    assert code == EXIT_CHECK_FAILED
+    assert json.loads(target.read_text())["fr_discrepancies"] == ["m:1:1"]
 
 
 def test_ell_and_L_from_the_config_file(tmp_path, capsys):

@@ -53,11 +53,6 @@ def test_qbinom_small():
 
 
 def test_qbinom_4_2_against_product_oracle():
-    num = {0: 1}
-    for t in (4, 3):
-        num = {k + e: sum(num.get(k + e - d, 0) * c
-                          for d, c in qint(t).terms.items() if k + e - d in num)
-               for k in list(num) for e in range(-5, 6)}  # not used; direct below
     # direct product/divide oracle
     def mul(a, b):
         out = {}
@@ -506,3 +501,17 @@ def test_no_floats_on_the_verification_path():
     assert floaty == {("qcoeff.py", "CycloElem.to_complex"),
                       ("cli.py", "cmd_unity")}
     assert math_names <= {"gcd", "lcm", "comb"}
+
+
+def test_no_private_name_crosses_a_module():
+    """No torcrys module imports a private name (one with a leading
+    underscore) from another: what two modules share is public."""
+    crossing = []
+    for path in sorted(Path(torcrys.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and (
+                    node.level or (node.module or "").startswith("torcrys")):
+                crossing += [(path.name, node.module, alias.name)
+                             for alias in node.names
+                             if alias.name.startswith("_")]
+    assert crossing == []

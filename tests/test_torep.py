@@ -6,21 +6,20 @@ from math import comb
 
 import pytest
 
-from torcrys import torep
+from torcrys import relations, torep
 from torcrys.closedness import closed_report, fundamental_anchor
 from torcrys.crystal import WindowError, generate, is_extremal, sub_crystal
 from torcrys.lattice import RootSystem
 from torcrys.qcoeff import (Q_MINUS_QINV, RQ_ONE, CycloElem, LaurentPoly,
                             RationalQ, eval_cyclotomic, qint,
                             series_of_rational)
-from torcrys.torep import (ClosednessRefusal, LoopModule, RelationSpec,
-                           SuiteReport, build_doubled, build_thin,
-                           fr_consistency_report, fr_phi_series,
-                           relation_instances, relation_residual,
-                           relation_terms, run_relation_suite,
-                           verify_extremal_vector)
-from torcrys.torep import _specs
-from torcrys.unity import (SpecializedModule, _eps_runs, relation_check_eps,
+from torcrys.relations import (RelationSpec, SuiteReport, _specs, eps_runs,
+                               relation_instances, relation_residual,
+                               relation_terms)
+from torcrys.torep import (ClosednessRefusal, LoopModule, build_doubled,
+                           build_thin, fr_consistency_report, fr_phi_series,
+                           run_relation_suite, verify_extremal_vector)
+from torcrys.unity import (SpecializedModule, relation_check_eps,
                            specialize_doubled, specialize_thin)
 
 
@@ -302,7 +301,7 @@ def test_empty_ranges_are_rejected(thin_3_1, rmax, hmax):
     # rmax < 0 empties every x family and hmax < 1 h-x: a suite that
     # drops them must not report success
     with pytest.raises(ValueError, match="rmax >= 0 and hmax >= 1"):
-        list(torep.relation_runs(thin_3_1.rs, rmax, hmax))
+        list(relations.relation_runs(thin_3_1.rs, rmax, hmax))
     with pytest.raises(ValueError, match="rmax >= 0 and hmax >= 1"):
         run_relation_suite(thin_3_1, rmax=rmax, hmax=hmax, nodes=[0])
 
@@ -315,7 +314,7 @@ def test_relation_runs_checks_at_the_call(thin_3_1, rmax, hmax, include,
                                           match):
     # the call itself raises: no run has to be asked for
     with pytest.raises(ValueError, match=match):
-        torep.relation_runs(thin_3_1.rs, rmax, hmax, include)
+        relations.relation_runs(thin_3_1.rs, rmax, hmax, include)
 
 
 @pytest.mark.parametrize("ring", [CycloElem.one(8), RQ_ONE])
@@ -323,7 +322,7 @@ def test_collect_folds_mode_weights_in_the_ring(ring):
     # at eps = zeta_8, weights 0 and 8 give one power q^{8r} = 1 at
     # every mode r, and q^8 - 1 = 0; in Q(q) neither sum vanishes.
     # Weights 0 and 11 differ mod 8 and stay apart in both rings.
-    one = torep._UNIT
+    one = relations._UNIT
     by_weight = [(0, one, ((0, 1),), (0, (0,))),
                  (0, one, ((0, -1),), (0, (8,)))]
     by_exponent = [(0, one, ((0, 1),), (0, (3,))),
@@ -331,16 +330,16 @@ def test_collect_folds_mode_weights_in_the_ring(ring):
     apart = [(0, one, ((0, 1),), (0, (0,))),
              (0, one, ((0, -1),), (0, (11,)))]
     if isinstance(ring, CycloElem):
-        assert torep._collect(by_weight, ring) == []
-        assert torep._collect(by_exponent, ring) == []
-        assert torep._collect(apart, ring) == [(0, ((0, 1),), (0,)),
+        assert relations._collect(by_weight, ring) == []
+        assert relations._collect(by_exponent, ring) == []
+        assert relations._collect(apart, ring) == [(0, ((0, 1),), (0,)),
                                                (0, ((0, -1),), (3,))]
     else:
-        assert torep._collect(apart, ring) == [(0, ((0, 1),), (0,)),
+        assert relations._collect(apart, ring) == [(0, ((0, 1),), (0,)),
                                                (0, ((0, -1),), (11,))]
-        assert torep._collect(by_weight, ring) == [(0, ((0, 1),), (0,)),
+        assert relations._collect(by_weight, ring) == [(0, ((0, 1),), (0,)),
                                                    (0, ((0, -1),), (8,))]
-        assert torep._collect(by_exponent, ring) == [
+        assert relations._collect(by_exponent, ring) == [
             (0, ((0, 1), (8, -1)), (3,))]
 
 
@@ -354,8 +353,8 @@ def test_collect_multiplies_by_integer_scalars(N):
               (0, ((3, -1),), ((0, 1), (1, -1)), (0, (0,)))]
     minus_two = [(0, ((-1, -1), (1, -1)), ((0, 1),), (0, (1,)))]
     for ring in (RQ_ONE, CycloElem.one(N)):
-        assert torep._collect(cancel, ring) == []
-        got = torep._collect(minus_two, ring)
+        assert relations._collect(cancel, ring) == []
+        got = relations._collect(minus_two, ring)
         if ring is RQ_ONE or N == 8:
             assert got == [(0, ((-1, -1), (1, -1)), (1,))]
         else:
@@ -440,15 +439,15 @@ def reference_residual(mod, terms, idx, one, m_h):
     return res
 
 
-def reference_suite(mod, specs, scalar=lambda s: s):
-    """Every spec on every node, spec-major, through
-    `reference_residual`; `scalar` maps the tables' RationalQ scalars
-    into the module's ring."""
+def reference_suite(mod, specs, scalar=lambda s: s, nodes=None):
+    """Every spec on every node in nodes (default all), spec-major,
+    through `reference_residual`; `scalar` maps the tables' RationalQ
+    scalars into the module's ring."""
     report = SuiteReport()
     m_h = _m_h_values(mod)
     for spec in specs:
         terms = [(scalar(s), word) for s, word in relation_terms(mod.rs, spec)]
-        for idx in range(len(mod)):
+        for idx in range(len(mod)) if nodes is None else nodes:
             try:
                 res = reference_residual(mod, terms, idx, scalar(RQ_ONE), m_h)
             except WindowError:
@@ -548,8 +547,8 @@ def broken_modules(thin_3_1, s5_small, coefficient_doubled):
         mod = coefficient_doubled(spec)
         rmax = min(mod.N - 1, 3)
         out[name] = (mod, partial(relation_check_eps, mod, rmax, serre_rmax),
-                     reference_suite(mod, _specs(_eps_runs(mod.rs, rmax,
-                                                           serre_rmax)),
+                     reference_suite(mod, _specs(eps_runs(mod.rs, rmax,
+                                                          serre_rmax)),
                                      partial(eval_cyclotomic, N=mod.N)))
     return out
 
@@ -569,53 +568,35 @@ def test_eps_instances_are_evaluated_where_the_fold_leaves_a_sum(
     # vanish at eps; their instances are evaluated one by one and fail
     # exactly where the memo-free reference does
     calls = []
-    residual = torep._residual
+    residual = relations._residual
 
     def recording(terms, v):
         calls.append(v)
         return residual(terms, v)
 
     mod = coefficient_doubled(specialize_thin(3, 1, 2))
-    ref = reference_suite(mod, _specs(_eps_runs(mod.rs, 3, 2)),
+    ref = reference_suite(mod, _specs(eps_runs(mod.rs, 3, 2)),
                           partial(eval_cyclotomic, N=mod.N))
-    monkeypatch.setattr(torep, "_residual", recording)
+    monkeypatch.setattr(relations, "_residual", recording)
     got = relation_check_eps(mod, 3, 2)
     assert calls and ref.failures
     assert _summary(got) == _summary(ref)
-
-
-def _per_spec_suite(mod, specs, nodes):
-    """Every spec on every node, spec-major, through relation_residual,
-    a WindowError counted as inconclusive."""
-    report = SuiteReport()
-    for spec in specs:
-        for idx in nodes:
-            try:
-                res = relation_residual(mod, spec, idx)
-            except WindowError:
-                report.inconclusive += 1
-                continue
-            report.checked += 1
-            report.by_relation[spec.rid] = report.by_relation.get(spec.rid, 0) + 1
-            if res:
-                report.failures.append((spec, mod.node(idx)))
-    return report
 
 
 def test_dead_pairs_keep_the_verdicts(thin_3_1, monkeypatch):
     # every node of thin (3,1): the interior ones and the two boundary
     # ones, whose x edges leave the window; the runner proves the pairs
     # without a path or hazard before building terms, and must count
-    # exactly what the per-spec reference counts, also where a dropped
+    # exactly what the memo-free reference counts, also where a dropped
     # x entry kills words and makes instances fail
     entered = []
-    node_terms = torep._node_terms
+    node_terms = relations._node_terms
 
     def recording(mod, template, memo):
         entered.append(template)
         return node_terms(mod, template, memo)
 
-    monkeypatch.setattr(torep, "_node_terms", recording)
+    monkeypatch.setattr(relations, "_node_terms", recording)
     nodes = range(len(thin_3_1))
     boundary = set(nodes) - set(thin_3_1.graph.interior_indices())
     assert len(boundary) == 2
@@ -627,9 +608,9 @@ def test_dead_pairs_keep_the_verdicts(thin_3_1, monkeypatch):
     for mod in (thin_3_1, broken):
         entered.clear()
         got = run_relation_suite(mod, rmax=1, hmax=1, nodes=nodes)
-        pairs = len(list(torep.relation_runs(mod.rs, 1, 1))) * len(nodes)
+        pairs = len(list(relations.relation_runs(mod.rs, 1, 1))) * len(nodes)
         assert 0 < len(entered) < pairs
-        ref = _per_spec_suite(mod, specs, nodes)
+        ref = reference_suite(mod, specs, nodes=nodes)
         assert _summary(got) == _summary(ref)
         assert ref.inconclusive
     assert ref.failures and not got.ok
@@ -640,7 +621,7 @@ def _gate_dead(mod, template, idx):
     on the vector, read off the shapes themselves: every shape has an x
     operator, and the first applied one has no entry there, an entry
     leaving the window included."""
-    shapes = {sid: shape for shape, sid in torep._SHAPE_IDS.items()}
+    shapes = {sid: shape for shape, sid in relations._SHAPE_IDS.items()}
     firsts = [next((op[1:] for op in reversed(shapes[sid]) if op[0] == "x"),
                    None) for _, sid, _, _ in template]
     return None not in firsts and not any(mod.x_entries(*op, idx)
@@ -653,40 +634,18 @@ def _pair_census(mod, runs, idxs):
     terms and hazards are empty, each pair on a fresh memo."""
     dead = proved = 0
     for key, _ in runs:
-        template = torep._table(mod.rs, key)
+        template = relations._table(mod.rs, key)
         for idx in idxs:
             if _gate_dead(mod, template, idx):
                 dead += 1
-                memo = torep._vector_memo(idx, mod.one)
+                memo = relations._vector_memo(idx, mod.one)
                 for _, sid, _, _ in template:
-                    assert torep._paths(mod, sid, memo) == ({}, ()), (key, idx)
-            _, terms, hazards = torep._node_terms(
-                mod, template, torep._vector_memo(idx, mod.one))
+                    assert relations._paths(mod, sid, memo) == ({}, ()), \
+                        (key, idx)
+            _, terms, hazards = relations._node_terms(
+                mod, template, relations._vector_memo(idx, mod.one))
             proved += not terms and not hazards
     return dead, proved
-
-
-def _per_spec_eps_suite(mod, runs):
-    """Every instance of the runs on every basis vector of a module at a
-    root of unity, spec-major, each evaluated on its own from its
-    (run, vector) terms, built on a fresh memo without the runner's
-    dead-pair shortcuts."""
-    report = SuiteReport()
-    for key, modes in runs:
-        template = torep._table(mod.rs, key)
-        terms = [torep._node_terms(mod, template,
-                                   torep._vector_memo(idx, mod.one))[1:]
-                 for idx in range(len(mod))]
-        for v in modes:
-            for idx, (got, hazards) in enumerate(terms):
-                assert not hazards
-                report.checked += 1
-                report.by_relation[key[0]] = \
-                    report.by_relation.get(key[0], 0) + 1
-                if not mod.one.counts_vanish(torep._residual(got, v)):
-                    report.failures.append((torep._join(key, v),
-                                            mod.node(idx)))
-    return report
 
 
 def _first_x_entry_leaves(mod, sign, i, idx):
@@ -709,19 +668,20 @@ def _first_x_entry_leaves(mod, sign, i, idx):
 def test_live_gate_keeps_the_verdicts(case, thin_3_1, s5_small):
     # a run whose shapes' first applied x operators have no entry at a
     # vector is dead there without a look at its shapes; the reports
-    # must equal the per-spec references and count as proved exactly
+    # must equal the memo-free reference and count as proved exactly
     # the pairs left with no terms and no hazards.  In the leaving case
     # one x entry of an interior vector leaves the window: that operator
     # stays live there, so the runs it starts count as inconclusive, as
-    # they do per spec, and a gate that skips such entries calls them
-    # dead and fails
+    # they do in the reference, and a gate that skips such entries
+    # calls them dead and fails
     if case.startswith("eps"):
         mod = specialize_thin(3, 1, 2) if case == "eps_thin_3_1_2" \
             else specialize_doubled(1)
-        runs = list(_eps_runs(mod.rs, mod.N - 1, 2))
+        runs = list(eps_runs(mod.rs, mod.N - 1, 2))
         idxs = range(len(mod))
         got = relation_check_eps(mod)
-        ref = _per_spec_eps_suite(mod, runs)
+        ref = reference_suite(mod, _specs(runs),
+                              partial(eval_cyclotomic, N=mod.N))
     else:
         if case == "doubled_1":
             mod, idxs = s5_small, s5_small.graph.interior_indices()
@@ -734,9 +694,9 @@ def test_live_gate_keeps_the_verdicts(case, thin_3_1, s5_small):
             before = run_relation_suite(mod, rmax=1, hmax=1, nodes=idxs)
             _first_x_entry_leaves(mod, sign, i, idx)
             assert mod.x_entries(sign, i, idx)[0][0] is None
-        runs = list(torep.relation_runs(mod.rs, 1, 1))
+        runs = list(relations.relation_runs(mod.rs, 1, 1))
         got = run_relation_suite(mod, rmax=1, hmax=1, nodes=idxs)
-        ref = _per_spec_suite(mod, list(_specs(runs)), idxs)
+        ref = reference_suite(mod, _specs(runs), nodes=idxs)
     assert _summary(got) == _summary(ref)
     dead, proved = _pair_census(mod, runs, idxs)
     assert 0 < dead <= proved == got.proved <= len(runs) * len(idxs)
@@ -750,7 +710,7 @@ def test_runs_share_one_memo_per_vector(thin_3_1, broken_modules,
     # the runner is node-major: a (vector, shape) pair is expanded into
     # paths once, however many runs contain the shape
     expanded = []
-    paths = torep._paths
+    paths = relations._paths
 
     def recording(mod, sid, memo):
         if memo[sid] is None:
@@ -758,7 +718,7 @@ def test_runs_share_one_memo_per_vector(thin_3_1, broken_modules,
             expanded.append((idx, sid))
         return paths(mod, sid, memo)
 
-    monkeypatch.setattr(torep, "_paths", recording)
+    monkeypatch.setattr(relations, "_paths", recording)
     nodes = thin_3_1.graph.interior_indices()[:3]
     assert run_relation_suite(thin_3_1, rmax=2, hmax=2, nodes=nodes).ok
     assert {idx for idx, _ in expanded} == set(nodes)
@@ -766,7 +726,7 @@ def test_runs_share_one_memo_per_vector(thin_3_1, broken_modules,
     # the failures the reference comparison re-sorts into spec-major
     # order span several runs and several nodes
     _, _, ref = broken_modules["thin_3_1_step_shift"]
-    assert len({torep._split(spec)[0] for spec, _ in ref.failures}) >= 2
+    assert len({relations._split(spec)[0] for spec, _ in ref.failures}) >= 2
     assert len({node for _, node in ref.failures}) >= 2
 
 
@@ -829,7 +789,7 @@ def test_reference_comparison_catches_perturbed_scalar(broken_modules,
 
     # the template memo starts empty (conftest.py), so the perturbed
     # tables are the ones built
-    monkeypatch.setattr(torep, "relation_terms", perturbed_terms)
+    monkeypatch.setattr(relations, "relation_terms", perturbed_terms)
     got = suite()
     assert (got.checked, got.inconclusive, got.by_relation) == \
         (ref.checked, ref.inconclusive, ref.by_relation)
@@ -843,10 +803,10 @@ def _template_at(rs, spec):
     operator's affine mode evaluated at the spec's mode values and put
     back into its word, and each integer scalar read back as a
     RationalQ."""
-    key, v = torep._split(spec)
-    shapes = {sid: shape for shape, sid in torep._SHAPE_IDS.items()}
+    key, v = relations._split(spec)
+    shapes = {sid: shape for shape, sid in relations._SHAPE_IDS.items()}
     out = []
-    for scalar, sid, consts, cols in torep._table(rs, key):
+    for scalar, sid, consts, cols in relations._table(rs, key):
         shape = shapes[sid]
         modes = [c + sum(col[k] * x for col, x in zip(cols, v))
                  for k, c in enumerate(consts)]
@@ -864,7 +824,7 @@ def test_symbolic_table_matches_relation_terms(n, parity):
     # the template memo is keyed by rank alone: whichever parity built a
     # table first, it must match relation_terms at this parity
     rs = RootSystem(n, parity=parity)
-    specs = [*relation_instances(rs, 3, 2), *_specs(_eps_runs(rs, 7, 7))]
+    specs = [*relation_instances(rs, 3, 2), *_specs(eps_runs(rs, 7, 7))]
     for spec in specs:
         got, want = _template_at(rs, spec), relation_terms(rs, spec)
         assert len(got) == len(want), spec
@@ -889,8 +849,8 @@ def test_mode_in_a_scalar_raises(thin_3_1, monkeypatch):
     for patched in (q_power_r, branch_on_r):
         # a cold template memo for each patch, so that its tables are
         # built
-        monkeypatch.setattr(torep, "_TEMPLATES", {})
-        monkeypatch.setattr(torep, "relation_terms", patched)
+        monkeypatch.setattr(relations, "_TEMPLATES", {})
+        monkeypatch.setattr(relations, "relation_terms", patched)
         with pytest.raises(TypeError):
             run_relation_suite(thin_3_1, rmax=1, hmax=1, nodes=[0],
                                include=["k-conjugation"])
@@ -901,38 +861,38 @@ def test_mode_in_a_scalar_raises(thin_3_1, monkeypatch):
 def test_int_terms_reads_scalars_in_z_q():
     # +-q^a, -[2] and a unit denominator +-q^k are integer term tuples;
     # a denominator that is no unit has none
-    assert torep._int_terms(RationalQ.q_power(-2)) == ((-2, 1),)
-    assert torep._int_terms(-RationalQ(qint(2))) == ((-1, -1), (1, -1))
-    assert torep._int_terms(RationalQ(LaurentPoly({1: 3}),
+    assert relations._int_terms(RationalQ.q_power(-2)) == ((-2, 1),)
+    assert relations._int_terms(-RationalQ(qint(2))) == ((-1, -1), (1, -1))
+    assert relations._int_terms(RationalQ(LaurentPoly({1: 3}),
                                       LaurentPoly({2: -1}))) == ((-1, -3),)
-    assert torep._int_terms(RationalQ(LaurentPoly())) == ()
+    assert relations._int_terms(RationalQ(LaurentPoly())) == ()
     with pytest.raises(ValueError, match="not in Z"):
-        torep._int_terms(RationalQ(LaurentPoly.from_int(1),
+        relations._int_terms(RationalQ(LaurentPoly.from_int(1),
                                    LaurentPoly.from_int(2)))
     with pytest.raises(ValueError, match="not in Z"):
-        torep._int_terms(RationalQ(LaurentPoly.from_int(1), Q_MINUS_QINV))
+        relations._int_terms(RationalQ(LaurentPoly.from_int(1), Q_MINUS_QINV))
 
 
 def test_relation_terms_run_once_per_rank_and_key(thin_3_1, monkeypatch):
     # the generic suite and the check at eps on modules of one rank share
     # the templates: each (rank, key) is tabled once in the process
     calls = []
-    terms = torep.relation_terms
+    terms = relations.relation_terms
 
     def recording(rs, spec):
-        calls.append((rs.n, torep._split(spec)[0]))
+        calls.append((rs.n, relations._split(spec)[0]))
         return terms(rs, spec)
 
-    monkeypatch.setattr(torep, "relation_terms", recording)
+    monkeypatch.setattr(relations, "relation_terms", recording)
     rep = run_relation_suite(thin_3_1, nodes=thin_3_1.graph.interior_indices())
     assert rep.ok
-    generic = {(3, key) for key, _ in torep.relation_runs(thin_3_1.rs)}
+    generic = {(3, key) for key, _ in relations.relation_runs(thin_3_1.rs)}
     assert len(calls) == len(generic) == 142
     spec = specialize_thin(3, 1, 2)
     assert relation_check_eps(spec).ok
     assert len(calls) == len(set(calls))
     assert set(calls) == generic | {(3, key) for key, _ in
-                                    _eps_runs(spec.rs, spec.N - 1, 2)}
+                                    eps_runs(spec.rs, spec.N - 1, 2)}
     assert len(calls) == 146
 
 
@@ -953,7 +913,7 @@ def test_rank_5_suite_after_rank_3_gets_rank_5_tables(thin_3_1):
     assert rep.by_relation == {
         "h-h": 168, "h-x": 3456, "k-conjugation": 1728, "serre-cubic": 3384,
         "x-commute-distant": 1296, "x-plus-minus": 2592, "x-quadratic": 5148}
-    assert {rank for rank, _ in torep._TEMPLATES} == {3, 5}
+    assert {rank for rank, _ in relations._TEMPLATES} == {3, 5}
 
 
 # ---------------------------------------------------------------------------
@@ -976,12 +936,12 @@ class _FanModule:
 def _fan_counts(mod, r):
     """Cleared counters of x^-_{1,r} on vector 0, with the template's
     common denominator."""
-    word = (("x", -1, 1, torep.Mode(0, (1,))),)
-    template = torep._shapes(((torep._UNIT, word),), 1)
-    den, terms, hazards = torep._node_terms(
-        mod, template, torep._vector_memo(0, mod.one))
+    word = (("x", -1, 1, relations.Mode(0, (1,))),)
+    template = relations._shapes(((relations._UNIT, word),), 1)
+    den, terms, hazards = relations._node_terms(
+        mod, template, relations._vector_memo(0, mod.one))
     assert not hazards
-    return den, torep._residual(terms, (r,))
+    return den, relations._residual(terms, (r,))
 
 
 def _one_minus(k):
@@ -1158,9 +1118,9 @@ def test_dropped_x_entry_is_reported(thin_3_1, ring):
                and mod.pair_entries(i, k))
     _drop_first_x_entry(mod, -1, i, idx)
     assert mod.x_entries(-1, i, idx) == ()
-    sid = torep._intern((("x", 1, i), ("x", -1, i)))
-    assert torep._paths(mod, sid, torep._vector_memo(idx, mod.one)) == \
-        ({}, ())
+    sid = relations._intern((("x", 1, i), ("x", -1, i)))
+    memo = relations._vector_memo(idx, mod.one)
+    assert relations._paths(mod, sid, memo) == ({}, ())
     failures = suite().failures
     at_idx = [spec for spec, node in failures
               if spec.rid == "x-plus-minus" and node == mod.node(idx)]
@@ -1250,13 +1210,13 @@ def test_symbolic_h_h_cancels_at_every_mode(thin_3_1, s5_small):
     # so nothing is left: (q - q^-1)^2 m1 m2 [h_{i,m1}, h_{j,m2}] = 0
     # for every (m1, m2)
     for mod in (thin_3_1, s5_small):
-        tables = [torep._table(mod.rs, key) for key, _ in
-                  torep.relation_runs(mod.rs, 0, 1, include=["h-h"])]
+        tables = [relations._table(mod.rs, key) for key, _ in
+                  relations.relation_runs(mod.rs, 0, 1, include=["h-h"])]
         assert tables
         for idx in mod.graph.interior_indices():
-            memo = torep._vector_memo(idx, mod.one)
+            memo = relations._vector_memo(idx, mod.one)
             for template in tables:
-                _, terms, hazards = torep._node_terms(mod, template, memo)
+                _, terms, hazards = relations._node_terms(mod, template, memo)
                 assert (terms, hazards) == ([], []), (idx, template)
 
 
@@ -1337,8 +1297,8 @@ def _flatten_checked(runs):
     out = []
     for key, modes in runs:
         for v in modes:
-            spec = torep._join(key, v)
-            assert torep._split(spec) == (key, v), spec
+            spec = relations._join(key, v)
+            assert relations._split(spec) == (key, v), spec
             out.append(spec)
     return out
 
@@ -1351,9 +1311,9 @@ def test_relation_runs_flatten_to_the_instances(n, parity):
                                 (2, 3, ("serre-cubic", "h-h"))):
         want = _reference_instances(rs, rmax, hmax, include)
         assert _flatten_checked(
-            torep.relation_runs(rs, rmax, hmax, include)) == want
+            relations.relation_runs(rs, rmax, hmax, include)) == want
         assert list(relation_instances(rs, rmax, hmax, include)) == want
     for rmax, serre_rmax in ((1, 1), (3, 2), (7, 7)):
         want = _reference_eps_instances(rs, rmax, serre_rmax)
-        assert _flatten_checked(_eps_runs(rs, rmax, serre_rmax)) == want
-        assert list(_specs(_eps_runs(rs, rmax, serre_rmax))) == want
+        assert _flatten_checked(eps_runs(rs, rmax, serre_rmax)) == want
+        assert list(_specs(eps_runs(rs, rmax, serre_rmax))) == want

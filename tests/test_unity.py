@@ -2,17 +2,18 @@ import operator
 
 import pytest
 
-from torcrys import torep
+from torcrys import relations
 from torcrys.crystal import WindowError, generate
 from torcrys.monomial import ResidueMonomial, gamma
 from torcrys.qcoeff import (RQ_ONE, CycloElem, RationalQ, SpecializationError,
                             eval_cyclotomic, qint)
-from torcrys.torep import (RELATION_IDS, ClosednessRefusal, RelationSpec,
-                           build_doubled, build_thin, doubled_anchor)
-from torcrys.unity import (SpecializedModule, _eps_runs,
-                           cyclic_generation_check, generated_submodule,
-                           joint_spectrum_simple, relation_check_eps,
-                           specialize_doubled, specialize_thin)
+from torcrys.relations import RELATION_IDS, RelationSpec, eps_runs
+from torcrys.torep import (ClosednessRefusal, build_doubled, build_thin,
+                           doubled_anchor)
+from torcrys.unity import (SpecializedModule, cyclic_generation_check,
+                           generated_submodule, joint_spectrum_simple,
+                           relation_check_eps, specialize_doubled,
+                           specialize_thin)
 
 
 def test_dimensions_thin():
@@ -442,7 +443,7 @@ def test_eps_unit_is_the_ring_one(build):
 def test_relation_check_eps_multiplies_by_no_unit(monkeypatch):
     """The relation runner forms no ring product with a relation scalar:
     it multiplies cleared integer numerators by the tables' integer
-    scalars (`torep._collect`), and skips a path product when either
+    scalars (`relations._collect`), and skips a path product when either
     factor is the ring's one.  On thin (3,1,2), whose x entries are all
     units, the check makes no CycloElem product at all."""
     spec = specialize_thin(3, 1, 2)
@@ -476,7 +477,7 @@ def test_relation_check_eps_counts(build, dim, monkeypatch):
     # once mode weights are taken mod N, so no instance is evaluated one
     # by one; the counts stay those of evaluating every instance
     entered, evaluated = [], []
-    node_terms, residual = torep._node_terms, torep._residual
+    node_terms, residual = relations._node_terms, relations._residual
 
     def recording(mod, template, memo):
         entered.append(template)
@@ -486,15 +487,15 @@ def test_relation_check_eps_counts(build, dim, monkeypatch):
         evaluated.append(v)
         return residual(terms, v)
 
-    monkeypatch.setattr(torep, "_node_terms", recording)
-    monkeypatch.setattr(torep, "_residual", recording_residual)
+    monkeypatch.setattr(relations, "_node_terms", recording)
+    monkeypatch.setattr(relations, "_residual", recording_residual)
     spec = build()
     rep = relation_check_eps(spec, rmax=min(spec.N - 1, 3), serre_rmax=2)
     assert len(spec) == dim
     assert (rep.checked, rep.inconclusive, rep.failures) == (1504 * dim, 0, [])
     assert rep.by_relation == {rid: k * dim
                                for rid, k in _EPS_PER_VECTOR.items()}
-    pairs = len(list(_eps_runs(spec.rs, min(spec.N - 1, 3), 2))) * dim
+    pairs = len(list(eps_runs(spec.rs, min(spec.N - 1, 3), 2))) * dim
     assert 0 < len(entered) < pairs / 2
     assert evaluated == []
     assert rep.proved == pairs
@@ -509,20 +510,20 @@ def test_relation_check_eps_at_every_residue(build, checked, monkeypatch):
     # rmax = serre_rmax = N - 1 covers every residue of each mode; every
     # (run, vector) pair is proved at once, none instance by instance
     evaluated = []
-    residual = torep._residual
+    residual = relations._residual
 
     def recording(terms, v):
         evaluated.append(v)
         return residual(terms, v)
 
-    monkeypatch.setattr(torep, "_residual", recording)
+    monkeypatch.setattr(relations, "_residual", recording)
     spec = build()
     rep = relation_check_eps(spec, spec.N - 1, spec.N - 1)
     assert rep.ok and not rep.failures and not rep.inconclusive
     assert rep.checked == checked
     assert evaluated == []
-    assert rep.proved == len(list(_eps_runs(spec.rs, spec.N - 1,
-                                            spec.N - 1))) * len(spec)
+    assert rep.proved == len(list(eps_runs(spec.rs, spec.N - 1,
+                                           spec.N - 1))) * len(spec)
 
 
 @pytest.mark.parametrize("build", [lambda: specialize_thin(3, 1, 2),
@@ -569,9 +570,10 @@ def test_h_fault_outside_the_h_x_modes_escapes_relation_check_eps(build,
         rep = relation_check_eps(spec, rmax, serre_rmax)
         assert rep.ok and not rep.failures and rep.checked == want
     for m in (1, 2, 3, 4, 5, 6, 7, -5):
-        runs = torep._runs(spec.rs, {"h-x": tuple((m, r) for r in range(8))},
-                           operator.ne)
-        rep = torep._run_suite(spec, runs, range(len(spec)))
+        runs = relations._runs(spec.rs,
+                               {"h-x": tuple((m, r) for r in range(8))},
+                               operator.ne)
+        rep = relations.run_suite(spec, runs, range(len(spec)))
         assert rep.checked == checked[3]
         if m % 8 != 3:
             assert rep.ok and not rep.failures
