@@ -12,14 +12,19 @@ in special position) are reported as inconclusive, never as a wrong
 verdict.
 
 `closed_report` decides q-closedness from one class table per
-direction, built one at a time.  Closedness under e~_i and f~_i needs
-no decision there: `generate` records every image of an interior node
-as a node.  `kashiwara_closed` recomputes every image as a Monomial;
-it is the independent check of that guarantee and of hand-made sets.
+direction, built one at a time.  Each node's exponents are split into
+rows once (`_row_split`), and every direction's class keys are made
+from that split: slices of the exponent tuple at the row offsets, and
+row tuples shared by all directions.  Closedness under e~_i and f~_i
+needs no decision there: `generate` records every image of an interior
+node as a node.  `kashiwara_closed` recomputes every image as a
+Monomial; it is the independent check of that guarantee and of
+hand-made sets.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import accumulate
 from operator import itemgetter
 
 from .crystal import e_tilde, f_tilde, generate
@@ -116,50 +121,6 @@ def sl2_simple_qchar(row: dict):
 # ---------------------------------------------------------------------------
 # A_{i,*}-classes
 # ---------------------------------------------------------------------------
-
-def _class_key_and_row(rs: RootSystem, m: Monomial, i: int):
-    """(key, row i of m as a sorted tuple), from one pass over m.exps.
-
-    The key is the canonical invariant of the class m * prod_l
-    A_{i,l}^Z: rows away from i-1, i, i+1 verbatim, the triple of nearby
-    rows normalized by clearing row i-1, and the correspondingly
-    adjusted delta-coefficient.  The h-part of the weight is left out:
-    it is the column sums of the normalized exponents, so two keys that
-    agree on those agree on it."""
-    im, ip = rs.mod(i - 1), rs.mod(i + 1)
-    other, c, row_i, row_p = [], {}, {}, {}
-    for k, u in m.exps:
-        j = k[0]
-        if j == im:
-            c[k[1]] = u
-        elif j == i:
-            row_i[k[1]] = u
-        elif j == ip:
-            row_p[k[1]] = u
-        else:
-            other.append((k, u))
-    row = tuple(row_i.items())
-    if not c:
-        return (tuple(other), row, tuple(row_p.items()), m.weight.delta), row
-    for l, v in c.items():
-        for e in (l - 1, l + 1):
-            s = row_i.get(e, 0) + v
-            if s:
-                row_i[e] = s
-            else:
-                row_i.pop(e, None)
-    for l, v in c.items():
-        s = row_p.get(l, 0) - v
-        if s:
-            row_p[l] = s
-        else:
-            row_p.pop(l, None)
-    # the weight gains alpha_i * sum(c); alpha_i has a delta-coefficient
-    # only at i = 0
-    delta = m.weight.delta + sum(c.values()) * rs.alpha(i).delta
-    return (tuple(other), tuple(sorted(row_i.items())),
-            tuple(sorted(row_p.items())), delta), row
-
 
 def _solve_a_exponents(rs: RootSystem, i: int, diff: dict):
     """Finitely supported c with c_{l-1} + c_{l+1} = diff_l, or None."""
@@ -374,14 +335,74 @@ def _near_edge(nodes, window) -> list:
     return [any(l <= lo or l >= hi for (_, l), _ in m.exps) for m in nodes]
 
 
-def _class_table(rs: RootSystem, nodes, i: int, near_edge) -> dict:
+def _row_split(rs: RootSystem, nodes) -> list:
+    """Per node, (offsets, rows): each row j = 0..n of m as a tuple of
+    (l, u) pairs, and the offsets in m.exps at which the rows start,
+    with len(m.exps) last.  Rows are interned within the call, so equal
+    rows of different nodes share one tuple."""
+    interned = {}
+    intern = interned.setdefault
+    split = []
+    for m in nodes:
+        rows = [[] for _ in rs.nodes]
+        for (j, l), u in m.exps:
+            rows[j].append((l, u))
+        split.append((tuple(accumulate(map(len, rows), initial=0)),
+                      tuple([intern(row, row) for row in map(tuple, rows)])))
+    return split
+
+
+def _class_table(rs: RootSystem, nodes, split, i: int, near_edge) -> dict:
     """The A_{i,*}-classes of `nodes` (distinct, in Monomial.sort_key
-    order), from one `_class_key_and_row` call and one lookup per node:
+    order), from the row split of `_row_split` and one lookup per node:
     key -> [members, {row i: node position}, touches the window edge].
-    Members and rows are in node order."""
+    Members and rows are in node order.
+
+    The key is the canonical invariant of the class m * prod_l
+    A_{i,l}^Z: the rows away from i-1, i, i+1 verbatim (one or two
+    slices of m.exps at the split's offsets), the triple of nearby rows
+    normalized by clearing row i-1, and the correspondingly adjusted
+    delta-coefficient.  Where row i-1 is already empty the key is made
+    of the split's rows as they are.  The h-part of the weight is left
+    out: it is the column sums of the normalized exponents, so two keys
+    that agree on those agree on it."""
+    n = rs.n
+    im, ip = rs.mod(i - 1), rs.mod(i + 1)
+    # the weight gains alpha_i * sum(c); alpha_i has a delta-coefficient
+    # only at i = 0
+    alpha_delta = rs.alpha(i).delta
     table = {}
-    for k, m in enumerate(nodes):
-        key, row = _class_key_and_row(rs, m, i)
+    for k, (m, (offs, rows)) in enumerate(zip(nodes, split)):
+        exps = m.exps
+        # the rows other than i-1, i and i+1 (indices mod n+1)
+        if i == 0:
+            other = exps[offs[2]:offs[n]]
+        elif i == n:
+            other = exps[offs[1]:offs[n - 1]]
+        else:
+            other = exps[:offs[im]] + exps[offs[i + 2]:]
+        row, c = rows[i], rows[im]
+        if not c:
+            key = (other, row, rows[ip], m.weight.delta)
+        else:
+            row_i, row_p = dict(row), dict(rows[ip])
+            total = 0
+            for l, v in c:
+                total += v
+                for e in (l - 1, l + 1):
+                    s = row_i.get(e, 0) + v
+                    if s:
+                        row_i[e] = s
+                    else:
+                        row_i.pop(e, None)
+                s = row_p.get(l, 0) - v
+                if s:
+                    row_p[l] = s
+                else:
+                    row_p.pop(l, None)
+            key = (other, tuple(sorted(row_i.items())),
+                   tuple(sorted(row_p.items())),
+                   m.weight.delta + total * alpha_delta)
         entry = table.get(key)
         if entry is None:
             table[key] = [[m], {row: k}, near_edge[k]]
@@ -415,10 +436,13 @@ def qclosed_direction(rs: RootSystem, monomials, i: int,
 
     Classes whose support touches the window edge (within EDGE_MARGIN)
     are reported inconclusive rather than risking a truncation artifact.
+    A direction outside 0..n raises ValueError.
     """
+    if i not in rs.nodes:
+        raise ValueError(f"direction {i} out of range 0..{rs.n}")
     nodes = sorted(set(monomials), key=Monomial.sort_key)
-    return _decide_classes(
-        rs, i, _class_table(rs, nodes, i, _near_edge(nodes, window)))
+    return _decide_classes(rs, i, _class_table(
+        rs, nodes, _row_split(rs, nodes), i, _near_edge(nodes, window)))
 
 
 def classical_a_exponents(n: int, i: int, l: int) -> dict:
@@ -622,8 +646,9 @@ def closed_report(n: int, ell: int, window=None) -> ClosednessReport:
         raise ValueError("window too small: need at least two shift periods")
     nodes = generate(rs, [fundamental_anchor(rs, ell)], window).nodes
     near_edge = _near_edge(nodes, window)
+    split = _row_split(rs, nodes)
     # each table is freed before the next is built: keeping every
     # direction's table alive raises the peak memory
     return ClosednessReport(n, ell, window, [
-        _decide_classes(rs, i, _class_table(rs, nodes, i, near_edge))
+        _decide_classes(rs, i, _class_table(rs, nodes, split, i, near_edge))
         for i in rs.nodes])

@@ -7,14 +7,15 @@ Crystals here are infinite; every consumer declares a spectral window
 [lmin, lmax] and only *interior* nodes (whose full operator
 neighborhood stays inside the window) participate in assertions.
 
-The BFS runs on exponent tuples and computes each edge once: an edge
-f~_i x = y found from either end is recorded with its inverse
-e~_i y = x.  Weights are propagated along the edges and checked where a
-node is found again; Monomials are built once per node, at the end.
+The BFS runs on integer node ids: a node's exponent tuple is hashed
+once per lookup of an image, and the edges, the queue and the clipped
+set hold ids.  Each edge is computed once: an edge f~_i x = y found
+from either end is recorded with its inverse e~_i y = x.  Weights are
+propagated along the edges and checked where a node is found again;
+the nodes are sorted by exponents and made Monomials once, at the end.
 """
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -162,40 +163,64 @@ def _closure(rs: RootSystem, starts, labels, window):
     is interior when no operator leads it out of the window, so every
     image of an interior node is a node.
 
-    The search is keyed by exponent tuples.  A weight is propagated
-    along each edge it crosses, and a node found again must arrive with
-    the weight it already has (ValidationErrorForGraph otherwise).  Each
-    edge is computed once: f~_i x = y inside the window records
-    e~_i y = x as well, and the other way round (Kashiwara's axiom), so
-    a (node, label) image already known is never recomputed, and a
-    label whose row is empty has none.  The nodes start in the window,
-    so an image lies in it exactly when the four variables of its
-    A_{i,l}^{-+1}, at l-1, l and l+1, do.  One Monomial is built per
-    node, at the end."""
+    The search runs on integer ids: the exponent tuples sit in a list
+    in discovery order, which is also the FIFO queue, with their weights
+    in a parallel list, and `ids` maps a tuple to its id.  An image's
+    tuple is hashed once, by the lookup that finds or assigns its id;
+    edges are keyed by (id, label) and the clipped nodes are a set of
+    ids.  A weight is propagated along each edge it crosses, and a node
+    found again must arrive with the weight it already has
+    (ValidationErrorForGraph otherwise).  Each edge is computed once:
+    f~_i x = y inside the window records e~_i y = x as well, and the
+    other way round (Kashiwara's axiom), so a (node, label) image
+    already known is never recomputed, and a label whose row is empty
+    has none.  The nodes start in the window, so an image lies in it
+    exactly when the four variables of its A_{i,l}^{-+1}, at l-1, l and
+    l+1, do.  The statistics of a node's rows (those of `row_stats`)
+    come from one pass over its exponent tuple, in increasing label
+    order.  The nodes are sorted by exponents at the end, and one
+    Monomial is built per node."""
     lmin, lmax = window
-    weight = {}
+    keys, weights, ids = [], [], {}
     for m in starts:
-        if weight.setdefault(m.exps, m.weight) != m.weight:
+        k = ids.setdefault(m.exps, len(keys))
+        if k == len(keys):
+            keys.append(m.exps)
+            weights.append(m.weight)
+        elif weights[k] != m.weight:
             raise ValidationErrorForGraph(m)
     moves = {(i, sign): rs.alpha(i).scaled(sign)
              for i in labels for sign in (-1, 1)}
     # a node found again has the h-part of its exponents' column sums,
     # so only its delta-part can disagree
     delta_moves = {key: w.delta for key, w in moves.items()}
-    frontier = deque(weight)
+    labelset = set(labels)
     f_raw, e_raw = {}, {}
     clipped = set()
-    while frontier:
-        x = frontier.popleft()
-        xd, wx = dict(x), weight[x]
-        rows = {}
-        for (i, l), u in x:
-            rows.setdefault(i, {})[l] = u
-        for i in labels:
-            row = rows.get(i)
-            if not row:
+    x = 0
+    while x < len(keys):
+        xt, wx = keys[x], weights[x]
+        xd = dict(xt)
+        # the row_stats of every nonempty row, in one pass over the
+        # sorted exponents: (label, p, qq), p None where eps = 0 and qq
+        # None where phi = 0
+        found = []
+        cur = None
+        for (i, l), u in xt:
+            if i != cur:
+                if cur is not None:
+                    found.append((cur, p if phi != acc else None, qq))
+                cur, acc, phi, p, qq = i, 0, 0, None, None
+            if acc == phi:
+                p = l
+            acc += u
+            if acc > phi:
+                phi, qq = acc, l
+        if cur is not None:
+            found.append((cur, p if phi != acc else None, qq))
+        for i, p, qq in found:
+            if i not in labelset:
                 continue
-            _, _, p, qq = row_stats(row)
             # f~_i divides by A_{i,qq+1}, e~_i multiplies by A_{i,p-1}
             for l, sign, known, back in ((qq, -1, f_raw, e_raw),
                                          (p, 1, e_raw, f_raw)):
@@ -206,22 +231,25 @@ def _closure(rs: RootSystem, starts, labels, window):
                     clipped.add(x)
                     continue
                 y = exp_key(exp_mul(xd, a_exponents(rs, i, l), sign))
-                known[(x, i)] = y
-                back[(y, i)] = x
-                wy = weight.get(y)
-                if wy is None:
-                    weight[y] = wx + moves[i, sign]
-                    frontier.append(y)
-                elif wy.delta != wx.delta + delta_moves[i, sign]:
+                yid = ids.setdefault(y, len(keys))
+                known[(x, i)] = yid
+                back[(yid, i)] = x
+                if yid == len(keys):
+                    keys.append(y)
+                    weights.append(wx + moves[i, sign])
+                elif weights[yid].delta != wx.delta + delta_moves[i, sign]:
                     raise ValidationErrorForGraph(
                         Monomial(y, wx + moves[i, sign]))
-    keys = sorted(weight)
-    pos = {x: k for k, x in enumerate(keys)}
-    nodes = [Monomial(x, weight[x]) for x in keys]
+        x += 1
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    pos = [0] * len(keys)
+    for k, x in enumerate(order):
+        pos[x] = k
+    nodes = [Monomial(keys[x], weights[x]) for x in order]
     index = {m: k for k, m in enumerate(nodes)}
     f_edges = {(pos[x], i): pos[y] for (x, i), y in f_raw.items()}
     e_edges = {(pos[x], i): pos[y] for (x, i), y in e_raw.items()}
-    return nodes, index, f_edges, e_edges, [x not in clipped for x in keys]
+    return nodes, index, f_edges, e_edges, [x not in clipped for x in order]
 
 
 def generate(rs: RootSystem, anchors, window) -> CrystalGraph:

@@ -5,7 +5,7 @@ from torcrys.closedness import (closed_report, fundamental_anchor,
                                 sl2_qclosed, sl2_row_e, sl2_row_f,
                                 sl2_simple_qchar)
 from torcrys.crystal import generate, sub_crystal
-from torcrys.lattice import RootSystem
+from torcrys.lattice import RootSystem, Weight
 from torcrys.closedness import qclosed_direction_classical
 from torcrys.monomial import (Monomial, a_exponents, a_monomial, exp_key,
                               exp_mul, xi_drop)
@@ -187,14 +187,9 @@ def test_witnesses_absent_from_the_set():
                 assert cls.witness not in nodes
 
 
-def _partner_by_repeated_products(rs, m, i, target_row):
-    """The class element with row i equal to target_row, reached by
-    multiplying m by one A_{i,l}^{+-1} at a time."""
-    from torcrys.closedness import _solve_a_exponents
-    diff = dict(target_row)
-    for l, u in m.row(i).items():
-        diff[l] = diff.get(l, 0) - u
-    c = _solve_a_exponents(rs, i, diff)
+def _times_a_products(rs, m, i, c):
+    """m * prod_l A_{i,l}^{c_l}, multiplying by one A_{i,l}^{+-1} at a
+    time."""
     out = m
     for l, v in sorted(c.items()):
         a = a_monomial(rs, i, l)
@@ -205,39 +200,81 @@ def _partner_by_repeated_products(rs, m, i, target_row):
     return out
 
 
+def _partner_by_repeated_products(rs, m, i, target_row):
+    """The class element with row i equal to target_row, reached by
+    multiplying m by one A_{i,l}^{+-1} at a time."""
+    from torcrys.closedness import _solve_a_exponents
+    diff = dict(target_row)
+    for l, u in m.row(i).items():
+        diff[l] = diff.get(l, 0) - u
+    return _times_a_products(rs, m, i, _solve_a_exponents(rs, i, diff))
+
+
+def _sweep_class_tables(n):
+    """(ell, rs, nodes, i, class table) for every direction i of the
+    closedness-sweep crystals of rank n, no class at the window edge."""
+    from torcrys.closedness import _class_table, _row_split
+    window = (-3 * (n + 1), 3 * (n + 1))
+    for ell in range(1, n + 1):
+        rs = RootSystem.for_fundamental(n, ell)
+        nodes = generate(rs, [fundamental_anchor(rs, ell)], window).nodes
+        split = _row_split(rs, nodes)
+        for i in rs.nodes:
+            yield ell, rs, nodes, i, _class_table(rs, nodes, split, i,
+                                                  [False] * len(nodes))
+
+
+@pytest.mark.parametrize("n", [3, 5, 7])
+def test_class_keys_match_normalized_monomials(n):
+    # every node and direction of the closedness-sweep crystals: the
+    # class key is read off the Monomial m * prod_l A_{i,l}^{c_l}, c =
+    # row i-1 of m, built from A_{i,l} products; two nodes share a class
+    # exactly when these normalized Monomials agree
+    shortcut = normalized = 0
+    for ell, rs, nodes, i, table in _sweep_class_tables(n):
+        im, ip = rs.mod(i - 1), rs.mod(i + 1)
+        key_of = {}
+        position = {m: k for k, m in enumerate(nodes)}
+        for key, (members, rows, _) in table.items():
+            for m in members:
+                c = m.row(im)
+                norm = _times_a_products(rs, m, i, c)
+                assert not norm.row(im)
+                assert key == (
+                    tuple(((j, l), u) for (j, l), u in norm.exps
+                          if j not in (im, i, ip)),
+                    tuple(norm.row(i).items()), tuple(norm.row(ip).items()),
+                    norm.weight.delta), (ell, i, m)
+                assert key_of.setdefault(norm, key) == key
+                assert rows[tuple(m.row(i).items())] == position[m]
+                shortcut += not c
+                normalized += bool(c)
+        assert len(key_of) == len(table), (ell, i)
+    assert shortcut and normalized
+
+
 @pytest.mark.parametrize("n", [3, 5, 7])
 def test_partner_matches_repeated_products(n):
     # every class of every direction of the closedness-sweep crystals:
     # the partners of its first member at the rows of all its members,
     # and at the rows of the first member's sl2 character when dominant
-    from torcrys.closedness import (UnsupportedConfigError, _class_key_and_row,
-                                    _partner)
-    window = (-3 * (n + 1), 3 * (n + 1))
+    from torcrys.closedness import UnsupportedConfigError, _partner
     compared = 0
-    for ell in range(1, n + 1):
-        rs = RootSystem.for_fundamental(n, ell)
-        nodes = generate(rs, [fundamental_anchor(rs, ell)], window).nodes
-        for i in rs.nodes:
-            classes = {}
-            for m in nodes:
-                key = _class_key_and_row(rs, m, i)[0]
-                classes.setdefault(key, []).append(m)
-            for members in classes.values():
-                base = members[0]
-                targets = [m.row(i) for m in members]
-                try:
-                    targets += [row for row, _ in
-                                sl2_simple_qchar(base.row(i))]
-                except (UnsupportedConfigError, ValueError):
-                    pass
-                for row in targets:
-                    got = _partner(rs, base, i, row)
-                    assert got == _partner_by_repeated_products(
-                        rs, base, i, row)
-                    assert got.row(i) == row
-                    compared += 1
-                for m in members:
-                    assert _partner(rs, base, i, m.row(i)) == m
+    for _, rs, nodes, i, table in _sweep_class_tables(n):
+        for members, _, _ in table.values():
+            base = members[0]
+            targets = [m.row(i) for m in members]
+            try:
+                targets += [row for row, _ in sl2_simple_qchar(base.row(i))]
+            except (UnsupportedConfigError, ValueError):
+                pass
+            for row in targets:
+                got = _partner(rs, base, i, row)
+                assert got == _partner_by_repeated_products(rs, base, i, row)
+                assert got.row(i) == row
+                compared += 1
+            for m in members:
+                assert _partner(rs, base, i, m.row(i)) == m
     assert compared > len(nodes)
 
 
@@ -248,31 +285,23 @@ def test_row_keyed_check_matches_monomial_route(n):
     # tuples gives the verdict, witness and reason of the route that
     # keys the class by Monomials and builds every character partner
     from torcrys.closedness import (_check_class_general, _check_class_rows,
-                                    _class_key_and_row, _partner)
-    window = (-3 * (n + 1), 3 * (n + 1))
+                                    _partner)
     verdicts = set()
-    for ell in range(1, n + 1):
-        rs = RootSystem.for_fundamental(n, ell)
-        nodes = generate(rs, [fundamental_anchor(rs, ell)], window).nodes
-        for i in rs.nodes:
-            classes = {}
-            for m in nodes:
-                key = _class_key_and_row(rs, m, i)[0]
-                classes.setdefault(key, []).append(m)
-            chars = {}
-            for key in sorted(classes):
-                members = sorted(classes[key], key=Monomial.sort_key)
-                rows = [tuple(sorted(m.row(i).items())) for m in members]
-                got = _check_class_rows(rs, i, members, rows, chars)
-                want = _check_class_general(
-                    members,
-                    row_of=lambda m: m.row(i),
-                    raise_partner=lambda m, l: m * a_monomial(rs, i, l),
-                    char_partner=lambda m, row: _partner(rs, m, i, row))
-                assert got.members == want.members
-                assert (got.verdict, got.witness, got.reason) == \
-                    (want.verdict, want.witness, want.reason), (ell, i, key)
-                verdicts.add((want.verdict, want.reason))
+    for ell, rs, _, i, table in _sweep_class_tables(n):
+        chars = {}
+        for key in sorted(table):
+            members = sorted(table[key][0], key=Monomial.sort_key)
+            rows = [tuple(sorted(m.row(i).items())) for m in members]
+            got = _check_class_rows(rs, i, members, rows, chars)
+            want = _check_class_general(
+                members,
+                row_of=lambda m: m.row(i),
+                raise_partner=lambda m, l: m * a_monomial(rs, i, l),
+                char_partner=lambda m, row: _partner(rs, m, i, row))
+            assert got.members == want.members
+            assert (got.verdict, got.witness, got.reason) == \
+                (want.verdict, want.witness, want.reason), (ell, i, key)
+            verdicts.add((want.verdict, want.reason))
     assert verdicts >= {("closed", ""),
                         ("not-closed", "maximal element not dominant"),
                         ("not-closed", "required monomial absent")}
@@ -300,6 +329,34 @@ def test_qclosed_direction_fails_on_a_deleted_member():
                          if c.verdict == "not-closed"))
     assert reasons == {"maximal element not dominant",
                        "required monomial absent"}
+
+
+def test_qclosed_direction_fails_on_a_moved_delta():
+    # moving the delta-coefficient of either member of a closed
+    # two-member class up by one takes it out of the class, which breaks
+    # q-closedness with the member as it was before the move as witness
+    rs = RootSystem.for_fundamental(3, 1)
+    window = (-12, 12)
+    nodes = generate(rs, [fundamental_anchor(rs, 1)], window).nodes
+    rep = qclosed_direction(rs, nodes, 1, window=window)
+    pair = next(c.members for c in rep.classes
+                if c.verdict == "closed" and len(c.members) == 2)
+    for victim in pair:
+        moved = Monomial(victim.exps,
+                         Weight(victim.weight.h, victim.weight.delta + 1))
+        mutated = [moved if m == victim else m for m in nodes]
+        rep = qclosed_direction(rs, mutated, 1, window=window)
+        assert rep.qclosed is False
+        assert rep.witness == victim
+
+
+@pytest.mark.parametrize("i", [-1, 4])
+def test_qclosed_direction_refuses_a_direction_out_of_range(i):
+    rs = RootSystem.for_fundamental(3, 1)
+    window = (-12, 12)
+    nodes = generate(rs, [fundamental_anchor(rs, 1)], window).nodes
+    with pytest.raises(ValueError, match="out of range"):
+        qclosed_direction(rs, nodes, i, window=window)
 
 
 @pytest.fixture(scope="module")
