@@ -15,11 +15,18 @@ verdict.
 direction, built one at a time.  Each node's exponents are split into
 rows once (`_row_split`), and every direction's class keys are made
 from that split: slices of the exponent tuple at the row offsets, and
-row tuples shared by all directions.  Closedness under e~_i and f~_i
-needs no decision there: `generate` records every image of an interior
-node as a node.  `kashiwara_closed` recomputes every image as a
-Monomial; it is the independent check of that guarantee and of
-hand-made sets.
+row tuples shared by all directions, each with a number.  Each piece
+of work is done once per distinct input within a direction: the
+normalized rows of a class key once per triple of row numbers
+(`_class_table`), and the greedy sl2 subtraction once per ordered
+column of row-i tuples that is closed or inconclusive
+(`_decide_classes`); a class that is not closed is always decided on
+its own members, which its witness is built from.
+
+Closedness under e~_i and f~_i needs no decision there: `generate`
+records every image of an interior node as a node.  `kashiwara_closed`
+recomputes every image as a Monomial; it is the independent check of
+that guarantee and of hand-made sets.
 """
 from __future__ import annotations
 
@@ -281,15 +288,18 @@ def _check_class_rows(rs: RootSystem, i: int, members, rows,
     member order: a list, or a dict keyed by them): the projection is
     injective on a class, so a member is found by its row and a Monomial
     is built only as a witness.  `chars` memoizes the sl2 character of
-    each highest row (or the UnsupportedConfigError it raised)."""
+    each highest row (or the UnsupportedConfigError it raised).  The
+    result holds `members` itself, not a copy."""
     if len(members) == 1 and () in rows:
         # a lone member with an empty row i is its own sl2 character
-        return ClassResult(list(members), "closed")
+        return ClassResult(members, "closed")
     counter = dict.fromkeys(rows, 1)
-    # rank by (row sum, dominance, sort-key position); the row sum is
-    # the weight's value on h_i
+    # rank by (row sum, dominance, sort-key position): the rows alone
+    # fix the ranking, so a closed or inconclusive verdict depends on
+    # the rows in member order and nothing else (the row sum is the
+    # weight's value on h_i)
     ranked = sorted(
-        (((m.weight.h[i], all(u >= 0 for _, u in row), k), m, row)
+        (((sum(u for _, u in row), all(u >= 0 for _, u in row), k), m, row)
          for k, (m, row) in enumerate(zip(members, rows))),
         key=itemgetter(0), reverse=True)
     pos = 0
@@ -299,7 +309,7 @@ def _check_class_rows(rs: RootSystem, i: int, members, rows,
         (_, dominant, _), best, row = ranked[pos]
         if not dominant:
             a = min(l for l, u in row if u < 0)
-            return ClassResult(list(members), "not-closed",
+            return ClassResult(members, "not-closed",
                                best * a_monomial(rs, i, a - 1),
                                reason="maximal element not dominant")
         char = chars.get(row)
@@ -311,18 +321,18 @@ def _check_class_rows(rs: RootSystem, i: int, members, rows,
                 char = exc
             chars[row] = char
         if isinstance(char, UnsupportedConfigError):
-            return ClassResult(list(members), "inconclusive", None, str(char))
+            return ClassResult(members, "inconclusive", None, str(char))
         for target, mult in char:
             have = counter.get(target, 0)
             if have < mult:
-                return ClassResult(list(members), "not-closed",
+                return ClassResult(members, "not-closed",
                                    _partner(rs, best, i, dict(target)),
                                    reason="required monomial absent")
             if have == mult:
                 del counter[target]
             else:
                 counter[target] = have - mult
-    return ClassResult(list(members), "closed")
+    return ClassResult(members, "closed")
 
 
 EDGE_MARGIN = 3
@@ -336,19 +346,27 @@ def _near_edge(nodes, window) -> list:
 
 
 def _row_split(rs: RootSystem, nodes) -> list:
-    """Per node, (offsets, rows): each row j = 0..n of m as a tuple of
-    (l, u) pairs, and the offsets in m.exps at which the rows start,
-    with len(m.exps) last.  Rows are interned within the call, so equal
-    rows of different nodes share one tuple."""
-    interned = {}
-    intern = interned.setdefault
+    """Per node, (offsets, rows, ids): each row j = 0..n of m as a tuple
+    of (l, u) pairs, the offsets in m.exps at which the rows start, with
+    len(m.exps) last, and the number of each row.  Rows are interned
+    within the call and numbered in order of first appearance, so equal
+    rows of different nodes share one tuple and one number."""
+    numbers = {}
+    interned = []
     split = []
     for m in nodes:
         rows = [[] for _ in rs.nodes]
         for (j, l), u in m.exps:
             rows[j].append((l, u))
+        ids = []
+        for row in map(tuple, rows):
+            k = numbers.get(row)
+            if k is None:
+                k = numbers[row] = len(interned)
+                interned.append(row)
+            ids.append(k)
         split.append((tuple(accumulate(map(len, rows), initial=0)),
-                      tuple([intern(row, row) for row in map(tuple, rows)])))
+                      tuple([interned[k] for k in ids]), tuple(ids)))
     return split
 
 
@@ -363,16 +381,20 @@ def _class_table(rs: RootSystem, nodes, split, i: int, near_edge) -> dict:
     slices of m.exps at the split's offsets), the triple of nearby rows
     normalized by clearing row i-1, and the correspondingly adjusted
     delta-coefficient.  Where row i-1 is already empty the key is made
-    of the split's rows as they are.  The h-part of the weight is left
-    out: it is the column sums of the normalized exponents, so two keys
-    that agree on those agree on it."""
+    of the split's rows as they are.  Otherwise the normalized rows i
+    and i+1 and the delta shift depend on the three rows alone, so they
+    are computed once per distinct triple of row numbers and shared by
+    every node with that triple.  The h-part of the weight is left out:
+    it is the column sums of the normalized exponents, so two keys that
+    agree on those agree on it."""
     n = rs.n
     im, ip = rs.mod(i - 1), rs.mod(i + 1)
     # the weight gains alpha_i * sum(c); alpha_i has a delta-coefficient
     # only at i = 0
     alpha_delta = rs.alpha(i).delta
+    normalized = {}
     table = {}
-    for k, (m, (offs, rows)) in enumerate(zip(nodes, split)):
+    for k, (m, (offs, rows, ids)) in enumerate(zip(nodes, split)):
         exps = m.exps
         # the rows other than i-1, i and i+1 (indices mod n+1)
         if i == 0:
@@ -381,28 +403,17 @@ def _class_table(rs: RootSystem, nodes, split, i: int, near_edge) -> dict:
             other = exps[offs[1]:offs[n - 1]]
         else:
             other = exps[:offs[im]] + exps[offs[i + 2]:]
-        row, c = rows[i], rows[im]
-        if not c:
+        row = rows[i]
+        if not rows[im]:
             key = (other, row, rows[ip], m.weight.delta)
         else:
-            row_i, row_p = dict(row), dict(rows[ip])
-            total = 0
-            for l, v in c:
-                total += v
-                for e in (l - 1, l + 1):
-                    s = row_i.get(e, 0) + v
-                    if s:
-                        row_i[e] = s
-                    else:
-                        row_i.pop(e, None)
-                s = row_p.get(l, 0) - v
-                if s:
-                    row_p[l] = s
-                else:
-                    row_p.pop(l, None)
-            key = (other, tuple(sorted(row_i.items())),
-                   tuple(sorted(row_p.items())),
-                   m.weight.delta + total * alpha_delta)
+            triple = (ids[im], ids[i], ids[ip])
+            norm = normalized.get(triple)
+            if norm is None:
+                norm = normalized[triple] = _normalize_triple(
+                    rows[im], row, rows[ip], alpha_delta)
+            row_i, row_p, shift = norm
+            key = (other, row_i, row_p, m.weight.delta + shift)
         entry = table.get(key)
         if entry is None:
             table[key] = [[m], {row: k}, near_edge[k]]
@@ -414,17 +425,55 @@ def _class_table(rs: RootSystem, nodes, split, i: int, near_edge) -> dict:
     return table
 
 
+def _normalize_triple(c, row, row_p, alpha_delta):
+    """Rows i and i+1 of m * prod_l A_{i,l}^{c_l}, c = row i-1 of m, as
+    (l, u) tuples, and the gain alpha_delta * sum(c) of its
+    delta-coefficient; row i-1 of the product is empty."""
+    row_i, row_p = dict(row), dict(row_p)
+    total = 0
+    for l, v in c:
+        total += v
+        for e in (l - 1, l + 1):
+            s = row_i.get(e, 0) + v
+            if s:
+                row_i[e] = s
+            else:
+                row_i.pop(e, None)
+        s = row_p.get(l, 0) - v
+        if s:
+            row_p[l] = s
+        else:
+            row_p.pop(l, None)
+    return (tuple(sorted(row_i.items())), tuple(sorted(row_p.items())),
+            total * alpha_delta)
+
+
 def _decide_classes(rs: RootSystem, i: int, table: dict) -> DirectionReport:
     """q-closedness in direction i from its class table, class by class
-    in key order; classes at the window edge are inconclusive."""
+    in key order; classes at the window edge are inconclusive.
+
+    A class that is closed, or inconclusive for q-strings in special
+    position, owes its verdict and reason to its column alone: its
+    row-i tuples in member order.  Those are kept for the call, and a
+    later class with the same column takes them without a greedy run.
+    A class that is not closed is always decided afresh, because its
+    witness is built from its own members."""
     chars = {}
+    decided = {}
     report = DirectionReport(i)
     for key in sorted(table):
         members, rows, edge = table[key]
         if edge:
             res = ClassResult(members, "inconclusive", None, "window boundary")
         else:
-            res = _check_class_rows(rs, i, members, rows, chars)
+            column = tuple(rows)
+            known = decided.get(column)
+            if known is not None:
+                res = ClassResult(members, known[0], None, known[1])
+            else:
+                res = _check_class_rows(rs, i, members, rows, chars)
+                if res.verdict != "not-closed":
+                    decided[column] = (res.verdict, res.reason)
         report.classes.append(res)
     return report
 

@@ -307,6 +307,75 @@ def test_row_keyed_check_matches_monomial_route(n):
                         ("not-closed", "required monomial absent")}
 
 
+@pytest.mark.parametrize("n", [3, 5, 7])
+def test_decided_classes_match_fresh_decisions(n, monkeypatch):
+    # every class of every direction of the closedness-sweep crystals:
+    # _decide_classes, which lends a closed or inconclusive verdict to
+    # later classes with the same column of row-i tuples, gives the
+    # members, verdict, witness and reason of a fresh decision with
+    # empty memos; the greedy subtraction runs exactly on the classes
+    # whose column is new or not closed, and fewer times than there are
+    # classes
+    from torcrys import closedness
+    fresh = closedness._check_class_rows
+    runs = 0
+
+    def counted(*args):
+        nonlocal runs
+        runs += 1
+        return fresh(*args)
+
+    monkeypatch.setattr(closedness, "_check_class_rows", counted)
+    classes = expected_runs = 0
+    for ell, rs, _, i, table in _sweep_class_tables(n):
+        got = closedness._decide_classes(rs, i, table).classes
+        assert len(got) == len(table)
+        kept = set()
+        for res, key in zip(got, sorted(table)):
+            members, rows, _ = table[key]
+            want = fresh(rs, i, members, rows, {})
+            assert (res.members, res.verdict, res.witness, res.reason) == \
+                (want.members, want.verdict, want.witness, want.reason), \
+                (ell, i, key)
+            column = tuple(rows)
+            expected_runs += column not in kept
+            if want.verdict != "not-closed":
+                kept.add(column)
+        classes += len(got)
+    assert runs == expected_runs < classes
+
+
+def test_qclosed_direction_decides_a_repeated_column_afresh_after_a_deletion():
+    # in direction 0 of thin (3,2), a closed two-member class can repeat
+    # the row-0 column of an earlier closed class; deleting its lower
+    # member leaves a class whose highest row was decided closed before,
+    # and that class must turn not-closed with the deleted monomial as
+    # witness
+    rs = RootSystem.for_fundamental(3, 2)
+    window = (-12, 12)
+    nodes = generate(rs, [fundamental_anchor(rs, 2)], window).nodes
+    rep = qclosed_direction(rs, nodes, 0, window=window)
+    assert rep.qclosed is True
+    seen = set()
+    for cls in rep.classes:
+        column = tuple(tuple(m.row(0).items()) for m in cls.members)
+        if cls.verdict == "closed" and len(cls.members) == 2 \
+                and column in seen:
+            break
+        if cls.verdict == "closed":
+            seen.add(column)
+    else:
+        pytest.fail("no closed two-member class repeats an earlier column")
+    victim, kept = sorted(cls.members, key=lambda m: sum(m.row(0).values()))
+    mutated = qclosed_direction(rs, [m for m in nodes if m != victim], 0,
+                                window=window)
+    assert mutated.qclosed is False
+    assert mutated.witness == victim
+    (res,) = [c for c in mutated.classes if kept in c.members]
+    assert (res.members, res.verdict, res.witness, res.reason) == \
+        ([kept], "not-closed", victim, "required monomial absent")
+
+
 def test_qclosed_direction_fails_on_a_deleted_member():
     # deleting either member of a closed two-member class breaks
     # q-closedness, with the deleted monomial as the witness: once as a
@@ -439,6 +508,31 @@ def test_closed_report_matches_the_builder(n, sweep_reports):
         assert witnesses <= missing, (n, ell)
         assert (len(missing), len(witnesses)) == \
             _NOT_CLOSED_COUNTS.get((n, ell), (0, 0)), (n, ell)
+
+
+# per ell = 1..n, the largest spread max l - min l over the variables of
+# the members of a class decided closed or not closed, on
+# closed_report's default window
+_DECIDED_SPREAD = {3: [2, 2, 2], 5: [2, 4, 3, 4, 2],
+                   7: [2, 6, 5, 4, 5, 6, 2]}
+
+
+@pytest.mark.parametrize("n", [3, 5, 7])
+def test_decided_classes_are_small(n, sweep_reports):
+    # every class that is not inconclusive has at most two members, and
+    # its members' variables lie within the pinned spectral spread
+    spreads = []
+    for ell in range(1, n + 1):
+        spread = 0
+        for d in sweep_reports[n, ell].directions:
+            for c in d.classes:
+                if c.verdict == "inconclusive":
+                    continue
+                assert len(c.members) <= 2, (n, ell, d.i)
+                ls = [l for m in c.members for (_, l), _ in m.exps]
+                spread = max(spread, max(ls) - min(ls))
+        spreads.append(spread)
+    assert spreads == _DECIDED_SPREAD[n]
 
 
 @pytest.mark.parametrize("n", [3, 5, 7])

@@ -241,6 +241,30 @@ def test_shift_automorphism_reports_missing_images():
         assert check_shift_automorphism(g, twop) == []
 
 
+@pytest.mark.parametrize("n,ell,nodes,interior", [
+    (7, 1, 39, 37), (7, 4, 1307, 1281), (7, 7, 39, 37),
+    (9, 1, 49, 47), (9, 5, 5914, 5822), (9, 9, 49, 47)])
+def test_promotion_and_shift_past_n5(n, ell, nodes, interior):
+    # the acceptance suite's promotion and shift checks at n = 7 and 9
+    # for the closed ell in {1, r+1, n}: on the promotion window,
+    # phi_delta intertwines the operators with the label rotation
+    # (delta = +1 for ell <= r+1, -1 otherwise); on closed_report's
+    # window, the shift by p (n + 1 for ell in {1, n}, 2 for ell = r+1)
+    # is a graph automorphism both ways
+    from torcrys.closedness import fundamental_anchor
+    rs = RootSystem.for_fundamental(n, ell)
+    anchor = fundamental_anchor(rs, ell)
+    g = generate(rs, [anchor], (-2 * (n + 1), 2 * (n + 1) + n))
+    assert (len(g.nodes), sum(g.interior)) == (nodes, interior)
+    delta = 1 if ell <= rs.r + 1 else -1
+    assert check_twist(g, lambda e: phi_exponents(rs, e, delta),
+                       lambda i: i + 1) == []
+    p = 2 if ell == rs.r + 1 else n + 1
+    g = generate(rs, [anchor], (-3 * (n + 1), 3 * (n + 1)))
+    assert check_shift_automorphism(g, p) == []
+    assert check_shift_automorphism(g, -p) == []
+
+
 @pytest.mark.parametrize("n,misses", [(3, 17), (5, 27)])
 def test_check_twist_reports_missing_promotion_images(n, misses):
     # criterion 8's window: phi_{+1} sends every interior node of
