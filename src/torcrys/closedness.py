@@ -7,9 +7,12 @@ partitioned into classes modulo multiplication by the A_{i,*}, and each
 class must assemble, with positive multiplicities, into q-characters of
 sl2 loop modules read off through the row-i projection.  We certify the
 stronger sum-of-simple-characters condition, which covers every case
-occurring here; configurations our sl2 oracle cannot decide (q-strings
-in special position) are reported as inconclusive, never as a wrong
-verdict.
+occurring here.  A class whose support comes near the window edge is
+reported inconclusive, never given a verdict a truncation could fake.
+The sl2 oracle refuses q-strings in special position, but its own
+peeling never produces them from a row whose positions share one parity
+(see `sl2_simple_qchar`), which every row of these crystals does; a
+class it refused would also be reported inconclusive.
 
 `closed_report` decides q-closedness from one class table per
 direction, built one at a time.  Each node's exponents are split into
@@ -21,7 +24,19 @@ normalized rows of a class key once per triple of row numbers
 (`_class_table`), and the greedy sl2 subtraction once per ordered
 column of row-i tuples that is closed or inconclusive
 (`_decide_classes`); a class that is not closed is always decided on
-its own members, which its witness is built from.
+its own members, which its witness is built from.  Classes are decided
+in the order the table first met them, and a direction's witness is
+that of the not-closed class with the least key, found by one `min`
+over those keys rather than a sort of every key.
+
+The kernel allocates many small tuples, lists and dicts and keeps most
+of them alive to the end, and none of them forms a reference cycle: the
+cyclic garbage collector's passes over them free nothing but cost a
+growing share of the time (a third of (11,6), mostly full passes).
+`closed_report` and `qclosed_direction` therefore run with the
+collector paused (`_collector_paused`); reference counting frees
+everything as before, and the first young-generation pass after the
+pause visits what the report keeps.
 
 Closedness under e~_i and f~_i needs no decision there: `generate`
 records every image of an interior node as a node.  `kashiwara_closed`
@@ -30,6 +45,8 @@ that guarantee and of hand-made sets.
 """
 from __future__ import annotations
 
+import gc
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from itertools import accumulate
 from operator import itemgetter
@@ -97,7 +114,13 @@ def sl2_simple_qchar(row: dict):
 
     Requires the q-strings of `row` to be pairwise in general position
     (then the module is the tensor product of the string modules and
-    the character is the product of string characters)."""
+    the character is the product of string characters); otherwise
+    raises UnsupportedConfigError.  That never happens when the
+    positions of `row` share one parity: each string `_peel_strings`
+    takes is a maximal run from the least remaining position a to some
+    b, so b + 2 is absent then and later, and every later string starts
+    at a or above, so it lies inside [a, b] or starts at b + 4 or
+    above; either way the two are in general position."""
     if any(u < 0 for u in row.values()):
         raise ValueError("sl2_simple_qchar needs a dominant monomial")
     strings = _peel_strings(row)
@@ -203,8 +226,15 @@ class ClassResult:
 
 @dataclass
 class DirectionReport:
+    """The classes of direction i with their verdicts, and `witness`:
+    the witness of the not-closed class with the least class key (None
+    if every class is closed or inconclusive).  From `qclosed_direction`
+    and `closed_report` the classes come in first-member order, the
+    order of the nodes; from `qclosed_direction_classical`, in key
+    order."""
     i: int
     classes: list = field(default_factory=list)
+    witness: Monomial | None = None
 
     @property
     def qclosed(self) -> bool | None:
@@ -214,12 +244,6 @@ class DirectionReport:
         if "not-closed" in verdicts:
             return False
         return None if verdicts <= {"inconclusive"} else True
-
-    @property
-    def witness(self) -> Monomial | None:
-        """The witness of the first class that is not closed."""
-        return next((c.witness for c in self.classes
-                     if c.verdict == "not-closed"), None)
 
     @property
     def n_inconclusive(self):
@@ -288,8 +312,10 @@ def _check_class_rows(rs: RootSystem, i: int, members, rows,
     member order: a list, or a dict keyed by them): the projection is
     injective on a class, so a member is found by its row and a Monomial
     is built only as a witness.  `chars` memoizes the sl2 character of
-    each highest row (or the UnsupportedConfigError it raised).  The
-    result holds `members` itself, not a copy."""
+    each highest row, or the message of the UnsupportedConfigError it
+    raised (not the error, whose traceback holds this frame and so
+    `chars`: a reference cycle).  The result holds `members` itself,
+    not a copy."""
     if len(members) == 1 and () in rows:
         # a lone member with an empty row i is its own sl2 character
         return ClassResult(members, "closed")
@@ -318,10 +344,10 @@ def _check_class_rows(rs: RootSystem, i: int, members, rows,
                 char = [(tuple(r.items()), mult)
                         for r, mult in sl2_simple_qchar(dict(row))]
             except UnsupportedConfigError as exc:
-                char = exc
+                char = str(exc)
             chars[row] = char
-        if isinstance(char, UnsupportedConfigError):
-            return ClassResult(members, "inconclusive", None, str(char))
+        if isinstance(char, str):
+            return ClassResult(members, "inconclusive", None, char)
         for target, mult in char:
             have = counter.get(target, 0)
             if have < mult:
@@ -450,19 +476,21 @@ def _normalize_triple(c, row, row_p, alpha_delta):
 
 def _decide_classes(rs: RootSystem, i: int, table: dict) -> DirectionReport:
     """q-closedness in direction i from its class table, class by class
-    in key order; classes at the window edge are inconclusive.
+    in the table's order, which is first-member order; classes at the
+    window edge are inconclusive.  The report's witness is that of the
+    not-closed class with the least key.
 
-    A class that is closed, or inconclusive for q-strings in special
-    position, owes its verdict and reason to its column alone: its
-    row-i tuples in member order.  Those are kept for the call, and a
-    later class with the same column takes them without a greedy run.
-    A class that is not closed is always decided afresh, because its
-    witness is built from its own members."""
+    A class that is closed, or that the sl2 oracle refuses, owes its
+    verdict and reason to its column alone: its row-i tuples in member
+    order.  Those are kept for the call, and a later class with the same
+    column takes them without a greedy run.  A class that is not closed
+    is always decided afresh, because its witness is built from its own
+    members."""
     chars = {}
     decided = {}
+    witnesses = {}
     report = DirectionReport(i)
-    for key in sorted(table):
-        members, rows, edge = table[key]
+    for key, (members, rows, edge) in table.items():
         if edge:
             res = ClassResult(members, "inconclusive", None, "window boundary")
         else:
@@ -474,8 +502,25 @@ def _decide_classes(rs: RootSystem, i: int, table: dict) -> DirectionReport:
                 res = _check_class_rows(rs, i, members, rows, chars)
                 if res.verdict != "not-closed":
                     decided[column] = (res.verdict, res.reason)
+                else:
+                    witnesses[key] = res.witness
         report.classes.append(res)
+    if witnesses:
+        report.witness = witnesses[min(witnesses)]
     return report
+
+
+@contextmanager
+def _collector_paused():
+    """Run the body with the cyclic garbage collector disabled, and
+    restore the caller's setting on exit, also on error."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def qclosed_direction(rs: RootSystem, monomials, i: int,
@@ -489,9 +534,10 @@ def qclosed_direction(rs: RootSystem, monomials, i: int,
     """
     if i not in rs.nodes:
         raise ValueError(f"direction {i} out of range 0..{rs.n}")
-    nodes = sorted(set(monomials), key=Monomial.sort_key)
-    return _decide_classes(rs, i, _class_table(
-        rs, nodes, _row_split(rs, nodes), i, _near_edge(nodes, window)))
+    with _collector_paused():
+        nodes = sorted(set(monomials), key=Monomial.sort_key)
+        return _decide_classes(rs, i, _class_table(
+            rs, nodes, _row_split(rs, nodes), i, _near_edge(nodes, window)))
 
 
 def classical_a_exponents(n: int, i: int, l: int) -> dict:
@@ -563,11 +609,12 @@ def qclosed_direction_classical(n: int, exps_list, i: int) -> DirectionReport:
     for exps in exps_list:
         key = norm(exps if isinstance(exps, dict) else dict(exps))
         classes.setdefault(class_key(key), []).append(key)
-    return DirectionReport(i, [
-        _check_class_general(sorted(classes[ck]), row_of,
-                             raise_partner=lambda m, l: mul_a(m, l, 1),
-                             char_partner=char_partner)
-        for ck in sorted(classes)])
+    results = [_check_class_general(sorted(classes[ck]), row_of,
+                                    raise_partner=lambda m, l: mul_a(m, l, 1),
+                                    char_partner=char_partner)
+               for ck in sorted(classes)]
+    return DirectionReport(i, results, next(
+        (c.witness for c in results if c.verdict == "not-closed"), None))
 
 
 def sl2_qclosed(rows) -> ClassResult:
@@ -693,11 +740,13 @@ def closed_report(n: int, ell: int, window=None) -> ClosednessReport:
     lmin, lmax = window
     if lmax - lmin < 2 * (n + 1) + 2 * rs.d(ell):
         raise ValueError("window too small: need at least two shift periods")
-    nodes = generate(rs, [fundamental_anchor(rs, ell)], window).nodes
-    near_edge = _near_edge(nodes, window)
-    split = _row_split(rs, nodes)
-    # each table is freed before the next is built: keeping every
-    # direction's table alive raises the peak memory
-    return ClosednessReport(n, ell, window, [
-        _decide_classes(rs, i, _class_table(rs, nodes, split, i, near_edge))
-        for i in rs.nodes])
+    with _collector_paused():
+        nodes = generate(rs, [fundamental_anchor(rs, ell)], window).nodes
+        near_edge = _near_edge(nodes, window)
+        split = _row_split(rs, nodes)
+        # each table is freed before the next is built: keeping every
+        # direction's table alive raises the peak memory
+        return ClosednessReport(n, ell, window, [
+            _decide_classes(rs, i, _class_table(rs, nodes, split, i,
+                                                near_edge))
+            for i in rs.nodes])

@@ -1,3 +1,6 @@
+import gc
+from itertools import product
+
 import pytest
 
 from torcrys.closedness import (closed_report, fundamental_anchor,
@@ -41,6 +44,47 @@ def test_string_position_rules():
     assert _peel_strings({0: 1, 2: 2, 4: 1}) == [(0, 3), (2, 1)]
     with pytest.raises(ValueError):
         sl2_simple_qchar({0: -1})
+
+
+def test_peeled_strings_are_in_general_position():
+    # every dominant row on the positions 0, 2, ..., 12 with exponents at
+    # most 3: the maximal-first peeling never leaves two strings in
+    # special position, so sl2_simple_qchar never refuses a row whose
+    # positions share one parity
+    from torcrys.closedness import _general_position, _peel_strings
+    rows = 0
+    for exps in product(range(4), repeat=7):
+        row = {2 * k: u for k, u in enumerate(exps) if u}
+        if not row:
+            continue
+        strings = _peel_strings(row)
+        assert all(_general_position(s, t) for x, s in enumerate(strings)
+                   for t in strings[x + 1:]), row
+        rows += 1
+    assert rows == 16383
+
+
+def test_special_position_memo_keeps_no_reference_cycle():
+    # a row of mixed parity is refused by the sl2 oracle; the memo keeps
+    # the refusal's message, not the error, whose traceback would hold
+    # the memo in a reference cycle
+    from torcrys.closedness import _check_class_rows
+    row = ((0, 1), (1, 1))
+    was = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        chars = {}
+        res = _check_class_rows(None, 1, ["m"], [row], chars)
+        assert (res.verdict, chars[row]) == ("inconclusive", res.reason)
+        assert "special position" in res.reason
+        again = _check_class_rows(None, 1, ["m"], [row], chars)
+        assert (again.verdict, again.reason) == (res.verdict, res.reason)
+        del chars, res, again
+        assert gc.collect() == 0
+    finally:
+        if was:
+            gc.enable()
 
 
 def test_sl2_multiplicity():
@@ -331,8 +375,7 @@ def test_decided_classes_match_fresh_decisions(n, monkeypatch):
         got = closedness._decide_classes(rs, i, table).classes
         assert len(got) == len(table)
         kept = set()
-        for res, key in zip(got, sorted(table)):
-            members, rows, _ = table[key]
+        for res, (key, (members, rows, _)) in zip(got, table.items()):
             want = fresh(rs, i, members, rows, {})
             assert (res.members, res.verdict, res.witness, res.reason) == \
                 (want.members, want.verdict, want.witness, want.reason), \
@@ -546,3 +589,83 @@ def test_first_witness(n, sweep_reports):
         d = next(d for d in rep.directions if d.qclosed is False)
         assert rep.first_witness() == (d.i, d.witness), (n, ell)
         assert d.witness is not None
+
+
+@pytest.mark.parametrize("n", [3, 5, 7])
+def test_classes_in_first_member_order_with_the_least_key_witness(
+        n, sweep_reports):
+    # every direction of the closedness-sweep reports: the classes come
+    # in the order of their first members among the nodes, and the
+    # direction's witness is that of the not-closed class with the least
+    # class key
+    from torcrys.closedness import _class_table, _near_edge, _row_split
+    with_witness = reordered = 0
+    for ell in range(1, n + 1):
+        rep = sweep_reports[n, ell]
+        rs = RootSystem.for_fundamental(n, ell)
+        nodes = generate(rs, [fundamental_anchor(rs, ell)], rep.window).nodes
+        position = {m: k for k, m in enumerate(nodes)}
+        split = _row_split(rs, nodes)
+        near_edge = _near_edge(nodes, rep.window)
+        for d in rep.directions:
+            table = _class_table(rs, nodes, split, d.i, near_edge)
+            assert [c.members for c in d.classes] == \
+                [members for members, _, _ in table.values()], (ell, d.i)
+            firsts = [position[c.members[0]] for c in d.classes]
+            assert all(a < b for a, b in zip(firsts, firsts[1:])), (ell, d.i)
+            by_key = dict(zip(table, d.classes))
+            failed = [by_key[key].witness for key in sorted(table)
+                      if by_key[key].verdict == "not-closed"]
+            assert d.witness == (failed[0] if failed else None), (ell, d.i)
+            with_witness += bool(failed)
+            reordered += failed[:1] != [c.witness for c in d.classes
+                                        if c.verdict == "not-closed"][:1]
+    # directions with a witness, and those where the first not-closed
+    # class in first-member order is not the one with the least key
+    assert (with_witness, reordered) == {3: (0, 0), 5: (12, 0),
+                                         7: (32, 3)}[n]
+
+
+def test_closedness_restores_the_collector_setting(monkeypatch):
+    # closed_report and qclosed_direction run with the cyclic collector
+    # paused and leave it as they found it, enabled or disabled, also
+    # when the kernel raises
+    from torcrys import closedness
+    rs = RootSystem.for_fundamental(3, 1)
+    window = (-12, 12)
+    nodes = generate(rs, [fundamental_anchor(rs, 1)], window).nodes
+    calls = [lambda: closed_report(3, 1),
+             lambda: qclosed_direction(rs, nodes, 1, window=window)]
+    table = closedness._class_table
+
+    def paused_table(*args):
+        assert not gc.isenabled()
+        return table(*args)
+
+    def broken_table(*args):
+        raise RuntimeError("class table")
+
+    was = gc.isenabled()
+    try:
+        for enabled in (True, False):
+            (gc.enable if enabled else gc.disable)()
+            monkeypatch.setattr(closedness, "_class_table", paused_table)
+            for call in calls:
+                call()
+                assert gc.isenabled() == enabled
+            monkeypatch.setattr(closedness, "_class_table", broken_table)
+            for call in calls:
+                with pytest.raises(RuntimeError, match="class table"):
+                    call()
+                assert gc.isenabled() == enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+
+
+@pytest.mark.parametrize("n, ell", [(7, 4), (9, 5)])
+def test_closed_report_leaves_no_cyclic_garbage(n, ell):
+    # the premise of pausing the collector: building and dropping a
+    # report leaves nothing that only the cyclic collector could free
+    gc.collect()
+    assert closed_report(n, ell).closed
+    assert gc.collect() == 0
