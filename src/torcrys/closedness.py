@@ -10,24 +10,25 @@ stronger sum-of-simple-characters condition, which covers every case
 occurring here.  A class whose support comes near the window edge is
 reported inconclusive, never given a verdict a truncation could fake.
 The sl2 oracle refuses q-strings in special position, but its own
-peeling never produces them from a row whose positions share one parity
-(see `sl2_simple_qchar`), which every row of these crystals does; a
-class it refused would also be reported inconclusive.
+peeling never produces them (see `sl2_simple_qchar`); a class it
+refused would also be reported inconclusive.
 
 `closed_report` decides q-closedness from one class table per
-direction, built one at a time.  Each node's exponents are split into
-rows once (`_row_split`), and every direction's class keys are made
-from that split: slices of the exponent tuple at the row offsets, and
-row tuples shared by all directions, each with a number.  Each piece
-of work is done once per distinct input within a direction: the
-normalized rows of a class key once per triple of row numbers
-(`_class_table`), and the greedy sl2 subtraction once per ordered
-column of row-i tuples that is closed or inconclusive
-(`_decide_classes`); a class that is not closed is always decided on
-its own members, which its witness is built from.  Classes are decided
-in the order the table first met them, and a direction's witness is
-that of the not-closed class with the least key, found by one `min`
-over those keys rather than a sort of every key.
+direction, built one at a time, on row numbers: the crystal's row
+table (`CrystalGraph.node_rows` and `rows`, from the BFS) numbers every
+distinct row, and a class key is a short tuple of numbers and the
+delta-coefficient (`_class_table`).  `qclosed_direction` numbers the
+rows of its monomials with the function the BFS uses for its anchors
+(`crystal.number_rows`).  Each piece of work is done once per distinct
+input within a direction: the normalized rows of a class key once per
+triple of row numbers, interned into the same table (`_class_table`),
+and the greedy sl2 subtraction once per ordered column of row-i numbers
+that is closed or inconclusive (`_decide_classes`); a class that is not
+closed is always decided on its own members, which its witness is built
+from.  Classes are decided in the order the table first met them, and a
+direction's witness is that of the not-closed class with the least key
+in exponents (`_exponent_key`), formed for the not-closed classes only
+and found by one `min`.
 
 The kernel allocates many small tuples, lists and dicts and keeps most
 of them alive to the end, and none of them forms a reference cycle: the
@@ -48,10 +49,10 @@ from __future__ import annotations
 import gc
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from itertools import accumulate
+from functools import partial
 from operator import itemgetter
 
-from .crystal import e_tilde, f_tilde, generate
+from .crystal import e_tilde, f_tilde, generate, intern_row, number_rows
 from .lattice import RootSystem
 from .monomial import Monomial, a_monomial, exp_key, from_variables
 
@@ -98,8 +99,13 @@ def _peel_strings(row: dict):
 
 
 def _general_position(s1, s2) -> bool:
+    """Whether two q-strings (start, length) are in general position:
+    their union is no q-string, or one contains the other.  Strings of
+    different parity always are."""
     a1, k1 = s1
     a2, k2 = s2
+    if (a1 - a2) % 2:
+        return True
     b1, b2 = a1 + 2 * (k1 - 1), a2 + 2 * (k2 - 1)
     if a1 <= a2 and b1 >= b2:
         return True
@@ -115,12 +121,12 @@ def sl2_simple_qchar(row: dict):
     Requires the q-strings of `row` to be pairwise in general position
     (then the module is the tensor product of the string modules and
     the character is the product of string characters); otherwise
-    raises UnsupportedConfigError.  That never happens when the
-    positions of `row` share one parity: each string `_peel_strings`
-    takes is a maximal run from the least remaining position a to some
-    b, so b + 2 is absent then and later, and every later string starts
-    at a or above, so it lies inside [a, b] or starts at b + 4 or
-    above; either way the two are in general position."""
+    raises UnsupportedConfigError.  That never happens: each string
+    `_peel_strings` takes is a maximal run from the least remaining
+    position a to some b, so b + 2 is absent then and later, and every
+    later string starts at a or above.  A later string of the same
+    parity therefore lies inside [a, b] or starts at b + 4 or above, and
+    one of the other parity is in general position with it anyway."""
     if any(u < 0 for u in row.values()):
         raise ValueError("sl2_simple_qchar needs a dominant monomial")
     strings = _peel_strings(row)
@@ -371,84 +377,76 @@ def _near_edge(nodes, window) -> list:
     return [any(l <= lo or l >= hi for (_, l), _ in m.exps) for m in nodes]
 
 
-def _row_split(rs: RootSystem, nodes) -> list:
-    """Per node, (offsets, rows, ids): each row j = 0..n of m as a tuple
-    of (l, u) pairs, the offsets in m.exps at which the rows start, with
-    len(m.exps) last, and the number of each row.  Rows are interned
-    within the call and numbered in order of first appearance, so equal
-    rows of different nodes share one tuple and one number."""
-    numbers = {}
-    interned = []
-    split = []
-    for m in nodes:
-        rows = [[] for _ in rs.nodes]
-        for (j, l), u in m.exps:
-            rows[j].append((l, u))
-        ids = []
-        for row in map(tuple, rows):
-            k = numbers.get(row)
-            if k is None:
-                k = numbers[row] = len(interned)
-                interned.append(row)
-            ids.append(k)
-        split.append((tuple(accumulate(map(len, rows), initial=0)),
-                      tuple([interned[k] for k in ids]), tuple(ids)))
-    return split
-
-
-def _class_table(rs: RootSystem, nodes, split, i: int, near_edge) -> dict:
+def _class_table(rs: RootSystem, nodes, node_rows, rows: list, numbers: dict,
+                 i: int, near_edge) -> dict:
     """The A_{i,*}-classes of `nodes` (distinct, in Monomial.sort_key
-    order), from the row split of `_row_split` and one lookup per node:
-    key -> [members, {row i: node position}, touches the window edge].
-    Members and rows are in node order.
+    order), from their row numbers `node_rows` in the row table `rows`
+    and `numbers` (`crystal.number_rows`) and one lookup per node: key
+    -> [members, {number of row i: node position}, touches the window
+    edge].  Members and rows are in node order.
 
     The key is the canonical invariant of the class m * prod_l
-    A_{i,l}^Z: the rows away from i-1, i, i+1 verbatim (one or two
-    slices of m.exps at the split's offsets), the triple of nearby rows
-    normalized by clearing row i-1, and the correspondingly adjusted
-    delta-coefficient.  Where row i-1 is already empty the key is made
-    of the split's rows as they are.  Otherwise the normalized rows i
-    and i+1 and the delta shift depend on the three rows alone, so they
-    are computed once per distinct triple of row numbers and shared by
-    every node with that triple.  The h-part of the weight is left out:
-    it is the column sums of the normalized exponents, so two keys that
-    agree on those agree on it."""
+    A_{i,l}^Z, on row numbers: the numbers of the rows away from i-1, i,
+    i+1 (in increasing row index), the numbers of rows i and i+1 of the
+    triple of nearby rows normalized by clearing row i-1, and the
+    correspondingly adjusted delta-coefficient.  The normalized rows and
+    the delta shift depend on the three rows alone, so they are computed
+    once per distinct triple of row numbers, and the normalized rows are
+    interned into the same table, so equal rows have equal numbers.  The
+    h-part of the weight is left out: it is the column sums of the
+    normalized exponents, so two keys that agree on those agree on
+    it.  `_exponent_key` gives a key's form in exponents."""
     n = rs.n
     im, ip = rs.mod(i - 1), rs.mod(i + 1)
     # the weight gains alpha_i * sum(c); alpha_i has a delta-coefficient
     # only at i = 0
     alpha_delta = rs.alpha(i).delta
+    # where row i-1 is empty, the rows are normalized already
+    empty = numbers.get(())
     normalized = {}
     table = {}
-    for k, (m, (offs, rows, ids)) in enumerate(zip(nodes, split)):
-        exps = m.exps
+    for k, (m, ids) in enumerate(zip(nodes, node_rows)):
         # the rows other than i-1, i and i+1 (indices mod n+1)
         if i == 0:
-            other = exps[offs[2]:offs[n]]
+            other = ids[2:n]
         elif i == n:
-            other = exps[offs[1]:offs[n - 1]]
+            other = ids[1:n - 1]
         else:
-            other = exps[:offs[im]] + exps[offs[i + 2]:]
-        row = rows[i]
-        if not rows[im]:
-            key = (other, row, rows[ip], m.weight.delta)
+            other = ids[:im] + ids[i + 2:]
+        r = ids[i]
+        if ids[im] == empty:
+            key = (other, r, ids[ip], m.weight.delta)
         else:
-            triple = (ids[im], ids[i], ids[ip])
+            triple = (ids[im], r, ids[ip])
             norm = normalized.get(triple)
             if norm is None:
-                norm = normalized[triple] = _normalize_triple(
-                    rows[im], row, rows[ip], alpha_delta)
-            row_i, row_p, shift = norm
-            key = (other, row_i, row_p, m.weight.delta + shift)
+                row_i, row_p, shift = _normalize_triple(
+                    rows[ids[im]], rows[r], rows[ids[ip]], alpha_delta)
+                norm = normalized[triple] = (
+                    intern_row(numbers, rows, row_i),
+                    intern_row(numbers, rows, row_p), shift)
+            key = (other, norm[0], norm[1], m.weight.delta + norm[2])
         entry = table.get(key)
         if entry is None:
-            table[key] = [[m], {row: k}, near_edge[k]]
+            table[key] = [[m], {r: k}, near_edge[k]]
         else:
             entry[0].append(m)
-            entry[1][row] = k
+            entry[1][r] = k
             if near_edge[k]:
                 entry[2] = True
     return table
+
+
+def _exponent_key(rs: RootSystem, i: int, rows: list, key: tuple) -> tuple:
+    """A class key of `_class_table` in exponents: the rows away from
+    i-1, i, i+1 as one tuple of ((j, l), u) pairs in increasing (j, l),
+    the normalized rows i and i+1 as tuples of (l, u) pairs, and the
+    delta-coefficient.  Its order picks a direction's witness."""
+    other, row_i, row_p, delta = key
+    near = (rs.mod(i - 1), i, rs.mod(i + 1))
+    js = [j for j in rs.nodes if j not in near]
+    return (tuple(((j, l), u) for j, r in zip(js, other) for l, u in rows[r]),
+            rows[row_i], rows[row_p], delta)
 
 
 def _normalize_triple(c, row, row_p, alpha_delta):
@@ -474,18 +472,21 @@ def _normalize_triple(c, row, row_p, alpha_delta):
             total * alpha_delta)
 
 
-def _decide_classes(rs: RootSystem, i: int, table: dict) -> DirectionReport:
+def _decide_classes(rs: RootSystem, i: int, table: dict,
+                    row_table: list) -> DirectionReport:
     """q-closedness in direction i from its class table, class by class
     in the table's order, which is first-member order; classes at the
     window edge are inconclusive.  The report's witness is that of the
-    not-closed class with the least key.
+    not-closed class with the least key in exponents (`_exponent_key`,
+    on the row table `row_table`), formed for the not-closed classes
+    only.
 
     A class that is closed, or that the sl2 oracle refuses, owes its
-    verdict and reason to its column alone: its row-i tuples in member
-    order.  Those are kept for the call, and a later class with the same
-    column takes them without a greedy run.  A class that is not closed
-    is always decided afresh, because its witness is built from its own
-    members."""
+    verdict and reason to its column alone: the numbers of its rows i
+    in member order.  Those are kept for the call, and a later class
+    with the same column takes them without a greedy run.  A class that
+    is not closed is always decided afresh, because its witness is built
+    from its own members."""
     chars = {}
     decided = {}
     witnesses = {}
@@ -499,14 +500,16 @@ def _decide_classes(rs: RootSystem, i: int, table: dict) -> DirectionReport:
             if known is not None:
                 res = ClassResult(members, known[0], None, known[1])
             else:
-                res = _check_class_rows(rs, i, members, rows, chars)
+                res = _check_class_rows(rs, i, members,
+                                        [row_table[r] for r in column], chars)
                 if res.verdict != "not-closed":
                     decided[column] = (res.verdict, res.reason)
                 else:
                     witnesses[key] = res.witness
         report.classes.append(res)
     if witnesses:
-        report.witness = witnesses[min(witnesses)]
+        report.witness = witnesses[min(
+            witnesses, key=partial(_exponent_key, rs, i, row_table))]
     return report
 
 
@@ -536,8 +539,11 @@ def qclosed_direction(rs: RootSystem, monomials, i: int,
         raise ValueError(f"direction {i} out of range 0..{rs.n}")
     with _collector_paused():
         nodes = sorted(set(monomials), key=Monomial.sort_key)
+        numbers, rows = {}, []
+        node_rows = number_rows(rs, nodes, numbers, rows)
         return _decide_classes(rs, i, _class_table(
-            rs, nodes, _row_split(rs, nodes), i, _near_edge(nodes, window)))
+            rs, nodes, node_rows, rows, numbers, i,
+            _near_edge(nodes, window)), rows)
 
 
 def classical_a_exponents(n: int, i: int, l: int) -> dict:
@@ -741,12 +747,15 @@ def closed_report(n: int, ell: int, window=None) -> ClosednessReport:
     if lmax - lmin < 2 * (n + 1) + 2 * rs.d(ell):
         raise ValueError("window too small: need at least two shift periods")
     with _collector_paused():
-        nodes = generate(rs, [fundamental_anchor(rs, ell)], window).nodes
-        near_edge = _near_edge(nodes, window)
-        split = _row_split(rs, nodes)
+        g = generate(rs, [fundamental_anchor(rs, ell)], window)
+        near_edge = _near_edge(g.nodes, window)
+        # the normalized rows of every direction join a copy of the
+        # graph's row table
+        rows = list(g.rows)
+        numbers = {row: k for k, row in enumerate(rows)}
         # each table is freed before the next is built: keeping every
         # direction's table alive raises the peak memory
         return ClosednessReport(n, ell, window, [
-            _decide_classes(rs, i, _class_table(rs, nodes, split, i,
-                                                near_edge))
+            _decide_classes(rs, i, _class_table(
+                rs, g.nodes, g.node_rows, rows, numbers, i, near_edge), rows)
             for i in rs.nodes])

@@ -7,12 +7,17 @@ Crystals here are infinite; every consumer declares a spectral window
 [lmin, lmax] and only *interior* nodes (whose full operator
 neighborhood stays inside the window) participate in assertions.
 
-The BFS runs on integer node ids: a node's exponent tuple is hashed
-once per lookup of an image, and the edges, the queue and the clipped
-set hold ids.  Each edge is computed once: an edge f~_i x = y found
-from either end is recorded with its inverse e~_i y = x.  Weights are
-propagated along the edges and checked where a node is found again;
-the nodes are sorted by exponents and made Monomials once, at the end.
+The BFS runs on row numbers: every distinct row of exponents is
+numbered once in a row table (`number_rows`), a node is the tuple of
+the numbers of its rows, and an image replaces the numbers of the
+three rows its A_{i,l} touches.  The edges, the queue and the clipped
+set hold integer node ids.  Each edge is computed once: an edge
+f~_i x = y found from either end is recorded with its inverse
+e~_i y = x.  Weights are propagated along the edges and checked where a
+node is found again; the exponent tuples are assembled from the rows,
+sorted and made Monomials once, at the end.  The graph keeps the row
+table (`CrystalGraph.node_rows` and `rows`), from which the closedness
+kernel and the module builder read each node's rows.
 """
 from __future__ import annotations
 
@@ -20,7 +25,8 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .lattice import RootSystem
-from .monomial import Monomial, a_exponents, exp_key, exp_mul, exp_row
+from .monomial import (Monomial, ParityError, a_exponents, exp_key, exp_mul,
+                       exp_row)
 
 
 class WindowError(ValueError):
@@ -42,19 +48,25 @@ _NO_STATS = KashiwaraStats(0, 0, None, None)
 
 
 def row_stats(row: dict) -> KashiwaraStats:
-    """Statistics of one row of exponents, from one pass over its prefix
-    sums P_0 = 0, P_1, ..., P_k (P_k the total): phi is their maximum
-    and qq the smallest position whose prefix attains it; eps, the
-    largest negated suffix sum, is phi - P_k, and p is the largest
-    position whose preceding prefix attains phi."""
+    """Statistics of one row of exponents {l: u} (`_stats_of_pairs`)."""
+    return _stats_of_pairs(sorted(row.items()))
+
+
+def _stats_of_pairs(row) -> KashiwaraStats:
+    """Statistics of one row of exponents given as (l, u) pairs in
+    increasing l, from one pass over its prefix sums P_0 = 0, P_1, ...,
+    P_k (P_k the total): phi is their maximum and qq the smallest
+    position whose prefix attains it; eps, the largest negated suffix
+    sum, is phi - P_k, and p is the largest position whose preceding
+    prefix attains phi."""
     if not row:
         return _NO_STATS
     acc = phi = 0
     p = qq = None
-    for l in sorted(row):
+    for l, u in row:
         if acc == phi:
             p = l
-        acc += row[l]
+        acc += u
         if acc > phi:
             phi, qq = acc, l
     eps = phi - acc
@@ -111,6 +123,10 @@ class CrystalGraph:
     e_edges: dict          # (src_idx, i) -> dst_idx
     interior: list
     anchors: list = field(default_factory=list)
+    # the row table: each node's tuple of the numbers of its rows 0..n,
+    # and the rows (tuples of (l, u) pairs in increasing l) by number
+    node_rows: list = field(default_factory=list)
+    rows: list = field(default_factory=list)
 
     def __len__(self):
         return len(self.nodes)
@@ -156,36 +172,80 @@ def _in_window(exps: dict, window) -> bool:
     return all(lmin <= l <= lmax for _, l in exps)
 
 
-def _closure(rs: RootSystem, starts, labels, window):
-    """BFS closure of the start monomials under the Kashiwara operators
-    with labels in `labels`, restricted to the spectral window.  Returns
-    (nodes, index, f_edges, e_edges, interior) with nodes sorted; a node
-    is interior when no operator leads it out of the window, so every
-    image of an interior node is a node.
+def number_rows(rs: RootSystem, monomials, numbers: dict, rows: list) -> list:
+    """Per monomial, the tuple of the numbers of its rows 0..n in a row
+    table: `rows` holds each row, a tuple of (l, u) pairs in increasing
+    l, by number, and `numbers` maps a row to its number.  A row not yet
+    in the table is appended to it, so equal rows share one number."""
+    out = []
+    for m in monomials:
+        split = [[] for _ in rs.nodes]
+        for (j, l), u in m.exps:
+            split[j].append((l, u))
+        out.append(tuple([intern_row(numbers, rows, row)
+                          for row in map(tuple, split)]))
+    return out
 
-    The search runs on integer ids: the exponent tuples sit in a list
-    in discovery order, which is also the FIFO queue, with their weights
-    in a parallel list, and `ids` maps a tuple to its id.  An image's
-    tuple is hashed once, by the lookup that finds or assigns its id;
-    edges are keyed by (id, label) and the clipped nodes are a set of
-    ids.  A weight is propagated along each edge it crosses, and a node
-    found again must arrive with the weight it already has
+
+def intern_row(numbers: dict, rows: list, row: tuple) -> int:
+    """The number of `row` in the row table (`number_rows`), appending
+    it if it is new."""
+    k = numbers.setdefault(row, len(rows))
+    if k == len(rows):
+        rows.append(row)
+    return k
+
+
+def _row_add(row: tuple, l: int, d: int) -> tuple:
+    """The row (a tuple of (l, u) pairs in increasing l) with d added to
+    its exponent at l."""
+    for k, (l2, u) in enumerate(row):
+        if l2 >= l:
+            if l2 > l:
+                return row[:k] + ((l, d),) + row[k:]
+            if u + d:
+                return row[:k] + ((l, u + d),) + row[k + 1:]
+            return row[:k] + row[k + 1:]
+    return row + ((l, d),)
+
+
+def _closure(rs: RootSystem, starts, labels, window) -> CrystalGraph:
+    """BFS closure of the start monomials under the Kashiwara operators
+    with labels in `labels` (increasing), restricted to the spectral
+    window: a CrystalGraph with the nodes sorted by exponents and the
+    starts as anchors.  A node is interior when no operator leads it out
+    of the window, so every image of an interior node is a node.
+
+    The search runs on row numbers: every distinct row of exponents sits
+    once in a row table (`number_rows`), and a node is the tuple of the
+    numbers of its rows 0..n.  The nodes sit in a list in discovery
+    order, which is also the FIFO queue, with their weights in a
+    parallel list, and `ids` maps a node to its integer id; edges are
+    keyed by (id, label) and the clipped nodes are a set of ids.  The
+    statistics of a row (those of `row_stats`) are computed once per
+    row number.  A_{i,l}^{-+1} changes rows i-1, i and i+1 only, and l
+    is fixed by row i and the sign, so an image replaces those three
+    numbers through one memo of the call, keyed by them and the sign;
+    the empty row is number 0, so a label whose row is empty is passed
+    over on its number.  The nodes start in the window, so an image
+    lies in it exactly when the four variables of its A_{i,l}^{-+1}, at
+    l-1, l and l+1, do.
+
+    A weight is propagated along each edge it crosses, and a node found
+    again must arrive with the weight it already has
     (ValidationErrorForGraph otherwise).  Each edge is computed once:
     f~_i x = y inside the window records e~_i y = x as well, and the
     other way round (Kashiwara's axiom), so a (node, label) image
     already known is never recomputed, and a label whose row is empty
-    has none.  The nodes start in the window, so an image lies in it
-    exactly when the four variables of its A_{i,l}^{-+1}, at l-1, l and
-    l+1, do.  The statistics of a node's rows (those of `row_stats`)
-    come from one pass over its exponent tuple, in increasing label
-    order.  The nodes are sorted by exponents at the end, and one
-    Monomial is built per node."""
+    has none.  The exponent tuples are assembled once per node at the
+    end, and one Monomial is built per node."""
     lmin, lmax = window
+    numbers, rows = {(): 0}, [()]
     keys, weights, ids = [], [], {}
-    for m in starts:
-        k = ids.setdefault(m.exps, len(keys))
+    for m, key in zip(starts, number_rows(rs, starts, numbers, rows)):
+        k = ids.setdefault(key, len(keys))
         if k == len(keys):
-            keys.append(m.exps)
+            keys.append(key)
             weights.append(m.weight)
         elif weights[k] != m.weight:
             raise ValidationErrorForGraph(m)
@@ -194,43 +254,44 @@ def _closure(rs: RootSystem, starts, labels, window):
     # a node found again has the h-part of its exponents' column sums,
     # so only its delta-part can disagree
     delta_moves = {key: w.delta for key, w in moves.items()}
-    labelset = set(labels)
+    around = {i: (rs.mod(i - 1), rs.mod(i + 1)) for i in labels}
+    at = {}                 # row number -> (qq + 1, p - 1), None for none
+    images = {}             # (rows i-1, i, i+1, sign) -> the image's rows
     f_raw, e_raw = {}, {}
     clipped = set()
     x = 0
     while x < len(keys):
         xt, wx = keys[x], weights[x]
-        xd = dict(xt)
-        # the row_stats of every nonempty row, in one pass over the
-        # sorted exponents: (label, p, qq), p None where eps = 0 and qq
-        # None where phi = 0
-        found = []
-        cur = None
-        for (i, l), u in xt:
-            if i != cur:
-                if cur is not None:
-                    found.append((cur, p if phi != acc else None, qq))
-                cur, acc, phi, p, qq = i, 0, 0, None, None
-            if acc == phi:
-                p = l
-            acc += u
-            if acc > phi:
-                phi, qq = acc, l
-        if cur is not None:
-            found.append((cur, p if phi != acc else None, qq))
-        for i, p, qq in found:
-            if i not in labelset:
+        for i in labels:
+            r = xt[i]
+            if not r:
                 continue
+            fe = at.get(r)
+            if fe is None:
+                _, _, p, qq = _stats_of_pairs(rows[r])
+                fe = at[r] = (None if qq is None else qq + 1,
+                              None if p is None else p - 1)
             # f~_i divides by A_{i,qq+1}, e~_i multiplies by A_{i,p-1}
-            for l, sign, known, back in ((qq, -1, f_raw, e_raw),
-                                         (p, 1, e_raw, f_raw)):
+            for l, sign, known, back in ((fe[0], -1, f_raw, e_raw),
+                                         (fe[1], 1, e_raw, f_raw)):
                 if l is None or (x, i) in known:
                     continue
-                l -= sign
                 if not lmin < l < lmax:
                     clipped.add(x)
                     continue
-                y = exp_key(exp_mul(xd, a_exponents(rs, i, l), sign))
+                im, ip = around[i]
+                trio = (xt[im], r, xt[ip], sign)
+                new = images.get(trio)
+                if new is None:
+                    new = images[trio] = [
+                        intern_row(numbers, rows, row) for row in (
+                            _row_add(rows[xt[im]], l, -sign),
+                            _row_add(_row_add(rows[r], l - 1, sign), l + 1,
+                                     sign),
+                            _row_add(rows[xt[ip]], l, -sign))]
+                y = list(xt)
+                y[im], y[i], y[ip] = new
+                y = tuple(y)
                 yid = ids.setdefault(y, len(keys))
                 known[(x, i)] = yid
                 back[(yid, i)] = x
@@ -239,29 +300,49 @@ def _closure(rs: RootSystem, starts, labels, window):
                     weights.append(wx + moves[i, sign])
                 elif weights[yid].delta != wx.delta + delta_moves[i, sign]:
                     raise ValidationErrorForGraph(
-                        Monomial(y, wx + moves[i, sign]))
+                        Monomial(_exps_of(y, rows, {}), wx + moves[i, sign]))
         x += 1
-    order = sorted(range(len(keys)), key=keys.__getitem__)
+    tagged = {}
+    exps = [_exps_of(key, rows, tagged) for key in keys]
+    order = sorted(range(len(keys)), key=exps.__getitem__)
     pos = [0] * len(keys)
     for k, x in enumerate(order):
         pos[x] = k
-    nodes = [Monomial(keys[x], weights[x]) for x in order]
-    index = {m: k for k, m in enumerate(nodes)}
-    f_edges = {(pos[x], i): pos[y] for (x, i), y in f_raw.items()}
-    e_edges = {(pos[x], i): pos[y] for (x, i), y in e_raw.items()}
-    return nodes, index, f_edges, e_edges, [x not in clipped for x in order]
+    nodes = [Monomial(exps[x], weights[x]) for x in order]
+    return CrystalGraph(
+        rs, (lmin, lmax), nodes, {m: k for k, m in enumerate(nodes)},
+        {(pos[x], i): pos[y] for (x, i), y in f_raw.items()},
+        {(pos[x], i): pos[y] for (x, i), y in e_raw.items()},
+        [x not in clipped for x in order], anchors=list(starts),
+        node_rows=[keys[x] for x in order], rows=rows)
+
+
+def _exps_of(key: tuple, rows: list, tagged: dict) -> tuple:
+    """The exponent tuple of the node whose rows 0..n have the numbers
+    `key` (row 0 empty); `tagged` memoizes the ((j, l), u) pairs of row
+    number r as row j under r * len(key) + j, so the nodes share them."""
+    out = []
+    for j, r in enumerate(key):
+        if r:
+            part = tagged.get(r * len(key) + j)
+            if part is None:
+                part = tagged[r * len(key) + j] = tuple(
+                    ((j, l), u) for l, u in rows[r])
+            out += part
+    return tuple(out)
 
 
 def generate(rs: RootSystem, anchors, window) -> CrystalGraph:
     """BFS closure of the anchors under the Kashiwara operators,
-    restricted to the spectral window, on exponent tuples with each edge
+    restricted to the spectral window, on row numbers with each edge
     computed once and its inverse recorded with it (see `_closure`).
     Every e~_i and f~_i image of an interior node is a node.
     Anchors carry full weights; weights of discovered nodes are
     propagated along edges and checked for consistency on rediscovery,
     so two anchors with equal exponents and different weights raise
     ValidationErrorForGraph, as does an anchor whose column sums differ
-    from its weight's h-part."""
+    from its weight's h-part.  An anchor variable Y_{i,l} outside the
+    parity class of row i raises ParityError."""
     lmin, lmax = window
     if lmin > lmax:
         raise WindowError("empty window")
@@ -271,17 +352,18 @@ def generate(rs: RootSystem, anchors, window) -> CrystalGraph:
     for a in anchors:
         if not _in_window(a.exp_dict(), window):
             raise WindowError(f"anchor {a} does not fit in window {window}")
-        # A_{i,l} has the column sums of alpha_i, so every node
-        # inherits its anchor's agreement of column sums and h-part
+        # A_{i,l} has the column sums of alpha_i and the parity classes
+        # of the rows, so every node inherits its anchor's agreement of
+        # column sums and h-part, and its parities
         sums = [0] * (rs.n + 1)
-        for (i, _), u in a.exps:
+        for (i, l), u in a.exps:
             sums[i] += u
+            if l % 2 != rs.s(i):
+                raise ParityError(f"anchor {a}: Y_({i},{l}) violates the "
+                                  f"parity class s_{i}={rs.s(i)}")
         if tuple(sums) != a.weight.h:
             raise ValidationErrorForGraph(a)
-    nodes, index, f_edges, e_edges, interior = _closure(rs, anchors, rs.nodes,
-                                                        window)
-    return CrystalGraph(rs, (lmin, lmax), nodes, index, f_edges, e_edges,
-                        interior, anchors=list(anchors))
+    return _closure(rs, anchors, rs.nodes, window)
 
 
 class ValidationErrorForGraph(ValueError):
@@ -295,8 +377,7 @@ def sub_crystal(g: CrystalGraph, m: Monomial, J) -> CrystalGraph:
     if m not in g:
         raise ValueError(f"{m} is not a node of the graph")
     J = sorted(set(g.rs.mod(j) for j in J))
-    return CrystalGraph(g.rs, g.window, *_closure(g.rs, [m], J, g.window),
-                        anchors=[m])
+    return _closure(g.rs, [m], J, g.window)
 
 
 # ---------------------------------------------------------------------------

@@ -139,13 +139,6 @@ class Monomial:
     def row(self, i: int) -> dict:
         return {l: u for (j, l), u in self.exps if j == i}
 
-    def rows(self) -> dict:
-        """{i: self.row(i)} for every row in the support, in one pass."""
-        out = {}
-        for (i, l), u in self.exps:
-            out.setdefault(i, {})[l] = u
-        return out
-
     def is_identity(self) -> bool:
         return not self.exps and self.weight.is_zero()
 

@@ -444,28 +444,29 @@ def build_module(rs: RootSystem, anchors, window, flavor: str) -> LoopModule:
         raise ConstructionError("an l-weight occurs twice in the crystal")
     mod = LoopModule(rs, g, flavor, {i: [] for i in rs.nodes},
                      {i: [] for i in rs.nodes})
-    memo = {}               # row items -> (lower, upper, f~ step, e~ step)
-    for idx, m in enumerate(g.nodes):
-        rows = m.rows()
-        for i in rs.nodes:
-            row = rows.get(i, {})
-            key = tuple(row.items())
-            got = memo.get(key)
+    memo = {}               # row number -> (lower, upper, f~ step, e~ step)
+    for idx, (m, numbers) in enumerate(zip(g.nodes, g.node_rows)):
+        for i, r in zip(rs.nodes, numbers):
+            got = memo.get(r)
             if got is None:
+                row = dict(g.rows[r])
                 try:
                     lower, upper = row_edges(row)
                 except ConstructionError as exc:
                     raise ConstructionError(f"node {m}, row {i}: {exc}") from None
                 st = row_stats(row)
-                got = memo[key] = (lower, upper, st.qq + 1 if st.phi else None,
-                                   st.p - 1 if st.eps else None)
+                got = memo[r] = (lower, upper, st.qq + 1 if st.phi else None,
+                                 st.p - 1 if st.eps else None)
             lower, upper, fstep, estep = got
+            # an empty row (most rows) has no edges
             mod.minus_edges[i].append(tuple(
                 (g.f_edges.get((idx, i)) if p == fstep
-                 else _target(rs, g, m, i, p, -1), p, c) for p, c in lower))
+                 else _target(rs, g, m, i, p, -1), p, c)
+                for p, c in lower) if lower else ())
             mod.plus_edges[i].append(tuple(
                 (g.e_edges.get((idx, i)) if p == estep
-                 else _target(rs, g, m, i, p, 1), p, c) for p, c in upper))
+                 else _target(rs, g, m, i, p, 1), p, c)
+                for p, c in upper) if upper else ())
     return mod
 
 

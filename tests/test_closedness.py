@@ -1,4 +1,5 @@
 import gc
+import hashlib
 from itertools import product
 
 import pytest
@@ -40,6 +41,8 @@ def test_string_position_rules():
     assert _general_position((0, 3), (2, 1))         # nested
     assert _general_position((0, 1), (0, 1))         # equal
     assert _general_position((0, 1), (6, 2))         # far apart
+    assert _general_position((0, 2), (1, 1))         # different parity
+    assert _general_position((0, 1), (3, 1))
     # maximal-first peeling produces the canonical nested decomposition
     assert _peel_strings({0: 1, 2: 2, 4: 1}) == [(0, 3), (2, 1)]
     with pytest.raises(ValueError):
@@ -48,28 +51,36 @@ def test_string_position_rules():
 
 def test_peeled_strings_are_in_general_position():
     # every dominant row on the positions 0, 2, ..., 12 with exponents at
-    # most 3: the maximal-first peeling never leaves two strings in
-    # special position, so sl2_simple_qchar never refuses a row whose
-    # positions share one parity
+    # most 3, and on the positions 0, 1, ..., 6 with exponents at most 2:
+    # the maximal-first peeling never leaves two strings in special
+    # position, so sl2_simple_qchar never refuses a dominant row
     from torcrys.closedness import _general_position, _peel_strings
     rows = 0
-    for exps in product(range(4), repeat=7):
-        row = {2 * k: u for k, u in enumerate(exps) if u}
-        if not row:
-            continue
-        strings = _peel_strings(row)
-        assert all(_general_position(s, t) for x, s in enumerate(strings)
-                   for t in strings[x + 1:]), row
-        rows += 1
-    assert rows == 16383
+    for step, top in ((2, 4), (1, 3)):
+        for exps in product(range(top), repeat=7):
+            row = {step * k: u for k, u in enumerate(exps) if u}
+            if not row:
+                continue
+            strings = _peel_strings(row)
+            assert all(_general_position(s, t) for x, s in enumerate(strings)
+                       for t in strings[x + 1:]), row
+            rows += 1
+    assert rows == 16383 + 2186
 
 
-def test_special_position_memo_keeps_no_reference_cycle():
-    # a row of mixed parity is refused by the sl2 oracle; the memo keeps
-    # the refusal's message, not the error, whose traceback would hold
-    # the memo in a reference cycle
-    from torcrys.closedness import _check_class_rows
-    row = ((0, 1), (1, 1))
+def test_special_position_memo_keeps_no_reference_cycle(monkeypatch):
+    # a row the sl2 oracle refuses (no dominant row is refused, so the
+    # refusal is patched in): the memo keeps the refusal's message, not
+    # the error, whose traceback would hold the memo in a reference cycle
+    from torcrys import closedness
+    from torcrys.closedness import UnsupportedConfigError, _check_class_rows
+
+    def refuse(row):
+        raise UnsupportedConfigError("q-strings (0, 1) and (2, 1) in "
+                                     "special position")
+
+    monkeypatch.setattr(closedness, "sl2_simple_qchar", refuse)
+    row = ((0, 1), (2, 1))
     was = gc.isenabled()
     gc.disable()
     try:
@@ -85,6 +96,19 @@ def test_special_position_memo_keeps_no_reference_cycle():
     finally:
         if was:
             gc.enable()
+
+
+def test_sl2_mixed_parity_row_is_a_tensor_product():
+    # q-strings of different parity are in general position: the
+    # character of Y_0 Y_1 is the product of those of Y_0 and Y_1, and
+    # the row gets a verdict
+    assert sl2_simple_qchar({0: 1, 1: 1}) == sorted(
+        [({0: 1, 1: 1}, 1), ({0: 1, 3: -1}, 1), ({1: 1, 2: -1}, 1),
+         ({2: -1, 3: -1}, 1)], key=lambda t: sorted(t[0].items()))
+    full = [{0: 1, 1: 1}, {0: 1, 3: -1}, {1: 1, 2: -1}, {2: -1, 3: -1}]
+    assert sl2_qclosed(full).verdict == "closed"
+    res = sl2_qclosed(full[:3])
+    assert (res.verdict, dict(res.witness)) == ("not-closed", {2: -1, 3: -1})
 
 
 def test_sl2_multiplicity():
@@ -254,29 +278,44 @@ def _partner_by_repeated_products(rs, m, i, target_row):
     return _times_a_products(rs, m, i, _solve_a_exponents(rs, i, diff))
 
 
+def _class_tables(rs, g, near_edge):
+    """(i, class table, row table) for every direction i of the graph g,
+    each on its own copy of g's row table."""
+    from torcrys.closedness import _class_table
+    for i in rs.nodes:
+        rows = list(g.rows)
+        numbers = {row: k for k, row in enumerate(rows)}
+        yield i, _class_table(rs, g.nodes, g.node_rows, rows, numbers, i,
+                              near_edge), rows
+
+
 def _sweep_class_tables(n):
-    """(ell, rs, nodes, i, class table) for every direction i of the
-    closedness-sweep crystals of rank n, no class at the window edge."""
-    from torcrys.closedness import _class_table, _row_split
+    """(ell, rs, nodes, i, class table, row table) for every direction i
+    of the closedness-sweep crystals of rank n, no class at the window
+    edge."""
     window = (-3 * (n + 1), 3 * (n + 1))
     for ell in range(1, n + 1):
         rs = RootSystem.for_fundamental(n, ell)
-        nodes = generate(rs, [fundamental_anchor(rs, ell)], window).nodes
-        split = _row_split(rs, nodes)
-        for i in rs.nodes:
-            yield ell, rs, nodes, i, _class_table(rs, nodes, split, i,
-                                                  [False] * len(nodes))
+        g = generate(rs, [fundamental_anchor(rs, ell)], window)
+        for i, table, rows in _class_tables(rs, g, [False] * len(g)):
+            yield ell, rs, g.nodes, i, table, rows
 
 
 @pytest.mark.parametrize("n", [3, 5, 7])
 def test_class_keys_match_normalized_monomials(n):
     # every node and direction of the closedness-sweep crystals: the
     # class key is read off the Monomial m * prod_l A_{i,l}^{c_l}, c =
-    # row i-1 of m, built from A_{i,l} products; two nodes share a class
-    # exactly when these normalized Monomials agree
+    # row i-1 of m, built from A_{i,l} products, as the numbers of its
+    # rows in the row table (rows i-1, i and i+1 left out of the first
+    # part) and its delta-coefficient, and in exponents by
+    # _exponent_key; two nodes share a class exactly when these
+    # normalized Monomials agree
+    from torcrys.closedness import _exponent_key
     shortcut = normalized = 0
-    for ell, rs, nodes, i, table in _sweep_class_tables(n):
+    for ell, rs, nodes, i, table, row_table in _sweep_class_tables(n):
         im, ip = rs.mod(i - 1), rs.mod(i + 1)
+        number = {row: k for k, row in enumerate(row_table)}
+        assert len(number) == len(row_table)
         key_of = {}
         position = {m: k for k, m in enumerate(nodes)}
         for key, (members, rows, _) in table.items():
@@ -285,12 +324,18 @@ def test_class_keys_match_normalized_monomials(n):
                 norm = _times_a_products(rs, m, i, c)
                 assert not norm.row(im)
                 assert key == (
+                    tuple(number[tuple(norm.row(j).items())]
+                          for j in rs.nodes if j not in (im, i, ip)),
+                    number[tuple(norm.row(i).items())],
+                    number[tuple(norm.row(ip).items())],
+                    norm.weight.delta), (ell, i, m)
+                assert _exponent_key(rs, i, row_table, key) == (
                     tuple(((j, l), u) for (j, l), u in norm.exps
                           if j not in (im, i, ip)),
                     tuple(norm.row(i).items()), tuple(norm.row(ip).items()),
                     norm.weight.delta), (ell, i, m)
                 assert key_of.setdefault(norm, key) == key
-                assert rows[tuple(m.row(i).items())] == position[m]
+                assert rows[number[tuple(m.row(i).items())]] == position[m]
                 shortcut += not c
                 normalized += bool(c)
         assert len(key_of) == len(table), (ell, i)
@@ -304,7 +349,7 @@ def test_partner_matches_repeated_products(n):
     # and at the rows of the first member's sl2 character when dominant
     from torcrys.closedness import UnsupportedConfigError, _partner
     compared = 0
-    for _, rs, nodes, i, table in _sweep_class_tables(n):
+    for _, rs, nodes, i, table, _ in _sweep_class_tables(n):
         for members, _, _ in table.values():
             base = members[0]
             targets = [m.row(i) for m in members]
@@ -331,7 +376,7 @@ def test_row_keyed_check_matches_monomial_route(n):
     from torcrys.closedness import (_check_class_general, _check_class_rows,
                                     _partner)
     verdicts = set()
-    for ell, rs, _, i, table in _sweep_class_tables(n):
+    for ell, rs, _, i, table, _ in _sweep_class_tables(n):
         chars = {}
         for key in sorted(table):
             members = sorted(table[key][0], key=Monomial.sort_key)
@@ -355,7 +400,7 @@ def test_row_keyed_check_matches_monomial_route(n):
 def test_decided_classes_match_fresh_decisions(n, monkeypatch):
     # every class of every direction of the closedness-sweep crystals:
     # _decide_classes, which lends a closed or inconclusive verdict to
-    # later classes with the same column of row-i tuples, gives the
+    # later classes with the same column of row-i numbers, gives the
     # members, verdict, witness and reason of a fresh decision with
     # empty memos; the greedy subtraction runs exactly on the classes
     # whose column is new or not closed, and fewer times than there are
@@ -371,12 +416,12 @@ def test_decided_classes_match_fresh_decisions(n, monkeypatch):
 
     monkeypatch.setattr(closedness, "_check_class_rows", counted)
     classes = expected_runs = 0
-    for ell, rs, _, i, table in _sweep_class_tables(n):
-        got = closedness._decide_classes(rs, i, table).classes
+    for ell, rs, _, i, table, row_table in _sweep_class_tables(n):
+        got = closedness._decide_classes(rs, i, table, row_table).classes
         assert len(got) == len(table)
         kept = set()
         for res, (key, (members, rows, _)) in zip(got, table.items()):
-            want = fresh(rs, i, members, rows, {})
+            want = fresh(rs, i, members, [row_table[r] for r in rows], {})
             assert (res.members, res.verdict, res.witness, res.reason) == \
                 (want.members, want.verdict, want.witness, want.reason), \
                 (ell, i, key)
@@ -597,24 +642,25 @@ def test_classes_in_first_member_order_with_the_least_key_witness(
     # every direction of the closedness-sweep reports: the classes come
     # in the order of their first members among the nodes, and the
     # direction's witness is that of the not-closed class with the least
-    # class key
-    from torcrys.closedness import _class_table, _near_edge, _row_split
+    # class key in exponents
+    from torcrys.closedness import _exponent_key, _near_edge
     with_witness = reordered = 0
     for ell in range(1, n + 1):
         rep = sweep_reports[n, ell]
         rs = RootSystem.for_fundamental(n, ell)
-        nodes = generate(rs, [fundamental_anchor(rs, ell)], rep.window).nodes
-        position = {m: k for k, m in enumerate(nodes)}
-        split = _row_split(rs, nodes)
-        near_edge = _near_edge(nodes, rep.window)
-        for d in rep.directions:
-            table = _class_table(rs, nodes, split, d.i, near_edge)
+        g = generate(rs, [fundamental_anchor(rs, ell)], rep.window)
+        position = {m: k for k, m in enumerate(g.nodes)}
+        tables = _class_tables(rs, g, _near_edge(g.nodes, rep.window))
+        for d, (i, table, rows) in zip(rep.directions, tables):
+            assert d.i == i
             assert [c.members for c in d.classes] == \
                 [members for members, _, _ in table.values()], (ell, d.i)
             firsts = [position[c.members[0]] for c in d.classes]
             assert all(a < b for a, b in zip(firsts, firsts[1:])), (ell, d.i)
             by_key = dict(zip(table, d.classes))
-            failed = [by_key[key].witness for key in sorted(table)
+            failed = [by_key[key].witness
+                      for key in sorted(table, key=lambda key: _exponent_key(
+                          rs, i, rows, key))
                       if by_key[key].verdict == "not-closed"]
             assert d.witness == (failed[0] if failed else None), (ell, d.i)
             with_witness += bool(failed)
@@ -624,6 +670,25 @@ def test_classes_in_first_member_order_with_the_least_key_witness(
     # class in first-member order is not the one with the least key
     assert (with_witness, reordered) == {3: (0, 0), 5: (12, 0),
                                          7: (32, 3)}[n]
+
+
+def test_sweep_reports_are_pinned(sweep_reports):
+    # the digest of every class of the fifteen sweep reports (members,
+    # verdict, reason and witness, in report order) and of every
+    # direction's witness, recorded from the nested-tuple class keys
+    # before the kernel moved to row numbers
+    def mono(m):
+        return None if m is None else (m.exps, m.weight.h, m.weight.delta)
+
+    digest = hashlib.sha256()
+    for (n, ell), rep in sorted(sweep_reports.items()):
+        for d in rep.directions:
+            digest.update(repr((n, ell, d.i, mono(d.witness))).encode())
+            for c in d.classes:
+                digest.update(repr(([mono(m) for m in c.members], c.verdict,
+                                    c.reason, mono(c.witness))).encode())
+    assert digest.hexdigest() == \
+        "556c20e545473c77238f686a64d62d4b212f9e290252b16e92e165bb2b32d5e3"
 
 
 def test_closedness_restores_the_collector_setting(monkeypatch):

@@ -345,6 +345,10 @@ def _bfs_cases():
     rs = RootSystem(3, parity=0)
     yield pytest.param(rs, [doubled_anchor(rs, s) for s in (0, 1)], (-14, 14),
                        id="doubled_s01")
+    # the middle of a 1-string of length 2: the first node has both an
+    # f~_1 and an e~_1 image to compute, from one row triple
+    yield pytest.param(rs, [f_tilde(rs, doubled_anchor(rs, 0), 1)], (-14, 14),
+                       id="doubled_mid")
 
 
 @pytest.mark.parametrize("rs,anchors,window", list(_bfs_cases()))
@@ -365,6 +369,51 @@ def test_sub_crystal_matches_reference_bfs(rs, anchors, window):
         sc = sub_crystal(g, m, J)
         assert_matches_reference(sc, reference_bfs(rs, [m], window, J))
         assert sc.anchors == [m] and len(sc) < len(g)
+
+
+def assert_row_table(g):
+    """Each node's rows by number in g's row table are its rows."""
+    assert len(g.node_rows) == len(g.nodes)
+    assert len(set(g.rows)) == len(g.rows)
+    for m, numbers in zip(g.nodes, g.node_rows):
+        assert len(numbers) == g.rs.n + 1
+        for j, r in enumerate(numbers):
+            assert dict(g.rows[r]) == m.row(j), (m, j)
+            assert [l for l, _ in g.rows[r]] == sorted(m.row(j)), (m, j)
+
+
+@pytest.mark.parametrize("rs,anchors,window", list(_bfs_cases()))
+def test_row_table_matches_the_rows(rs, anchors, window):
+    # the row table of the graph and of two subcrystals
+    g = generate(rs, anchors, window)
+    assert_row_table(g)
+    m = g.nodes[len(g) // 2]
+    for J in (range(1, rs.n + 1), (0, 1)):
+        assert_row_table(sub_crystal(g, m, J))
+
+
+def test_row_table_of_the_criterion_6_modules():
+    from torcrys.torep import build_doubled, build_thin
+    for mod in [build_thin(3, ell, (-24, 24)) for ell in (1, 2, 3)] + \
+            [build_doubled(2, (-14, 14))]:
+        assert_row_table(mod.graph)
+
+
+@pytest.mark.parametrize("i, l", [(1, 1), (0, 0), (2, -2)])
+def test_generate_refuses_an_anchor_of_the_wrong_parity(i, l):
+    # the anchor Y_{1,0} Y_{0,1}^-1 with one more variable Y_{i,l}^{+-1}
+    # outside the parity class of row i (and a weight that matches its
+    # column sums), alone and beside a legal anchor
+    rs = rs1()
+    good = M0(rs)
+    for u in (1, -1):
+        h = list(good.weight.h)
+        h[i] += u
+        bad = Monomial(tuple(sorted(good.exps + (((i, l), u),))),
+                       Weight(tuple(h), 0))
+        for anchors in ([bad], [good, bad]):
+            with pytest.raises(ParityError):
+                generate(rs, anchors, (-8, 8))
 
 
 def test_kashiwara_closed_misses_dropped_f_image():
