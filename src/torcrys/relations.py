@@ -21,6 +21,15 @@ so do the diagonal operators ("pair", "h", "k" and the scalar "q"), by
 edges back to the vector itself with constant steps.  So the paths a
 word takes through the basis do not depend on the mode indices.
 
+The diagonal operators commute: on an l-weight basis each acts on a
+basis vector by a scalar, and `_paths` refuses an entry of one that
+leaves its vector.  So each table is put in normal form once
+(`_commute_diagonal`): every maximal run of adjacent diagonal operators
+in a word is sorted, the scalars of words then equal are summed, and
+zero sums are dropped.  Every h-h table is empty, so [h_{i,m1},
+h_{j,m2}] = 0 is proved by its table without reading the module, and
+at a_ij = 0 the two q^0 terms of h-x cancel; no other table changes.
+
 The runner tables each run's relation once, passing its modes
 (`MODE_PARAMS`) to `relation_terms` as affine symbols (`Mode`), so that
 each operator's mode is a form const + c . v in the mode values v.  A
@@ -229,8 +238,9 @@ _TEMPLATES = {}
 def _table(rs: RootSystem, key: tuple) -> tuple:
     """The runner's template (`_shapes`) of the key's relation:
     `relation_terms` with the k-th mode parameter passed as the symbol
-    v_k, each scalar as its integer term tuple (`_int_terms`) and each
-    word shape as its id in the shape registry (`_intern`).  The
+    v_k, each scalar as its integer term tuple (`_int_terms`), the
+    diagonal operators commuted (`_commute_diagonal`) and each word
+    shape as its id in the shape registry (`_intern`).  The
     table reads only the Cartan data of the rank, never the parity or a
     module's ring."""
     got = _TEMPLATES.get((rs.n, key))
@@ -239,9 +249,40 @@ def _table(rs: RootSystem, key: tuple) -> tuple:
         symbols = [Mode(0, tuple(int(j == k) for j in range(n)))
                    for k in range(n)]
         terms = relation_terms(rs, _join(key, symbols))
-        got = _TEMPLATES[(rs.n, key)] = _shapes(
-            tuple((_int_terms(s), word) for s, word in terms), n)
+        got = _TEMPLATES[(rs.n, key)] = _shapes(_commute_diagonal(
+            ((_int_terms(s), word) for s, word in terms), n), n)
     return got
+
+
+def _commute_diagonal(terms, n: int) -> tuple:
+    """A table's terms (scalar, word), scalars integer term tuples and
+    modes affine in n mode values, in normal form: each maximal run of
+    adjacent diagonal operators (all but x, as in `_paths`) sorted on
+    the operator without its mode, then the mode's (const, coeffs); the
+    scalars of words now equal summed; zero sums dropped;
+    first-occurrence order kept (the module docstring says why this is
+    sound)."""
+    def form(op):
+        m = op[-1]
+        return op[:-1], ((m.const, m.coeffs) if isinstance(m, Mode)
+                         else (m, (0,) * n))
+
+    merged = {}
+    for scalar, word in terms:
+        out, run = [], []
+        for op in word:
+            if op[0] != "x":
+                run.append(op)
+            else:
+                out += sorted(run, key=form)
+                out.append(op)
+                run = []
+        word = (*out, *sorted(run, key=form))
+        slot = merged.setdefault(tuple(map(form, word)), (word, {}))[1]
+        for e, c in scalar:
+            slot[e] = slot.get(e, 0) + c
+    return tuple((tuple(sorted((e, c) for e, c in acc.items() if c)), word)
+                 for word, acc in merged.values() if any(acc.values()))
 
 
 def _int_terms(s: RationalQ) -> tuple:
@@ -323,7 +364,9 @@ def _paths(mod, sid: int, memo: list):
     tuple, so a zero sum is dropped.  Every operator moves a path along
     its entries (`x_entries`, `pair_entries`, `h_entries`, `k_entries`,
     `q_entries`; all but the first return to their own node, so they
-    never leave the window).  hazards holds (node, ((steps, coeff),
+    never leave the window, and an entry of one of these diagonal
+    operators to another node raises ValueError: the tables commute
+    them, `_commute_diagonal`).  hazards holds (node, ((steps, coeff),
     ...)): the paths that reached a node whose edge for the next x
     operator leaves the window; they go no further (where their sum
     vanishes, so would their continuations).  A shape whose suffix (the
@@ -348,9 +391,14 @@ def _paths(mod, sid: int, memo: list):
     leaving = {}
     for (node, steps), c in paths.items():
         entries = entries_of(*args, node)
-        if windowed and any(dst is None for dst, _, _ in entries):
-            leaving.setdefault(node, []).append((steps, c))
-            continue
+        if windowed:
+            if any(dst is None for dst, _, _ in entries):
+                leaving.setdefault(node, []).append((steps, c))
+                continue
+        elif any(dst != node for dst, _, _ in entries):
+            raise ValueError(
+                f"diagonal operator {(method[:-len('_entries')], *args)} "
+                f"has an entry leaving node {mod.node(node)}")
         for dst, step, c0 in entries:
             key = (dst, steps + (step,))
             cc = c if c0 is one else c0 if c is one else c * c0
@@ -378,7 +426,7 @@ def _node_terms(mod, template: tuple, memo: list):
     vanishes (`_collect`); hazards holds (node, entries), entries in the
     same form with node as target, or None for a single path, which
     never cancels, and leaves out the hazards whose paths cancel at all
-    modes.  A term with scalar zero keeps its hazards."""
+    modes."""
     slots, values, hazard_slots, hazard_values = [], [], [], []
     for scalar, sid, consts, cols in template:
         paths, hz = _paths(mod, sid, memo)
@@ -389,10 +437,9 @@ def _node_terms(mod, template: tuple, memo: list):
                 hazard_slots.append((node, [_affine(consts, cols, steps)
                                             for steps, _ in group]))
                 hazard_values.extend(c for _, c in group)
-        if scalar:
-            for (target, steps), c in paths.items():
-                slots.append((target, scalar, _affine(consts, cols, steps)))
-                values.append(c)
+        for (target, steps), c in paths.items():
+            slots.append((target, scalar, _affine(consts, cols, steps)))
+            values.append(c)
     den, nums = mod.one.clear_denominators(values + hazard_values)
     nums = iter(nums)
     terms = _collect(((target, scalar, next(nums), form)
@@ -478,7 +525,8 @@ def relation_residual(mod, spec: RelationSpec, idx: int) -> dict:
     basis vector; the contract is the empty (zero) vector.  Raises
     WindowError when an intermediate leaves the window.  The relation is
     its table in `relation_terms`: for h-x, (q - q^-1) m times the
-    relation as written, and for h-h (q - q^-1)^2 m1 m2 times.  Generic
+    relation as written, and for h-h (q - q^-1)^2 m1 m2 times, zero by
+    its empty table (`_commute_diagonal`).  Generic
     modules only: a module at a root of unity raises TypeError (check it
     with `unity.relation_check_eps`)."""
     if not isinstance(mod.one, RationalQ):

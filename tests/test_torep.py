@@ -1,7 +1,7 @@
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache, partial
-from itertools import product
+from itertools import groupby, product
 from math import comb
 
 import pytest
@@ -804,9 +804,10 @@ def _template_at(rs, spec):
     back into its word, and each integer scalar read back as a
     RationalQ."""
     key, v = relations._split(spec)
+    template = relations._table(rs, key)
     shapes = {sid: shape for shape, sid in relations._SHAPE_IDS.items()}
     out = []
-    for scalar, sid, consts, cols in relations._table(rs, key):
+    for scalar, sid, consts, cols in template:
         shape = shapes[sid]
         modes = [c + sum(col[k] * x for col, x in zip(cols, v))
                  for k, c in enumerate(consts)]
@@ -818,18 +819,63 @@ def _template_at(rs, spec):
     return out
 
 
+def _diagonal_normal_form(rs, spec):
+    """The terms (scalar, word) of `relation_terms` with the diagonal
+    operators commuted, at the spec's mode values.  The table is written
+    with symbolic modes (as the runner tables it), each operator's mode
+    read as (const, coeffs); each maximal run of adjacent h, k, pair and
+    q operators is sorted, the scalars of equal words are added and zero
+    sums dropped, in first-occurrence order; then every mode is
+    evaluated.  Words equal at some mode values only stay apart."""
+    key, v = relations._split(spec)
+    symbols = [relations.Mode(0, tuple(int(j == k) for j in range(len(v))))
+               for k in range(len(v))]
+
+    def symbolic(op):
+        m = op[-1]
+        if isinstance(m, relations.Mode):
+            return (*op[:-1], m.const, m.coeffs)
+        return (*op[:-1], m, (0,) * len(v))
+
+    sums = {}
+    for s, word in relation_terms(rs, relations._join(key, symbols)):
+        ops = []
+        for diagonal, run in groupby(map(symbolic, word), lambda op: op[0] in
+                                     ("h", "k", "pair", "q")):
+            ops += sorted(run) if diagonal else run
+        word = tuple(ops)
+        sums[word] = sums[word] + s if word in sums else s
+    return [(s, tuple((*op[:-2], op[-2] + sum(c * x for c, x in
+                                              zip(op[-1], v)))
+                      for op in word))
+            for word, s in sums.items() if not s.is_zero()]
+
+
 @pytest.mark.parametrize("n", [3, 5])
 @pytest.mark.parametrize("parity", [0, 1])
 def test_symbolic_table_matches_relation_terms(n, parity):
     # the template memo is keyed by rank alone: whichever parity built a
-    # table first, it must match relation_terms at this parity
+    # table first, it must match relation_terms at this parity, with the
+    # diagonal operators commuted.  That normal form changes two
+    # families only: every h-h table is empty, and at a_ij = 0 the two
+    # q^0 terms of h-x cancel; every other table is relation_terms term
+    # by term
     rs = RootSystem(n, parity=parity)
     specs = [*relation_instances(rs, 3, 2), *_specs(eps_runs(rs, 7, 7))]
+    changed = Counter()
     for spec in specs:
         got, want = _template_at(rs, spec), relation_terms(rs, spec)
-        assert len(got) == len(want), spec
-        for (s, word), (t, w) in zip(got, want):
-            assert s == t and word == w, spec
+        assert got == _diagonal_normal_form(rs, spec), spec
+        p = dict(spec.params)
+        if spec.rid == "h-h":
+            assert relations._table(rs, relations._split(spec)[0]) == ()
+            changed[spec.rid] += 1
+        elif spec.rid == "h-x" and rs.cartan(p["i"], p["j"]) == 0:
+            assert (len(got), len(want)) == (2, 4), spec
+            changed[spec.rid] += 1
+        else:
+            assert got == list(want), spec
+    assert set(changed) == {"h-h", "h-x"}
 
 
 def test_mode_in_a_scalar_raises(thin_3_1, monkeypatch):
@@ -1205,14 +1251,15 @@ def test_h_entries_are_integers(thin_3_1, thin_3_2):
 
 
 def test_symbolic_h_h_cancels_at_every_mode(thin_3_1, s5_small):
-    # with m1 and m2 symbolic, both words of each h-h table reach the
-    # vector through the same steps with the same integer coefficient,
-    # so nothing is left: (q - q^-1)^2 m1 m2 [h_{i,m1}, h_{j,m2}] = 0
-    # for every (m1, m2)
+    # the tables commute the diagonal operators (`_commute_diagonal`):
+    # with m1 and m2 symbolic, the two words of each h-h table become
+    # one word whose scalars cancel, so every table is empty and no
+    # vector keeps a term or a hazard: (q - q^-1)^2 m1 m2
+    # [h_{i,m1}, h_{j,m2}] = 0 for every (m1, m2)
     for mod in (thin_3_1, s5_small):
         tables = [relations._table(mod.rs, key) for key, _ in
                   relations.relation_runs(mod.rs, 0, 1, include=["h-h"])]
-        assert tables
+        assert tables and set(tables) == {()}
         for idx in mod.graph.interior_indices():
             memo = relations._vector_memo(idx, mod.one)
             for template in tables:
@@ -1233,6 +1280,77 @@ def test_scaled_h_entry_is_reported(thin_3_1, ring):
     assert mod.node(idx) in [node for _, node in failures]
     for spec, _ in failures:
         assert (spec.rid, dict(spec.params)["i"]) == ("h-x", i)
+
+
+@pytest.mark.parametrize("case, checked", [("thin_3_1", 260),
+                                           ("doubled_1", 1360)])
+def test_h_h_never_reads_the_module(case, checked, thin_3_1, s5_small):
+    # the h-h tables are empty, so the live gate proves every (run,
+    # vector) pair of the interior without an h entry; the memo-free
+    # reference still applies both words of each commutator
+    ref_mod = thin_3_1 if case == "thin_3_1" else s5_small
+    mod = ref_mod.twisted(0)
+
+    def refuse(i, idx):
+        raise AssertionError(f"h-h read the h entries of {i} at {idx}")
+    mod.h_entries = refuse
+    nodes = mod.graph.interior_indices()
+    runs = list(relations.relation_runs(mod.rs, include=["h-h"]))
+    got = run_relation_suite(mod, nodes=nodes, include=["h-h"])
+    assert got.checked == checked == len(runs) * len(nodes)
+    assert got.proved == len(runs) * len(nodes) and got.ok
+    (key, (v,)), *_ = runs
+    spec = relations._join(key, v)
+    assert relation_residual(mod, spec, nodes[0]) == {}
+    ref = reference_suite(ref_mod, relation_instances(ref_mod.rs,
+                                                      include=["h-h"]),
+                          nodes=nodes)
+    assert _summary(got) == _summary(ref)
+
+
+def test_diagonal_entry_leaving_its_vector_is_refused(thin_3_1):
+    # the tables commute the diagonal operators, which is sound only
+    # where each acts by a scalar on every basis vector: an h entry of
+    # an interior vector moved to a neighbour must stop the runner,
+    # naming the vector and the operator
+    i = 1
+    mod = thin_3_1.twisted(0)
+    nodes = mod.graph.interior_indices()
+    idx = next(k for k in nodes if mod.h_entries(i, k))
+    neighbour = next(dst for sign, j in product((1, -1), mod.rs.nodes)
+                     for dst, _, _ in mod.x_entries(sign, j, idx)
+                     if dst is not None)
+    entries_of = mod.h_entries
+
+    def moved(j, k):
+        got = entries_of(j, k)
+        if (j, k) != (i, idx):
+            return got
+        (_, s, c), *rest = got
+        return ((neighbour, s, c), *rest)
+    mod.h_entries = moved
+    with pytest.raises(ValueError, match="diagonal operator") as err:
+        run_relation_suite(mod, nodes=nodes, include=["h-x"])
+    assert str(mod.node(idx)) in str(err.value)
+    assert str(("h", i)) in str(err.value)
+
+
+def test_commute_diagonal_sorts_each_run_of_diagonal_operators():
+    # runs of diagonal operators are sorted on (operator, const, coeffs)
+    # of their modes, never across an x operator; equal words merge
+    # their integer scalars in first-occurrence order, and a zero sum
+    # is dropped
+    m, r = relations.Mode(0, (1, 0)), relations.Mode(0, (0, 1))
+    h, k, x = ("h", 1, m), ("k", (1, 0), -1), ("x", 1, 0, r)
+    got = relations._commute_diagonal((
+        (((0, 1),), (h, x, k)),
+        (((0, -1),), (k, x, h)),
+        (((1, 2),), (k, h, x)),
+        (((1, -2), (2, 1)), (h, k, x)),
+        (((0, 3),), (("q", 0, m), x)),
+        (((0, -3),), (("q", 0, m + 0), x))), 2)
+    assert got == ((((0, 1),), (h, x, k)), (((0, -1),), (k, x, h)),
+                   (((2, 1),), (h, k, x)))
 
 
 # ---------------------------------------------------------------------------
